@@ -205,21 +205,9 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
         if not unbound:
             report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
         else:
-            candidates = [
-                b
-                for b in library.candidate_bindings(theory, scenario)
-                if all(b.get(role) == entity for role, entity in binding.items())
-            ]
-            report = None
-            for b in candidates:
-                try:
-                    r = logic.check_theory(theory, scenario, b, epsilon=eps, tau=tau_v)
-                except IschemaError:
-                    continue
-                if r.satisfied:
-                    report = r
-                    break
-            if report is None:
+            found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding), None)
+            if found is None:
+                searched = sum(1 for _ in library.candidate_bindings(theory, scenario, fixed=binding))
                 if json_output:
                     _print_json(
                         {
@@ -228,15 +216,16 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
                             "binding": binding,
                             "satisfied": False,
                             "axioms": [],
-                            "searched": len(candidates),
+                            "searched": searched,
                         }
                     )
                 else:
                     _echo(
                         f"theory {theory.name}: no satisfying binding "
-                        f"among {len(candidates)} candidates"
+                        f"among {searched} candidates"
                     )
                 sys.exit(EXIT_UNSATISFIED)
+            report = found.report
     except IschemaError as exc:
         _fail_usage(str(exc))
 
@@ -259,6 +248,7 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     scenario = _load_scenario(scenario_file)
     if not scenario.is_generative:
         _fail_usage("the scenario already carries a trace; nothing to simulate")
+    _check_steps(steps)
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
     if delta is not None:
         delta_v = _rational_option(delta, "--delta")
@@ -382,7 +372,16 @@ def _parse_grid(text: str) -> tuple[tuple[int, int], tuple[int, int], Fraction]:
         step = Fraction(parts[2]) if len(parts) == 3 else Fraction(1)
     except (ValueError, ZeroDivisionError):
         _fail_usage("--grid expects x0:x1,y0:y1[,step]")
+    if x0 > x1 or y0 > y1:
+        _fail_usage(f"--grid ranges must not run backwards, got {parts[0]} and {parts[1]}")
+    if step <= 0:
+        _fail_usage("--grid step must be positive")
     return (x0, x1), (y0, y1), step
+
+
+def _check_steps(steps: Optional[int]) -> None:
+    if steps is not None and steps < 1:
+        _fail_usage(f"--steps must be at least 1, got {steps}")
 
 
 @main.command("enumerate")
@@ -409,6 +408,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     scenario = _load_scenario(scenario_file)
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
+    _check_steps(steps)
     x_range, y_range, step = _parse_grid(grid)
 
     if free:
@@ -424,14 +424,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     binding = _parse_bindings(binds)
     unbound = [role for role, _ in theory.roles if role not in binding]
     if unbound:
-        full = next(
-            (
-                b
-                for b in library.candidate_bindings(theory, scenario)
-                if all(b.get(r) == e for r, e in binding.items())
-            ),
-            None,
-        )
+        full = next(library.candidate_bindings(theory, scenario, fixed=binding), None)
         if full is None:
             _fail_usage(f"no sort-compatible binding for roles {', '.join(unbound)}")
         binding = full

@@ -38,6 +38,7 @@ bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass
@@ -220,12 +221,37 @@ _SHAPES = {s.value: s for s in ShapeKind}
 _CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
 _UNARY = {"not": Not, "next": Next, "always": Always, "eventually": Eventually, "before": Before}
 
+# How deeply formulas and numeric expressions may nest. No node may sit below
+# more than MAX_NESTING formula or expression nodes, and while parsing every
+# parenthesised group counts as a level too. Deeper input is a syntax error,
+# so that parsing, sort-checking, evaluation and printing, which all recurse
+# over the tree, stay within the interpreter's recursion limit.
+MAX_NESTING = 64
+
+
+def nesting_depth(node) -> int:
+    """The most formula and numeric-expression nodes above any node of
+    `node` (0 for a leaf). Iterative, so it can measure any tree."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        item, above = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend((x, above) for x in item)
+        elif dataclasses.is_dataclass(item):
+            if isinstance(item, (Formula, NumExpr)):
+                deepest = max(deepest, above)
+                above += 1
+            stack.extend((getattr(item, f.name), above) for f in dataclasses.fields(item))
+    return deepest
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        self.depth = 0  # enclosing nested constructs of the one being parsed
 
     # -- token helpers
 
@@ -295,15 +321,34 @@ class _Parser:
         span = span or self.peek().span
         raise DslError([Diagnostic("error", "syntax", message, span)])
 
+    def _nested(self, opener: Token, parse):
+        """Parse the operand or group that `opener` begins, one level deeper."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", opener.span)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
+    def _shallow(self, node, start: Token):
+        """`node`, parsed from `start` on, if it nests at most MAX_NESTING deep."""
+        if nesting_depth(node) > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", start.span)
+        return node
+
     # -- formulas
 
     def formula(self) -> Formula:
-        return self._implies()
+        start = self.peek()
+        phi = self._implies()
+        return self._shallow(phi, start) if self.depth == 0 else phi
 
     def _implies(self) -> Formula:
         left = self._or()
+        tok = self.peek()
         if self.accept_op("->"):
-            return Implies(left, self._implies())
+            return Implies(left, self._nested(tok, self._implies))
         return left
 
     def _or(self) -> Formula:
@@ -320,15 +365,16 @@ class _Parser:
 
     def _until(self) -> Formula:
         left = self._unary()
+        tok = self.peek()
         if self.accept_word("until"):
-            return Until(left, self._until())
+            return Until(left, self._nested(tok, self._until))
         return left
 
     def _unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "ident" and tok.text in _UNARY:
             self.next()
-            return _UNARY[tok.text](self._unary())
+            return _UNARY[tok.text](self._nested(tok, self._unary))
         return self._primary()
 
     def _primary(self) -> Formula:
@@ -345,7 +391,7 @@ class _Parser:
             self.expect_op(":")
             sort = self.expect_ident("sort name", allow_reserved=False)
             self.expect_op(".")
-            body = self.formula()
+            body = self._nested(tok, self.formula)
             return (Forall if tok.text == "forall" else Exists)(var.text, sort.text, body)
         if (
             tok.kind == "ident"
@@ -394,7 +440,7 @@ class _Parser:
         # fall back to a parenthesized formula
         self.pos = saved
         self.expect_op("(")
-        inner = self.formula()
+        inner = self._nested(start, self.formula)
         self.expect_op(")")
         return inner
 
@@ -417,8 +463,9 @@ class _Parser:
         return node
 
     def _num_unary(self) -> NumExpr:
+        tok = self.peek()
         if self.accept_op("-"):
-            return Neg(self._num_unary())
+            return Neg(self._nested(tok, self._num_unary))
         return self._num_primary()
 
     def _num_primary(self) -> NumExpr:
@@ -427,7 +474,7 @@ class _Parser:
             self.next()
             return Const(text_to_rational(tok.text))
         if self.accept_op("("):
-            inner = self.num_expr()
+            inner = self._nested(tok, self.num_expr)
             self.expect_op(")")
             return inner
         if tok.kind == "ident":
@@ -493,7 +540,7 @@ class _Parser:
                         self.fail("expected a comparison operator")
                     self.next()
                     rhs = self.num_expr()
-                    definition = ConstraintAtom(lhs, cmp_tok.text, rhs)
+                    definition = self._shallow(ConstraintAtom(lhs, cmp_tok.text, rhs), rel)
                 relations.append(RelationSig(rel.text, tuple(arg_sorts), definition))
             elif self.accept_word("param"):
                 pname = self.expect_ident("parameter name")
@@ -686,9 +733,9 @@ class _Parser:
         self.expect_op(".")
         param = self.expect_ident("parameter name", allow_reserved=True)
         if self.accept_op(":="):
-            return dynamics.SetParam(ent.text, param.text, self.num_expr())
+            return dynamics.SetParam(ent.text, param.text, self._shallow(self.num_expr(), ent))
         if self.accept_op("+="):
-            return dynamics.DeltaParam(ent.text, param.text, self.num_expr())
+            return dynamics.DeltaParam(ent.text, param.text, self._shallow(self.num_expr(), ent))
         self.fail("expected := or += in effect")
 
 

@@ -62,14 +62,16 @@ def _check_spec(theory: Theory, scenario: Scenario, spec: GridSpec) -> list[tupl
             raise UnsupportedShapePair(
                 f"free entity {eid!r} must have a center to place on the grid"
             )
-    points = grid_points(spec)
+    # |G| from the ranges, so an oversized grid is rejected before it is built.
+    (x0, x1), (y0, y1) = spec.x_range, spec.y_range
+    n_points = max(0, (x1 - x0) // spec.step + 1) * max(0, (y1 - y0) // spec.step + 1)
     slots = len(spec.free_entities) * spec.horizon
-    size = len(points) ** slots if slots else 1
+    size = n_points ** slots if slots else 1
     if size > spec.cap:
         raise SearchSpaceTooLarge(
-            f"search space {len(points)}^{slots} = {size} exceeds the cap {spec.cap}"
+            f"search space {n_points}^{slots} = {size} exceeds the cap {spec.cap}"
         )
-    return points
+    return grid_points(spec)
 
 
 def _assignment_traces(

@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import dsl, geometry, logic
 from .errors import EVALUATION_GAP_ERRORS, UnknownSchema
-from .geometry import Const, ParamRef
+from .geometry import Const, EvalContext, ParamRef
 from .logic import (
     And,
     Atom,
@@ -230,16 +230,25 @@ class SchemaBinding:
 
 
 def candidate_bindings(
-    theory: Theory, scenario: Scenario, distinct: bool = True
+    theory: Theory,
+    scenario: Scenario,
+    distinct: bool = True,
+    fixed: Optional[Mapping[str, str]] = None,
 ) -> Iterator[dict[str, str]]:
     """All sort-compatible role bindings, entities sorted by id, roles in
-    declaration order; by default roles bind distinct entities."""
+    declaration order; by default roles bind distinct entities. Roles named in
+    `fixed` keep the entity given there; naming a role the theory lacks
+    leaves no candidate."""
+    fixed = fixed or {}
+    if not set(fixed) <= {role for role, _ in theory.roles}:
+        return
     hierarchy = theory.hierarchy()
     ids = sorted(e.id for e in scenario.entities)
     sorts = {e.id: e.sort for e in scenario.entities}
     pools = []
-    for _, sort in theory.roles:
-        pools.append([i for i in ids if hierarchy.subsort_of(sorts[i], sort)])
+    for role, sort in theory.roles:
+        pool = [i for i in ids if hierarchy.subsort_of(sorts[i], sort)]
+        pools.append([i for i in pool if i == fixed[role]] if role in fixed else pool)
     for combo in itertools.product(*pools):
         if distinct and len(set(combo)) != len(combo):
             continue
@@ -252,12 +261,39 @@ class ClassifyResult:
     report: CheckReport
 
 
+def search_bindings(
+    theory: Theory,
+    scenario: Scenario,
+    epsilon: Fraction = geometry.DEFAULT_EPSILON,
+    tau: Fraction = geometry.DEFAULT_TAU,
+    fixed: Optional[Mapping[str, str]] = None,
+) -> Iterator[ClassifyResult]:
+    """The binding search behind classify, analogy and `check` with unbound
+    roles: every satisfying binding of `theory`, lazily, in the canonical
+    order of `candidate_bindings`.
+
+    The evaluation context is built once. Each candidate's axioms are
+    evaluated in order up to the first false one, and a candidate whose
+    evaluation raises one of EVALUATION_GAP_ERRORS (a relation undefined for
+    the shapes bound) is skipped; any other error propagates. A satisfying
+    binding's report lists every axiom as satisfied.
+    """
+    ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    for binding in candidate_bindings(theory, scenario, fixed=fixed):
+        try:
+            report = check_theory(theory, scenario, binding, ctx=ctx, stop_at_first_false=True)
+        except EVALUATION_GAP_ERRORS:
+            continue
+        if report.satisfied:
+            roles = tuple((role, binding[role]) for role, _ in theory.roles)
+            yield ClassifyResult(SchemaBinding(theory.name, roles), report)
+
+
 def classify(
     scenario: Scenario,
     schemas: Optional[Sequence[str | Theory]] = None,
     epsilon: Fraction = geometry.DEFAULT_EPSILON,
     tau: Fraction = geometry.DEFAULT_TAU,
-    evaluator=logic.eval_formula,
 ) -> list[ClassifyResult]:
     """Every (schema, binding) pair the trace satisfies, in canonical order.
 
@@ -269,20 +305,7 @@ def classify(
     theories: list[Theory] = []
     for s in schemas if schemas is not None else SHIPPED_SCHEMAS:
         theories.append(s if isinstance(s, Theory) else schema_theory(s))
-    results: list[ClassifyResult] = []
-    for theory in theories:
-        for binding in candidate_bindings(theory, scenario):
-            try:
-                report = check_theory(
-                    theory, scenario, binding, epsilon=epsilon, tau=tau, evaluator=evaluator
-                )
-            except EVALUATION_GAP_ERRORS:
-                continue
-            if report.satisfied:
-                roles = tuple((role, binding[role]) for role, _ in theory.roles)
-                results.append(
-                    ClassifyResult(SchemaBinding(theory.name, roles), report)
-                )
+    results = [r for theory in theories for r in search_bindings(theory, scenario, epsilon, tau)]
     results.sort(key=lambda r: (r.binding.schema, r.binding.roles))
     return results
 
@@ -294,13 +317,8 @@ def satisfying_bindings(
     tau: Fraction = geometry.DEFAULT_TAU,
 ) -> Iterator[SchemaBinding]:
     """Satisfying bindings of one theory, lazily, in canonical order."""
-    for binding in candidate_bindings(theory, scenario):
-        try:
-            report = check_theory(theory, scenario, binding, epsilon=epsilon, tau=tau)
-        except EVALUATION_GAP_ERRORS:
-            continue
-        if report.satisfied:
-            yield SchemaBinding(theory.name, tuple((r, binding[r]) for r, _ in theory.roles))
+    for result in search_bindings(theory, scenario, epsilon, tau):
+        yield result.binding
 
 
 def analogy(

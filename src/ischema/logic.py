@@ -247,19 +247,29 @@ def eval_formula(
         raise TimeOutOfRange(f"instant {t} outside trace of length {trace.length}")
     binding = dict(binding) if binding else {}
     memo: dict = {} if _memo is None else _memo
-    return _eval(phi, trace, t, binding, ctx, memo)
+    return _eval_scoped(phi, trace, t, binding, ctx, memo)
 
 
-def _eval(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext, memo: dict) -> bool:
-    key = (id(phi), t, tuple(sorted(binding.items())))
+def _eval_scoped(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext, memo: dict) -> bool:
+    """_eval under a new binding; its part of the memo key is built here, once
+    per quantifier scope, and passed down as `bkey`."""
+    return _eval(phi, trace, t, binding, tuple(sorted(binding.items())), ctx, memo)
+
+
+def _eval(
+    phi: Formula, trace: Trace, t: int, binding: dict, bkey: tuple, ctx: EvalContext, memo: dict
+) -> bool:
+    key = (id(phi), t, bkey)
     if key in memo:
         return memo[key]
-    result = _eval_node(phi, trace, t, binding, ctx, memo)
+    result = _eval_node(phi, trace, t, binding, bkey, ctx, memo)
     memo[key] = result
     return result
 
 
-def _eval_node(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext, memo: dict) -> bool:
+def _eval_node(
+    phi: Formula, trace: Trace, t: int, binding: dict, bkey: tuple, ctx: EvalContext, memo: dict
+) -> bool:
     T = trace.length
     if isinstance(phi, Atom):
         return eval_atom(phi, trace, t, binding, ctx)
@@ -272,42 +282,44 @@ def _eval_node(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalConte
     if isinstance(phi, Final):
         return t == T - 1
     if isinstance(phi, Not):
-        return not _eval(phi.operand, trace, t, binding, ctx, memo)
+        return not _eval(phi.operand, trace, t, binding, bkey, ctx, memo)
     if isinstance(phi, And):
-        return _eval(phi.left, trace, t, binding, ctx, memo) and _eval(
-            phi.right, trace, t, binding, ctx, memo
+        return _eval(phi.left, trace, t, binding, bkey, ctx, memo) and _eval(
+            phi.right, trace, t, binding, bkey, ctx, memo
         )
     if isinstance(phi, Or):
-        return _eval(phi.left, trace, t, binding, ctx, memo) or _eval(
-            phi.right, trace, t, binding, ctx, memo
+        return _eval(phi.left, trace, t, binding, bkey, ctx, memo) or _eval(
+            phi.right, trace, t, binding, bkey, ctx, memo
         )
     if isinstance(phi, Implies):
-        return (not _eval(phi.left, trace, t, binding, ctx, memo)) or _eval(
-            phi.right, trace, t, binding, ctx, memo
+        return (not _eval(phi.left, trace, t, binding, bkey, ctx, memo)) or _eval(
+            phi.right, trace, t, binding, bkey, ctx, memo
         )
     if isinstance(phi, Forall):
         return all(
-            _eval(phi.body, trace, t, {**binding, phi.var: e}, ctx, memo)
+            _eval_scoped(phi.body, trace, t, {**binding, phi.var: e}, ctx, memo)
             for e in _domain(ctx, phi.sort)
         )
     if isinstance(phi, Exists):
         return any(
-            _eval(phi.body, trace, t, {**binding, phi.var: e}, ctx, memo)
+            _eval_scoped(phi.body, trace, t, {**binding, phi.var: e}, ctx, memo)
             for e in _domain(ctx, phi.sort)
         )
     if isinstance(phi, Next):
-        return t + 1 < T and _eval(phi.operand, trace, t + 1, binding, ctx, memo)
+        return t + 1 < T and _eval(phi.operand, trace, t + 1, binding, bkey, ctx, memo)
     if isinstance(phi, Always):
-        return all(_eval(phi.operand, trace, u, binding, ctx, memo) for u in range(t, T))
+        return all(_eval(phi.operand, trace, u, binding, bkey, ctx, memo) for u in range(t, T))
     if isinstance(phi, Eventually):
-        return any(_eval(phi.operand, trace, u, binding, ctx, memo) for u in range(t, T))
+        return any(_eval(phi.operand, trace, u, binding, bkey, ctx, memo) for u in range(t, T))
     if isinstance(phi, Until):
         for u in range(t, T):
-            if _eval(phi.right, trace, u, binding, ctx, memo):
-                return all(_eval(phi.left, trace, v, binding, ctx, memo) for v in range(t, u))
+            if _eval(phi.right, trace, u, binding, bkey, ctx, memo):
+                return all(
+                    _eval(phi.left, trace, v, binding, bkey, ctx, memo) for v in range(t, u)
+                )
         return False
     if isinstance(phi, Before):
-        return any(_eval(phi.operand, trace, u, binding, ctx, memo) for u in range(0, t + 1))
+        return any(_eval(phi.operand, trace, u, binding, bkey, ctx, memo) for u in range(0, t + 1))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -468,7 +480,7 @@ def _find_witness(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalCo
     T = trace.length
 
     def holds(f: Formula, u: int, b: dict) -> bool:
-        return _eval(f, trace, u, b, ctx, memo)
+        return _eval_scoped(f, trace, u, b, ctx, memo)
 
     if isinstance(phi, And):
         for side in (phi.left, phi.right):
@@ -509,18 +521,23 @@ def _find_witness(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalCo
     return Witness(time=t, formula=phi)
 
 
-def validate_binding(theory: Theory, scenario: Scenario, binding: Binding) -> None:
-    hierarchy = theory.hierarchy()
-    entity_sorts = {e.id: e.sort for e in scenario.entities}
+def validate_binding(
+    theory: Theory, scenario: Scenario, binding: Binding, ctx: EvalContext | None = None
+) -> None:
+    """Every role bound to a declared entity of a compatible sort. `ctx`, the
+    scenario's context for this theory, saves rebuilding the sort hierarchy."""
+    hierarchy = ctx.hierarchy if ctx is not None else theory.hierarchy()
+    entities = ctx.entities if ctx is not None else scenario.entity_map()
     for role, sort in theory.roles:
         if role not in binding:
             raise MissingRole(f"role {role!r} of theory {theory.name} is unbound")
         entity = binding[role]
-        if entity not in entity_sorts:
+        if entity not in entities:
             raise MissingRole(f"role {role!r} bound to unknown entity {entity!r}")
-        if not hierarchy.subsort_of(entity_sorts[entity], sort):
+        entity_sort = entities[entity].sort
+        if not hierarchy.subsort_of(entity_sort, sort):
             raise SortMismatchInBinding(
-                f"role {role}:{sort} cannot be bound to {entity}:{entity_sorts[entity]}"
+                f"role {role}:{sort} cannot be bound to {entity}:{entity_sort}"
             )
 
 
@@ -531,16 +548,25 @@ def check_theory(
     epsilon: Fraction = geometry.DEFAULT_EPSILON,
     tau: Fraction = geometry.DEFAULT_TAU,
     evaluator: Callable = eval_formula,
+    ctx: EvalContext | None = None,
+    stop_at_first_false: bool = False,
 ) -> CheckReport:
     """Evaluate every axiom at instant 0 under the role binding.
 
     Violated axioms carry a witness: the earliest failing instant and an
     innermost failing subformula, chosen leftmost depth-first.
+
+    `ctx` is `EvalContext.for_scenario(scenario, theory, epsilon, tau)` built
+    once by a caller that checks many bindings; epsilon and tau then come from
+    it. With `stop_at_first_false` the axioms after the first violated one are
+    not evaluated and no witness is built: the report ends at that axiom,
+    which is enough to tell whether the binding satisfies the theory.
     """
     if scenario.trace is None:
         raise TimeOutOfRange("checking needs a concrete trace; simulate first")
-    validate_binding(theory, scenario, binding)
-    ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    if ctx is None:
+        ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    validate_binding(theory, scenario, binding, ctx)
     trace = scenario.trace
     results = []
     for i, axiom in enumerate(theory.axioms):
@@ -549,6 +575,9 @@ def check_theory(
             ok = eval_formula(axiom, trace, 0, binding, ctx, _memo=memo)
         else:
             ok = evaluator(axiom, trace, 0, binding, ctx)
+        if not ok and stop_at_first_false:
+            results.append(AxiomResult(index=i, formula=axiom, satisfied=False))
+            break
         witness = None
         if not ok:
             witness = _find_witness(axiom, trace, 0, dict(binding), ctx, memo)

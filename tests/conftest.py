@@ -32,13 +32,21 @@ def rational(rng: random.Random, lo: int = -8, hi: int = 8) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 4)))
 
 
-def random_trace_scenario(rng: random.Random, max_entities: int = 4, max_len: int = 6):
-    """Entities are points and circles; values take small random walks."""
+def random_trace_scenario(
+    rng: random.Random, max_entities: int = 4, max_len: int = 6, all_sorts: bool = False
+):
+    """Entities are points and circles; values take small random walks.
+
+    With `all_sorts`, some points are Regions instead of Objects and a floor
+    may be added, so that every shipped schema finds candidate bindings and
+    some of them meet relations undefined for their shapes.
+    """
     n = rng.randint(1, max_entities)
     entities = []
     for i in range(n):
         if rng.random() < 0.7:
-            entities.append(make_entity(f"e{i}", "Object", ShapeKind.POINT, [rational(rng), rational(rng)]))
+            sort = "Region" if all_sorts and rng.random() < 0.5 else "Object"
+            entities.append(make_entity(f"e{i}", sort, ShapeKind.POINT, [rational(rng), rational(rng)]))
         else:
             entities.append(
                 make_entity(
@@ -48,6 +56,8 @@ def random_trace_scenario(rng: random.Random, max_entities: int = 4, max_len: in
                     [rational(rng), rational(rng), rational(rng, 1, 4)],
                 )
             )
+    if all_sorts and rng.random() < 0.5:
+        entities.append(make_entity("floor", "Floor", ShapeKind.FLOOR, [rational(rng, -8, 0)]))
     length = rng.randint(1, max_len)
     states = []
     values = {(e.id, p): v for e in entities for p, v in e.params}

@@ -249,3 +249,114 @@ def test_text_and_json_agree_on_exit_code(runner):
     assert doc["satisfied"] is False
     witnessed = [a for a in doc["axioms"] if not a["satisfied"]]
     assert all("witness" in a for a in witnessed)
+
+
+def _stderr(result):
+    return result.stderr if hasattr(result, "stderr") else result.output
+
+
+def _assert_usage_error(result, text):
+    assert result.exit_code == 2, result.output
+    assert text in _stderr(result)
+    assert "Traceback" not in _stderr(result) + result.output
+
+
+_ENUMERATE = ["enumerate", _path("CONTAINMENT.ist"), _path("containment_grid.scn")]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["simulate", _path("drop.scn"), "--steps", "0"], "--steps must be at least 1"),
+        (_ENUMERATE + ["--grid", "0:2,0:2", "--steps", "0"], "--steps must be at least 1"),
+        (_ENUMERATE + ["--grid", "0:2,0:2,0"], "--grid step must be positive"),
+        (_ENUMERATE + ["--grid", "2:0,0:2"], "--grid ranges must not run backwards"),
+    ],
+    ids=["simulate-steps-0", "enumerate-steps-0", "grid-step-0", "grid-reversed"],
+)
+def test_bad_steps_and_grids_are_usage_errors(runner, args, message):
+    result = _run(runner, args)
+    _assert_usage_error(result, message)
+    assert "models:" not in result.output
+
+
+def test_enumerate_cap_checked_before_grid_is_built(runner, monkeypatch):
+    from ischema import enumeration
+
+    def no_grid(spec):
+        raise AssertionError("grid built before the cap was checked")
+
+    monkeypatch.setattr(enumeration, "grid_points", no_grid)
+    result = _run(runner, _ENUMERATE + ["--grid", "0:10000,0:0,1/10", "--cap", "10"])
+    assert result.exit_code == 4
+    assert "error: search space 100001^1 = 100001 exceeds the cap 10" in _stderr(result)
+
+
+def test_check_unbound_search_keeps_bound_roles(runner):
+    result = _run(runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), "--bind", "lower=box"])
+    assert result.exit_code == 0
+    assert "theory SUPPORT with lower=box, upper=marble" in result.output
+
+
+def test_check_unbound_search_unknown_role_has_no_candidates(runner):
+    result = _run(
+        runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), "--bind", "ghost=box", "--json"]
+    )
+    assert result.exit_code == 1
+    doc = json.loads(result.output)
+    _validate_cli_doc(doc)
+    assert doc["searched"] == 0
+
+
+# --- nesting limit -------------------------------------------------------------------
+
+
+def _nested_files(tmp_path, axiom):
+    ist = tmp_path / "deep.ist"
+    ist.write_text(f"theory DEEP\n  role x : Object\n  axiom {axiom}\nend\n", encoding="utf-8")
+    scn = tmp_path / "one.scn"
+    scn.write_text(
+        "scenario one\n  entity p : Object = Point(0, 0)\n  trace length 3\nend\n", encoding="utf-8"
+    )
+    return str(ist), str(scn)
+
+
+def test_nesting_at_the_limit_checks(runner, tmp_path):
+    from ischema.dsl import MAX_NESTING
+
+    ist, scn = _nested_files(tmp_path, "not " * MAX_NESTING + "true")
+    result = _run(runner, ["check", ist, scn, "--bind", "x=p"])
+    assert result.exit_code == 0, _stderr(result)
+    assert "result: satisfied" in result.output
+
+
+def test_nesting_at_the_limit_reports_a_witness(runner, tmp_path):
+    from ischema.dsl import MAX_NESTING
+
+    # the comparison's operands sit below MAX_NESTING - 1 `always` and the comparison
+    ist, scn = _nested_files(tmp_path, "always " * (MAX_NESTING - 1) + "x.x > 1")
+    result = _run(runner, ["check", ist, scn, "--bind", "x=p", "--json"])
+    assert result.exit_code == 1, _stderr(result)
+    doc = json.loads(result.output)
+    assert doc["axioms"][0]["witness"] == {"time": 0, "formula": "x.x > 1"}
+
+
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        "not " * 65 + "true",
+        "not " * 1200 + "true",
+        "always " * 64 + "x.x > 1",
+        " and ".join(["true"] * 1000),
+        "(" * 1000 + "true" + ")" * 1000,
+        "x.x" + " + 1" * 1000 + " > 1",
+        "-" * 1000 + "x.x > 1",
+        "forall v : Object . " * 65 + "true",
+    ],
+    ids=["not-65", "not-1200", "always-64-compare", "and-chain", "parens", "sum-chain", "neg", "forall"],
+)
+def test_nesting_past_the_limit_exits_two(runner, tmp_path, axiom):
+    ist, scn = _nested_files(tmp_path, axiom)
+    result = _run(runner, ["check", ist, scn, "--bind", "x=p"])
+    _assert_usage_error(result, "deep.ist:3:")
+    assert "nesting deeper than 64 levels" in _stderr(result)

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_trace_scenario
 
 from ischema.dsl import (
+    MAX_NESTING,
     DslError,
+    formula_to_text,
+    nesting_depth,
     parse_formula,
     parse_scenario,
     parse_theory,
@@ -113,6 +116,31 @@ def test_parse_error_has_position():
     assert diag.span.file == "bad.ist"
     assert diag.span.line == 1
     assert diag.span.column > 0
+
+
+def test_nesting_depth_counts_formula_and_expression_levels():
+    assert nesting_depth(parse_formula("true")) == 0
+    assert nesting_depth(parse_formula("not not true")) == 2
+    # Compare > Add > ParamRef; the atom's entity arguments are no level
+    assert nesting_depth(parse_formula("a.x + 1 < 2")) == 2
+    assert nesting_depth(parse_formula("always inside(a, b)")) == 1
+    assert nesting_depth(parse_formula("true and true and true")) == 2
+
+
+def test_nesting_limit():
+    at_limit = "not " * MAX_NESTING + "true"
+    phi = parse_formula(at_limit)
+    assert nesting_depth(phi) == MAX_NESTING
+    assert formula_to_text(phi) == at_limit
+    theory = parse_theory(f"theory T\n  axiom {at_limit}\nend\n", "t.ist")
+    assert sort_check(theory) == []
+    for text, column in (("not " * (MAX_NESTING + 1) + "true", 4 * MAX_NESTING + 1),
+                         (" and ".join(["true"] * (MAX_NESTING + 2)), 1)):
+        with pytest.raises(DslError) as err:
+            parse_formula(text, "deep")
+        diag = err.value.diagnostics[0]
+        assert f"nesting deeper than {MAX_NESTING} levels" in diag.message
+        assert (diag.span.file, diag.span.line, diag.span.column) == ("deep", 1, column)
 
 
 def test_reserved_words_rejected_as_names():

@@ -118,3 +118,21 @@ def test_multi_step_horizon_counts():
     theory = schema_theory("CONTAINMENT")
     spec = GridSpec(x_range=(0, 2), y_range=(0, 2), free_entities=("o",), horizon=2)
     assert count_models(theory, _skeleton("1.2"), spec, BINDING) == 45
+
+
+@pytest.mark.parametrize(
+    "x_range,y_range,step",
+    [((0, 2), (0, 2), Fraction(1)), ((0, 2), (0, 2), Fraction(1, 3)), ((0, 1), (0, 2), Fraction(2, 3)),
+     ((-3, 4), (5, 5), Fraction(3, 2))],
+)
+def test_cap_size_matches_built_grid(x_range, y_range, step):
+    spec = GridSpec(x_range=x_range, y_range=y_range, free_entities=("o",), step=step, horizon=2)
+    n = len(grid_points(spec))
+    theory = Theory(name="T", axioms=(TrueF(),))
+    at_cap = GridSpec(x_range=x_range, y_range=y_range, free_entities=("o",), step=step,
+                      horizon=2, cap=n ** 2)
+    assert count_models(theory, _skeleton("1.2"), at_cap, {}) == n ** 2
+    below = GridSpec(x_range=x_range, y_range=y_range, free_entities=("o",), step=step,
+                     horizon=2, cap=n ** 2 - 1)
+    with pytest.raises(SearchSpaceTooLarge, match=rf"{n}\^2 = {n ** 2} "):
+        count_models(theory, _skeleton("1.2"), below, {})

@@ -6,20 +6,28 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_trace_scenario
 
 from ischema import dsl, library, logic
-from ischema.errors import UnknownSchema
+from ischema.dsl import parse_formula
+from ischema.errors import (
+    EVALUATION_GAP_ERRORS,
+    UnboundSymbol,
+    UnknownSchema,
+    UnsupportedShapePair,
+)
 from ischema.geometry import EvalContext
 from ischema.library import (
     SHIPPED_SCHEMAS,
+    SchemaBinding,
     analogy,
     candidate_bindings,
     classify,
     make_source_path_goal,
     primitive_catalog,
     schema_theory,
+    search_bindings,
     shipped_scenario,
 )
 from ischema.logic import Atom, Forall, Not, Sym, check_theory, reference_eval
-from ischema.model import ShapeKind, Trace, declare_scenario, initial_state, make_entity
+from ischema.model import ShapeKind, Theory, Trace, declare_scenario, initial_state, make_entity
 
 TABLE_NAMES = {
     "OBJECT", "CONTAINER", "PATH", "REGION", "DOWN", "UP",
@@ -164,27 +172,97 @@ def test_candidate_bindings_distinct_and_sorted():
 # --- classification agrees with the naive evaluator ---------------------------------
 
 
+def _reference_bindings(theory, sc):
+    """Satisfying bindings by the naive evaluator, every axiom evaluated."""
+    for binding in candidate_bindings(theory, sc):
+        try:
+            report = check_theory(theory, sc, binding, evaluator=reference_eval)
+        except EVALUATION_GAP_ERRORS:
+            continue
+        if report.satisfied:
+            yield SchemaBinding(theory.name, tuple((r, binding[r]) for r, _ in theory.roles))
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=15, deadline=None)
 def test_classify_complete_and_sound_vs_reference(seed):
     rng = random.Random(seed)
-    sc = random_trace_scenario(rng, max_entities=4, max_len=6)
-    schemas = ("SUPPORT", "MOTION", "AT_REST", "LINK")
-    got = {
-        (r.binding.schema, r.binding.roles)
-        for r in classify(sc, schemas)
+    sc = random_trace_scenario(rng, max_entities=5, max_len=6, all_sorts=True)
+    got = {(r.binding.schema, r.binding.roles) for r in classify(sc)}
+    expected = {
+        (b.schema, b.roles)
+        for name in SHIPPED_SCHEMAS
+        for b in _reference_bindings(schema_theory(name), sc)
     }
-    expected = set()
-    for name in schemas:
-        theory = schema_theory(name)
-        for binding in candidate_bindings(theory, sc):
-            try:
-                report = check_theory(theory, sc, binding, evaluator=reference_eval)
-            except Exception:
-                continue
-            if report.satisfied:
-                expected.add((name, tuple((r, binding[r]) for r, _ in theory.roles)))
     assert got == expected
+
+
+@given(st.integers(0, 10**6), st.sampled_from(SHIPPED_SCHEMAS))
+@settings(max_examples=20, deadline=None)
+def test_analogy_agrees_with_reference(seed, schema):
+    rng = random.Random(seed)
+    sc_a = random_trace_scenario(rng, max_entities=4, max_len=5, all_sorts=True)
+    sc_b = random_trace_scenario(rng, max_entities=4, max_len=5, all_sorts=True)
+    theory = schema_theory(schema)
+    first_a = next(_reference_bindings(theory, sc_a), None)
+    first_b = next(_reference_bindings(theory, sc_b), None)
+    expected = None if first_a is None or first_b is None else (first_a, first_b)
+    assert analogy(sc_a, sc_b, schema) == expected
+
+
+# --- the shared binding search ------------------------------------------------------
+
+
+def _two_points_and_circle():
+    p = make_entity("p", "Object", ShapeKind.POINT, [0, 0])
+    q = make_entity("q", "Object", ShapeKind.POINT, [1, 0])
+    c = make_entity("c", "Circle", ShapeKind.CIRCLE, [0, 0, 2])
+    return declare_scenario([c, p, q], trace=Trace((initial_state([c, p, q]),)))
+
+
+def test_search_stops_at_first_false_axiom():
+    # inside(a, b) is undefined when b is a point, so a binding with b in
+    # {p, q} raises UnsupportedShapePair if its second axiom is evaluated. Its
+    # first axiom is false (a point is no larger than another), so the search
+    # drops it without evaluating the second.
+    theory = Theory(
+        name="T",
+        roles=(("a", "Object"), ("b", "Entity")),
+        axioms=(parse_formula("larger(b, a)"), parse_formula("inside(a, b)")),
+    )
+    sc = _two_points_and_circle()
+    found = list(search_bindings(theory, sc))
+    assert [r.binding.as_dict() for r in found] == [{"a": "p", "b": "c"}, {"a": "q", "b": "c"}]
+    assert all(len(r.report.axioms) == 2 and r.report.satisfied for r in found)
+    dropped = {"a": "p", "b": "q"}
+    short = check_theory(theory, sc, dropped, stop_at_first_false=True)
+    assert not short.satisfied and len(short.axioms) == 1 and short.axioms[0].witness is None
+    with pytest.raises(UnsupportedShapePair):
+        check_theory(theory, sc, dropped)
+
+
+def test_search_skips_gap_errors_only():
+    sc = _two_points_and_circle()
+    gap = Theory(name="G", roles=(("a", "Object"), ("b", "Object")),
+                 axioms=(parse_formula("inside(a, b)"),))
+    assert list(search_bindings(gap, sc)) == []
+    unbound = Theory(name="U", roles=(("a", "Object"),),
+                     axioms=(parse_formula("contact(a, nowhere)"),))
+    with pytest.raises(UnboundSymbol):
+        list(search_bindings(unbound, sc))
+    with pytest.raises(UnboundSymbol):
+        classify(sc, [unbound])
+    with pytest.raises(UnboundSymbol):
+        analogy(sc, sc, unbound)
+
+
+def test_search_with_fixed_roles():
+    sc = shipped_scenario("stack")
+    theory = schema_theory("SUPPORT")
+    found = [r.binding.as_dict() for r in search_bindings(theory, sc, fixed={"lower": "box"})]
+    assert found == [{"upper": "marble", "lower": "box"}]
+    assert list(candidate_bindings(theory, sc, fixed={"nothing": "box"})) == []
+    assert list(candidate_bindings(theory, sc, fixed={"lower": "nobody"})) == []
 
 
 @given(st.integers(0, 10**6))
