@@ -42,19 +42,6 @@ EXIT_RULESET = 3
 EXIT_SEARCH_SPACE = 4
 
 
-@dataclasses.dataclass
-class RunConfig:
-    epsilon: Fraction = DEFAULT_EPSILON
-    delta: Fraction = Fraction(1)
-    tau: Fraction = DEFAULT_TAU
-    json_output: bool = False
-    cap: int = enumeration.DEFAULT_CAP
-
-    def __post_init__(self):
-        if self.epsilon < 0 or self.delta <= 0 or self.cap <= 0:
-            raise click.UsageError("epsilon must be >= 0, delta > 0, cap > 0")
-
-
 def _color_enabled() -> Optional[bool]:
     flag = os.environ.get("ISCHEMA_COLOR")
     if flag == "0":

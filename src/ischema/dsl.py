@@ -38,7 +38,6 @@ bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from dataclasses import dataclass
@@ -97,6 +96,7 @@ from .model import (
     declare_scenario,
     make_entity,
 )
+from .tree import Node
 
 # --- diagnostics -------------------------------------------------------------
 
@@ -219,7 +219,45 @@ def rational_to_text(q: Fraction) -> str:
 
 _SHAPES = {s.value: s for s in ShapeKind}
 _CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
-_UNARY = {"not": Not, "next": Next, "always": Always, "eventually": Eventually, "before": Before}
+
+# The surface syntax of every operator, read by the parser and the printers:
+# keyword, precedence (higher binds tighter) and associativity. Formulas and
+# numeric expressions have separate scales, and leaves (_ATOM) bind tighter
+# than any operator. A quantifier ("binder") reaches as far right as it can.
+OPERATORS: dict[type, tuple[str, int, str]] = {
+    Implies: ("->", 1, "right"),
+    Or: ("or", 2, "left"),
+    And: ("and", 3, "left"),
+    Until: ("until", 4, "right"),
+    Not: ("not", 5, "prefix"),
+    Next: ("next", 5, "prefix"),
+    Always: ("always", 5, "prefix"),
+    Eventually: ("eventually", 5, "prefix"),
+    Before: ("before", 5, "prefix"),
+    Forall: ("forall", 1, "binder"),
+    Exists: ("exists", 1, "binder"),
+    Add: ("+", 1, "left"),
+    Sub: ("-", 1, "left"),
+    Mul: ("*", 2, "left"),
+    Neg: ("-", 3, "prefix"),
+}
+_ATOM = 6
+_CONSTANTS = {"true": TrueF, "false": FalseF, "final": Final}
+_FUNCTIONS = {"delta": DeltaExpr, "theta": ThetaExpr, "measure": MeasureExpr}
+_KEYWORDS = {cls: kw for kw, cls in (_CONSTANTS | _FUNCTIONS).items()}
+
+
+def _operators(base: type, *kinds: str) -> dict[str, type]:
+    """{keyword: class} of the operators of one grammar and kind."""
+    table = OPERATORS.items()
+    return {kw: cls for cls, (kw, _, kind) in table if issubclass(cls, base) and kind in kinds}
+
+
+_BINARY = _operators(Formula, "left", "right")
+_UNARY = _operators(Formula, "prefix")
+_QUANTIFIERS = _operators(Formula, "binder")
+_NUM_BINARY = _operators(NumExpr, "left", "right")
+_NUM_UNARY = _operators(NumExpr, "prefix")
 
 # How deeply formulas and numeric expressions may nest. No node may sit below
 # more than MAX_NESTING formula or expression nodes, and while parsing every
@@ -229,20 +267,15 @@ _UNARY = {"not": Not, "next": Next, "always": Always, "eventually": Eventually, 
 MAX_NESTING = 64
 
 
-def nesting_depth(node) -> int:
+def nesting_depth(node: Node) -> int:
     """The most formula and numeric-expression nodes above any node of
     `node` (0 for a leaf). Iterative, so it can measure any tree."""
     deepest = 0
     stack = [(node, 0)]
     while stack:
-        item, above = stack.pop()
-        if isinstance(item, tuple):
-            stack.extend((x, above) for x in item)
-        elif dataclasses.is_dataclass(item):
-            if isinstance(item, (Formula, NumExpr)):
-                deepest = max(deepest, above)
-                above += 1
-            stack.extend((getattr(item, f.name), above) for f in dataclasses.fields(item))
+        node, above = stack.pop()
+        deepest = max(deepest, above)
+        stack.extend((child, above + 1) for child in node.children)
     return deepest
 
 
@@ -321,13 +354,13 @@ class _Parser:
         span = span or self.peek().span
         raise DslError([Diagnostic("error", "syntax", message, span)])
 
-    def _nested(self, opener: Token, parse):
+    def _nested(self, opener: Token, parse, *args):
         """Parse the operand or group that `opener` begins, one level deeper."""
         if self.depth >= MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels", opener.span)
         self.depth += 1
         try:
-            return parse()
+            return parse(*args)
         finally:
             self.depth -= 1
 
@@ -337,62 +370,54 @@ class _Parser:
             self.fail(f"nesting deeper than {MAX_NESTING} levels", start.span)
         return node
 
+    # -- operators, by precedence climbing over OPERATORS
+
+    def _binary(self, table: dict[str, type], operand, min_prec: int = 0):
+        """Operands joined by binary operators of `table` that bind at least
+        as tightly as `min_prec`. The token text alone identifies an
+        operator: no number or end of input spells one."""
+        node = operand()
+        while True:
+            cls = table.get(self.peek().text)
+            if cls is None or OPERATORS[cls][1] < min_prec:
+                return node
+            tok = self.next()
+            _, prec, assoc = OPERATORS[cls]
+            if assoc == "right":
+                node = cls(node, self._nested(tok, self._binary, table, operand, prec))
+            else:
+                node = cls(node, self._binary(table, operand, prec + 1))
+
+    def _prefix(self, table: dict[str, type], primary):
+        cls = table.get(self.peek().text)
+        if cls is None:
+            return primary()
+        tok = self.next()
+        return cls(self._nested(tok, self._prefix, table, primary))
+
     # -- formulas
 
     def formula(self) -> Formula:
         start = self.peek()
-        phi = self._implies()
+        phi = self._binary(_BINARY, self._unary)
         return self._shallow(phi, start) if self.depth == 0 else phi
 
-    def _implies(self) -> Formula:
-        left = self._or()
-        tok = self.peek()
-        if self.accept_op("->"):
-            return Implies(left, self._nested(tok, self._implies))
-        return left
-
-    def _or(self) -> Formula:
-        node = self._and()
-        while self.accept_word("or"):
-            node = Or(node, self._and())
-        return node
-
-    def _and(self) -> Formula:
-        node = self._until()
-        while self.accept_word("and"):
-            node = And(node, self._until())
-        return node
-
-    def _until(self) -> Formula:
-        left = self._unary()
-        tok = self.peek()
-        if self.accept_word("until"):
-            return Until(left, self._nested(tok, self._until))
-        return left
-
     def _unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _UNARY:
-            self.next()
-            return _UNARY[tok.text](self._nested(tok, self._unary))
-        return self._primary()
+        return self._prefix(_UNARY, self._primary)
 
     def _primary(self) -> Formula:
         tok = self.peek()
-        if self.accept_word("true"):
-            return TrueF()
-        if self.accept_word("false"):
-            return FalseF()
-        if self.accept_word("final"):
-            return Final()
-        if tok.kind == "ident" and tok.text in ("forall", "exists"):
+        if tok.kind == "ident" and tok.text in _CONSTANTS:
+            self.next()
+            return _CONSTANTS[tok.text]()
+        if tok.kind == "ident" and tok.text in _QUANTIFIERS:
             self.next()
             var = self.expect_ident("quantified variable")
             self.expect_op(":")
             sort = self.expect_ident("sort name", allow_reserved=False)
             self.expect_op(".")
             body = self._nested(tok, self.formula)
-            return (Forall if tok.text == "forall" else Exists)(var.text, sort.text, body)
+            return _QUANTIFIERS[tok.text](var.text, sort.text, body)
         if (
             tok.kind == "ident"
             and tok.text not in RESERVED
@@ -415,7 +440,7 @@ class _Parser:
         tok = self.peek()
         if (
             tok.kind == "ident"
-            and tok.text not in ("delta", "theta", "measure")
+            and tok.text not in _FUNCTIONS
             and self.peek(1).kind == "op"
             and self.peek(1).text in (",", ")")
         ):
@@ -447,26 +472,10 @@ class _Parser:
     # -- numeric expressions
 
     def num_expr(self) -> NumExpr:
-        node = self._num_mul()
-        while True:
-            if self.accept_op("+"):
-                node = Add(node, self._num_mul())
-            elif self.accept_op("-"):
-                node = Sub(node, self._num_mul())
-            else:
-                return node
-
-    def _num_mul(self) -> NumExpr:
-        node = self._num_unary()
-        while self.accept_op("*"):
-            node = Mul(node, self._num_unary())
-        return node
+        return self._binary(_NUM_BINARY, self._num_unary)
 
     def _num_unary(self) -> NumExpr:
-        tok = self.peek()
-        if self.accept_op("-"):
-            return Neg(self._nested(tok, self._num_unary))
-        return self._num_primary()
+        return self._prefix(_NUM_UNARY, self._num_primary)
 
     def _num_primary(self) -> NumExpr:
         tok = self.peek()
@@ -478,21 +487,15 @@ class _Parser:
             self.expect_op(")")
             return inner
         if tok.kind == "ident":
-            if tok.text in ("delta", "theta"):
+            if tok.text in _FUNCTIONS:
                 self.next()
                 self.expect_op("(")
-                a = self.expect_ident("entity")
-                self.expect_op(",")
-                b = self.expect_ident("entity")
+                names = [self.expect_ident("entity").text]
+                for _ in _FUNCTIONS[tok.text].SYMBOLS[1:]:
+                    self.expect_op(",")
+                    names.append(self.expect_ident("entity").text)
                 self.expect_op(")")
-                cls = DeltaExpr if tok.text == "delta" else ThetaExpr
-                return cls(a.text, b.text)
-            if tok.text == "measure":
-                self.next()
-                self.expect_op("(")
-                e = self.expect_ident("entity")
-                self.expect_op(")")
-                return MeasureExpr(e.text)
+                return _FUNCTIONS[tok.text](*names)
             if tok.text in RESERVED:
                 self.fail(f"{tok.text!r} is a reserved word")
             self.next()
@@ -540,7 +543,9 @@ class _Parser:
                         self.fail("expected a comparison operator")
                     self.next()
                     rhs = self.num_expr()
-                    definition = self._shallow(ConstraintAtom(lhs, cmp_tok.text, rhs), rel)
+                    definition = ConstraintAtom(
+                        self._shallow(lhs, rel), cmp_tok.text, self._shallow(rhs, rel)
+                    )
                 relations.append(RelationSig(rel.text, tuple(arg_sorts), definition))
             elif self.accept_word("param"):
                 pname = self.expect_ident("parameter name")
@@ -786,25 +791,26 @@ class _SortChecker:
             return self.entity_sorts[name]
         return None
 
-    def check_formula(self, phi: Formula, scope: dict[str, str], span=None) -> None:
-        if isinstance(phi, Atom):
-            self.check_atom(phi, scope)
-        elif isinstance(phi, Compare):
-            self.check_expr(phi.constraint.lhs, scope, phi.span)
-            self.check_expr(phi.constraint.rhs, scope, phi.span)
-        elif isinstance(phi, Not):
-            self.check_formula(phi.operand, scope)
-        elif isinstance(phi, (And, Or, Implies, Until)):
-            self.check_formula(phi.left, scope)
-            self.check_formula(phi.right, scope)
-        elif isinstance(phi, (Forall, Exists)):
-            if not self.hierarchy.known(phi.sort):
-                self.error("unknown-sort", f"unknown sort {phi.sort!r}", span)
-                return
-            self.check_formula(phi.body, {**scope, phi.var: phi.sort})
-        elif isinstance(phi, (Next, Always, Eventually, Before)):
-            self.check_formula(phi.operand, scope)
-        # TrueF/FalseF/Final need nothing
+    def check(self, node: Node, scope: dict[str, str], span=None) -> None:
+        """Sort-check a formula or numeric expression. `span` locates errors
+        in nodes that carry no span of their own."""
+        if isinstance(node, Atom):
+            return self.check_atom(node, scope)
+        if isinstance(node, (Forall, Exists)):
+            if not self.hierarchy.known(node.sort):
+                return self.error("unknown-sort", f"unknown sort {node.sort!r}", span)
+            scope = {**scope, node.var: node.sort}
+        elif isinstance(node, NameRef):
+            if node.name not in self.numeric_params and self.term_sort(node.name, scope) is None:
+                message = f"{node.name!r} is not a declared numeric parameter"
+                self.error("unbound-symbol", message, span)
+        elif isinstance(node, Compare):
+            span = node.span
+        for name in node.symbols:
+            if self.term_sort(name, scope) is None:
+                self.error("unbound-symbol", f"unknown entity or role {name!r}", span)
+        for child in node.children:
+            self.check(child, scope, span)
 
     def check_atom(self, atom: Atom, scope: dict[str, str]) -> None:
         sig = self.relations.get(atom.relation)
@@ -829,7 +835,7 @@ class _SortChecker:
                     continue
                 entity_terms.append((term.name, sort))
             else:
-                self.check_expr(term.expr, scope, atom.span)
+                self.check(term.expr, scope, atom.span)
                 numeric_count += 1
         if sig is not None:
             if len(entity_terms) != len(sig.arg_sorts):
@@ -859,31 +865,6 @@ class _SortChecker:
                     atom.span,
                 )
 
-    def check_expr(self, e: NumExpr, scope: dict[str, str], span) -> None:
-        if isinstance(e, ParamRef):
-            sort = self.term_sort(e.entity, scope)
-            if sort is None:
-                self.error("unbound-symbol", f"unknown entity or role {e.entity!r}", span)
-        elif isinstance(e, NameRef):
-            if e.name not in self.numeric_params and self.term_sort(e.name, scope) is None:
-                self.error(
-                    "unbound-symbol",
-                    f"{e.name!r} is not a declared numeric parameter",
-                    span,
-                )
-        elif isinstance(e, (Add, Sub, Mul)):
-            self.check_expr(e.left, scope, span)
-            self.check_expr(e.right, scope, span)
-        elif isinstance(e, Neg):
-            self.check_expr(e.operand, scope, span)
-        elif isinstance(e, (DeltaExpr, ThetaExpr)):
-            for name in (e.a, e.b):
-                if self.term_sort(name, scope) is None:
-                    self.error("unbound-symbol", f"unknown entity or role {name!r}", span)
-        elif isinstance(e, MeasureExpr):
-            if self.term_sort(e.entity, scope) is None:
-                self.error("unbound-symbol", f"unknown entity or role {e.entity!r}", span)
-
 
 def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -> list[Diagnostic]:
     """Empty result iff every relation application matches its signature up to
@@ -910,10 +891,10 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
                 if not hierarchy.known(s):
                     checker.error("unknown-sort", f"unknown sort {s!r} in relation {sig.name}", None)
             if sig.definition is not None:
-                checker.check_expr(sig.definition.lhs, template_scope, None)
-                checker.check_expr(sig.definition.rhs, template_scope, None)
+                checker.check(sig.definition.lhs, template_scope)
+                checker.check(sig.definition.rhs, template_scope)
         for axiom in obj.axioms:
-            checker.check_formula(axiom, scope)
+            checker.check(axiom, scope)
         return checker.diagnostics
 
     if isinstance(obj, Scenario):
@@ -925,9 +906,9 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
             if rule.scope and not hierarchy.known(rule.scope[1]):
                 checker.error("unknown-sort", f"unknown sort {rule.scope[1]!r}", None)
                 continue
-            checker.check_formula(rule.condition, scope)
+            checker.check(rule.condition, scope)
             if rule.until is not None:
-                checker.check_formula(rule.until, scope)
+                checker.check(rule.until, scope)
             for eff in rule.effects:
                 if isinstance(eff, (dynamics.SetParam, dynamics.DeltaParam)):
                     if eff.target in entity_sorts:
@@ -942,7 +923,7 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
                         checker.error(
                             "unbound-symbol", f"unknown effect target {eff.target!r}", None
                         )
-                    checker.check_expr(eff.expr, scope, None)
+                    checker.check(eff.expr, scope)
                 elif isinstance(eff, dynamics.AddForce):
                     if eff.force.target not in entity_sorts:
                         checker.error(
@@ -965,82 +946,49 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
 # --- pretty printers ---------------------------------------------------------------
 
 
-def num_expr_to_text(e: NumExpr, parent_prec: int = 0) -> str:
-    def wrap(text: str, prec: int) -> str:
-        return f"({text})" if prec < parent_prec else text
-
-    if isinstance(e, Const):
-        value = rational_to_text(e.value)
-        return wrap(value, 3 if e.value >= 0 else 1)
-    if isinstance(e, ParamRef):
-        return f"{e.entity}.{e.param}"
-    if isinstance(e, NameRef):
-        return e.name
-    if isinstance(e, Add):
-        return wrap(f"{num_expr_to_text(e.left, 1)} + {num_expr_to_text(e.right, 2)}", 1)
-    if isinstance(e, Sub):
-        return wrap(f"{num_expr_to_text(e.left, 1)} - {num_expr_to_text(e.right, 2)}", 1)
-    if isinstance(e, Mul):
-        return wrap(f"{num_expr_to_text(e.left, 2)} * {num_expr_to_text(e.right, 3)}", 2)
-    if isinstance(e, Neg):
-        return wrap(f"-{num_expr_to_text(e.operand, 3)}", 1)
-    if isinstance(e, DeltaExpr):
-        return f"delta({e.a}, {e.b})"
-    if isinstance(e, ThetaExpr):
-        return f"theta({e.a}, {e.b})"
-    if isinstance(e, MeasureExpr):
-        return f"measure({e.entity})"
-    raise TypeError(f"not a numeric expression: {e!r}")
+def formula_to_text(node: Node, parent: int = 0) -> str:
+    """A formula or numeric expression in surface syntax, in parentheses when
+    it binds more loosely than `parent`."""
+    op = OPERATORS.get(type(node))
+    if op is None:
+        text, prec = _leaf_text(node), _ATOM
+    else:
+        keyword, prec, assoc = op
+        kids = node.children
+        if assoc == "binder":
+            text = f"{keyword} {node.var} : {node.sort} . {formula_to_text(kids[0])}"
+        elif assoc == "prefix":
+            text = keyword + (" " if keyword.isalpha() else "") + formula_to_text(kids[0], prec)
+        else:
+            left, right = (prec, prec + 1) if assoc == "left" else (prec + 1, prec)
+            text = f"{formula_to_text(kids[0], left)} {keyword} "
+            text += formula_to_text(kids[1], right)
+    if isinstance(node, NumExpr) and text.startswith("-"):
+        # a leading minus prints as loosely as binary minus: a * (-b), -(-b)
+        prec = OPERATORS[Sub][1]
+    return f"({text})" if prec < parent else text
 
 
-_PREC = {"implies": 1, "or": 2, "and": 3, "until": 4, "unary": 5, "atom": 6}
+num_expr_to_text = formula_to_text
 
 
-def formula_to_text(phi: Formula, parent_prec: int = 0) -> str:
-    def wrap(text: str, prec: int) -> str:
-        return f"({text})" if prec < parent_prec else text
-
-    if isinstance(phi, TrueF):
-        return "true"
-    if isinstance(phi, FalseF):
-        return "false"
-    if isinstance(phi, Final):
-        return "final"
-    if isinstance(phi, Atom):
-        args = []
-        for term in phi.args:
-            args.append(term.name if isinstance(term, Sym) else num_expr_to_text(term.expr))
-        return f"{phi.relation}({', '.join(args)})"
-    if isinstance(phi, Compare):
-        c = phi.constraint
-        return wrap(f"{num_expr_to_text(c.lhs)} {c.cmp} {num_expr_to_text(c.rhs)}", _PREC["atom"])
-    if isinstance(phi, Not):
-        return wrap(f"not {formula_to_text(phi.operand, _PREC['unary'])}", _PREC["unary"])
-    if isinstance(phi, Next):
-        return wrap(f"next {formula_to_text(phi.operand, _PREC['unary'])}", _PREC["unary"])
-    if isinstance(phi, Always):
-        return wrap(f"always {formula_to_text(phi.operand, _PREC['unary'])}", _PREC["unary"])
-    if isinstance(phi, Eventually):
-        return wrap(f"eventually {formula_to_text(phi.operand, _PREC['unary'])}", _PREC["unary"])
-    if isinstance(phi, Before):
-        return wrap(f"before {formula_to_text(phi.operand, _PREC['unary'])}", _PREC["unary"])
-    if isinstance(phi, Until):
-        text = f"{formula_to_text(phi.left, _PREC['until'] + 1)} until {formula_to_text(phi.right, _PREC['until'])}"
-        return wrap(text, _PREC["until"])
-    if isinstance(phi, And):
-        text = f"{formula_to_text(phi.left, _PREC['and'])} and {formula_to_text(phi.right, _PREC['and'] + 1)}"
-        return wrap(text, _PREC["and"])
-    if isinstance(phi, Or):
-        text = f"{formula_to_text(phi.left, _PREC['or'])} or {formula_to_text(phi.right, _PREC['or'] + 1)}"
-        return wrap(text, _PREC["or"])
-    if isinstance(phi, Implies):
-        text = f"{formula_to_text(phi.left, _PREC['implies'] + 1)} -> {formula_to_text(phi.right, _PREC['implies'])}"
-        return wrap(text, _PREC["implies"])
-    if isinstance(phi, Forall):
-        return wrap(f"forall {phi.var} : {phi.sort} . {formula_to_text(phi.body)}", 1)
-    if isinstance(phi, Exists):
-        return wrap(f"exists {phi.var} : {phi.sort} . {formula_to_text(phi.body)}", 1)
-    raise TypeError(f"not a formula: {phi!r}")
+def _leaf_text(node: Node) -> str:
+    keyword = _KEYWORDS.get(type(node))
+    if keyword is not None:  # true, false, final, delta(a, b), theta(a, b), measure(e)
+        return keyword + (f"({', '.join(node.symbols)})" if node.symbols else "")
+    if isinstance(node, Atom):
+        args = (t.name if isinstance(t, Sym) else formula_to_text(t.expr) for t in node.args)
+        return f"{node.relation}({', '.join(args)})"
+    if isinstance(node, Compare):
+        c = node.constraint
+        return f"{formula_to_text(c.lhs)} {c.cmp} {formula_to_text(c.rhs)}"
+    if isinstance(node, Const):
+        return rational_to_text(node.value)
+    if isinstance(node, ParamRef):
+        return f"{node.entity}.{node.param}"
+    if isinstance(node, NameRef):
+        return node.name
+    raise TypeError(f"cannot print {node!r}")
 
 
 def serialize_theory(theory: Theory) -> str:

@@ -21,21 +21,15 @@ from .errors import (
 )
 from .geometry import EvalContext, NumExpr, eval_num_expr
 from .logic import (
-    And,
     Atom,
-    Before,
-    Compare,
     Exists,
     Forall,
     Formula,
     Implies,
-    Next,
     Not,
-    NumTerm,
-    Or,
     Sym,
     TrueF,
-    Until,
+    _domain,
     eval_formula,
 )
 from .model import (
@@ -48,6 +42,7 @@ from .model import (
     Trace,
     initial_state,
 )
+from .tree import Node
 
 
 class Effect:
@@ -208,63 +203,22 @@ def _writes(rule: Rule, ctx: EvalContext) -> set[tuple]:
     return out
 
 
-def _expr_entities(e: NumExpr, locals_: dict[str, str], ctx: EvalContext) -> set[str]:
-    out: set[str] = set()
-    if isinstance(e, geometry.ParamRef):
-        out |= _sym_entities(e.entity, locals_, ctx)
-    elif isinstance(e, (geometry.Add, geometry.Sub, geometry.Mul)):
-        out |= _expr_entities(e.left, locals_, ctx) | _expr_entities(e.right, locals_, ctx)
-    elif isinstance(e, geometry.Neg):
-        out |= _expr_entities(e.operand, locals_, ctx)
-    elif isinstance(e, (geometry.DeltaExpr, geometry.ThetaExpr)):
-        out |= _sym_entities(e.a, locals_, ctx) | _sym_entities(e.b, locals_, ctx)
-    elif isinstance(e, geometry.MeasureExpr):
-        out |= _sym_entities(e.entity, locals_, ctx)
-    return out
-
-
-def _sym_entities(name: str, locals_: dict[str, str], ctx: EvalContext) -> set[str]:
-    """Over-approximate which entities a symbol may denote."""
-    if name in locals_:
-        sort = locals_[name]
-        return {
-            e.id for e in ctx.entities.values() if ctx.hierarchy.subsort_of(e.sort, sort)
-        }
-    if name in ctx.entities:
-        return {name}
-    return set()
-
-
 def _condition_reads(
-    phi: Formula, ctx: EvalContext, locals_: dict[str, str], negated: bool, out: set[tuple]
+    phi: Node, ctx: EvalContext, locals_: dict[str, str], negated: bool, out: set[tuple]
 ) -> None:
-    """Collect ('p', entity, '*') read keys, tagged by negation parity."""
-    if isinstance(phi, Atom):
-        entities: set[str] = set()
-        for term in phi.args:
-            if isinstance(term, Sym):
-                entities |= _sym_entities(term.name, locals_, ctx)
-            elif isinstance(term, NumTerm):
-                entities |= _expr_entities(term.expr, locals_, ctx)
-        for e in entities:
-            out.add((negated, "p", e))
-    elif isinstance(phi, Compare):
-        entities = _expr_entities(phi.constraint.lhs, locals_, ctx)
-        entities |= _expr_entities(phi.constraint.rhs, locals_, ctx)
-        for e in entities:
-            out.add((negated, "p", e))
-    elif isinstance(phi, Not):
-        _condition_reads(phi.operand, ctx, locals_, not negated, out)
-    elif isinstance(phi, (And, Or, Until)):
-        _condition_reads(phi.left, ctx, locals_, negated, out)
-        _condition_reads(phi.right, ctx, locals_, negated, out)
-    elif isinstance(phi, Implies):
-        _condition_reads(phi.left, ctx, locals_, not negated, out)
-        _condition_reads(phi.right, ctx, locals_, negated, out)
-    elif isinstance(phi, (Forall, Exists)):
-        _condition_reads(phi.body, ctx, {**locals_, phi.var: phi.sort}, negated, out)
-    elif isinstance(phi, (Next, Before)):
-        _condition_reads(phi.operand, ctx, locals_, negated, out)
+    """Collect (negated, 'p', entity) read keys: every entity a symbol under
+    any operator may denote, tagged by negation parity. `not` and the left
+    side of `->` flip the parity."""
+    for name in phi.symbols:
+        if name in locals_:
+            out.update((negated, "p", e) for e in _domain(ctx, locals_[name]))
+        elif name in ctx.entities:
+            out.add((negated, "p", name))
+    if isinstance(phi, (Forall, Exists)):
+        locals_ = {**locals_, phi.var: phi.sort}
+    for i, child in enumerate(phi.children):
+        flip = isinstance(phi, Not) or (isinstance(phi, Implies) and i == 0)
+        _condition_reads(child, ctx, locals_, negated != flip, out)
 
 
 def _reads(rule: Rule, ctx: EvalContext) -> set[tuple]:

@@ -66,6 +66,12 @@ def _check_spec(theory: Theory, scenario: Scenario, spec: GridSpec) -> list[tupl
     (x0, x1), (y0, y1) = spec.x_range, spec.y_range
     n_points = max(0, (x1 - x0) // spec.step + 1) * max(0, (y1 - y0) // spec.step + 1)
     slots = len(spec.free_entities) * spec.horizon
+    # |G|^slots >= 2^bits > cap once bits reaches the cap's bit length. From
+    # 4096 bits on the power is not computed: it can take long and be too
+    # long to print.
+    bits = slots * (n_points.bit_length() - 1)
+    if bits >= max(spec.cap.bit_length(), 4096):
+        raise SearchSpaceTooLarge(f"search space {n_points}^{slots} exceeds the cap {spec.cap}")
     size = n_points ** slots if slots else 1
     if size > spec.cap:
         raise SearchSpaceTooLarge(

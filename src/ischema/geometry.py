@@ -32,6 +32,7 @@ from .model import (
     State,
     Theory,
 )
+from .tree import Node
 
 DEFAULT_EPSILON = Fraction(1, 10**9)
 DEFAULT_TAU = Fraction(1, 2)
@@ -40,8 +41,8 @@ DEFAULT_TAU = Fraction(1, 2)
 # --- numeric expressions ----------------------------------------------------
 
 
-class NumExpr:
-    """Marker base for numeric expression nodes."""
+class NumExpr(Node):
+    """Base of numeric expression nodes."""
 
     __slots__ = ()
 
@@ -55,6 +56,7 @@ class Const(NumExpr):
 class ParamRef(NumExpr):
     entity: str  # entity id, role, or bound variable
     param: str
+    SYMBOLS = ("entity",)
 
 
 @dataclass(frozen=True)
@@ -68,23 +70,27 @@ class NameRef(NumExpr):
 class Add(NumExpr):
     left: NumExpr
     right: NumExpr
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Sub(NumExpr):
     left: NumExpr
     right: NumExpr
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Mul(NumExpr):
     left: NumExpr
     right: NumExpr
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Neg(NumExpr):
     operand: NumExpr
+    CHILDREN = ("operand",)
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,7 @@ class DeltaExpr(NumExpr):
 
     a: str
     b: str
+    SYMBOLS = ("a", "b")
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,13 @@ class ThetaExpr(NumExpr):
 
     a: str
     b: str
+    SYMBOLS = ("a", "b")
 
 
 @dataclass(frozen=True)
 class MeasureExpr(NumExpr):
     entity: str
+    SYMBOLS = ("entity",)
 
 
 @dataclass(frozen=True)
@@ -344,13 +353,8 @@ def eval_num_expr(
 
 
 def _contains_real_terms(e: NumExpr) -> bool:
-    if isinstance(e, (DeltaExpr, ThetaExpr, MeasureExpr)):
-        return True
-    if isinstance(e, (Add, Sub, Mul)):
-        return _contains_real_terms(e.left) or _contains_real_terms(e.right)
-    if isinstance(e, Neg):
-        return _contains_real_terms(e.operand)
-    return False
+    real = isinstance(e, (DeltaExpr, ThetaExpr, MeasureExpr))
+    return real or any(map(_contains_real_terms, e.children))
 
 
 def eval_constraint(

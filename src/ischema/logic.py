@@ -29,6 +29,7 @@ from .errors import (
 )
 from .geometry import ConstraintAtom, EvalContext, eval_constraint, eval_num_expr
 from .model import POSITION_X, POSITION_Y, Scenario, Theory, Trace
+from .tree import Node
 
 Binding = Mapping[str, str]
 
@@ -54,7 +55,7 @@ class NumTerm:
 Term = object  # Sym | NumTerm
 
 
-class Formula:
+class Formula(Node):
     __slots__ = ()
 
 
@@ -64,11 +65,32 @@ class Atom(Formula):
     args: tuple[Term, ...]
     span: Optional[object] = field(default=None, compare=False, repr=False)
 
+    @property
+    def children(self) -> tuple:
+        return tuple([t.expr for t in self.args if isinstance(t, NumTerm)])
+
+    @property
+    def symbols(self) -> tuple[str, ...]:  # a Sym may also name a numeric parameter
+        return tuple([t.name for t in self.args if isinstance(t, Sym)])
+
+    def rebuild(self, children, symbols=None) -> "Atom":
+        exprs, names = iter(children), iter(self.symbols if symbols is None else symbols)
+        args = (Sym(next(names)) if isinstance(t, Sym) else NumTerm(next(exprs)) for t in self.args)
+        return Atom(self.relation, tuple(args), span=self.span)
+
 
 @dataclass(frozen=True)
 class Compare(Formula):
     constraint: ConstraintAtom
     span: Optional[object] = field(default=None, compare=False, repr=False)
+
+    @property
+    def children(self) -> tuple:
+        return self.constraint.lhs, self.constraint.rhs
+
+    def rebuild(self, children, symbols=None) -> "Compare":
+        lhs, rhs = children
+        return Compare(ConstraintAtom(lhs, self.constraint.cmp, rhs), span=self.span)
 
 
 @dataclass(frozen=True)
@@ -84,24 +106,28 @@ class FalseF(Formula):
 @dataclass(frozen=True)
 class Not(Formula):
     operand: Formula
+    CHILDREN = ("operand",)
 
 
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -109,6 +135,7 @@ class Forall(Formula):
     var: str
     sort: str
     body: Formula
+    CHILDREN = ("body",)
 
 
 @dataclass(frozen=True)
@@ -116,27 +143,32 @@ class Exists(Formula):
     var: str
     sort: str
     body: Formula
+    CHILDREN = ("body",)
 
 
 @dataclass(frozen=True)
 class Next(Formula):
     operand: Formula
+    CHILDREN = ("operand",)
 
 
 @dataclass(frozen=True)
 class Always(Formula):
     operand: Formula
+    CHILDREN = ("operand",)
 
 
 @dataclass(frozen=True)
 class Eventually(Formula):
     operand: Formula
+    CHILDREN = ("operand",)
 
 
 @dataclass(frozen=True)
 class Until(Formula):
     left: Formula
     right: Formula
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -147,6 +179,7 @@ class Final(Formula):
 @dataclass(frozen=True)
 class Before(Formula):
     operand: Formula
+    CHILDREN = ("operand",)
 
 
 # --- shared atom semantics ------------------------------------------------------
@@ -404,45 +437,13 @@ def _ref(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext) ->
 def substitute_symbols(phi: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename free symbols (roles to entity ids, say); bound variables shadow."""
 
-    def sub_expr(e, live):
-        if isinstance(e, geometry.ParamRef):
-            return geometry.ParamRef(live.get(e.entity, e.entity), e.param)
-        if isinstance(e, geometry.DeltaExpr):
-            return geometry.DeltaExpr(live.get(e.a, e.a), live.get(e.b, e.b))
-        if isinstance(e, geometry.ThetaExpr):
-            return geometry.ThetaExpr(live.get(e.a, e.a), live.get(e.b, e.b))
-        if isinstance(e, geometry.MeasureExpr):
-            return geometry.MeasureExpr(live.get(e.entity, e.entity))
-        if isinstance(e, (geometry.Add, geometry.Sub, geometry.Mul)):
-            return type(e)(sub_expr(e.left, live), sub_expr(e.right, live))
-        if isinstance(e, geometry.Neg):
-            return geometry.Neg(sub_expr(e.operand, live))
-        return e
+    def walk(node: Node, live: Mapping[str, str]) -> Node:
+        if isinstance(node, (Forall, Exists)):
+            live = {k: v for k, v in live.items() if k != node.var}
+        children = [walk(child, live) for child in node.children]
+        return node.rebuild(children, [live.get(s, s) for s in node.symbols])
 
-    def walk(f: Formula, shadowed: frozenset[str]) -> Formula:
-        live = {k: v for k, v in mapping.items() if k not in shadowed}
-        if isinstance(f, Atom):
-            args = tuple(
-                Sym(live.get(t.name, t.name)) if isinstance(t, Sym) else NumTerm(sub_expr(t.expr, live))
-                for t in f.args
-            )
-            return Atom(f.relation, args, span=f.span)
-        if isinstance(f, Compare):
-            c = f.constraint
-            return Compare(
-                ConstraintAtom(sub_expr(c.lhs, live), c.cmp, sub_expr(c.rhs, live)), span=f.span
-            )
-        if isinstance(f, Not):
-            return Not(walk(f.operand, shadowed))
-        if isinstance(f, (And, Or, Implies, Until)):
-            return type(f)(walk(f.left, shadowed), walk(f.right, shadowed))
-        if isinstance(f, (Forall, Exists)):
-            return type(f)(f.var, f.sort, walk(f.body, shadowed | {f.var}))
-        if isinstance(f, (Next, Always, Eventually, Before)):
-            return type(f)(walk(f.operand, shadowed))
-        return f
-
-    return walk(phi, frozenset())
+    return walk(phi, mapping)
 
 
 # --- theory checking ---------------------------------------------------------------

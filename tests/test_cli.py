@@ -140,6 +140,24 @@ def test_simulate_rejects_unstratifiable(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_simulate_rejects_cycle_under_always_and_eventually(runner, tmp_path):
+    scn = tmp_path / "temporal_loop.scn"
+    scn.write_text(
+        """scenario temporal_loop
+          entity a : Object = Point(0, 0)
+          entity b : Object = Point(0, 0)
+          rules
+            rule r1 when always (not (a.x > 0)) do b.x := 1
+            rule r2 when eventually (not (b.x > 0)) do a.x := 1
+          horizon 3
+        end""",
+        encoding="utf-8",
+    )
+    result = _run(runner, ["simulate", str(scn)])
+    assert result.exit_code == 3
+    assert "dependency cycle through a negated condition" in _stderr(result)
+
+
 def test_simulate_rejects_conflicting_effects(runner, tmp_path):
     scn = tmp_path / "conflict.scn"
     scn.write_text(
@@ -290,6 +308,14 @@ def test_enumerate_cap_checked_before_grid_is_built(runner, monkeypatch):
     result = _run(runner, _ENUMERATE + ["--grid", "0:10000,0:0,1/10", "--cap", "10"])
     assert result.exit_code == 4
     assert "error: search space 100001^1 = 100001 exceeds the cap 10" in _stderr(result)
+
+
+def test_enumerate_cap_decided_without_the_power(runner):
+    # 9^5000 has 4,771 digits, too many to print; the cap is decided from bit lengths
+    result = _run(runner, _ENUMERATE + ["--grid", "0:2,0:2", "--steps", "5000"])
+    assert result.exit_code == 4
+    assert _stderr(result) == "error: search space 9^5000 exceeds the cap 10000000\n"
+    assert "Traceback" not in result.output
 
 
 def test_check_unbound_search_keeps_bound_roles(runner):

@@ -24,7 +24,18 @@ from ischema.errors import (
     UnstratifiableRuleSet,
 )
 from ischema.geometry import Const, ConstraintAtom, EvalContext, ParamRef
-from ischema.logic import Atom, Compare, Not, NumTerm, Sym, TrueF
+from ischema.logic import (
+    Always,
+    Atom,
+    Before,
+    Compare,
+    Eventually,
+    Next,
+    Not,
+    NumTerm,
+    Sym,
+    TrueF,
+)
 from ischema.model import (
     ForceFluent,
     ShapeKind,
@@ -172,12 +183,18 @@ def test_deltas_sum():
     assert simulate(sc).states[1].value("o", "x") == 5
 
 
-def test_unstratifiable_rule_set_rejected():
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda phi: phi, Next, Always, Eventually, Before],
+    ids=["plain", "next", "always", "eventually", "before"],
+)
+def test_unstratifiable_rule_set_rejected(wrap):
+    # a negated read counts under every temporal operator
     a = make_entity("a", "Object", ShapeKind.POINT, [0, 0])
     b = make_entity("b", "Object", ShapeKind.POINT, [5, 5])
     near = lambda x, y: Atom("closeTo", (Sym(x), Sym(y), NumTerm(Const(Fraction(1)))))
-    r1 = Rule("u1", Not(near("a", "b")), (DeltaParam("b", "x", Const(Fraction(1))),))
-    r2 = Rule("u2", Not(near("b", "a")), (DeltaParam("a", "x", Const(Fraction(1))),))
+    r1 = Rule("u1", wrap(Not(near("a", "b"))), (DeltaParam("b", "x", Const(Fraction(1))),))
+    r2 = Rule("u2", wrap(Not(near("b", "a"))), (DeltaParam("a", "x", Const(Fraction(1))),))
     sc = declare_scenario([a, b], rules=[r1, r2], horizon=3)
     with pytest.raises(UnstratifiableRuleSet):
         simulate(sc)
