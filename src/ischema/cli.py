@@ -235,7 +235,7 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     scenario = _load_scenario(scenario_file)
     if not scenario.is_generative:
         _fail_usage("the scenario already carries a trace; nothing to simulate")
-    _check_steps(steps)
+    _check_at_least_one("--steps", steps)
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
     if delta is not None:
         delta_v = _rational_option(delta, "--delta")
@@ -366,9 +366,9 @@ def _parse_grid(text: str) -> tuple[tuple[int, int], tuple[int, int], Fraction]:
     return (x0, x1), (y0, y1), step
 
 
-def _check_steps(steps: Optional[int]) -> None:
-    if steps is not None and steps < 1:
-        _fail_usage(f"--steps must be at least 1, got {steps}")
+def _check_at_least_one(option: str, value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        _fail_usage(f"{option} must be at least 1, got {value}")
 
 
 @main.command("enumerate")
@@ -395,7 +395,8 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     scenario = _load_scenario(scenario_file)
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
-    _check_steps(steps)
+    _check_at_least_one("--steps", steps)
+    _check_at_least_one("--cap", cap)
     x_range, y_range, step = _parse_grid(grid)
 
     if free:

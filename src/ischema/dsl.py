@@ -47,6 +47,7 @@ from typing import Optional, Sequence
 from . import dynamics, geometry
 from .errors import IschemaError
 from .geometry import (
+    COMPARATORS,
     Add,
     Const,
     ConstraintAtom,
@@ -218,7 +219,6 @@ def rational_to_text(q: Fraction) -> str:
 # --- parser --------------------------------------------------------------------
 
 _SHAPES = {s.value: s for s in ShapeKind}
-_CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
 
 # The surface syntax of every operator, read by the parser and the printers:
 # keyword, precedence (higher binds tighter) and associativity. Formulas and
@@ -453,7 +453,7 @@ class _Parser:
         try:
             lhs = self.num_expr()
             cmp_tok = self.peek()
-            if cmp_tok.kind == "op" and cmp_tok.text in _CMP_OPS:
+            if cmp_tok.kind == "op" and cmp_tok.text in COMPARATORS:
                 self.next()
                 rhs = self.num_expr()
                 return Compare(ConstraintAtom(lhs, cmp_tok.text, rhs), span=start.span)
@@ -539,7 +539,7 @@ class _Parser:
                 if self.accept_op(":="):
                     lhs = self.num_expr()
                     cmp_tok = self.peek()
-                    if cmp_tok.kind != "op" or cmp_tok.text not in _CMP_OPS:
+                    if cmp_tok.kind != "op" or cmp_tok.text not in COMPARATORS:
                         self.fail("expected a comparison operator")
                     self.next()
                     rhs = self.num_expr()
@@ -763,12 +763,6 @@ def parse_formula(text: str, filename: str = "<formula>") -> Formula:
 # --- sort checker ----------------------------------------------------------------
 
 
-def _builtin_sig(name: str) -> Optional[tuple[int, int]]:
-    if geometry.is_builtin_relation(name):
-        return geometry.builtin_arity(name)
-    return None
-
-
 class _SortChecker:
     def __init__(self, hierarchy: SortHierarchy, relations: dict[str, RelationSig],
                  numeric_params: set[str], entity_sorts: dict[str, str]):
@@ -814,7 +808,7 @@ class _SortChecker:
 
     def check_atom(self, atom: Atom, scope: dict[str, str]) -> None:
         sig = self.relations.get(atom.relation)
-        builtin = _builtin_sig(atom.relation)
+        builtin = geometry.BUILTIN_RELATIONS.get(atom.relation)
         if sig is None and builtin is None:
             self.error("unknown-relation", f"unknown relation {atom.relation!r}", atom.span)
             return
@@ -856,14 +850,9 @@ class _SortChecker:
                         atom.span,
                     )
         else:
-            n_entities, n_numeric = builtin
+            n_entities, n_numeric, _ = builtin
             if len(entity_terms) != n_entities or numeric_count > n_numeric:
-                self.error(
-                    "arity",
-                    f"{atom.relation} takes {n_entities} entity argument(s)"
-                    + (f" and up to {n_numeric} numeric" if n_numeric else ""),
-                    atom.span,
-                )
+                self.error("arity", geometry.arity_message(atom.relation), atom.span)
 
 
 def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -> list[Diagnostic]:

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 from . import geometry, logic
 from .errors import SearchSpaceTooLarge, UnknownEntity, UnsupportedShapePair
 from .geometry import EvalContext
-from .model import Scenario, ShapeKind, State, Theory, Trace
+from .model import Scenario, State, Theory, Trace
 
 DEFAULT_CAP = 10**7
 
@@ -58,7 +58,7 @@ def _check_spec(theory: Theory, scenario: Scenario, spec: GridSpec) -> list[tupl
     for eid in spec.free_entities:
         if eid not in entity_map:
             raise UnknownEntity(f"free entity {eid!r} is not declared")
-        if entity_map[eid].shape not in (ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE):
+        if entity_map[eid].shape not in geometry.CENTERED:
             raise UnsupportedShapePair(
                 f"free entity {eid!r} must have a center to place on the grid"
             )

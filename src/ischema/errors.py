@@ -45,10 +45,6 @@ class UnsupportedShapePair(IschemaError):
     pass
 
 
-class SortMismatch(IschemaError):
-    pass
-
-
 class NotMeasurable(IschemaError):
     pass
 

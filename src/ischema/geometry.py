@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     CoincidentCenters,
@@ -23,6 +23,8 @@ from .errors import (
 )
 from .model import (
     BUILTIN_HIERARCHY,
+    POSITION_X,
+    POSITION_Y,
     SHAPE_PARAMS,
     EntityDecl,
     RelationSig,
@@ -184,11 +186,11 @@ class EvalContext:
 
 # --- shape helpers ----------------------------------------------------------
 
-_CENTERED = (ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE)
+CENTERED = (ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE)
 
 
 def center(state: State, decl: EntityDecl) -> Optional[tuple[Fraction, Fraction]]:
-    if decl.shape in _CENTERED:
+    if decl.shape in CENTERED:
         return state.value(decl.id, "x"), state.value(decl.id, "y")
     return None
 
@@ -240,19 +242,18 @@ def horizontal_overlap(state: State, a: EntityDecl, b: EntityDecl) -> bool:
     return ia[0] <= ib[1] and ib[0] <= ia[1]
 
 
-def distance_squared(state: State, ctx: EvalContext, a: str, b: str) -> Fraction:
+def distance_squared(state: State, a: EntityDecl, b: EntityDecl) -> Fraction:
     """Exact squared distance; anchors are centers, with Segment/Floor taking
     the nearest point to the other entity's center."""
-    da, db = ctx.decl(a), ctx.decl(b)
-    ca, cb = center(state, da), center(state, db)
+    ca, cb = center(state, a), center(state, b)
     if ca is not None and cb is not None:
         return (ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2
     if ca is None and cb is not None:
-        return _nearest_point_sq(state, da, cb)
+        return _nearest_point_sq(state, a, cb)
     if cb is None and ca is not None:
-        return _nearest_point_sq(state, db, ca)
+        return _nearest_point_sq(state, b, ca)
     raise UnsupportedShapePair(
-        f"distance between {da.shape.value} and {db.shape.value} needs a center on one side"
+        f"distance between {a.shape.value} and {b.shape.value} needs a center on one side"
     )
 
 
@@ -276,19 +277,28 @@ def _nearest_point_sq(state: State, decl: EntityDecl, point: tuple[Fraction, Fra
 
 def distance(state: State, a: str, b: str, ctx: EvalContext) -> float:
     """Euclidean distance as a real number."""
-    return math.sqrt(distance_squared(state, ctx, a, b))
+    return math.sqrt(distance_squared(state, ctx.decl(a), ctx.decl(b)))
+
+
+def _offset(state: State, a: EntityDecl, b: EntityDecl, what: str) -> tuple[Fraction, Fraction]:
+    """The vector from b's center to a's center; `what` names the caller in
+    the error raised when either has no center."""
+    ca, cb = center(state, a), center(state, b)
+    if ca is None or cb is None:
+        raise UnsupportedShapePair(f"{what} needs centers on both sides")
+    return ca[0] - cb[0], ca[1] - cb[1]
+
+
+def _angle(state: State, a: EntityDecl, b: EntityDecl) -> float:
+    dx, dy = _offset(state, a, b, "angular position")
+    if dx == 0 and dy == 0:
+        raise CoincidentCenters(f"{a.id} and {b.id} share a center")
+    return math.atan2(float(dy), float(dx))
 
 
 def angular_position(state: State, x: str, y: str, ctx: EvalContext) -> float:
     """Angle in (-pi, pi] of the vector from y's center to x's center."""
-    cx = center(state, ctx.decl(x))
-    cy = center(state, ctx.decl(y))
-    if cx is None or cy is None:
-        raise UnsupportedShapePair("angular position needs centers on both sides")
-    dx, dy = cx[0] - cy[0], cx[1] - cy[1]
-    if dx == 0 and dy == 0:
-        raise CoincidentCenters(f"{x} and {y} share a center")
-    return math.atan2(float(dy), float(dx))
+    return _angle(state, ctx.decl(x), ctx.decl(y))
 
 
 def exact_measure(state: State, decl: EntityDecl) -> tuple[Fraction, bool]:
@@ -307,9 +317,9 @@ def measure(state: State, e: str, ctx: EvalContext) -> float:
     return float(coeff) * math.pi if has_pi else float(coeff)
 
 
-def _measure_less(state: State, ctx: EvalContext, a: str, b: str) -> bool:
-    ca, pa = exact_measure(state, ctx.decl(a))
-    cb, pb = exact_measure(state, ctx.decl(b))
+def _measure_less(state: State, a: EntityDecl, b: EntityDecl) -> bool:
+    ca, pa = exact_measure(state, a)
+    cb, pb = exact_measure(state, b)
     if pa == pb:
         return ca < cb
     return (float(ca) * math.pi if pa else float(ca)) < (float(cb) * math.pi if pb else float(cb))
@@ -396,7 +406,7 @@ def _within(value_sq: Fraction, bound: Fraction, eps: Fraction) -> bool:
     return lo <= value_sq <= hi
 
 
-def _contains(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, strict: bool) -> Optional[bool]:
+def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optional[bool]:
     """a inside b; None when the shape pair is not supported.
 
     Strict containment turns every boundary comparison into a strict one; the
@@ -450,11 +460,11 @@ def _touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Op
     if sa is ShapeKind.FLOOR:
         return _touches(state, ctx, b, a)
     if sa is ShapeKind.CIRCLE and sb is ShapeKind.CIRCLE:
-        d2 = distance_squared(state, ctx, a.id, b.id)
+        d2 = distance_squared(state, a, b)
         return _within(d2, state.value(a.id, "r") + state.value(b.id, "r"), eps)
     if {sa, sb} == {ShapeKind.POINT, ShapeKind.CIRCLE}:
         circ = a if sa is ShapeKind.CIRCLE else b
-        d2 = distance_squared(state, ctx, a.id, b.id)
+        d2 = distance_squared(state, a, b)
         return _within(d2, state.value(circ.id, "r"), eps)
     if sa is ShapeKind.RECTANGLE and sb is ShapeKind.RECTANGLE:
         dx = abs(state.value(a.id, "x") - state.value(b.id, "x"))
@@ -475,14 +485,14 @@ def _touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Op
     return None
 
 
-def _interiors_overlap(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
+def _interiors_overlap(state: State, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
     sa, sb = a.shape, b.shape
     if sa is ShapeKind.CIRCLE and sb is ShapeKind.CIRCLE:
-        d2 = distance_squared(state, ctx, a.id, b.id)
+        d2 = distance_squared(state, a, b)
         touching_or_apart = d2 >= _sq(state.value(a.id, "r") + state.value(b.id, "r"))
         if touching_or_apart:
             return False
-        return not _contains(state, ctx, a, b, True) and not _contains(state, ctx, b, a, True)
+        return not _contains(state, a, b, True) and not _contains(state, b, a, True)
     if sa is ShapeKind.RECTANGLE and sb is ShapeKind.RECTANGLE:
         dx = abs(state.value(a.id, "x") - state.value(b.id, "x"))
         dy = abs(state.value(a.id, "y") - state.value(b.id, "y"))
@@ -490,7 +500,7 @@ def _interiors_overlap(state: State, ctx: EvalContext, a: EntityDecl, b: EntityD
         sumh = (state.value(a.id, "h") + state.value(b.id, "h")) / 2
         if dx >= sumw or dy >= sumh:
             return False
-        return not _contains(state, ctx, a, b, True) and not _contains(state, ctx, b, a, True)
+        return not _contains(state, a, b, True) and not _contains(state, b, a, True)
     return None
 
 
@@ -500,120 +510,111 @@ def _same_geometry(state: State, a: EntityDecl, b: EntityDecl) -> bool:
     return all(state.value(a.id, p) == state.value(b.id, p) for p in SHAPE_PARAMS[a.shape])
 
 
-def rel_inside(state: State, ctx: EvalContext, a: str, b: str, strict: bool = True) -> bool:
-    da, db = ctx.decl(a), ctx.decl(b)
-    result = _contains(state, ctx, da, db, strict)
+def _defined(name: str, decls: Sequence[EntityDecl], result: Optional[bool]) -> bool:
+    """`result` of a test that gives None for a shape pair outside `name`'s domain."""
     if result is None:
-        raise UnsupportedShapePair(
-            f"inside({da.shape.value}, {db.shape.value}) is not defined"
-        )
+        a, b = decls
+        raise UnsupportedShapePair(f"{name}({a.shape.value}, {b.shape.value}) is not defined")
     return result
 
 
-def rel_contact(state: State, ctx: EvalContext, a: str, b: str) -> bool:
-    da, db = ctx.decl(a), ctx.decl(b)
-    result = _touches(state, ctx, da, db)
-    if result is None:
-        raise UnsupportedShapePair(
-            f"contact({da.shape.value}, {db.shape.value}) is not defined"
-        )
-    return result
-
-
-def rel_on(state: State, ctx: EvalContext, a: str, b: str) -> bool:
+def rel_on(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
     """a rests on b: contact, a's bottom at or above b's top, horizontal overlap.
 
     Total over all shape pairs: pairs lacking the needed notions are simply
     not in the relation (so quantified conditions like gravity's stay safe).
     """
-    da, db = ctx.decl(a), ctx.decl(b)
-    touching = _touches(state, ctx, da, db)
-    if not touching:
+    if not _touches(state, ctx, a, b):
         return False
-    ba = bottom(state, da)
-    tb = top(state, db)
+    ba = bottom(state, a)
+    tb = top(state, b)
     if ba is None or tb is None:
         return False
-    return ba >= tb - ctx.epsilon and horizontal_overlap(state, da, db)
+    return ba >= tb - ctx.epsilon and horizontal_overlap(state, a, b)
 
 
-def rel_overlaps(state: State, ctx: EvalContext, a: str, b: str) -> bool:
-    da, db = ctx.decl(a), ctx.decl(b)
-    result = _interiors_overlap(state, ctx, da, db)
-    if result is None:
-        raise UnsupportedShapePair(
-            f"overlaps({da.shape.value}, {db.shape.value}) is not defined"
-        )
-    return result
-
-
-def rel_disjoint(state: State, ctx: EvalContext, a: str, b: str) -> bool:
+def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
     """No containment either way, no contact, no overlap.
 
     Component relations undefined for the pair count as not holding; two
     entities with identical geometry are never disjoint (a is never disjoint
     from itself).
     """
-    da, db = ctx.decl(a), ctx.decl(b)
-    if _same_geometry(state, da, db):
+    if _same_geometry(state, a, b):
         return False
     for test in (
-        _contains(state, ctx, da, db, False),
-        _contains(state, ctx, db, da, False),
-        _touches(state, ctx, da, db),
-        _interiors_overlap(state, ctx, da, db),
+        _contains(state, a, b, False),
+        _contains(state, b, a, False),
+        _touches(state, ctx, a, b),
+        _interiors_overlap(state, a, b),
     ):
         if test:
             return False
     return True
 
 
-def rel_close_to(state: State, ctx: EvalContext, a: str, b: str, threshold=None) -> bool:
+def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, threshold=None) -> bool:
     tau = ctx.tau if threshold is None else threshold
-    d2 = distance_squared(state, ctx, a, b)
+    d2 = distance_squared(state, a, b)
     if isinstance(tau, Fraction):
         return tau >= 0 and d2 <= _sq(tau)
     return math.sqrt(d2) <= tau
 
 
-def rel_smaller(state: State, ctx: EvalContext, a: str, b: str) -> bool:
-    return _measure_less(state, ctx, a, b)
+def _position(state: State, e: EntityDecl) -> tuple:
+    return tuple(state.value(e.id, p) for p in POSITION_X[e.shape] + POSITION_Y[e.shape])
 
 
-def rel_larger(state: State, ctx: EvalContext, a: str, b: str) -> bool:
-    return _measure_less(state, ctx, b, a)
+def _motion(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
+    """motion(e): e's position changes between this state and the next."""
+    return after is not None and _position(state, decls[0]) != _position(after, decls[0])
 
 
-_BUILTIN_STATE_RELATIONS = {
-    "inside": (2, 0, lambda st, ctx, ea, na: rel_inside(st, ctx, ea[0], ea[1])),
-    "partOf": (2, 0, lambda st, ctx, ea, na: rel_inside(st, ctx, ea[0], ea[1], strict=False)),
-    "contact": (2, 0, lambda st, ctx, ea, na: rel_contact(st, ctx, ea[0], ea[1])),
-    "on": (2, 0, lambda st, ctx, ea, na: rel_on(st, ctx, ea[0], ea[1])),
-    "overlaps": (2, 0, lambda st, ctx, ea, na: rel_overlaps(st, ctx, ea[0], ea[1])),
-    "disjoint": (2, 0, lambda st, ctx, ea, na: rel_disjoint(st, ctx, ea[0], ea[1])),
-    "closeTo": (2, 1, lambda st, ctx, ea, na: rel_close_to(st, ctx, ea[0], ea[1], na[0] if na else None)),
-    "smaller": (2, 0, lambda st, ctx, ea, na: rel_smaller(st, ctx, ea[0], ea[1])),
-    "larger": (2, 0, lambda st, ctx, ea, na: rel_larger(st, ctx, ea[0], ea[1])),
+def _ccw_step(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
+    """ccwStep(o, c): o's position around c advances counterclockwise between
+    this state and the next: cross(p, p') > 0 for the center-relative vectors.
+    Wrap-safe replacement for "the angle increases"."""
+    if after is None:
+        return False
+    x0, y0 = _offset(state, *decls, "relative position")
+    x1, y1 = _offset(after, *decls, "relative position")
+    return x0 * y1 - y0 * x1 > 0
+
+
+def _theta_step(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
+    """thetaStep(o, c): the literal reading, theta in the next state greater
+    than in this one."""
+    return after is not None and _angle(after, *decls) > _angle(state, *decls)
+
+
+# The built-in relations: name -> (entity arity, most numeric arguments,
+# test). A test gets the state, the context, the entities' declarations, the
+# numeric arguments and the next state. The next state is None at the last
+# instant of a trace; the step relations (motion, ccwStep, thetaStep) read it
+# and are false there.
+RelationTest = Callable[[State, EvalContext, Sequence[EntityDecl], Sequence, Optional[State]], bool]
+BUILTIN_RELATIONS: dict[str, tuple[int, int, RelationTest]] = {
+    "inside": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, True))),
+    "partOf": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, False))),
+    "contact": (2, 0, lambda st, ctx, d, n, after: _defined("contact", d, _touches(st, ctx, *d))),
+    "on": (2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d)),
+    "overlaps": (2, 0, lambda st, ctx, d, n, after: _defined("overlaps", d, _interiors_overlap(st, *d))),
+    "disjoint": (2, 0, lambda st, ctx, d, n, after: rel_disjoint(st, ctx, *d)),
+    "closeTo": (2, 1, lambda st, ctx, d, n, after: rel_close_to(st, ctx, *d, n[0] if n else None)),
+    "smaller": (2, 0, lambda st, ctx, d, n, after: _measure_less(st, *d)),
+    "larger": (2, 0, lambda st, ctx, d, n, after: _measure_less(st, d[1], d[0])),
+    "motion": (1, 0, _motion),
+    "ccwStep": (2, 0, _ccw_step),
+    "thetaStep": (2, 0, _theta_step),
 }
 
-# Relations that read the next state as well; evaluated by the formula layer.
-TEMPORAL_RELATIONS = ("motion", "ccwStep", "thetaStep")
 
-BUILTIN_RELATIONS = tuple(_BUILTIN_STATE_RELATIONS) + TEMPORAL_RELATIONS
-
-
-def is_builtin_relation(name: str) -> bool:
-    return name in _BUILTIN_STATE_RELATIONS or name in TEMPORAL_RELATIONS
-
-
-def builtin_arity(name: str) -> tuple[int, int]:
-    """(entity arity, max numeric arity) of a builtin relation."""
-    if name in _BUILTIN_STATE_RELATIONS:
-        ea, na, _ = _BUILTIN_STATE_RELATIONS[name]
-        return ea, na
-    if name == "motion":
-        return 1, 0
-    return 2, 0  # ccwStep, thetaStep
+def arity_message(name: str) -> str:
+    """Why an application of built-in `name` has the wrong number of arguments."""
+    n_entities, n_numeric, _ = BUILTIN_RELATIONS[name]
+    return f"{name} takes {n_entities} entity argument(s)" + (
+        f" and up to {n_numeric} numeric" if n_numeric else ""
+    )
 
 
 def eval_relation(
@@ -622,23 +623,21 @@ def eval_relation(
     state: State,
     ctx: EvalContext,
     num_args: Sequence = (),
+    after: Optional[State] = None,
 ) -> bool:
-    """Evaluate a state-local relation: a builtin from the catalog or a
-    theory-defined constraint template."""
+    """Evaluate a relation atom: a theory-defined constraint template, which
+    overrides a built-in of the same name, or a built-in from the catalog.
+    `after` is the next state, None at the last instant."""
     sig = ctx.relations.get(name)
     if sig is not None and sig.definition is not None:
         if len(entity_args) != len(sig.arg_sorts):
             raise UnknownRelation(f"{name} expects {len(sig.arg_sorts)} arguments")
         template_binding = {f"arg{i + 1}": e for i, e in enumerate(entity_args)}
         return eval_constraint(sig.definition, state, ctx, template_binding)
-    if name in _BUILTIN_STATE_RELATIONS:
-        ea, na, fn = _BUILTIN_STATE_RELATIONS[name]
-        if len(entity_args) != ea or len(num_args) > na:
-            raise UnknownRelation(
-                f"{name} takes {ea} entity argument(s)"
-                + (f" and up to {na} numeric" if na else "")
-            )
-        for e in entity_args:
-            ctx.decl(e)
-        return fn(state, ctx, list(entity_args), list(num_args))
-    raise UnknownRelation(f"unknown relation {name!r}")
+    builtin = BUILTIN_RELATIONS.get(name)
+    if builtin is None:
+        raise UnknownRelation(f"unknown relation {name!r}")
+    n_entities, n_numeric, test = builtin
+    if len(entity_args) != n_entities or len(num_args) > n_numeric:
+        raise UnknownRelation(arity_message(name))
+    return test(state, ctx, tuple(map(ctx.decl, entity_args)), num_args, after)

@@ -28,7 +28,7 @@ from .errors import (
     UnboundSymbol,
 )
 from .geometry import ConstraintAtom, EvalContext, eval_constraint, eval_num_expr
-from .model import POSITION_X, POSITION_Y, Scenario, Theory, Trace
+from .model import Scenario, Theory, Trace
 from .tree import Node
 
 Binding = Mapping[str, str]
@@ -213,53 +213,12 @@ def _resolve_atom_args(
     return entity_args, num_args
 
 
-def _positions(trace: Trace, t: int, ctx: EvalContext, e: str) -> tuple:
-    decl = ctx.decl(e)
-    st = trace.states[t]
-    return tuple(st.value(e, p) for p in POSITION_X[decl.shape] + POSITION_Y[decl.shape])
-
-
-def _relative_vector(trace: Trace, t: int, ctx: EvalContext, o: str, c: str):
-    co = geometry.center(trace.states[t], ctx.decl(o))
-    cc = geometry.center(trace.states[t], ctx.decl(c))
-    if co is None or cc is None:
-        from .errors import UnsupportedShapePair
-
-        raise UnsupportedShapePair("relative position needs centers on both sides")
-    return co[0] - cc[0], co[1] - cc[1]
-
-
 def eval_atom(atom: Atom, trace: Trace, t: int, binding: Binding, ctx: EvalContext) -> bool:
-    """State atom, or one of the step relations that also read state t+1.
-
-    motion(e):      e's position changes between t and t+1 (false at the end).
-    ccwStep(o, c):  o's position around c advances counterclockwise between t
-                    and t+1: cross(p_t, p_t+1) > 0 for center-relative vectors.
-                    Wrap-safe replacement for "the angle increases".
-    thetaStep(o,c): the literal reading, theta at t+1 greater than at t.
-    """
+    """The atom at instant t; the step relations also read state t+1."""
     entity_args, num_args = _resolve_atom_args(atom, trace, t, binding, ctx)
-    name = atom.relation
-    if name == "motion":
-        (e,) = entity_args
-        if t + 1 >= trace.length:
-            return False
-        return _positions(trace, t, ctx, e) != _positions(trace, t + 1, ctx, e)
-    if name == "ccwStep":
-        o, c = entity_args
-        if t + 1 >= trace.length:
-            return False
-        x0, y0 = _relative_vector(trace, t, ctx, o, c)
-        x1, y1 = _relative_vector(trace, t + 1, ctx, o, c)
-        return x0 * y1 - y0 * x1 > 0
-    if name == "thetaStep":
-        o, c = entity_args
-        if t + 1 >= trace.length:
-            return False
-        return geometry.angular_position(
-            trace.states[t + 1], o, c, ctx
-        ) > geometry.angular_position(trace.states[t], o, c, ctx)
-    return geometry.eval_relation(name, entity_args, trace.states[t], ctx, num_args)
+    states = trace.states
+    after = states[t + 1] if t + 1 < len(states) else None
+    return geometry.eval_relation(atom.relation, entity_args, states[t], ctx, num_args, after)
 
 
 # --- production evaluator ------------------------------------------------------

@@ -300,12 +300,6 @@ class Theory:
     def hierarchy(self) -> SortHierarchy:
         return SortHierarchy(self.sorts)
 
-    def role_sort(self, role: str) -> str:
-        for r, s in self.roles:
-            if r == role:
-                return s
-        raise UnknownSort(f"theory {self.name} has no role {role!r}")
-
     def params_map(self) -> dict[str, Fraction]:
         return dict(self.numeric_params)
 

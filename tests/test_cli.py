@@ -243,6 +243,38 @@ def test_enumerate_cap_exits_four(runner):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["CONTAINMENT.ist", "containment_grid.scn", "--cap", "0"], "--cap must be at least 1, got 0"),
+        (["CONTAINMENT.ist", "containment_grid.scn", "--cap", "-3"], "--cap must be at least 1, got -3"),
+        (["SUPPORT.ist", "stack.scn", "--free", "f"], "free entity 'f' must have a center"),
+    ],
+    ids=["cap-0", "cap-negative", "free-floor"],
+)
+def test_bad_enumerate_options_are_usage_errors(runner, args, message):
+    theory, scenario, *options = args
+    result = _run(runner, ["enumerate", _path(theory), _path(scenario), "--grid", "0:2,0:2"] + options)
+    _assert_usage_error(result, message)
+    assert "models:" not in result.output
+
+
+def test_theory_template_overrides_step_relation(runner, tmp_path):
+    theory = tmp_path / "T.ist"
+    theory.write_text(
+        "theory T\n  role o : Object\n  relation motion(Object) := arg1.x > 100\n"
+        "  axiom motion(o)\nend\n"
+    )
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(
+        "scenario s\n  entity a : Object = Point(0, 0)\n  trace length 2\n"
+        "    state 1 { a.x = 5 }\nend\n"
+    )
+    result = _run(runner, ["check", str(theory), str(scenario), "--bind", "o=a"])
+    assert result.exit_code == 1, result.output
+    assert "motion(a): violated\n    fails at t=0: motion(a)\n" in result.output
+
+
 def test_usage_error_exits_two(runner):
     result = _run(runner, ["analogy", _path("solar.scn"), _path("atom.scn")])
     assert result.exit_code == 2

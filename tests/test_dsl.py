@@ -23,8 +23,10 @@ from ischema.dsl import (
     sort_check,
     text_to_rational,
 )
+from ischema.errors import UnknownRelation
+from ischema.geometry import BUILTIN_RELATIONS, EvalContext
 from ischema.library import SHIPPED_SCHEMAS, schema_theory, _data_text
-from ischema.logic import Always, And, Eventually, Implies, Not, Until
+from ischema.logic import Always, And, Eventually, Implies, Not, Until, eval_formula
 
 SHIPPED_SCENARIOS = (
     "fig1", "drop", "ball_cup", "path3", "stack", "solar", "atom", "containment_grid",
@@ -246,6 +248,23 @@ def test_sort_check_unknown_numeric_param():
         end"""
     )
     assert any(d.code == "unbound-symbol" for d in sort_check(theory))
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_RELATIONS))
+def test_builtin_arity_diagnostic_matches_run_time_error(name):
+    # three entities is the wrong arity for every built-in relation
+    roles = "".join(f"  role {r} : Object\n" for r in "abc")
+    theory = parse_theory(f"theory T\n{roles}  axiom {name}(a, b, c)\nend")
+    scenario = parse_scenario(
+        "scenario s\n  entity a : Object = Point(0, 0)\n  entity b : Object = Point(1, 0)\n"
+        "  entity c : Object = Point(2, 0)\n  trace length 2\nend"
+    )
+    (diag,) = sort_check(theory)
+    assert diag.code == "arity"
+    ctx = EvalContext.for_scenario(scenario, theory)
+    with pytest.raises(UnknownRelation) as info:
+        eval_formula(theory.axioms[0], scenario.trace, 0, {}, ctx)
+    assert str(info.value) == diag.message
 
 
 def test_sort_check_scenario_rules():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from ischema.errors import (
     UnsupportedShapePair,
 )
 from ischema.geometry import (
+    BUILTIN_RELATIONS,
     Const,
     DeltaExpr,
     EvalContext,
@@ -226,6 +228,11 @@ def test_part_of_is_non_strict():
     state, ctx = _ctx(c1, c2)
     assert eval_relation("partOf", ["c1", "c2"], state, ctx) is True
     assert eval_relation("inside", ["c1", "c2"], state, ctx) is False
+
+
+def test_readme_names_every_builtin_relation():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in BUILTIN_RELATIONS if f"`{name}`" not in readme] == []
 
 
 def test_unknown_relation_and_unsupported_pair():

@@ -11,8 +11,9 @@ from ischema.errors import (
     SortMismatchInBinding,
     TimeOutOfRange,
     UnboundSymbol,
+    UnknownRelation,
 )
-from ischema.geometry import EvalContext
+from ischema.geometry import Const, ConstraintAtom, EvalContext, ParamRef
 from ischema.logic import (
     Always,
     And,
@@ -25,6 +26,7 @@ from ischema.logic import (
     Implies,
     Next,
     Not,
+    NumTerm,
     Sym,
     TrueF,
     Until,
@@ -164,6 +166,35 @@ def test_ccw_step_atom():
     assert eval_formula(ccw, sc.trace, 2, {}, ctx) is False  # nothing after the last state
     theta = Atom("thetaStep", (Sym("o"), Sym("c")))
     assert eval_formula(theta, sc.trace, 0, {}, ctx) is True
+
+
+@pytest.mark.parametrize(
+    "atom,message",
+    [
+        (Atom("motion", (Sym("o"), Sym("cup"))), "motion takes 1 entity argument(s)"),
+        (Atom("ccwStep", (Sym("o"),)), "ccwStep takes 2 entity argument(s)"),
+        (Atom("motion", (Sym("o"), NumTerm(Const(Fraction(3))))), "motion takes 1 entity argument(s)"),
+    ],
+    ids=["motion-two-entities", "ccwStep-one-entity", "motion-numeric"],
+)
+def test_step_relation_arity_checked_at_every_instant(ball_cup, atom, message):
+    ctx = _ctx(ball_cup)
+    for t in range(ball_cup.trace.length):
+        with pytest.raises(UnknownRelation) as info:
+            eval_formula(atom, ball_cup.trace, t, {}, ctx)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["motion", "ccwStep", "thetaStep"])
+def test_template_overrides_step_relation(ball_cup, name):
+    # o runs straight at cup's center, so the built-ins give motion [True, True,
+    # False] and ccwStep, thetaStep all False; the template reads o.x only
+    template = ConstraintAtom(ParamRef("arg1", "x"), ">", Const(Fraction(4)))
+    arg_sorts = ("Object",) if name == "motion" else ("Object", "Container")
+    theory = Theory(name="T", relations=(RelationSig(name, arg_sorts, template),))
+    ctx = _ctx(ball_cup, theory)
+    atom = Atom(name, tuple(Sym(e) for e in ("o", "cup")[: len(arg_sorts)]))
+    assert [eval_formula(atom, ball_cup.trace, t, {}, ctx) for t in range(3)] == [True, False, False]
 
 
 # --- dualities and structural properties -------------------------------------------
