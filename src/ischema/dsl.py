@@ -414,7 +414,7 @@ class _Parser:
             self.next()
             var = self.expect_ident("quantified variable")
             self.expect_op(":")
-            sort = self.expect_ident("sort name", allow_reserved=False)
+            sort = self.expect_ident("sort name")
             self.expect_op(".")
             body = self._nested(tok, self.formula)
             return _QUANTIFIERS[tok.text](var.text, sort.text, body)
@@ -809,7 +809,7 @@ class _SortChecker:
     def check_atom(self, atom: Atom, scope: dict[str, str]) -> None:
         sig = self.relations.get(atom.relation)
         builtin = geometry.BUILTIN_RELATIONS.get(atom.relation)
-        if sig is None and builtin is None:
+        if builtin is None and (sig is None or sig.definition is None):
             self.error("unknown-relation", f"unknown relation {atom.relation!r}", atom.span)
             return
         entity_terms: list[tuple[str, Optional[str]]] = []
@@ -849,7 +849,7 @@ class _SortChecker:
                         f"{atom.relation} expects {expected} here, but {name} has sort {sort}",
                         atom.span,
                     )
-        else:
+        if sig is None or sig.definition is None:
             n_entities, n_numeric, _ = builtin
             if len(entity_terms) != n_entities or numeric_count > n_numeric:
                 self.error("arity", geometry.arity_message(atom.relation), atom.span)
@@ -958,9 +958,6 @@ def formula_to_text(node: Node, parent: int = 0) -> str:
     return f"({text})" if prec < parent else text
 
 
-num_expr_to_text = formula_to_text
-
-
 def _leaf_text(node: Node) -> str:
     keyword = _KEYWORDS.get(type(node))
     if keyword is not None:  # true, false, final, delta(a, b), theta(a, b), measure(e)
@@ -990,7 +987,7 @@ def serialize_theory(theory: Theory) -> str:
         decl = f"  relation {sig.name}({', '.join(sig.arg_sorts)})"
         if sig.definition is not None:
             c = sig.definition
-            decl += f" := {num_expr_to_text(c.lhs)} {c.cmp} {num_expr_to_text(c.rhs)}"
+            decl += f" := {formula_to_text(c.lhs)} {c.cmp} {formula_to_text(c.rhs)}"
         lines.append(decl)
     for name, value in theory.numeric_params:
         lines.append(f"  param {name} = {rational_to_text(value)}")
@@ -1002,9 +999,9 @@ def serialize_theory(theory: Theory) -> str:
 
 def _effect_to_text(eff) -> str:
     if isinstance(eff, dynamics.SetParam):
-        return f"{eff.target}.{eff.param} := {num_expr_to_text(eff.expr)}"
+        return f"{eff.target}.{eff.param} := {formula_to_text(eff.expr)}"
     if isinstance(eff, dynamics.DeltaParam):
-        return f"{eff.target}.{eff.param} += {num_expr_to_text(eff.expr)}"
+        return f"{eff.target}.{eff.param} += {formula_to_text(eff.expr)}"
     if isinstance(eff, dynamics.AddForce):
         f = eff.force
         text = f"addforce {f.label} on {f.target} ({rational_to_text(f.dx)}, {rational_to_text(f.dy)})"

@@ -17,6 +17,7 @@ from . import geometry
 from .errors import (
     ConflictingEffects,
     NonPositiveDelta,
+    UnknownParameter,
     UnstratifiableRuleSet,
 )
 from .geometry import EvalContext, NumExpr, eval_num_expr
@@ -33,13 +34,12 @@ from .logic import (
     eval_formula,
 )
 from .model import (
-    POSITION_X,
-    POSITION_Y,
     ForceFluent,
     Scenario,
     ShapeKind,
     State,
     Trace,
+    displace,
     initial_state,
 )
 from .tree import Node
@@ -101,17 +101,6 @@ class Rule:
     kind: str = "generic"  # generic | gravity | umph
     mode: Optional[str] = None  # umph only: active | passive
 
-    @property
-    def motion_kind(self) -> Optional[str]:
-        if self.kind == "umph":
-            return "animate"
-        if self.kind == "gravity":
-            return "inanimate"
-        return None
-
-
-FALLING_SHAPES = frozenset({ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE})
-
 
 def gravity_rule(delta: Fraction | int = 1) -> Rule:
     """Every unsupported entity moves down by `delta` per step.
@@ -129,7 +118,7 @@ def gravity_rule(delta: Fraction | int = 1) -> Rule:
         condition=condition,
         effects=(Fall("x", delta),),
         scope=("x", "Entity"),
-        shapes=FALLING_SHAPES,
+        shapes=frozenset(geometry.CENTERED),
         kind="gravity",
     )
 
@@ -171,49 +160,34 @@ def _scope_targets(rule: Rule, ctx: EvalContext) -> list[str]:
             continue
         if rule.shapes is not None and e.shape not in rule.shapes:
             continue
-        if e.sort == "Floor" and rule.kind == "gravity":
-            continue
         out.append(e.id)
     return out
 
 
-def _effect_writes(rule: Rule, effect: Effect, ctx: EvalContext) -> set[tuple]:
+def _written(rule: Rule, ctx: EvalContext) -> set[str]:
+    """The entities whose parameters the rule's effects write; forces write none."""
     scope_var = rule.scope[0] if rule.scope else None
-
-    def expand(target: str) -> list[str]:
-        if target == scope_var:
-            return _scope_targets(rule, ctx)
-        return [target]
-
-    if isinstance(effect, (SetParam, DeltaParam)):
-        return {("p", e, effect.param) for e in expand(effect.target)}
-    if isinstance(effect, Fall):
-        return {("p", e, "y") for e in expand(effect.target)}
-    if isinstance(effect, AddForce):
-        return {("f", effect.force.label, effect.force.target)}
-    if isinstance(effect, RemoveForce):
-        return {("f", effect.label, effect.target)}
-    raise TypeError(f"bad effect {effect!r}")
-
-
-def _writes(rule: Rule, ctx: EvalContext) -> set[tuple]:
-    out: set[tuple] = set()
+    out: set[str] = set()
     for eff in rule.effects:
-        out |= _effect_writes(rule, eff, ctx)
+        if isinstance(eff, (SetParam, DeltaParam, Fall)):
+            if eff.target == scope_var:
+                out.update(_scope_targets(rule, ctx))
+            else:
+                out.add(eff.target)
     return out
 
 
 def _condition_reads(
     phi: Node, ctx: EvalContext, locals_: dict[str, str], negated: bool, out: set[tuple]
 ) -> None:
-    """Collect (negated, 'p', entity) read keys: every entity a symbol under
-    any operator may denote, tagged by negation parity. `not` and the left
-    side of `->` flip the parity."""
+    """Collect (negated, entity) reads: every entity a symbol under any
+    operator may denote, tagged by negation parity. `not` and the left side
+    of `->` flip the parity."""
     for name in phi.symbols:
         if name in locals_:
-            out.update((negated, "p", e) for e in _domain(ctx, locals_[name]))
+            out.update((negated, e) for e in _domain(ctx, locals_[name]))
         elif name in ctx.entities:
-            out.add((negated, "p", name))
+            out.add((negated, name))
     if isinstance(phi, (Forall, Exists)):
         locals_ = {**locals_, phi.var: phi.sort}
     for i, child in enumerate(phi.children):
@@ -232,95 +206,50 @@ def _reads(rule: Rule, ctx: EvalContext) -> set[tuple]:
 
 
 def stratify(rules: Sequence[Rule], ctx: EvalContext) -> list[list[Rule]]:
-    """Layer the rules so conditions never negatively depend on effects of the
-    same or a later layer.
-
-    Edges run from writer to reader between distinct rules; a rule reading its
-    own writes is harmless because a rule's effects are never visible to its
-    own condition within a step. Any dependency cycle through a negated read
-    is rejected.
-    """
+    """Layer the rules: the strongly connected components of the writer ->
+    reader graph between distinct rules, in topological order (Kosaraju). A
+    rule may read its own writes, which its condition never sees within a
+    step; a dependency cycle through a negated read is rejected."""
     n = len(rules)
-    writes = [_writes(r, ctx) for r in rules]
+    written = [_written(r, ctx) for r in rules]
     reads = [_reads(r, ctx) for r in rules]
-
-    edges: dict[int, set[int]] = {i: set() for i in range(n)}
-    negated_edge: set[tuple[int, int]] = set()
-    for i in range(n):
-        written_entities = {w[1] for w in writes[i] if w[0] == "p"}
-        for j in range(n):
-            if i == j:
-                continue
-            for negated, kind, e in reads[j]:
-                if kind == "p" and e in written_entities:
-                    edges[i].add(j)
-                    if negated:
-                        negated_edge.add((i, j))
-
-    # Tarjan SCC, iterative.
-    index = {}
-    low = {}
-    onstack = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [0]
-
-    def strongconnect(v: int) -> None:
-        work = [(v, iter(sorted(edges[v])))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(sorted(edges[w]))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
-
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-        members = set(comp)
-        for v in comp:
+    edges = [
+        {j for j in range(n) if j != i and any(e in written[i] for _, e in reads[j])}
+        for i in range(n)
+    ]
+    discovered: dict[int, int] = {}
+    finished: list[int] = []
+    work = [(-1, iter(range(n)))]  # a virtual root over every rule; it finishes last
+    while work:
+        v, successors = work[-1]
+        w = next((w for w in successors if w not in discovered), None)
+        if w is None:
+            finished.append(work.pop()[0])
+        else:
+            discovered[w] = len(discovered)
+            work.append((w, iter(sorted(edges[w]))))
+    component: dict[int, int] = {}
+    comps: list[list[int]] = []
+    for root in reversed(finished[:-1]):
+        if root not in component:
+            comps.append([root])
+            component[root] = len(comps) - 1
+            for v in comps[-1]:  # flood-fill the reversed graph
+                for u in range(n):
+                    if v in edges[u] and u not in component:
+                        component[u] = component[root]
+                        comps[-1].append(u)
+    # name the pair Tarjan's search meets first: components last-first,
+    # members by descending discovery index
+    for comp in reversed(comps):
+        for v in sorted(comp, key=discovered.get, reverse=True):
             for w in edges[v]:
-                if w in members and (v, w) in negated_edge:
+                if component[w] == component[v] and any((True, e) in reads[w] for e in written[v]):
                     raise UnstratifiableRuleSet(
                         f"rules {rules[v].name!r} and {rules[w].name!r} form a "
                         "dependency cycle through a negated condition"
                     )
-
-    # Tarjan emits components in reverse topological order.
-    ordered = list(reversed(sccs))
-    return [[rules[v] for v in sorted(comp)] for comp in ordered]
+    return [[rules[v] for v in sorted(comp)] for comp in comps]
 
 
 # --- stepping ----------------------------------------------------------------------
@@ -408,10 +337,12 @@ def _apply_param_effects(state: State, effects: Iterable[tuple]) -> dict:
             raise ConflictingEffects(
                 f"{entity}.{param} is both assigned and incremented in one step"
             )
+        if (entity, param) not in values:
+            raise UnknownParameter(f"no value for {entity}.{param}")
         if slot["set"] is not None:
             values[(entity, param)] = slot["set"]
         else:
-            values[(entity, param)] = values[(entity, param)] + slot["delta"]
+            values[(entity, param)] += slot["delta"]
     return values
 
 
@@ -465,15 +396,9 @@ def step(
         elif eff[0] == "rmforce":
             forces = {f for f in forces if not (f.label == eff[1] and f.target == eff[2])}
 
-    entity_shapes = {e.id: e.shape for e in ctx.entities.values()}
     for f in state.forces:
-        shape = entity_shapes.get(f.target)
-        if shape is None:
-            continue
-        for p in POSITION_X[shape]:
-            values[(f.target, p)] = values[(f.target, p)] + f.dx
-        for p in POSITION_Y[shape]:
-            values[(f.target, p)] = values[(f.target, p)] + f.dy
+        if f.target in ctx.entities:
+            displace(values, ctx.entities[f.target], f.dx, f.dy)
 
     return State(time=state.time + 1, values=values, forces=frozenset(forces))
 

@@ -232,11 +232,10 @@ class SchemaBinding:
 def candidate_bindings(
     theory: Theory,
     scenario: Scenario,
-    distinct: bool = True,
     fixed: Optional[Mapping[str, str]] = None,
 ) -> Iterator[dict[str, str]]:
     """All sort-compatible role bindings, entities sorted by id, roles in
-    declaration order; by default roles bind distinct entities. Roles named in
+    declaration order; roles bind distinct entities. Roles named in
     `fixed` keep the entity given there; naming a role the theory lacks
     leaves no candidate."""
     fixed = fixed or {}
@@ -250,7 +249,7 @@ def candidate_bindings(
         pool = [i for i in ids if hierarchy.subsort_of(sorts[i], sort)]
         pools.append([i for i in pool if i == fixed[role]] if role in fixed else pool)
     for combo in itertools.product(*pools):
-        if distinct and len(set(combo)) != len(combo):
+        if len(set(combo)) != len(combo):
             continue
         yield {role: entity for (role, _), entity in zip(theory.roles, combo)}
 

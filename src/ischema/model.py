@@ -154,13 +154,9 @@ class SortHierarchy:
 BUILTIN_HIERARCHY = SortHierarchy()
 
 
-def subsort_of(s: str, t: str, hierarchy: SortHierarchy | Sequence[Sort] | None = None) -> bool:
-    """Reflexive-transitive subsort test over the given hierarchy."""
-    if hierarchy is None:
-        hierarchy = BUILTIN_HIERARCHY
-    elif not isinstance(hierarchy, SortHierarchy):
-        hierarchy = SortHierarchy(hierarchy)
-    return hierarchy.subsort_of(s, t)
+def subsort_of(s: str, t: str) -> bool:
+    """Reflexive-transitive subsort test over the built-in sorts."""
+    return BUILTIN_HIERARCHY.subsort_of(s, t)
 
 
 @dataclass(frozen=True)
@@ -192,13 +188,11 @@ def make_entity(
     shape: ShapeKind,
     values: Sequence[Rational | int | str],
     attrs: Sequence[tuple[str, Rational | int | str]] = (),
-    hierarchy: SortHierarchy | None = None,
 ) -> EntityDecl:
     """Build and validate one entity declaration."""
-    hierarchy = hierarchy or BUILTIN_HIERARCHY
-    if not hierarchy.known(sort):
+    if not BUILTIN_HIERARCHY.known(sort):
         raise UnknownSort(f"unknown sort {sort!r} for entity {id!r}")
-    if not hierarchy.admissible(sort, shape):
+    if not BUILTIN_HIERARCHY.admissible(sort, shape):
         raise BadShapeForSort(f"shape {shape.value} is not admissible at sort {sort!r}")
     names = SHAPE_PARAMS[shape]
     if len(values) != len(names):
@@ -340,7 +334,6 @@ def declare_scenario(
     rules: Optional[Sequence] = None,
     horizon: Optional[int] = None,
     name: str = "scenario",
-    hierarchy: SortHierarchy | None = None,
 ) -> Scenario:
     """Validate and assemble a scenario.
 
@@ -348,15 +341,14 @@ def declare_scenario(
     scenarios get their implicit state 0 from the declared initial values at
     simulation time.
     """
-    hierarchy = hierarchy or BUILTIN_HIERARCHY
     seen: set[str] = set()
     for e in entities:
         if e.id in seen:
             raise DuplicateEntity(f"entity {e.id!r} declared twice")
         seen.add(e.id)
-        if not hierarchy.known(e.sort):
+        if not BUILTIN_HIERARCHY.known(e.sort):
             raise UnknownSort(f"unknown sort {e.sort!r} for entity {e.id!r}")
-        if not hierarchy.admissible(e.sort, e.shape):
+        if not BUILTIN_HIERARCHY.admissible(e.sort, e.shape):
             raise BadShapeForSort(
                 f"entity {e.id!r}: shape {e.shape.value} is not admissible at sort {e.sort!r}"
             )
@@ -395,32 +387,33 @@ def declare_scenario(
     )
 
 
+def displace(
+    values: dict[tuple[str, str], Fraction], decl: EntityDecl, dx: Fraction, dy: Fraction
+) -> None:
+    """Shift `decl`'s position parameters in an (entity, param)-keyed dict."""
+    for p in POSITION_X[decl.shape]:
+        values[(decl.id, p)] += dx
+    for p in POSITION_Y[decl.shape]:
+        values[(decl.id, p)] += dy
+
+
 def translate_entity(e: EntityDecl, dx: Fraction, dy: Fraction) -> EntityDecl:
-    xs, ys = POSITION_X[e.shape], POSITION_Y[e.shape]
-    params = tuple(
-        (n, v + dx) if n in xs else ((n, v + dy) if n in ys else (n, v))
-        for n, v in e.params
-    )
-    return dataclasses.replace(e, params=params)
+    values = {(e.id, n): v for n, v in e.params}
+    displace(values, e, dx, dy)
+    return dataclasses.replace(e, params=tuple((n, values[(e.id, n)]) for n, _ in e.params))
 
 
 def translate_scenario(sc: Scenario, dx: Rational | int, dy: Rational | int) -> Scenario:
     """Shift every entity (declarations and trace values) by (dx, dy)."""
     dx, dy = Fraction(dx), Fraction(dy)
-    shapes = {e.id: e.shape for e in sc.entities}
     entities = tuple(translate_entity(e, dx, dy) for e in sc.entities)
     trace = sc.trace
     if trace is not None:
         states = []
         for s in trace.states:
-            values = {}
-            for (eid, pname), v in s.values.items():
-                if pname in POSITION_X[shapes[eid]]:
-                    values[(eid, pname)] = v + dx
-                elif pname in POSITION_Y[shapes[eid]]:
-                    values[(eid, pname)] = v + dy
-                else:
-                    values[(eid, pname)] = v
+            values = dict(s.values)
+            for e in sc.entities:
+                displace(values, e, dx, dy)
             states.append(dataclasses.replace(s, values=values))
         trace = Trace(tuple(states))
     return dataclasses.replace(sc, entities=entities, trace=trace)

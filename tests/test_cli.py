@@ -174,6 +174,23 @@ def test_simulate_rejects_conflicting_effects(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("effect", ["v.r += 1", "v.r := 2"], ids=["delta", "set"])
+def test_simulate_scoped_write_to_a_missing_parameter_exits_two(runner, tmp_path, effect):
+    scn = tmp_path / "grow.scn"
+    scn.write_text(
+        f"""scenario grow
+          entity a : Object = Point(0, 0)
+          entity c : Container = Circle(0, 0, 1)
+          rules
+            rule grow forall v : Entity when true do {effect}
+          horizon 3
+        end""",
+        encoding="utf-8",
+    )
+    result = _run(runner, ["simulate", str(scn)])
+    _assert_usage_error(result, "error: no value for a.r")
+
+
 def test_classify_stack(runner):
     result = _run(runner, ["classify", _path("stack.scn"), "--schemas", "SUPPORT,AT_REST,MOTION"])
     assert result.exit_code == 0
@@ -273,6 +290,28 @@ def test_theory_template_overrides_step_relation(runner, tmp_path):
     result = _run(runner, ["check", str(theory), str(scenario), "--bind", "o=a"])
     assert result.exit_code == 1, result.output
     assert "motion(a): violated\n    fails at t=0: motion(a)\n" in result.output
+
+
+@pytest.mark.parametrize(
+    "relation, axiom, message",
+    [
+        ("foo(Object)", "foo(o)", "T.ist:5:9: error[unknown-relation]: unknown relation 'foo'"),
+        ("motion(Object, Object)", "motion(o, p)", "T.ist:5:9: error[arity]: motion takes 1 entity argument(s)"),
+    ],
+    ids=["unknown", "arity"],
+)
+def test_relation_without_template_is_sort_checked(runner, tmp_path, relation, axiom, message):
+    theory = tmp_path / "T.ist"
+    theory.write_text(
+        f"theory T\n  role o : Object\n  role p : Object\n  relation {relation}\n  axiom {axiom}\nend\n"
+    )
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(
+        "scenario s\n  entity a : Object = Point(0, 0)\n  entity b : Object = Point(1, 0)\n"
+        "  trace length 1\nend\n"
+    )
+    result = _run(runner, ["check", str(theory), str(scenario), "--bind", "o=a", "--bind", "p=b"])
+    _assert_usage_error(result, message)
 
 
 def test_usage_error_exits_two(runner):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,13 @@ from ischema.dynamics import (
 from ischema.errors import (
     ConflictingEffects,
     NonPositiveDelta,
+    UnknownParameter,
     UnstratifiableRuleSet,
 )
 from ischema.geometry import Const, ConstraintAtom, EvalContext, ParamRef
 from ischema.logic import (
     Always,
+    And,
     Atom,
     Before,
     Compare,
@@ -225,9 +228,94 @@ def test_later_stratum_sees_earlier_effects():
     assert simulate(sc).states[1].value("flag", "y") == 1
 
 
+def _gt(entity):
+    return Compare(ConstraintAtom(ParamRef(entity, "x"), ">", Const(Fraction(0))))
+
+
+def test_rules_without_a_dependency_run_later_declared_first():
+    # no path joins copy and bump, and the later-declared bump gets the earlier stratum
+    a = make_entity("a", "Object", ShapeKind.POINT, [0, 0])
+    b = make_entity("b", "Object", ShapeKind.POINT, [0, 0])
+    copy = Rule("copy", TrueF(), (SetParam("b", "x", ParamRef("a", "x")),))
+    bump = Rule("bump", TrueF(), (DeltaParam("a", "x", Const(Fraction(1))),))
+    sc = declare_scenario([a, b], rules=[copy, bump], horizon=2)
+    strata = stratify(list(sc.rules), EvalContext.for_scenario(sc))
+    assert [[r.name for r in s] for s in strata] == [["bump"], ["copy"]]
+    assert simulate(sc).states[1].value("b", "x") == 1
+
+
+@pytest.mark.parametrize("effect", [SetParam, DeltaParam], ids=["set", "delta"])
+def test_scoped_write_to_a_missing_parameter_raises(effect):
+    a = make_entity("a", "Object", ShapeKind.POINT, [0, 0])
+    c = make_entity("c", "Container", ShapeKind.CIRCLE, [0, 0, 1])
+    grow = Rule("grow", TrueF(), (effect("v", "r", Const(Fraction(2))),), scope=("v", "Entity"))
+    sc = declare_scenario([a, c], rules=[grow], horizon=2)
+    with pytest.raises(UnknownParameter, match=r"no value for a\.r"):
+        simulate(sc)
+
+
+@st.composite
+def _rule_graphs(draw):
+    """Rules over random entities: writes through `+=`, reads through `x > 0`
+    conditions, each read negated or not."""
+    entities = [f"e{i}" for i in range(draw(st.integers(1, 5)))]
+    entity = st.sampled_from(entities)
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sets(entity, max_size=3),
+                st.lists(st.tuples(entity, st.booleans()), max_size=3),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rules = []
+    for k, (writes, reads) in enumerate(specs):
+        condition = TrueF()
+        for e, negated in reads:
+            phi = Not(_gt(e)) if negated else _gt(e)
+            condition = phi if isinstance(condition, TrueF) else And(condition, phi)
+        effects = tuple(DeltaParam(e, "x", Const(Fraction(1))) for e in sorted(writes))
+        rules.append(Rule(f"r{k}", condition, effects))
+    return entities, specs, rules
+
+
+@given(_rule_graphs())
+@settings(max_examples=300, deadline=None)
+def test_stratify_matches_reachability_oracle(graph):
+    entities, specs, rules = graph
+    n = len(rules)
+    edges = {
+        (i, j): any(neg for e, neg in specs[j][1] if e in specs[i][0])
+        for i in range(n)
+        for j in range(n)
+        if i != j and any(e in specs[i][0] for e, _ in specs[j][1])
+    }
+    reach = [[i == j or (i, j) in edges for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    cyclic = {(i, j) for (i, j), negated in edges.items() if negated and reach[j][i]}
+    points = [make_entity(e, "Object", ShapeKind.POINT, [0, 0]) for e in entities]
+    sc = declare_scenario(points, rules=rules, horizon=2)
+    try:
+        strata = stratify(rules, EvalContext.for_scenario(sc))
+    except UnstratifiableRuleSet as exc:
+        named = re.match(r"rules 'r(\d+)' and 'r(\d+)'", str(exc)).groups()
+        assert tuple(map(int, named)) in cyclic
+        return
+    assert not cyclic
+    layer = {int(r.name[1:]): k for k, stratum in enumerate(strata) for r in stratum}
+    assert sorted(layer) == list(range(n)) and sum(map(len, strata)) == n
+    for i in range(n):
+        for j in range(n):
+            assert (layer[i] == layer[j]) == (reach[i][j] and reach[j][i])
+    assert all(layer[i] <= layer[j] for i, j in edges)
+
+
 def test_motion_kind_tags():
-    assert gravity_rule(1).motion_kind == "inanimate"
-    assert umph_rule("p", "o", 1, 0).motion_kind == "animate"
     assert umph_rule("p", "o", 1, 0, mode="passive").mode == "passive"
 
 
