@@ -33,7 +33,6 @@ from .errors import (
     UnstratifiableRuleSet,
 )
 from .geometry import DEFAULT_EPSILON, DEFAULT_TAU
-from .model import Scenario, Theory
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -69,34 +68,23 @@ def _fail_usage(message: str) -> NoReturn:
     sys.exit(EXIT_USAGE)
 
 
-def _load_theory(path: str) -> Theory:
+def _load(path: str, parse):
+    """The theory or scenario that `parse` reads from `path`, sort-checked.
+    Exits 2 with the diagnostics when it does not parse or check."""
     try:
-        theory = dsl.parse_theory(Path(path).read_text(encoding="utf-8"), path)
+        obj = parse(Path(path).read_text(encoding="utf-8"), path)
     except OSError as exc:
         _fail_usage(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail_usage(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except dsl.DslError as exc:
-        _emit_diagnostics(exc.diagnostics)
-        sys.exit(EXIT_USAGE)
-    diags = dsl.sort_check(theory)
+        diags = exc.diagnostics
+    else:
+        diags = dsl.sort_check(obj)
     if diags:
         _emit_diagnostics(diags)
         sys.exit(EXIT_USAGE)
-    return theory
-
-
-def _load_scenario(path: str) -> Scenario:
-    try:
-        scenario = dsl.parse_scenario(Path(path).read_text(encoding="utf-8"), path)
-    except OSError as exc:
-        _fail_usage(str(exc))
-    except dsl.DslError as exc:
-        _emit_diagnostics(exc.diagnostics)
-        sys.exit(EXIT_USAGE)
-    diags = dsl.sort_check(scenario)
-    if diags:
-        _emit_diagnostics(diags)
-        sys.exit(EXIT_USAGE)
-    return scenario
+    return obj
 
 
 def _parse_bindings(pairs: Sequence[str]) -> dict[str, str]:
@@ -179,8 +167,8 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     Roles left unbound trigger a search over sort-compatible bindings; the
     first satisfying one is reported.
     """
-    theory = _load_theory(theory_file)
-    scenario = _load_scenario(scenario_file)
+    theory = _load(theory_file, dsl.parse_theory)
+    scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
@@ -232,7 +220,7 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
 @click.option("--json", "json_output", is_flag=True)
 def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     """Run a generative scenario and emit its trace."""
-    scenario = _load_scenario(scenario_file)
+    scenario = _load(scenario_file, dsl.parse_scenario)
     if not scenario.is_generative:
         _fail_usage("the scenario already carries a trace; nothing to simulate")
     _check_at_least_one("--steps", steps)
@@ -276,7 +264,7 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
 @click.option("--json", "json_output", is_flag=True)
 def cmd_classify(scenario_file, schemas, epsilon, tau, json_output):
     """List every (schema, binding) pair the scenario's trace satisfies."""
-    scenario = _load_scenario(scenario_file)
+    scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
@@ -314,8 +302,8 @@ def cmd_classify(scenario_file, schemas, epsilon, tau, json_output):
 @click.option("--json", "json_output", is_flag=True)
 def cmd_analogy(scenario_a, scenario_b, schema, epsilon, tau, json_output):
     """Find bindings showing both scenarios instantiate the same schema."""
-    sc_a = _load_scenario(scenario_a)
-    sc_b = _load_scenario(scenario_b)
+    sc_a = _load(scenario_a, dsl.parse_scenario)
+    sc_b = _load(scenario_b, dsl.parse_scenario)
     for sc, path in ((sc_a, scenario_a), (sc_b, scenario_b)):
         if sc.trace is None:
             _fail_usage(f"{path} is generative; run `ischema simulate` first")
@@ -391,8 +379,8 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     their declared values. Unbound roles take the first sort-compatible
     binding.
     """
-    theory = _load_theory(theory_file)
-    scenario = _load_scenario(scenario_file)
+    theory = _load(theory_file, dsl.parse_theory)
+    scenario = _load(scenario_file, dsl.parse_scenario)
     eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
     _check_at_least_one("--steps", steps)
@@ -441,9 +429,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     if json_output:
         doc = {"command": "enumerate", "count": count}
         if models is not None:
-            doc["models"] = [
-                json.loads(dsl.serialize_trace(m, scenario.entities)) for m in models
-            ]
+            doc["models"] = [dsl.trace_to_json(m, scenario.entities) for m in models]
         _print_json(doc)
     else:
         _echo(f"models: {count}")

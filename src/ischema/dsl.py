@@ -107,7 +107,6 @@ class SourceSpan:
     file: str
     line: int  # 1-based
     column: int  # 1-based
-    length: int = 1
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -122,6 +121,10 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.span}: {self.severity}[{self.code}]: {self.message}"
+
+
+# Where diagnostics point that have no position of their own.
+_NO_SPAN = SourceSpan("<input>", 1, 1)
 
 
 class DslError(IschemaError):
@@ -170,14 +173,14 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            span = SourceSpan(filename, line, col, 1)
+            span = SourceSpan(filename, line, col)
             raise DslError([
                 Diagnostic("error", "syntax", f"unexpected character {text[pos]!r}", span)
             ])
         lexeme = m.group(0)
         kind = m.lastgroup
         if kind not in ("ws", "comment"):
-            span = SourceSpan(filename, line, col, len(lexeme))
+            span = SourceSpan(filename, line, col)
             tokens.append(Token(kind, lexeme, span))
         newlines = lexeme.count("\n")
         if newlines:
@@ -186,7 +189,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
         else:
             col += len(lexeme)
         pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(filename, line, col, 0)))
+    tokens.append(Token("eof", "", SourceSpan(filename, line, col)))
     return tokens
 
 
@@ -280,13 +283,13 @@ def nesting_depth(node: Node) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.filename = filename
         self.depth = 0  # enclosing nested constructs of the one being parsed
 
-    # -- token helpers
+    # -- token helpers. The token text alone decides a match: no number and
+    # no end of input spells a keyword or an operator.
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -296,35 +299,30 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
 
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
-
-    def accept_op(self, text: str) -> bool:
-        if self.at_op(text):
+    def accept(self, text: str) -> bool:
+        if self.at(text):
             self.pos += 1
             return True
         return False
 
-    def accept_word(self, text: str) -> bool:
-        if self.at_word(text):
-            self.pos += 1
-            return True
-        return False
-
-    def expect_op(self, text: str) -> Token:
-        if not self.at_op(text):
-            self.fail(f"expected {text!r}")
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
+            self.fail(f"expected keyword {text!r}" if text.isalpha() else f"expected {text!r}")
         return self.next()
 
-    def expect_word(self, text: str) -> Token:
-        if not self.at_word(text):
-            self.fail(f"expected keyword {text!r}")
-        return self.next()
+    def end(self) -> None:
+        if self.peek().kind != "eof":
+            self.fail("unexpected trailing input")
+
+    def items(self, parse_item) -> list:
+        """One or more `parse_item()` results separated by commas."""
+        found = [parse_item()]
+        while self.accept(","):
+            found.append(parse_item())
+        return found
 
     def expect_ident(self, what: str = "identifier", allow_reserved: bool = False) -> Token:
         tok = self.peek()
@@ -342,13 +340,19 @@ class _Parser:
         return int(tok.text)
 
     def expect_rational(self) -> Fraction:
-        negative = self.accept_op("-")
-        tok = self.peek()
-        if tok.kind != "rational":
+        negative = self.accept("-")
+        if self.peek().kind != "rational":
             self.fail("expected a rational number")
-        self.next()
-        value = text_to_rational(tok.text)
+        value = self.rational()
         return -value if negative else value
+
+    def rational(self) -> Fraction:
+        """The value of the rational literal at the cursor, consumed."""
+        tok = self.next()
+        try:
+            return text_to_rational(tok.text)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in {tok.text!r}", tok.span)
 
     def fail(self, message: str, span: Optional[SourceSpan] = None) -> None:
         span = span or self.peek().span
@@ -374,8 +378,7 @@ class _Parser:
 
     def _binary(self, table: dict[str, type], operand, min_prec: int = 0):
         """Operands joined by binary operators of `table` that bind at least
-        as tightly as `min_prec`. The token text alone identifies an
-        operator: no number or end of input spells one."""
+        as tightly as `min_prec`."""
         node = operand()
         while True:
             cls = table.get(self.peek().text)
@@ -407,43 +410,27 @@ class _Parser:
 
     def _primary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text in _CONSTANTS:
+        if tok.text in _CONSTANTS:
             self.next()
             return _CONSTANTS[tok.text]()
-        if tok.kind == "ident" and tok.text in _QUANTIFIERS:
+        if tok.text in _QUANTIFIERS:
             self.next()
             var = self.expect_ident("quantified variable")
-            self.expect_op(":")
+            self.expect(":")
             sort = self.expect_ident("sort name")
-            self.expect_op(".")
+            self.expect(".")
             body = self._nested(tok, self.formula)
             return _QUANTIFIERS[tok.text](var.text, sort.text, body)
-        if (
-            tok.kind == "ident"
-            and tok.text not in RESERVED
-            and self.peek(1).kind == "op"
-            and self.peek(1).text == "("
-        ):
-            return self._relation_atom()
+        if tok.kind == "ident" and tok.text not in RESERVED and self.peek(1).text == "(":
+            self.pos += 2
+            args = self.items(self._term)
+            self.expect(")")
+            return Atom(tok.text, tuple(args), span=tok.span)
         return self._comparison(tok)
-
-    def _relation_atom(self) -> Formula:
-        name = self.expect_ident("relation name")
-        self.expect_op("(")
-        args: list = [self._term()]
-        while self.accept_op(","):
-            args.append(self._term())
-        self.expect_op(")")
-        return Atom(name.text, tuple(args), span=name.span)
 
     def _term(self):
         tok = self.peek()
-        if (
-            tok.kind == "ident"
-            and tok.text not in _FUNCTIONS
-            and self.peek(1).kind == "op"
-            and self.peek(1).text in (",", ")")
-        ):
+        if tok.kind == "ident" and tok.text not in _FUNCTIONS and self.peek(1).text in (",", ")"):
             self.next()
             return Sym(tok.text)
         return NumTerm(self.num_expr())
@@ -451,23 +438,25 @@ class _Parser:
     def _comparison(self, start: Token) -> Formula:
         saved = self.pos
         try:
-            lhs = self.num_expr()
-            cmp_tok = self.peek()
-            if cmp_tok.kind == "op" and cmp_tok.text in COMPARATORS:
-                self.next()
-                rhs = self.num_expr()
-                return Compare(ConstraintAtom(lhs, cmp_tok.text, rhs), span=start.span)
-            if not (start.kind == "op" and start.text == "("):
-                self.fail("expected a comparison operator", cmp_tok.span)
+            return Compare(self._constraint(), span=start.span)
         except DslError:
-            if not (start.kind == "op" and start.text == "("):
+            if start.text != "(":
                 raise
         # fall back to a parenthesized formula
         self.pos = saved
-        self.expect_op("(")
+        self.expect("(")
         inner = self._nested(start, self.formula)
-        self.expect_op(")")
+        self.expect(")")
         return inner
+
+    def _constraint(self, check=lambda side: side) -> ConstraintAtom:
+        """`lhs CMP rhs`, passing each side through `check` once both parse."""
+        lhs = self.num_expr()
+        if self.peek().text not in COMPARATORS:
+            self.fail("expected a comparison operator")
+        cmp = self.next().text
+        rhs = self.num_expr()
+        return ConstraintAtom(check(lhs), cmp, check(rhs))
 
     # -- numeric expressions
 
@@ -480,26 +469,25 @@ class _Parser:
     def _num_primary(self) -> NumExpr:
         tok = self.peek()
         if tok.kind == "rational":
-            self.next()
-            return Const(text_to_rational(tok.text))
-        if self.accept_op("("):
+            return Const(self.rational())
+        if self.accept("("):
             inner = self._nested(tok, self.num_expr)
-            self.expect_op(")")
+            self.expect(")")
             return inner
         if tok.kind == "ident":
             if tok.text in _FUNCTIONS:
                 self.next()
-                self.expect_op("(")
+                self.expect("(")
                 names = [self.expect_ident("entity").text]
                 for _ in _FUNCTIONS[tok.text].SYMBOLS[1:]:
-                    self.expect_op(",")
+                    self.expect(",")
                     names.append(self.expect_ident("entity").text)
-                self.expect_op(")")
+                self.expect(")")
                 return _FUNCTIONS[tok.text](*names)
             if tok.text in RESERVED:
                 self.fail(f"{tok.text!r} is a reserved word")
             self.next()
-            if self.accept_op("."):
+            if self.accept("."):
                 param = self.expect_ident("parameter name", allow_reserved=True)
                 return ParamRef(tok.text, param.text)
             return NameRef(tok.text)
@@ -508,56 +496,40 @@ class _Parser:
     # -- theory
 
     def theory(self) -> Theory:
-        self.expect_word("theory")
+        self.expect("theory")
         name = self.expect_ident("theory name")
         sorts: list[Sort] = []
         roles: list[tuple[str, str]] = []
         relations: list[RelationSig] = []
         params: list[tuple[str, Fraction]] = []
         axioms: list[Formula] = []
-        while not self.at_word("end"):
-            if self.accept_word("sort"):
+        while not self.accept("end"):
+            if self.accept("sort"):
                 child = self.expect_ident("sort name")
-                self.expect_op("<")
+                self.expect("<")
                 parent = self.expect_ident("parent sort")
                 sorts.append(Sort(child.text, parent.text))
-            elif self.accept_word("role"):
-                names = [self.expect_ident("role name")]
-                while self.accept_op(","):
-                    names.append(self.expect_ident("role name"))
-                self.expect_op(":")
+            elif self.accept("role"):
+                names = self.items(lambda: self.expect_ident("role name").text)
+                self.expect(":")
                 sort = self.expect_ident("sort name")
-                roles.extend((n.text, sort.text) for n in names)
-            elif self.accept_word("relation"):
+                roles.extend((n, sort.text) for n in names)
+            elif self.accept("relation"):
                 rel = self.expect_ident("relation name")
-                self.expect_op("(")
-                arg_sorts = [self.expect_ident("sort name").text]
-                while self.accept_op(","):
-                    arg_sorts.append(self.expect_ident("sort name").text)
-                self.expect_op(")")
+                self.expect("(")
+                arg_sorts = self.items(lambda: self.expect_ident("sort name").text)
+                self.expect(")")
                 definition = None
-                if self.accept_op(":="):
-                    lhs = self.num_expr()
-                    cmp_tok = self.peek()
-                    if cmp_tok.kind != "op" or cmp_tok.text not in COMPARATORS:
-                        self.fail("expected a comparison operator")
-                    self.next()
-                    rhs = self.num_expr()
-                    definition = ConstraintAtom(
-                        self._shallow(lhs, rel), cmp_tok.text, self._shallow(rhs, rel)
-                    )
+                if self.accept(":="):
+                    definition = self._constraint(lambda side: self._shallow(side, rel))
                 relations.append(RelationSig(rel.text, tuple(arg_sorts), definition))
-            elif self.accept_word("param"):
-                pname = self.expect_ident("parameter name")
-                self.expect_op("=")
-                params.append((pname.text, self.expect_rational()))
-            elif self.accept_word("axiom"):
+            elif self.accept("param"):
+                params.append(self._assignment("parameter name"))
+            elif self.accept("axiom"):
                 axioms.append(self.formula())
             else:
                 self.fail("expected sort, role, relation, param, axiom, or end")
-        self.expect_word("end")
-        if self.peek().kind != "eof":
-            self.fail("unexpected trailing input")
+        self.end()
         return Theory(
             name=name.text,
             sorts=tuple(sorts),
@@ -567,28 +539,31 @@ class _Parser:
             numeric_params=tuple(params),
         )
 
+    def _assignment(self, what: str) -> tuple[str, Fraction]:
+        """`name = rational`, where `what` describes the name."""
+        name = self.expect_ident(what)
+        self.expect("=")
+        return name.text, self.expect_rational()
+
     # -- scenario
 
     def scenario(self) -> Scenario:
-        self.expect_word("scenario")
+        self.expect("scenario")
         name = self.expect_ident("scenario name")
         entities: list[EntityDecl] = []
-        while self.at_word("entity"):
+        while self.accept("entity"):
             entities.append(self._entity_decl())
-        trace = None
-        rules = None
-        horizon = None
-        if self.at_word("trace"):
+        trace = rules = horizon = None
+        if self.accept("trace"):
             trace = self._trace_block(entities)
-        elif self.at_word("rules"):
+        elif self.accept("rules"):
             rules = self._rules_block()
-            self.expect_word("horizon")
+            self.expect("horizon")
             horizon = self.expect_nat()
         else:
             self.fail("expected a trace block or a rules block")
-        self.expect_word("end")
-        if self.peek().kind != "eof":
-            self.fail("unexpected trailing input")
+        self.expect("end")
+        self.end()
         try:
             return declare_scenario(
                 entities, trace=trace, rules=rules, horizon=horizon, name=name.text
@@ -597,62 +572,51 @@ class _Parser:
             self.fail(str(exc), name.span)
 
     def _entity_decl(self) -> EntityDecl:
-        self.expect_word("entity")
         eid = self.expect_ident("entity id")
-        self.expect_op(":")
+        self.expect(":")
         sort = self.expect_ident("sort name")
-        self.expect_op("=")
+        self.expect("=")
         shape_tok = self.expect_ident("shape name", allow_reserved=True)
         shape = _SHAPES.get(shape_tok.text)
         if shape is None:
             self.fail(f"unknown shape {shape_tok.text!r}", shape_tok.span)
-        self.expect_op("(")
-        values = [self.expect_rational()]
-        while self.accept_op(","):
-            values.append(self.expect_rational())
-        self.expect_op(")")
-        attrs: list[tuple[str, Fraction]] = []
-        if self.accept_word("with"):
-            while True:
-                aname = self.expect_ident("attribute name")
-                self.expect_op("=")
-                attrs.append((aname.text, self.expect_rational()))
-                if not self.accept_op(","):
-                    break
+        self.expect("(")
+        values = self.items(self.expect_rational)
+        self.expect(")")
+        attrs = []
+        if self.accept("with"):
+            attrs = self.items(lambda: self._assignment("attribute name"))
         try:
             return make_entity(eid.text, sort.text, shape, values, attrs)
         except IschemaError as exc:
             self.fail(str(exc), eid.span)
 
     def _trace_block(self, entities: list[EntityDecl]) -> Trace:
-        self.expect_word("trace")
-        self.expect_word("length")
+        self.expect("length")
         length_tok = self.peek()
         length = self.expect_nat()
         if length < 1:
             self.fail("trace length must be at least 1", length_tok.span)
         overrides: dict[int, dict[tuple[str, str], Fraction]] = {}
-        ids = {e.id for e in entities}
-        while self.at_word("state"):
-            self.expect_word("state")
+        decls = {e.id: e for e in reversed(entities)}  # the first of a repeated id
+        while self.accept("state"):
             idx_tok = self.peek()
             idx = self.expect_nat()
             if idx >= length:
                 self.fail(f"state index {idx} outside trace of length {length}", idx_tok.span)
             block = overrides.setdefault(idx, {})
-            self.expect_op("{")
-            while not self.at_op("}"):
+            self.expect("{")
+            while not self.accept("}"):
                 ent = self.expect_ident("entity id")
-                if ent.text not in ids:
+                decl = decls.get(ent.text)
+                if decl is None:
                     self.fail(f"unknown entity {ent.text!r}", ent.span)
-                self.expect_op(".")
+                self.expect(".")
                 pname = self.expect_ident("parameter name", allow_reserved=True)
-                decl = next(e for e in entities if e.id == ent.text)
                 if pname.text not in decl.param_names():
                     self.fail(f"{ent.text} has no parameter {pname.text!r}", pname.span)
-                self.expect_op("=")
+                self.expect("=")
                 block[(ent.text, pname.text)] = self.expect_rational()
-            self.expect_op("}")
         states = []
         current = {(e.id, n): v for e in entities for n, v in e.params}
         for t in range(length):
@@ -661,50 +625,34 @@ class _Parser:
         return Trace(tuple(states))
 
     def _rules_block(self) -> list[dynamics.Rule]:
-        self.expect_word("rules")
         rules: list[dynamics.Rule] = []
         while True:
-            if self.at_word("gravity"):
-                self.next()
-                self.expect_op("(")
+            if self.accept("gravity"):
+                self.expect("(")
                 delta_tok = self.peek()
                 delta = self.expect_rational()
-                self.expect_op(")")
+                self.expect(")")
                 try:
                     rules.append(dynamics.gravity_rule(delta))
                 except IschemaError as exc:
                     self.fail(str(exc), delta_tok.span)
-            elif self.at_word("umph"):
-                self.next()
-                label = self.expect_ident("force label")
-                self.expect_word("on")
-                target = self.expect_ident("entity id")
-                self.expect_op("(")
-                dx = self.expect_rational()
-                self.expect_op(",")
-                dy = self.expect_rational()
-                self.expect_op(")")
-                mode = "passive" if self.accept_word("passive") else "active"
-                until = self.formula() if self.accept_word("until") else None
-                rules.append(
-                    dynamics.umph_rule(label.text, target.text, dx, dy, mode=mode, until=until)
-                )
-            elif self.at_word("rule"):
-                self.next()
+            elif self.accept("umph"):
+                f, span = self._push()
+                until = self.formula() if self.accept("until") else None
+                rules.append(dynamics.umph_rule(f.label, f.target, f.dx, f.dy, f.mode, until, span))
+            elif self.accept("rule"):
                 rname = self.expect_ident("rule name")
                 scope = None
-                if self.accept_word("forall"):
+                if self.accept("forall"):
                     var = self.expect_ident("variable")
-                    self.expect_op(":")
+                    self.expect(":")
                     sort = self.expect_ident("sort name")
                     scope = (var.text, sort.text)
-                self.expect_word("when")
+                self.expect("when")
                 condition = self.formula()
-                self.expect_word("do")
-                effects = [self._effect()]
-                while self.accept_op(","):
-                    effects.append(self._effect())
-                until = self.formula() if self.accept_word("until") else None
+                self.expect("do")
+                effects = self.items(self._effect)
+                until = self.formula() if self.accept("until") else None
                 rules.append(
                     dynamics.Rule(
                         name=rname.text,
@@ -717,46 +665,49 @@ class _Parser:
             else:
                 return rules
 
+    def _push(self) -> tuple[ForceFluent, SourceSpan]:
+        """`label on target (dx, dy) [passive]`, as umph and addforce write it,
+        with the target's span."""
+        label = self.expect_ident("force label")
+        self.expect("on")
+        target = self.expect_ident("entity id")
+        self.expect("(")
+        dx = self.expect_rational()
+        self.expect(",")
+        dy = self.expect_rational()
+        self.expect(")")
+        mode = "passive" if self.accept("passive") else "active"
+        return ForceFluent(label.text, target.text, dx, dy, mode), target.span
+
     def _effect(self) -> dynamics.Effect:
-        if self.accept_word("addforce"):
+        if self.accept("addforce"):
+            return dynamics.AddForce(*self._push())
+        if self.accept("removeforce"):
             label = self.expect_ident("force label")
-            self.expect_word("on")
+            self.expect("on")
             target = self.expect_ident("entity id")
-            self.expect_op("(")
-            dx = self.expect_rational()
-            self.expect_op(",")
-            dy = self.expect_rational()
-            self.expect_op(")")
-            mode = "passive" if self.accept_word("passive") else "active"
-            return dynamics.AddForce(ForceFluent(label.text, target.text, dx, dy, mode))
-        if self.accept_word("removeforce"):
-            label = self.expect_ident("force label")
-            self.expect_word("on")
-            target = self.expect_ident("entity id")
-            return dynamics.RemoveForce(label.text, target.text)
+            return dynamics.RemoveForce(label.text, target.text, target.span)
         ent = self.expect_ident("entity id or variable")
-        self.expect_op(".")
+        self.expect(".")
         param = self.expect_ident("parameter name", allow_reserved=True)
-        if self.accept_op(":="):
-            return dynamics.SetParam(ent.text, param.text, self._shallow(self.num_expr(), ent))
-        if self.accept_op("+="):
-            return dynamics.DeltaParam(ent.text, param.text, self._shallow(self.num_expr(), ent))
+        for op, effect in ((":=", dynamics.SetParam), ("+=", dynamics.DeltaParam)):
+            if self.accept(op):
+                return effect(ent.text, param.text, self._shallow(self.num_expr(), ent), ent.span)
         self.fail("expected := or += in effect")
 
 
 def parse_theory(text: str, filename: str = "<input>") -> Theory:
-    return _Parser(tokenize(text, filename), filename).theory()
+    return _Parser(tokenize(text, filename)).theory()
 
 
 def parse_scenario(text: str, filename: str = "<input>") -> Scenario:
-    return _Parser(tokenize(text, filename), filename).scenario()
+    return _Parser(tokenize(text, filename)).scenario()
 
 
 def parse_formula(text: str, filename: str = "<formula>") -> Formula:
-    parser = _Parser(tokenize(text, filename), filename)
+    parser = _Parser(tokenize(text, filename))
     phi = parser.formula()
-    if parser.peek().kind != "eof":
-        parser.fail("unexpected trailing input")
+    parser.end()
     return phi
 
 
@@ -771,19 +722,12 @@ class _SortChecker:
         self.numeric_params = numeric_params
         self.entity_sorts = entity_sorts
         self.diagnostics: list[Diagnostic] = []
-        self._fallback_span = SourceSpan("<input>", 1, 1, 0)
 
     def error(self, code: str, message: str, span) -> None:
-        self.diagnostics.append(
-            Diagnostic("error", code, message, span or self._fallback_span)
-        )
+        self.diagnostics.append(Diagnostic("error", code, message, span or _NO_SPAN))
 
     def term_sort(self, name: str, scope: dict[str, str]) -> Optional[str]:
-        if name in scope:
-            return scope[name]
-        if name in self.entity_sorts:
-            return self.entity_sorts[name]
-        return None
+        return scope.get(name, self.entity_sorts.get(name))
 
     def check(self, node: Node, scope: dict[str, str], span=None) -> None:
         """Sort-check a formula or numeric expression. `span` locates errors
@@ -843,7 +787,8 @@ class _SortChecker:
             for (name, sort), expected in zip(entity_terms, sig.arg_sorts):
                 if not self.hierarchy.known(expected):
                     self.error("unknown-sort", f"unknown sort {expected!r}", atom.span)
-                elif not self.hierarchy.subsort_of(sort, expected):
+                # a term of unknown sort was reported where its sort was declared
+                elif self.hierarchy.known(sort) and not self.hierarchy.subsort_of(sort, expected):
                     self.error(
                         "sort-mismatch",
                         f"{atom.relation} expects {expected} here, but {name} has sort {sort}",
@@ -862,7 +807,7 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
         try:
             hierarchy = hierarchy or obj.hierarchy()
         except IschemaError as exc:
-            return [Diagnostic("error", "unknown-sort", str(exc), SourceSpan("<input>", 1, 1, 0))]
+            return [Diagnostic("error", "unknown-sort", str(exc), _NO_SPAN)]
         relations = {sig.name: sig for sig in obj.relations}
         checker = _SortChecker(
             hierarchy,
@@ -888,8 +833,8 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
 
     if isinstance(obj, Scenario):
         hierarchy = hierarchy or SortHierarchy()
-        entity_sorts = {e.id: e.sort for e in obj.entities}
-        checker = _SortChecker(hierarchy, {}, set(), entity_sorts)
+        decls = {e.id: e for e in obj.entities}
+        checker = _SortChecker(hierarchy, {}, set(), {e.id: e.sort for e in obj.entities})
         for rule in obj.rules or ():
             scope = dict([rule.scope]) if rule.scope else {}
             if rule.scope and not hierarchy.known(rule.scope[1]):
@@ -900,33 +845,18 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
                 checker.check(rule.until, scope)
             for eff in rule.effects:
                 if isinstance(eff, (dynamics.SetParam, dynamics.DeltaParam)):
-                    if eff.target in entity_sorts:
-                        decl = next(e for e in obj.entities if e.id == eff.target)
-                        if eff.param not in decl.param_names():
-                            checker.error(
-                                "unknown-parameter",
-                                f"{eff.target} has no parameter {eff.param!r}",
-                                None,
-                            )
-                    elif rule.scope is None or eff.target != rule.scope[0]:
-                        checker.error(
-                            "unbound-symbol", f"unknown effect target {eff.target!r}", None
-                        )
-                    checker.check(eff.expr, scope)
-                elif isinstance(eff, dynamics.AddForce):
-                    if eff.force.target not in entity_sorts:
-                        checker.error(
-                            "unbound-symbol",
-                            f"force targets unknown entity {eff.force.target!r}",
-                            None,
-                        )
-                elif isinstance(eff, dynamics.RemoveForce):
-                    if eff.target not in entity_sorts:
-                        checker.error(
-                            "unbound-symbol",
-                            f"force targets unknown entity {eff.target!r}",
-                            None,
-                        )
+                    decl = decls.get(eff.target)
+                    if decl is not None and eff.param not in decl.param_names():
+                        message = f"{eff.target} has no parameter {eff.param!r}"
+                        checker.error("unknown-parameter", message, eff.span)
+                    elif decl is None and eff.target not in scope:
+                        message = f"unknown effect target {eff.target!r}"
+                        checker.error("unbound-symbol", message, eff.span)
+                    checker.check(eff.expr, scope, eff.span)
+                elif isinstance(eff, (dynamics.AddForce, dynamics.RemoveForce)):
+                    if eff.target not in decls:
+                        message = f"force targets unknown entity {eff.target!r}"
+                        checker.error("unbound-symbol", message, eff.span)
         return checker.diagnostics
 
     raise TypeError(f"cannot sort-check {obj!r}")
@@ -966,8 +896,7 @@ def _leaf_text(node: Node) -> str:
         args = (t.name if isinstance(t, Sym) else formula_to_text(t.expr) for t in node.args)
         return f"{node.relation}({', '.join(args)})"
     if isinstance(node, Compare):
-        c = node.constraint
-        return f"{formula_to_text(c.lhs)} {c.cmp} {formula_to_text(c.rhs)}"
+        return _constraint_text(node.constraint)
     if isinstance(node, Const):
         return rational_to_text(node.value)
     if isinstance(node, ParamRef):
@@ -975,6 +904,10 @@ def _leaf_text(node: Node) -> str:
     if isinstance(node, NameRef):
         return node.name
     raise TypeError(f"cannot print {node!r}")
+
+
+def _constraint_text(c: ConstraintAtom) -> str:
+    return f"{formula_to_text(c.lhs)} {c.cmp} {formula_to_text(c.rhs)}"
 
 
 def serialize_theory(theory: Theory) -> str:
@@ -986,8 +919,7 @@ def serialize_theory(theory: Theory) -> str:
     for sig in theory.relations:
         decl = f"  relation {sig.name}({', '.join(sig.arg_sorts)})"
         if sig.definition is not None:
-            c = sig.definition
-            decl += f" := {formula_to_text(c.lhs)} {c.cmp} {formula_to_text(c.rhs)}"
+            decl += " := " + _constraint_text(sig.definition)
         lines.append(decl)
     for name, value in theory.numeric_params:
         lines.append(f"  param {name} = {rational_to_text(value)}")
@@ -997,15 +929,18 @@ def serialize_theory(theory: Theory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _push_text(f: ForceFluent) -> str:
+    text = f"{f.label} on {f.target} ({rational_to_text(f.dx)}, {rational_to_text(f.dy)})"
+    return text + (" passive" if f.mode == "passive" else "")
+
+
 def _effect_to_text(eff) -> str:
     if isinstance(eff, dynamics.SetParam):
         return f"{eff.target}.{eff.param} := {formula_to_text(eff.expr)}"
     if isinstance(eff, dynamics.DeltaParam):
         return f"{eff.target}.{eff.param} += {formula_to_text(eff.expr)}"
     if isinstance(eff, dynamics.AddForce):
-        f = eff.force
-        text = f"addforce {f.label} on {f.target} ({rational_to_text(f.dx)}, {rational_to_text(f.dy)})"
-        return text + (" passive" if f.mode == "passive" else "")
+        return "addforce " + _push_text(eff.force)
     if isinstance(eff, dynamics.RemoveForce):
         return f"removeforce {eff.label} on {eff.target}"
     raise TypeError(f"cannot print effect {eff!r}")
@@ -1013,23 +948,18 @@ def _effect_to_text(eff) -> str:
 
 def _rule_to_text(rule: dynamics.Rule) -> str:
     if rule.kind == "gravity":
-        delta = rule.effects[0].delta
-        return f"  gravity({rational_to_text(delta)})"
+        return f"  gravity({rational_to_text(rule.effects[0].delta)})"
     if rule.kind == "umph":
         label = rule.name.split(":", 1)[1]
-        dx = rule.effects[0].expr.value
-        dy = rule.effects[1].expr.value
-        text = f"  umph {label} on {rule.effects[0].target} ({rational_to_text(dx)}, {rational_to_text(dy)})"
-        if rule.mode == "passive":
-            text += " passive"
-        if rule.until is not None:
-            text += f" until {formula_to_text(rule.until)}"
-        return text
-    text = f"  rule {rule.name}"
-    if rule.scope is not None:
-        text += f" forall {rule.scope[0]} : {rule.scope[1]}"
-    text += f" when {formula_to_text(rule.condition)}"
-    text += " do " + ", ".join(_effect_to_text(e) for e in rule.effects)
+        dx, dy = (e.expr.value for e in rule.effects)
+        push = ForceFluent(label, rule.effects[0].target, dx, dy, rule.mode)
+        text = "  umph " + _push_text(push)
+    else:
+        text = f"  rule {rule.name}"
+        if rule.scope is not None:
+            text += f" forall {rule.scope[0]} : {rule.scope[1]}"
+        text += f" when {formula_to_text(rule.condition)}"
+        text += " do " + ", ".join(_effect_to_text(e) for e in rule.effects)
     if rule.until is not None:
         text += f" until {formula_to_text(rule.until)}"
     return text
@@ -1091,10 +1021,9 @@ def _force_to_json(f: ForceFluent) -> dict:
     }
 
 
-def serialize_trace(trace: Trace, entities: Sequence[EntityDecl]) -> str:
-    """Canonical JSON: sorted keys, exact rational strings, byte-identical for
-    equal traces."""
-    doc = {
+def trace_to_json(trace: Trace, entities: Sequence[EntityDecl]) -> dict:
+    """The JSON document of a trace, with exact rational strings."""
+    return {
         "length": trace.length,
         "entities": [_entity_to_json(e) for e in entities],
         "states": [
@@ -1112,7 +1041,12 @@ def serialize_trace(trace: Trace, entities: Sequence[EntityDecl]) -> str:
             for s in trace.states
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def serialize_trace(trace: Trace, entities: Sequence[EntityDecl]) -> str:
+    """Canonical JSON: sorted keys, exact rational strings, byte-identical for
+    equal traces."""
+    return json.dumps(trace_to_json(trace, entities), sort_keys=True, indent=2) + "\n"
 
 
 def parse_trace_json(text: str) -> tuple[tuple[EntityDecl, ...], Trace]:

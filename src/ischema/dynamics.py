@@ -9,7 +9,7 @@ directed-push forces are built-in rule constructors.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -46,6 +46,9 @@ from .tree import Node
 
 
 class Effect:
+    """A rule effect. Parsed effects carry their target's source `span`,
+    which equality ignores."""
+
     __slots__ = ()
 
 
@@ -54,6 +57,7 @@ class SetParam(Effect):
     target: str  # entity id or the rule's scope variable
     param: str
     expr: NumExpr
+    span: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,7 @@ class DeltaParam(Effect):
     target: str
     param: str
     expr: NumExpr
+    span: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,18 @@ class Fall(Effect):
 @dataclass(frozen=True)
 class AddForce(Effect):
     force: ForceFluent
+    span: Optional[object] = field(default=None, compare=False, repr=False)
+
+    @property
+    def target(self) -> str:
+        return self.force.target
 
 
 @dataclass(frozen=True)
 class RemoveForce(Effect):
     label: str
     target: str
+    span: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -130,16 +141,18 @@ def umph_rule(
     dy: Fraction | int,
     mode: str = "active",
     until: Optional[Formula] = None,
+    span: Optional[object] = None,
 ) -> Rule:
     """A persistent directed push: displace `target` by (dx, dy) every step,
-    optionally until a goal condition holds."""
+    optionally until a goal condition holds. `span` locates `target` in the
+    source."""
     dx, dy = Fraction(dx), Fraction(dy)
     return Rule(
         name=f"umph:{label}",
         condition=TrueF(),
         effects=(
-            DeltaParam(target, "x", geometry.Const(dx)),
-            DeltaParam(target, "y", geometry.Const(dy)),
+            DeltaParam(target, "x", geometry.Const(dx), span),
+            DeltaParam(target, "y", geometry.Const(dy), span),
         ),
         until=until,
         kind="umph",

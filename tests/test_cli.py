@@ -457,3 +457,47 @@ def test_nesting_past_the_limit_exits_two(runner, tmp_path, axiom):
     result = _run(runner, ["check", ist, scn, "--bind", "x=p"])
     _assert_usage_error(result, "deep.ist:3:")
     assert "nesting deeper than 64 levels" in _stderr(result)
+
+
+def test_zero_denominator_is_a_parse_error(runner, tmp_path):
+    scn = tmp_path / "zero.scn"
+    scn.write_text("scenario z\n  entity o : Object = Point(10, 0/0)\n  trace length 1\nend\n")
+    result = _run(runner, ["classify", str(scn)])
+    _assert_usage_error(result, f"{scn}:2:33: error[syntax]: zero denominator in '0/0'")
+
+
+def test_role_of_unknown_sort_is_a_sort_error(runner, tmp_path):
+    ist = tmp_path / "spg.ist"
+    ist.write_text(_data_text("SOURCE_PATH_GOAL.ist").replace("w2 : Region", "w2 : Regio"))
+    result = _run(runner, ["check", str(ist), _path("path3.scn")])
+    _assert_usage_error(result, "<input>:1:1: error[unknown-sort]: role 'w2' has unknown sort 'Regio'")
+
+
+@pytest.mark.parametrize(
+    "effect, column, message",
+    [
+        ("ghost.x += 1", 25, "error[unbound-symbol]: unknown effect target 'ghost'"),
+        ("o.z := 1", 25, "error[unknown-parameter]: o has no parameter 'z'"),
+        ("o.x := k", 25, "error[unbound-symbol]: 'k' is not a declared numeric parameter"),
+        ("addforce k on ghost (1, 0)", 39,
+         "error[unbound-symbol]: force targets unknown entity 'ghost'"),
+        ("removeforce k on ghost", 42,
+         "error[unbound-symbol]: force targets unknown entity 'ghost'"),
+    ],
+    ids=["delta-target", "set-parameter", "expression", "addforce", "removeforce"],
+)
+def test_effect_diagnostics_have_a_position(runner, tmp_path, effect, column, message):
+    scn = tmp_path / "ghost.scn"
+    scn.write_text(
+        "scenario g\n  entity o : Object = Point(0, 0)\n  rules\n"
+        f"    rule r when true do {effect}\n  horizon 2\nend\n"
+    )
+    result = _run(runner, ["simulate", str(scn)])
+    _assert_usage_error(result, f"{scn}:4:{column}: {message}")
+
+
+def test_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path):
+    scn = tmp_path / "binary.scn"
+    scn.write_bytes(b"\xffscenario")
+    result = _run(runner, ["classify", str(scn)])
+    _assert_usage_error(result, f"error: {scn} is not UTF-8 text: invalid start byte at byte 0")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ischema.dsl import (
     serialize_trace,
     sort_check,
     text_to_rational,
+    trace_to_json,
 )
 from ischema.errors import UnknownRelation
 from ischema.geometry import BUILTIN_RELATIONS, EvalContext
@@ -118,6 +120,114 @@ def test_parse_error_has_position():
     assert diag.span.file == "bad.ist"
     assert diag.span.line == 1
     assert diag.span.column > 0
+
+
+_ENTITY = "scenario s\n  entity o : Object = Point(0, 0)\n"
+_RULES = _ENTITY + "  rules\n    "
+
+# One malformed input for each message the lexer and the parser can give,
+# with each description that `expected ...` names, and the exact diagnostic.
+GOLDEN_DIAGNOSTICS = [
+    (parse_theory, "theory T\n  axiom o.x @ 1\nend",
+     "g:2:13: error[syntax]: unexpected character '@'"),
+    (parse_theory, "theory T\n  role a Object\nend",
+     "g:2:10: error[syntax]: expected ':'"),
+    (parse_scenario, _ENTITY + "  trace length 1\n",
+     "g:4:1: error[syntax]: expected keyword 'end'"),
+    (parse_scenario, _RULES + "umph push at o (1, 0)\n  horizon 1\nend",
+     "g:4:15: error[syntax]: expected keyword 'on'"),
+    (parse_theory, "theory 1 end",
+     "g:1:8: error[syntax]: expected theory name"),
+    (parse_theory, "theory T\n  sort 1 < Object\nend",
+     "g:2:8: error[syntax]: expected sort name"),
+    (parse_theory, "theory T\n  sort A < 1\nend",
+     "g:2:12: error[syntax]: expected parent sort"),
+    (parse_theory, "theory T\n  role 1 : Object\nend",
+     "g:2:8: error[syntax]: expected role name"),
+    (parse_theory, "theory T\n  relation 1(Object)\nend",
+     "g:2:12: error[syntax]: expected relation name"),
+    (parse_theory, "theory T\n  param 1 = 2\nend",
+     "g:2:9: error[syntax]: expected parameter name"),
+    (parse_formula, "forall 1 : Object . true",
+     "g:1:8: error[syntax]: expected quantified variable"),
+    (parse_formula, "delta(a, 1) < 2",
+     "g:1:10: error[syntax]: expected entity"),
+    (parse_formula, "a.1 < 2",
+     "g:1:3: error[syntax]: expected parameter name"),
+    (parse_scenario, "scenario 1 end",
+     "g:1:10: error[syntax]: expected scenario name"),
+    (parse_scenario, "scenario s\n  entity 1 : Object = Point(0, 0)\nend",
+     "g:2:10: error[syntax]: expected entity id"),
+    (parse_scenario, "scenario s\n  entity o : Object = 1(0, 0)\nend",
+     "g:2:23: error[syntax]: expected shape name"),
+    (parse_scenario, "scenario s\n  entity o : Object = Point(0, 0) with 1 = 2\nend",
+     "g:2:40: error[syntax]: expected attribute name"),
+    (parse_scenario, _RULES + "umph 1 on o (1, 0)\n  horizon 1\nend",
+     "g:4:10: error[syntax]: expected force label"),
+    (parse_scenario, _RULES + "rule r forall 1 : Object when true do o.x += 1\n  horizon 1\nend",
+     "g:4:19: error[syntax]: expected variable"),
+    (parse_scenario, _RULES + "rule 1 when true do o.x += 1\n  horizon 1\nend",
+     "g:4:10: error[syntax]: expected rule name"),
+    (parse_scenario, _RULES + "rule r when true do 1.x += 1\n  horizon 1\nend",
+     "g:4:25: error[syntax]: expected entity id or variable"),
+    (parse_theory, "theory axiom end",
+     "g:1:8: error[syntax]: 'axiom' is a reserved word"),
+    (parse_scenario, _ENTITY + "  trace length x\nend",
+     "g:3:16: error[syntax]: expected a natural number"),
+    (parse_scenario, "scenario s\n  entity o : Object = Point(0, x)\nend",
+     "g:2:32: error[syntax]: expected a rational number"),
+    (parse_scenario, "scenario s\n  entity o : Object = Point(0, 0/0)\nend",
+     "g:2:32: error[syntax]: zero denominator in '0/0'"),
+    (parse_formula, "o.x < 1/0",
+     "g:1:7: error[syntax]: zero denominator in '1/0'"),
+    (parse_formula, "not " * 65 + "true",
+     "g:1:257: error[syntax]: nesting deeper than 64 levels"),
+    (parse_formula, "o.x + 1",
+     "g:1:8: error[syntax]: expected a comparison operator"),
+    (parse_formula, "o.x < )",
+     "g:1:7: error[syntax]: expected a numeric expression"),
+    (parse_theory, "theory T\n  sorts A < Object\nend",
+     "g:2:3: error[syntax]: expected sort, role, relation, param, axiom, or end"),
+    (parse_theory, "theory T\nend\nend",
+     "g:3:1: error[syntax]: unexpected trailing input"),
+    (parse_scenario, _ENTITY + "end",
+     "g:3:1: error[syntax]: expected a trace block or a rules block"),
+    (parse_scenario, "scenario s\n  entity o : Object = Blob(0, 0)\nend",
+     "g:2:23: error[syntax]: unknown shape 'Blob'"),
+    (parse_scenario, _ENTITY + "  trace length 0\nend",
+     "g:3:16: error[syntax]: trace length must be at least 1"),
+    (parse_scenario, _ENTITY + "  trace length 2\n    state 2 { o.x = 1 }\nend",
+     "g:4:11: error[syntax]: state index 2 outside trace of length 2"),
+    (parse_scenario, _ENTITY + "  trace length 1\n    state 0 { q.x = 1 }\nend",
+     "g:4:15: error[syntax]: unknown entity 'q'"),
+    (parse_scenario, _ENTITY + "  trace length 1\n    state 0 { o.r = 1 }\nend",
+     "g:4:17: error[syntax]: o has no parameter 'r'"),
+    (parse_scenario, _RULES + "gravity(0)\n  horizon 1\nend",
+     "g:4:13: error[syntax]: gravity step must be positive, got 0"),
+    (parse_scenario, _RULES + "rule r when true do o.x = 1\n  horizon 1\nend",
+     "g:4:29: error[syntax]: expected := or += in effect"),
+    (parse_scenario, "scenario s\n  entity o : Thing = Point(0, 0)\nend",
+     "g:2:10: error[syntax]: unknown sort 'Thing' for entity 'o'"),
+    (parse_scenario, "scenario s\n  entity o : Floor = Point(0, 0)\nend",
+     "g:2:10: error[syntax]: shape Point is not admissible at sort 'Floor'"),
+    (parse_scenario, "scenario s\n  entity o : Object = Point(0)\nend",
+     "g:2:10: error[syntax]: Point takes 2 parameters ('x', 'y'), got 1"),
+    (parse_scenario, "scenario s\n  entity o : Object = Point(0, 0) with x = 1\nend",
+     "g:2:10: error[syntax]: attribute 'x' collides with a shape parameter"),
+    (parse_scenario, "scenario s\n  entity c : Container = Circle(0, 0, 0)\nend",
+     "g:2:10: error[syntax]: c.r = 0 must be positive"),
+    (parse_scenario, _ENTITY + "  entity o : Object = Point(1, 1)\n  trace length 1\nend",
+     "g:1:10: error[syntax]: entity 'o' declared twice"),
+    (parse_scenario, _RULES + "gravity(1)\n  horizon 0\nend",
+     "g:1:10: error[syntax]: horizon must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("parse, text, expected", GOLDEN_DIAGNOSTICS)
+def test_golden_diagnostics(parse, text, expected):
+    with pytest.raises(DslError) as err:
+        parse(text, "g")
+    assert [str(d) for d in err.value.diagnostics] == [expected]
 
 
 def test_nesting_depth_counts_formula_and_expression_levels():
@@ -296,6 +406,54 @@ def test_sort_check_rejects_stray_rule_targets():
     assert any("phantom" in m for m in flagged)
 
 
+def test_umph_target_diagnostics_carry_a_position():
+    sc = parse_scenario(_RULES + "umph push on ghost (1, 0)\n  horizon 1\nend", "s")
+    assert {str(d) for d in sort_check(sc)} == {
+        "s:4:18: error[unbound-symbol]: unknown effect target 'ghost'"
+    }
+
+
+# Mutations of the shipped texts: each edit deletes, inserts, replaces or swaps
+# lexemes. The vocabulary adds zero denominators and an unknown sort name.
+_LEXEME = re.compile(r"\d+/\d+|\d+\.\d+|\d+|\w+|:=|\+=|->|<=|>=|!=|\S")
+_MUTATION_VOCABULARY = (
+    "0/0", "1/0", "Regio", "ghost", "end", "(", ")", ",", "-", ":", "=", "<",
+    "on", "passive", "until", "forall", "x", "1", "o.x",
+)
+_SHIPPED_TEXTS = [(parse_theory, _data_text(n + ".ist")) for n in SHIPPED_SCHEMAS] + [
+    (parse_scenario, _data_text(n + ".scn")) for n in SHIPPED_SCENARIOS
+]
+
+
+@given(
+    st.sampled_from(_SHIPPED_TEXTS),
+    st.lists(
+        st.tuples(st.sampled_from("dirs"), st.integers(0, 499), st.integers(0, 499),
+                  st.sampled_from(_MUTATION_VOCABULARY)),
+        min_size=1, max_size=3,
+    ),
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_mutated_texts_parse_or_give_diagnostics(shipped, edits):
+    parse, text = shipped
+    lexemes = _LEXEME.findall(re.sub(r"#[^\n]*", "", text))
+    for op, i, j, word in edits:
+        i, j = i % len(lexemes), j % len(lexemes)
+        if op == "d":
+            del lexemes[i]
+        elif op == "i":
+            lexemes.insert(i, word)
+        elif op == "r":
+            lexemes[i] = word
+        else:
+            lexemes[i], lexemes[j] = lexemes[j], lexemes[i]
+    try:
+        parsed = parse(" ".join(lexemes), "m")
+    except DslError:
+        return
+    sort_check(parsed)
+
+
 # --- round trips --------------------------------------------------------------------
 
 
@@ -330,6 +488,13 @@ def test_trace_json_round_trip_byte_identical(seed):
     assert entities == sc.entities
     assert trace == sc.trace
     assert serialize_trace(trace, entities) == payload
+
+
+def test_trace_json_document_is_what_serialize_trace_prints(fig1_scenario):
+    doc = trace_to_json(fig1_scenario.trace, fig1_scenario.entities)
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == serialize_trace(
+        fig1_scenario.trace, fig1_scenario.entities
+    )
 
 
 def test_trace_json_figure_values(fig1_scenario):
