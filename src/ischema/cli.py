@@ -104,6 +104,17 @@ def _rational_option(text: str, what: str) -> Fraction:
         _fail_usage(f"{what} must be a rational number, got {text!r}")
 
 
+def _epsilon_option(text: Optional[str]) -> Fraction:
+    """The --epsilon tolerance: a rational of at least 0, since under a
+    negative one `contact` and `on` could never hold."""
+    if not text:
+        return DEFAULT_EPSILON
+    eps = _rational_option(text, "--epsilon")
+    if eps < 0:
+        _fail_usage(f"--epsilon must not be negative, got {text}")
+    return eps
+
+
 def _print_json(doc) -> None:
     click.echo(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -171,7 +182,7 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
-    eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
+    eps = _epsilon_option(epsilon)
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
     binding = _parse_bindings(binds)
     unbound = [role for role, _ in theory.roles if role not in binding]
@@ -224,7 +235,7 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     if not scenario.is_generative:
         _fail_usage("the scenario already carries a trace; nothing to simulate")
     _check_at_least_one("--steps", steps)
-    eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
+    eps = _epsilon_option(epsilon)
     if delta is not None:
         delta_v = _rational_option(delta, "--delta")
         if delta_v <= 0:
@@ -267,7 +278,7 @@ def cmd_classify(scenario_file, schemas, epsilon, tau, json_output):
     scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
-    eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
+    eps = _epsilon_option(epsilon)
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
     names = [s.strip() for s in schemas.split(",")] if schemas else None
     try:
@@ -307,7 +318,7 @@ def cmd_analogy(scenario_a, scenario_b, schema, epsilon, tau, json_output):
     for sc, path in ((sc_a, scenario_a), (sc_b, scenario_b)):
         if sc.trace is None:
             _fail_usage(f"{path} is generative; run `ischema simulate` first")
-    eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
+    eps = _epsilon_option(epsilon)
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
     try:
         pair = library.analogy(sc_a, sc_b, schema, epsilon=eps, tau=tau_v)
@@ -381,7 +392,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     """
     theory = _load(theory_file, dsl.parse_theory)
     scenario = _load(scenario_file, dsl.parse_scenario)
-    eps = _rational_option(epsilon, "--epsilon") if epsilon else DEFAULT_EPSILON
+    eps = _epsilon_option(epsilon)
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
     _check_at_least_one("--steps", steps)
     _check_at_least_one("--cap", cap)

@@ -420,7 +420,7 @@ class _Parser:
             sort = self.expect_ident("sort name")
             self.expect(".")
             body = self._nested(tok, self.formula)
-            return _QUANTIFIERS[tok.text](var.text, sort.text, body)
+            return _QUANTIFIERS[tok.text](var.text, sort.text, body, span=sort.span)
         if tok.kind == "ident" and tok.text not in RESERVED and self.peek(1).text == "(":
             self.pos += 2
             args = self.items(self._term)
@@ -642,12 +642,12 @@ class _Parser:
                 rules.append(dynamics.umph_rule(f.label, f.target, f.dx, f.dy, f.mode, until, span))
             elif self.accept("rule"):
                 rname = self.expect_ident("rule name")
-                scope = None
+                scope = scope_span = None
                 if self.accept("forall"):
                     var = self.expect_ident("variable")
                     self.expect(":")
                     sort = self.expect_ident("sort name")
-                    scope = (var.text, sort.text)
+                    scope, scope_span = (var.text, sort.text), sort.span
                 self.expect("when")
                 condition = self.formula()
                 self.expect("do")
@@ -660,6 +660,7 @@ class _Parser:
                         effects=tuple(effects),
                         scope=scope,
                         until=until,
+                        scope_span=scope_span,
                     )
                 )
             else:
@@ -736,7 +737,7 @@ class _SortChecker:
             return self.check_atom(node, scope)
         if isinstance(node, (Forall, Exists)):
             if not self.hierarchy.known(node.sort):
-                return self.error("unknown-sort", f"unknown sort {node.sort!r}", span)
+                return self.error("unknown-sort", f"unknown sort {node.sort!r}", node.span)
             scope = {**scope, node.var: node.sort}
         elif isinstance(node, NameRef):
             if node.name not in self.numeric_params and self.term_sort(node.name, scope) is None:
@@ -838,7 +839,7 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
         for rule in obj.rules or ():
             scope = dict([rule.scope]) if rule.scope else {}
             if rule.scope and not hierarchy.known(rule.scope[1]):
-                checker.error("unknown-sort", f"unknown sort {rule.scope[1]!r}", None)
+                checker.error("unknown-sort", f"unknown sort {rule.scope[1]!r}", rule.scope_span)
                 continue
             checker.check(rule.condition, scope)
             if rule.until is not None:

@@ -111,6 +111,7 @@ class Rule:
     shapes: Optional[frozenset[ShapeKind]] = None
     kind: str = "generic"  # generic | gravity | umph
     mode: Optional[str] = None  # umph only: active | passive
+    scope_span: Optional[object] = field(default=None, compare=False, repr=False)  # of the scope's sort
 
 
 def gravity_rule(delta: Fraction | int = 1) -> Rule:
@@ -119,6 +120,8 @@ def gravity_rule(delta: Fraction | int = 1) -> Rule:
     Applies to bottom-bearing shapes (points, circles, rectangles); floors and
     segments are scenery. The drop clamps at the highest surface directly
     beneath, so a body lands exactly in contact instead of overshooting.
+    `step` decides the condition from one horizontal sweep per step, and by
+    the generic evaluator only under a theory's `on` template.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -272,26 +275,54 @@ def _one_state_trace(state: State) -> Trace:
     return Trace((dataclasses.replace(state, time=0),))
 
 
+def _clamped_drop(base: Fraction, surfaces: Iterable[Optional[Fraction]], delta: Fraction) -> Fraction:
+    """How far a body whose bottom is at `base` falls: `delta`, clamped at the
+    highest of `surfaces` at or below `base`."""
+    below = [s for s in surfaces if s is not None and s <= base]
+    return min(delta, base - max(below)) if below else delta
+
+
 def _fall_drop(state: State, ctx: EvalContext, target: str, delta: Fraction) -> Fraction:
+    """How far a `Fall` moves `target`: clamped at the tops of the other
+    entities whose horizontal extent meets its own."""
     decl = ctx.decl(target)
     base = geometry.bottom(state, decl)
     if base is None:
         return Fraction(0)
-    best_gap: Optional[Fraction] = None
-    for other in ctx.entities.values():
-        if other.id == target:
+    near = geometry.x_neighbours(state, ctx.entities.values())[target]
+    return _clamped_drop(base, (geometry.top(state, ctx.entities[y]) for y in near if y != target), delta)
+
+
+def _gravity_effects(rule: Rule, state: State, ctx: EvalContext) -> list[tuple]:
+    """The built-in gravity rule's effects from one horizontal sweep of
+    `state`. `on(x, y)` implies that x's and y's extents meet, so a target
+    is supported iff it rests on one of its sweep neighbours, and only those
+    can stop its fall."""
+    (fall,) = rule.effects
+    domain = set(_domain(ctx, "Entity"))
+    neighbours = geometry.x_neighbours(state, ctx.entities.values())
+    tops = {eid: geometry.top(state, decl) for eid, decl in ctx.entities.items()}
+    out: list[tuple] = []
+    for target in _scope_targets(rule, ctx):
+        decl = ctx.entities[target]
+        base = geometry.bottom(state, decl)
+        if base is None:
             continue
-        surface = geometry.top(state, other)
-        if surface is None or surface > base:
+        near = neighbours[target]
+        # rel_on(x, y) has the conjunct top(y) <= bottom(x) + epsilon; test it first
+        limit = base + ctx.epsilon
+        if any(
+            y in domain
+            and tops[y] is not None
+            and tops[y] <= limit
+            and geometry.rests_on(state, ctx, decl, ctx.entities[y])
+            for y in near
+        ):
             continue
-        if not geometry.horizontal_overlap(state, decl, other):
-            continue
-        gap = base - surface
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-    if best_gap is None:
-        return delta
-    return min(delta, best_gap)
+        drop = _clamped_drop(base, (tops[y] for y in near if y != target), fall.delta)
+        if drop != 0:
+            out.append(("delta", target, "y", -drop))
+    return out
 
 
 def _concrete_effects(
@@ -375,11 +406,16 @@ def step(
     if strata is None:
         strata = stratify(rules, ctx)
 
+    # gravity's fast path decides `not exists y. on(x, y)` for the built-in `on`
+    builtin_on = getattr(ctx.relations.get("on"), "definition", None) is None
     working = state
     all_effects: list[tuple] = []
     for stratum in strata:
         stratum_effects: list[tuple] = []
         for rule in stratum:
+            if rule.kind == "gravity" and builtin_on:
+                stratum_effects.extend(_gravity_effects(rule, working, ctx))
+                continue
             targets: list[Optional[str]] = (
                 _scope_targets(rule, ctx) if rule.scope else [None]
             )

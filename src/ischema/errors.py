@@ -53,6 +53,11 @@ class CoincidentCenters(IschemaError):
     pass
 
 
+class ValueOutOfRange(IschemaError):
+    """An exact value that a distance, angle or measure, computed in
+    floats, needs as a float is beyond the range of a float."""
+
+
 # --- formula evaluation ---------------------------------------------------
 
 class UnboundSymbol(IschemaError):

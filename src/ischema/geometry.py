@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     CoincidentCenters,
@@ -20,6 +20,7 @@ from .errors import (
     UnknownEntity,
     UnknownRelation,
     UnsupportedShapePair,
+    ValueOutOfRange,
 )
 from .model import (
     BUILTIN_HIERARCHY,
@@ -242,6 +243,45 @@ def horizontal_overlap(state: State, a: EntityDecl, b: EntityDecl) -> bool:
     return ia[0] <= ib[1] and ib[0] <= ia[1]
 
 
+def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[str]]:
+    """Each entity's id -> the ids of the entities among `decls` for which
+    `horizontal_overlap` holds with it: itself, every Floor, and every other
+    entity whose closed horizontal extent meets its own.
+
+    One sort of the extents by left end and one sweep over them, the
+    sweep-and-prune broad phase (Cohen et al., I-COLLIDE, I3D 1995): an
+    extent meets the earlier-starting extents that have not ended before its
+    left end.
+    """
+    out: dict[str, list[str]] = {}
+    unbounded: list[str] = []
+    extents: list[tuple[Fraction, Fraction, str]] = []
+    for decl in decls:
+        out[decl.id] = []
+        extent = horizontal_interval(state, decl)
+        if extent is None:
+            unbounded.append(decl.id)
+        else:
+            extents.append((extent[0], extent[1], decl.id))
+    extents.sort(key=lambda e: e[0])
+    active: list[tuple[Fraction, Fraction, str]] = []  # (right, left, id) of open extents
+    for lo, hi, eid in extents:
+        active = [a for a in active if a[0] >= lo]
+        for _, other_lo, other in active:
+            # other_lo <= lo, so this fails only for an extent that a negative
+            # size turned inside out (hi < lo)
+            if other_lo <= hi:
+                out[eid].append(other)
+                out[other].append(eid)
+        if lo <= hi:
+            out[eid].append(eid)
+        active.append((hi, lo, eid))
+    everyone = list(out)
+    for eid in everyone:
+        out[eid] = list(everyone) if eid in unbounded else out[eid] + unbounded
+    return out
+
+
 def distance_squared(state: State, a: EntityDecl, b: EntityDecl) -> Fraction:
     """Exact squared distance; anchors are centers, with Segment/Floor taking
     the nearest point to the other entity's center."""
@@ -275,9 +315,23 @@ def _nearest_point_sq(state: State, decl: EntityDecl, point: tuple[Fraction, Fra
     raise UnsupportedShapePair(f"no nearest-point rule for {decl.shape.value}")
 
 
+def _real(value: Fraction, what: str, factor: float = 1.0) -> float:
+    """`value` times `factor` as a float, for the functions computed in
+    floats (distance, angle, measure); `what` names it in the error raised
+    when it is beyond the range of a float."""
+    try:
+        result = float(value) * factor
+    except OverflowError:
+        result = math.inf
+    if math.isinf(result):
+        raise ValueOutOfRange(f"{what} is beyond the floating-point range")
+    return result
+
+
 def distance(state: State, a: str, b: str, ctx: EvalContext) -> float:
     """Euclidean distance as a real number."""
-    return math.sqrt(distance_squared(state, ctx.decl(a), ctx.decl(b)))
+    d2 = distance_squared(state, ctx.decl(a), ctx.decl(b))
+    return math.sqrt(_real(d2, f"the squared distance between {a} and {b}"))
 
 
 def _offset(state: State, a: EntityDecl, b: EntityDecl, what: str) -> tuple[Fraction, Fraction]:
@@ -293,7 +347,8 @@ def _angle(state: State, a: EntityDecl, b: EntityDecl) -> float:
     dx, dy = _offset(state, a, b, "angular position")
     if dx == 0 and dy == 0:
         raise CoincidentCenters(f"{a.id} and {b.id} share a center")
-    return math.atan2(float(dy), float(dx))
+    what = f"the offset of {a.id} from {b.id}"
+    return math.atan2(_real(dy, what), _real(dx, what))
 
 
 def angular_position(state: State, x: str, y: str, ctx: EvalContext) -> float:
@@ -312,9 +367,13 @@ def exact_measure(state: State, decl: EntityDecl) -> tuple[Fraction, bool]:
     raise NotMeasurable(f"{decl.id} ({decl.shape.value}) has no measure")
 
 
+def _float_measure(state: State, decl: EntityDecl) -> float:
+    coeff, has_pi = exact_measure(state, decl)
+    return _real(coeff, f"the measure of {decl.id}", math.pi if has_pi else 1.0)
+
+
 def measure(state: State, e: str, ctx: EvalContext) -> float:
-    coeff, has_pi = exact_measure(state, ctx.decl(e))
-    return float(coeff) * math.pi if has_pi else float(coeff)
+    return _float_measure(state, ctx.decl(e))
 
 
 def _measure_less(state: State, a: EntityDecl, b: EntityDecl) -> bool:
@@ -322,7 +381,7 @@ def _measure_less(state: State, a: EntityDecl, b: EntityDecl) -> bool:
     cb, pb = exact_measure(state, b)
     if pa == pb:
         return ca < cb
-    return (float(ca) * math.pi if pa else float(ca)) < (float(cb) * math.pi if pb else float(cb))
+    return _float_measure(state, a) < _float_measure(state, b)
 
 
 # --- numeric expression evaluation -------------------------------------------
@@ -524,13 +583,19 @@ def rel_on(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool
     Total over all shape pairs: pairs lacking the needed notions are simply
     not in the relation (so quantified conditions like gravity's stay safe).
     """
+    return rests_on(state, ctx, a, b) and horizontal_overlap(state, a, b)
+
+
+def rests_on(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
+    """`rel_on` less its horizontal-overlap conjunct, for callers that know
+    the two extents meet (the pairs of `x_neighbours`)."""
     if not _touches(state, ctx, a, b):
         return False
     ba = bottom(state, a)
     tb = top(state, b)
     if ba is None or tb is None:
         return False
-    return ba >= tb - ctx.epsilon and horizontal_overlap(state, a, b)
+    return ba >= tb - ctx.epsilon
 
 
 def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
@@ -558,7 +623,7 @@ def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, t
     d2 = distance_squared(state, a, b)
     if isinstance(tau, Fraction):
         return tau >= 0 and d2 <= _sq(tau)
-    return math.sqrt(d2) <= tau
+    return math.sqrt(_real(d2, f"the squared distance between {a.id} and {b.id}")) <= tau
 
 
 def _position(state: State, e: EntityDecl) -> tuple:

@@ -135,6 +135,7 @@ class Forall(Formula):
     var: str
     sort: str
     body: Formula
+    span: Optional[object] = field(default=None, compare=False, repr=False)  # of the sort name
     CHILDREN = ("body",)
 
 
@@ -143,6 +144,7 @@ class Exists(Formula):
     var: str
     sort: str
     body: Formula
+    span: Optional[object] = field(default=None, compare=False, repr=False)  # of the sort name
     CHILDREN = ("body",)
 
 

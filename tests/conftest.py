@@ -10,6 +10,8 @@ import pytest
 from ischema import logic
 from ischema.geometry import Const, ConstraintAtom, DeltaExpr, ParamRef
 from ischema.model import (
+    EXTENT_PARAMS,
+    SHAPE_PARAMS,
     ShapeKind,
     State,
     Trace,
@@ -69,6 +71,37 @@ def random_trace_scenario(
                     values[key] += rational(rng, -2, 2)
         states.append(State(time=t, values=values))
     return declare_scenario(entities, trace=Trace(tuple(states)))
+
+
+_SCENE_SHAPES = (
+    ("Object", ShapeKind.POINT),
+    ("Circle", ShapeKind.CIRCLE),
+    ("Rectangle", ShapeKind.RECTANGLE),
+    ("Path", ShapeKind.SEGMENT),
+    ("Floor", ShapeKind.FLOOR),
+)
+
+
+def random_shape_scene(rng: random.Random, max_entities: int = 7):
+    """Entities of every shape kind and a state for them.
+
+    Coordinates and sizes lie on a half-unit grid in a small box, so shared
+    edges, ties and exact contacts are common. The state may give a size 0
+    or a negative value, which no declaration allows but a rule can write.
+    """
+    entities = []
+    for i in range(rng.randint(1, max_entities)):
+        sort, shape = rng.choice(_SCENE_SHAPES)
+        values = [
+            Fraction(rng.randint(1, 4) if name in EXTENT_PARAMS else rng.randint(-6, 6), 2)
+            for name in SHAPE_PARAMS[shape]
+        ]
+        entities.append(make_entity(f"e{i}", sort, shape, values))
+    values = dict(initial_state(entities).values)
+    for key in values:
+        if key[1] in EXTENT_PARAMS and rng.random() < 0.15:
+            values[key] = Fraction(rng.randint(-2, 0), 2)
+    return entities, State(time=0, values=values)
 
 
 _BINARY_RELATIONS = {

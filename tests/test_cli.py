@@ -501,3 +501,45 @@ def test_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path):
     scn.write_bytes(b"\xffscenario")
     result = _run(runner, ["classify", str(scn)])
     _assert_usage_error(result, f"error: {scn} is not UTF-8 text: invalid start byte at byte 0")
+
+
+_HUGE = "1" + "0" * 400
+_FAR = f"entity a : Object = Point(0, 0)\n  entity b : Object = Point({_HUGE}, 1)"
+_WIDE = f"entity a : Circle = Circle(0, 0, {_HUGE})\n  entity b : Container = Rectangle(0, 0, 1, 1)"
+
+
+@pytest.mark.parametrize(
+    "axiom, entities, message",
+    [
+        ("delta(p, q) > 1", _FAR, "error: the squared distance between a and b is beyond the floating-point range"),
+        ("theta(q, p) > 1", _FAR, "error: the offset of b from a is beyond the floating-point range"),
+        ("measure(p) > 1", _WIDE, "error: the measure of a is beyond the floating-point range"),
+        ("measure(p) > 1", _WIDE.replace(_HUGE, "1" + "0" * 154),  # pi * 10^308 is no float
+         "error: the measure of a is beyond the floating-point range"),
+        ("smaller(q, p)", _WIDE, "error: the measure of a is beyond the floating-point range"),
+    ],
+    ids=["delta", "theta", "measure", "measure-times-pi", "smaller-mixed-pi"],
+)
+def test_values_beyond_float_range_are_usage_errors(runner, tmp_path, axiom, entities, message):
+    ist = tmp_path / "T.ist"
+    ist.write_text(f"theory T\n  role p : Entity\n  role q : Entity\n  axiom {axiom}\nend\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"scenario s\n  {entities}\n  trace length 1\nend\n")
+    result = _run(runner, ["check", str(ist), str(scn), "--bind", "p=a", "--bind", "q=b"])
+    _assert_usage_error(result, message)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", _path("CONTAINMENT.ist"), _path("fig1.scn")],
+        ["simulate", _path("drop.scn")],
+        ["classify", _path("fig1.scn")],
+        ["analogy", _path("solar.scn"), _path("atom.scn"), "--schema", "REVOLUTION"],
+        ["enumerate", _path("CONTAINMENT.ist"), _path("containment_grid.scn"), "--grid", "0:2,0:2"],
+    ],
+    ids=["check", "simulate", "classify", "analogy", "enumerate"],
+)
+def test_negative_epsilon_is_a_usage_error(runner, args):
+    _assert_usage_error(_run(runner, args + ["--epsilon", "-1"]), "error: --epsilon must not be negative, got -1")
+    assert _run(runner, args + ["--epsilon", "0"]).exit_code in (0, 1)

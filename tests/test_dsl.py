@@ -127,6 +127,7 @@ _RULES = _ENTITY + "  rules\n    "
 
 # One malformed input for each message the lexer and the parser can give,
 # with each description that `expected ...` names, and the exact diagnostic.
+# The last rows parse and fail the sort check.
 GOLDEN_DIAGNOSTICS = [
     (parse_theory, "theory T\n  axiom o.x @ 1\nend",
      "g:2:13: error[syntax]: unexpected character '@'"),
@@ -220,14 +221,22 @@ GOLDEN_DIAGNOSTICS = [
      "g:1:10: error[syntax]: entity 'o' declared twice"),
     (parse_scenario, _RULES + "gravity(1)\n  horizon 0\nend",
      "g:1:10: error[syntax]: horizon must be at least 1"),
+    (parse_theory, "theory T\n  axiom forall x : Blob . true\nend",
+     "g:2:20: error[unknown-sort]: unknown sort 'Blob'"),
+    (parse_theory, "theory T\n  axiom not exists y : Blob . true\nend",
+     "g:2:24: error[unknown-sort]: unknown sort 'Blob'"),
+    (parse_scenario, _RULES + "rule r forall x : Blob when true do x.x += 1\n  horizon 1\nend",
+     "g:4:23: error[unknown-sort]: unknown sort 'Blob'"),
 ]
 
 
 @pytest.mark.parametrize("parse, text, expected", GOLDEN_DIAGNOSTICS)
 def test_golden_diagnostics(parse, text, expected):
-    with pytest.raises(DslError) as err:
-        parse(text, "g")
-    assert [str(d) for d in err.value.diagnostics] == [expected]
+    try:
+        diagnostics = sort_check(parse(text, "g"))
+    except DslError as err:
+        diagnostics = err.diagnostics
+    assert [str(d) for d in diagnostics] == [expected]
 
 
 def test_nesting_depth_counts_formula_and_expression_levels():

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_trace_scenario, rational
+from conftest import random_shape_scene, random_trace_scenario, rational
 
+from ischema import dynamics, geometry
 from ischema.dynamics import (
     AddForce,
     DeltaParam,
@@ -25,7 +28,14 @@ from ischema.errors import (
     UnknownParameter,
     UnstratifiableRuleSet,
 )
-from ischema.geometry import Const, ConstraintAtom, EvalContext, ParamRef
+from ischema.geometry import (
+    DEFAULT_EPSILON,
+    Const,
+    ConstraintAtom,
+    EvalContext,
+    ParamRef,
+    eval_relation,
+)
 from ischema.logic import (
     Always,
     And,
@@ -109,6 +119,98 @@ def test_gravity_onto_stacked_body():
     f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
     sc = declare_scenario([o, crate, f], rules=[gravity_rule(1)], horizon=6)
     assert _ys(simulate(sc)) == [5, 4, 3, 2, 2, 2]
+
+
+def test_gravity_lands_on_a_support_met_at_one_edge_point():
+    # the crate spans x in [0, 2] and the box x in [2, 4]: their extents share x = 2
+    box = make_entity("box", "Rectangle", ShapeKind.RECTANGLE, [3, 6, 2, 2])
+    crate = make_entity("crate", "Container", ShapeKind.RECTANGLE, [1, 1, 2, 2])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([box, crate, f], rules=[gravity_rule(1)], horizon=6)
+    assert _ys(simulate(sc), "box") == [6, 5, 4, 3, 3, 3]
+
+
+def test_gravity_falls_past_a_segment():
+    # a segment has no top, so it neither supports nor clamps
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, Fraction("2.5")])
+    rail = make_entity("rail", "Path", ShapeKind.SEGMENT, [-5, 2, 5, 2])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([o, rail, f], rules=[gravity_rule(1)], horizon=5)
+    assert _ys(simulate(sc)) == [Fraction("2.5"), Fraction("1.5"), Fraction("0.5"), 0, 0]
+
+
+def test_gravity_clamps_a_circle_on_a_rectangle_it_is_never_on():
+    # contact is undefined for a circle and a rectangle, so on(ball, crate)
+    # stays false and gravity keeps firing, with drops of 0 once in contact
+    ball = make_entity("ball", "Circle", ShapeKind.CIRCLE, [0, Fraction("4.5"), 1])
+    crate = make_entity("crate", "Container", ShapeKind.RECTANGLE, [0, 1, 2, 2])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([ball, crate, f], rules=[gravity_rule(1)], horizon=5)
+    trace = simulate(sc)
+    assert _ys(trace, "ball") == [Fraction("4.5"), Fraction("3.5"), 3, 3, 3]
+    ctx = EvalContext.for_scenario(sc)
+    assert not eval_relation("on", ["ball", "crate"], trace.states[-1], ctx)
+
+
+def test_gravity_targets_of_one_stratum_fall_against_the_same_state():
+    # o clamps at the crate's top before the step, although the crate falls in
+    # the same step
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, 3])
+    crate = make_entity("crate", "Container", ShapeKind.RECTANGLE, [0, 2, 2, 2])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([o, crate, f], rules=[gravity_rule(1)], horizon=4)
+    trace = simulate(sc)
+    assert _ys(trace) == [3, 3, 2, 2]
+    assert _ys(trace, "crate") == [2, 1, 1, 1]
+
+
+def test_gravity_support_within_epsilon():
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, Fraction(1, 4)])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([o, f], rules=[gravity_rule(1)], horizon=3)
+    assert _ys(simulate(sc, epsilon=Fraction(1, 2))) == [Fraction(1, 4)] * 3
+    assert _ys(simulate(sc)) == [Fraction(1, 4), 0, 0]
+
+
+def _all_pairs_drop(state, ctx, target, delta):
+    """The clamp by a scan over every entity, as `Fall` once computed it."""
+    decl = ctx.decl(target)
+    base = geometry.bottom(state, decl)
+    if base is None:
+        return Fraction(0)
+    best_gap = None
+    for other in ctx.entities.values():
+        if other.id == target:
+            continue
+        surface = geometry.top(state, other)
+        if surface is None or surface > base:
+            continue
+        if not geometry.horizontal_overlap(state, decl, other):
+            continue
+        gap = base - surface
+        if best_gap is None or gap < best_gap:
+            best_gap = gap
+    return delta if best_gap is None else min(delta, best_gap)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([Fraction(0), DEFAULT_EPSILON, Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_gravity_sweep_matches_generic_evaluator(seed, epsilon, delta):
+    # the generic path decides `not exists y. on(x, y)` with the evaluator
+    entities, state = random_shape_scene(random.Random(seed))
+    fast = gravity_rule(delta)
+    generic = dataclasses.replace(fast, kind="generic")
+    ctx = EvalContext.for_scenario(declare_scenario(entities, rules=[fast], horizon=2), epsilon=epsilon)
+    for _ in range(3):
+        after = step(state, [fast], ctx)
+        assert step(state, [generic], ctx) == after
+        with mock.patch.object(dynamics, "_fall_drop", _all_pairs_drop):
+            assert step(state, [generic], ctx) == after
+        state = after
 
 
 def test_gravity_rejects_nonpositive_delta():

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import random_shape_scene
 
 from ischema.errors import (
     CoincidentCenters,
@@ -24,10 +27,13 @@ from ischema.geometry import (
     distance,
     eval_num_expr,
     eval_relation,
+    horizontal_overlap,
     measure,
+    x_neighbours,
 )
 from ischema.model import (
     ShapeKind,
+    State,
     Trace,
     declare_scenario,
     initial_state,
@@ -321,3 +327,35 @@ def test_uniform_scaling_preserves_topology(x1, y1, r1, x2, y2, r2, k, px, py):
         assert eval_relation(rel, ["c1", "c2"], state, ctx) == eval_relation(
             rel, ["c1", "c2"], state2, ctx2
         ), rel
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_x_neighbours_match_all_pairs_horizontal_overlap(seed):
+    entities, state = random_shape_scene(random.Random(seed), max_entities=9)
+    neighbours = x_neighbours(state, entities)
+    assert set(neighbours) == {e.id for e in entities}
+    for a in entities:
+        expected = [b.id for b in entities if horizontal_overlap(state, a, b)]
+        assert sorted(neighbours[a.id]) == sorted(expected)
+
+
+def test_x_neighbours_corner_cases():
+    floor = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    left = make_entity("l", "Rectangle", ShapeKind.RECTANGLE, [1, 1, 2, 2])  # x in [0, 2]
+    right = make_entity("r", "Rectangle", ShapeKind.RECTANGLE, [3, 1, 2, 2])  # x in [2, 4]
+    pin = make_entity("p", "Object", ShapeKind.POINT, [2, 5])
+    far = make_entity("c", "Circle", ShapeKind.CIRCLE, [10, 1, 1])
+    rail = make_entity("s", "Path", ShapeKind.SEGMENT, [4, 0, -1, 3])  # x in [-1, 4]
+    entities = [floor, left, right, pin, far, rail]
+    state = initial_state(entities)
+    got = {k: set(v) for k, v in x_neighbours(state, entities).items()}
+    assert got["f"] == set("flrpcs")
+    assert got["l"] == set("flrps")  # a shared edge coordinate meets
+    assert got["p"] == set("flrps")
+    assert got["c"] == set("fc")
+    # a zero-width rectangle is its own neighbour; an inverted extent is not
+    squashed = {**state.values, ("l", "w"): Fraction(0), ("r", "w"): Fraction(-1)}
+    got = {k: set(v) for k, v in x_neighbours(State(0, squashed), entities).items()}
+    assert got["l"] == {"f", "l", "s"}
+    assert got["r"] == {"f", "s"}
