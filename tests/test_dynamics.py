@@ -173,7 +173,7 @@ def test_gravity_support_within_epsilon():
 
 
 def _all_pairs_drop(state, ctx, target, delta):
-    """The clamp by a scan over every entity, as `Fall` once computed it."""
+    """The clamp by a scan over every entity: the oracle for the sweep."""
     decl = ctx.decl(target)
     base = geometry.bottom(state, decl)
     if base is None:
