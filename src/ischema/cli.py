@@ -193,7 +193,7 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
         else:
             found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding), None)
             if found is None:
-                searched = sum(1 for _ in library.candidate_bindings(theory, scenario, fixed=binding))
+                searched = library.count_candidates(theory, scenario, fixed=binding)
                 if json_output:
                     _print_json(
                         {

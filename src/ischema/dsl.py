@@ -38,6 +38,7 @@ bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -500,6 +501,7 @@ class _Parser:
         name = self.expect_ident("theory name")
         sorts: list[Sort] = []
         roles: list[tuple[str, str]] = []
+        role_spans: list[SourceSpan] = []
         relations: list[RelationSig] = []
         params: list[tuple[str, Fraction]] = []
         axioms: list[Formula] = []
@@ -514,15 +516,21 @@ class _Parser:
                 self.expect(":")
                 sort = self.expect_ident("sort name")
                 roles.extend((n, sort.text) for n in names)
+                role_spans.extend(sort.span for _ in names)
             elif self.accept("relation"):
                 rel = self.expect_ident("relation name")
                 self.expect("(")
-                arg_sorts = self.items(lambda: self.expect_ident("sort name").text)
+                arg_sorts = self.items(lambda: self.expect_ident("sort name"))
                 self.expect(")")
                 definition = None
                 if self.accept(":="):
                     definition = self._constraint(lambda side: self._shallow(side, rel))
-                relations.append(RelationSig(rel.text, tuple(arg_sorts), definition))
+                relations.append(RelationSig(
+                    rel.text,
+                    tuple(s.text for s in arg_sorts),
+                    definition,
+                    tuple(s.span for s in arg_sorts),
+                ))
             elif self.accept("param"):
                 params.append(self._assignment("parameter name"))
             elif self.accept("axiom"):
@@ -537,6 +545,7 @@ class _Parser:
             relations=tuple(relations),
             axioms=tuple(axioms),
             numeric_params=tuple(params),
+            role_spans=tuple(role_spans),
         )
 
     def _assignment(self, what: str) -> tuple[str, Fraction]:
@@ -817,14 +826,14 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
             entity_sorts={},
         )
         scope = dict(obj.roles)
-        for role, sort in obj.roles:
+        for (role, sort), span in itertools.zip_longest(obj.roles, obj.role_spans):
             if not hierarchy.known(sort):
-                checker.error("unknown-sort", f"role {role!r} has unknown sort {sort!r}", None)
+                checker.error("unknown-sort", f"role {role!r} has unknown sort {sort!r}", span)
         for sig in obj.relations:
             template_scope = {f"arg{i + 1}": s for i, s in enumerate(sig.arg_sorts)}
-            for s in sig.arg_sorts:
+            for s, span in itertools.zip_longest(sig.arg_sorts, sig.sort_spans):
                 if not hierarchy.known(s):
-                    checker.error("unknown-sort", f"unknown sort {s!r} in relation {sig.name}", None)
+                    checker.error("unknown-sort", f"unknown sort {s!r} in relation {sig.name}", span)
             if sig.definition is not None:
                 checker.check(sig.definition.lhs, template_scope)
                 checker.check(sig.definition.rhs, template_scope)

@@ -9,6 +9,7 @@ directed-push forces are built-in rule constructors.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -19,6 +20,7 @@ from .errors import (
     NonPositiveDelta,
     UnknownParameter,
     UnstratifiableRuleSet,
+    ValueOutOfRange,
 )
 from .geometry import EvalContext, NumExpr, eval_num_expr
 from .logic import (
@@ -338,14 +340,19 @@ def _concrete_effects(
     def resolve(name: str) -> str:
         return binding.get(name, name)
 
+    def value(eff: SetParam | DeltaParam) -> Fraction:
+        result = eval_num_expr(eff.expr, working, ctx, binding)
+        if isinstance(result, float) and not math.isfinite(result):
+            what = f"the effect on {resolve(eff.target)}.{eff.param}"
+            raise ValueOutOfRange(f"{what} is beyond the floating-point range")
+        return Fraction(result)
+
     out: list[tuple] = []
     for eff in rule.effects:
         if isinstance(eff, SetParam):
-            value = eval_num_expr(eff.expr, working, ctx, binding)
-            out.append(("set", resolve(eff.target), eff.param, Fraction(value)))
+            out.append(("set", resolve(eff.target), eff.param, value(eff)))
         elif isinstance(eff, DeltaParam):
-            value = eval_num_expr(eff.expr, working, ctx, binding)
-            out.append(("delta", resolve(eff.target), eff.param, Fraction(value)))
+            out.append(("delta", resolve(eff.target), eff.param, value(eff)))
         elif isinstance(eff, Fall):
             entity = resolve(eff.target)
             drop = _fall_drop(working, ctx, entity, eff.delta)
@@ -358,36 +365,34 @@ def _concrete_effects(
     return out
 
 
-def _apply_param_effects(state: State, effects: Iterable[tuple]) -> dict:
-    by_key: dict[tuple[str, str], dict] = {}
+def _stratum_slots(values: dict, effects: Iterable[tuple]) -> dict[tuple[str, str], list]:
+    """One stratum's parameter effects by (entity, param), in the order the
+    keys first appear: [assigned value or None, summed delta, any delta].
+    Raises on disagreeing assignments, on a key both assigned and
+    incremented, and on a key `values` lacks."""
+    by_key: dict[tuple[str, str], list] = {}
     for eff in effects:
         if eff[0] not in ("set", "delta"):
             continue
         _, entity, param, value = eff
-        slot = by_key.setdefault((entity, param), {"set": None, "delta": Fraction(0), "has_delta": False})
+        slot = by_key.setdefault((entity, param), [None, Fraction(0), False])
         if eff[0] == "set":
-            if slot["set"] is not None and slot["set"] != value:
-                raise ConflictingEffects(
-                    f"conflicting assignments to {entity}.{param}: {slot['set']} vs {value}"
-                )
-            slot["set"] = value
+            if slot[0] is not None and slot[0] != value:
+                raise ConflictingEffects(_CONFLICTING.format(entity, param, slot[0], value))
+            slot[0] = value
         else:
-            slot["delta"] += value
-            slot["has_delta"] = True
-
-    values = dict(state.values)
-    for (entity, param), slot in by_key.items():
-        if slot["set"] is not None and slot["has_delta"]:
-            raise ConflictingEffects(
-                f"{entity}.{param} is both assigned and incremented in one step"
-            )
+            slot[1] += value
+            slot[2] = True
+    for (entity, param), (assigned, _, has_delta) in by_key.items():
+        if assigned is not None and has_delta:
+            raise ConflictingEffects(_ASSIGNED_AND_INCREMENTED.format(entity, param))
         if (entity, param) not in values:
             raise UnknownParameter(f"no value for {entity}.{param}")
-        if slot["set"] is not None:
-            values[(entity, param)] = slot["set"]
-        else:
-            values[(entity, param)] += slot["delta"]
-    return values
+    return by_key
+
+
+_CONFLICTING = "conflicting assignments to {}.{}: {} vs {}"
+_ASSIGNED_AND_INCREMENTED = "{}.{} is both assigned and incremented in one step"
 
 
 def step(
@@ -408,8 +413,16 @@ def step(
 
     # gravity's fast path decides `not exists y. on(x, y)` for the built-in `on`
     builtin_on = getattr(ctx.relations.get("on"), "definition", None) is None
-    working = state
-    all_effects: list[tuple] = []
+    # Rules read `working`, whose values each stratum's effects update in
+    # place once all of its rules have read them.
+    values = dict(state.values)
+    working = dataclasses.replace(state, values=values)
+    # Across strata: (entity, param) -> [first assigned value, any delta], in
+    # the order keys first appear, and the first assignment that disagrees
+    # with an earlier stratum's. Both are reported once every stratum ran.
+    written: dict[tuple[str, str], list] = {}
+    disagreement: Optional[str] = None
+    force_effects: list[tuple] = []
     for stratum in strata:
         stratum_effects: list[tuple] = []
         for rule in stratum:
@@ -429,20 +442,27 @@ def step(
                 if not eval_formula(rule.condition, trace_view, 0, binding, ctx):
                     continue
                 stratum_effects.extend(_concrete_effects(rule, target, working, ctx))
-        all_effects.extend(stratum_effects)
-        working = dataclasses.replace(
-            working, values=_apply_param_effects(working, stratum_effects)
-        )
-
-    # Global conflict check across strata, then rebuild from the base state so
-    # the atomic-application contract holds exactly.
-    values = _apply_param_effects(state, all_effects)
+        force_effects.extend(e for e in stratum_effects if e[0] in ("addforce", "rmforce"))
+        for key, (assigned, delta, has_delta) in _stratum_slots(values, stratum_effects).items():
+            values[key] = assigned if assigned is not None else values[key] + delta
+            first = written.setdefault(key, [None, False])
+            if assigned is not None:
+                if first[0] is None:
+                    first[0] = assigned
+                elif first[0] != assigned and disagreement is None:
+                    disagreement = _CONFLICTING.format(*key, first[0], assigned)
+            first[1] = first[1] or has_delta
+    if disagreement is not None:
+        raise ConflictingEffects(disagreement)
+    for (entity, param), (assigned, has_delta) in written.items():
+        if assigned is not None and has_delta:
+            raise ConflictingEffects(_ASSIGNED_AND_INCREMENTED.format(entity, param))
 
     forces = set(state.forces)
-    for eff in all_effects:
+    for eff in force_effects:
         if eff[0] == "addforce":
             forces.add(eff[1])
-        elif eff[0] == "rmforce":
+        else:
             forces = {f for f in forces if not (f.label == eff[1] and f.target == eff[2])}
 
     for f in state.forces:

@@ -282,6 +282,67 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
     return out
 
 
+Box = tuple[Optional[tuple[int, int]], tuple[int, int]]
+
+
+def scaled_boxes(state: State, decls: Iterable[EntityDecl]) -> tuple[dict[str, Box], int]:
+    """Each entity's box, and the scale its coordinates are multiplied by.
+
+    A box is the closed x- and y-extent around every point of the entity
+    that a relation test reads: its center or nearest point, its boundary
+    and its interior. Sizes count by absolute value, so a negative size
+    leaves the box the right way out; a Floor's x-extent is None, unbounded.
+    The scale is the least common multiple of the parameters' doubled
+    denominators, so every coordinate, half-sizes included, is an exact
+    integer and the boxes compare at integer speed.
+    """
+    params = [(decl, [state.value(decl.id, p) for p in SHAPE_PARAMS[decl.shape]]) for decl in decls]
+    scale = math.lcm(*(2 * v.denominator for _, values in params for v in values))
+    out: dict[str, Box] = {}
+    for decl, values in params:
+        n = [v.numerator * (scale // v.denominator) for v in values]
+        if decl.shape is ShapeKind.FLOOR:
+            out[decl.id] = None, (n[0], n[0])
+        elif decl.shape is ShapeKind.SEGMENT:
+            x1, y1, x2, y2 = n
+            out[decl.id] = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
+        else:
+            x, y = n[0], n[1]
+            if decl.shape is ShapeKind.CIRCLE:
+                hw = hh = abs(n[2])
+            elif decl.shape is ShapeKind.RECTANGLE:
+                hw, hh = abs(n[2]) // 2, abs(n[3]) // 2
+            else:
+                hw = hh = 0
+            out[decl.id] = (x - hw, x + hw), (y - hh, y + hh)
+    return out, scale
+
+
+def boxes_within(a: Box, b: Box, margin: int) -> bool:
+    """Whether boxes `a` and `b` lie within `margin` of each other in both axes."""
+    (ax, ay), (bx, by) = a, b
+    if ax is not None and bx is not None and (ax[0] > bx[1] + margin or bx[0] > ax[1] + margin):
+        return False
+    return ay[0] <= by[1] + margin and by[0] <= ay[1] + margin
+
+
+def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None) -> Optional[Fraction]:
+    """How far apart, in each axis, the boxes of two entities may lie when
+    built-in `name` holds of them, with `threshold` the numeric argument of
+    closeTo; None when `name` sets no such bound. Containment and overlap
+    keep the boxes meeting, contact and `on` keep them within epsilon, and
+    closeTo keeps the anchors, which lie in the boxes, within its threshold.
+    Absolute values keep the bound sound under a negative tolerance, where
+    a negative size can still make the relation hold."""
+    if name in ("inside", "partOf", "overlaps"):
+        return Fraction(0)
+    if name in ("contact", "on"):
+        return abs(ctx.epsilon)
+    if name == "closeTo":
+        return abs(ctx.tau if threshold is None else threshold)
+    return None
+
+
 def distance_squared(state: State, a: EntityDecl, b: EntityDecl) -> Fraction:
     """Exact squared distance; anchors are centers, with Segment/Floor taking
     the nearest point to the other entity's center."""
@@ -404,12 +465,10 @@ def eval_num_expr(
         if e.name in ctx.numeric_params:
             return ctx.numeric_params[e.name]
         raise UnboundSymbol(f"unknown numeric parameter {e.name!r}")
-    if isinstance(e, Add):
-        return eval_num_expr(e.left, state, ctx, binding) + eval_num_expr(e.right, state, ctx, binding)
-    if isinstance(e, Sub):
-        return eval_num_expr(e.left, state, ctx, binding) - eval_num_expr(e.right, state, ctx, binding)
-    if isinstance(e, Mul):
-        return eval_num_expr(e.left, state, ctx, binding) * eval_num_expr(e.right, state, ctx, binding)
+    if isinstance(e, (Add, Sub, Mul)):
+        left = eval_num_expr(e.left, state, ctx, binding)
+        left, right = _alike(left, eval_num_expr(e.right, state, ctx, binding))
+        return left + right if isinstance(e, Add) else left - right if isinstance(e, Sub) else left * right
     if isinstance(e, Neg):
         return -eval_num_expr(e.operand, state, ctx, binding)
     if isinstance(e, DeltaExpr):
@@ -419,6 +478,18 @@ def eval_num_expr(
     if isinstance(e, MeasureExpr):
         return measure(state, ctx.resolve(e.entity, binding), ctx)
     raise TypeError(f"not a numeric expression: {e!r}")
+
+
+def _alike(left, right) -> tuple:
+    """Two operands of one arithmetic operation: a Fraction beside a float
+    becomes a float through `_real`, so one beyond float range raises
+    ValueOutOfRange and not OverflowError."""
+    if isinstance(left, float) != isinstance(right, float):
+        what = "a rational number combined with a distance, angle or measure"
+        if isinstance(left, float):
+            return left, _real(right, what)
+        return _real(left, what), right
+    return left, right
 
 
 def _contains_real_terms(e: NumExpr) -> bool:
@@ -436,6 +507,7 @@ def eval_constraint(
     rhs = eval_num_expr(c.rhs, state, ctx, binding)
     if c.cmp in ("=", "!="):
         if _contains_real_terms(c.lhs) or _contains_real_terms(c.rhs):
+            lhs, rhs = _alike(lhs, rhs)
             equal = abs(lhs - rhs) <= ctx.epsilon
         else:
             equal = lhs == rhs

@@ -5,34 +5,55 @@ Schema theories live as editable .ist data files next to this module; the
 primitive catalog is data too (primitives.json). Classification searches all
 sort-compatible role bindings (distinct entities per binding) and reports the
 satisfied ones in canonical order.
+
+The search (`search_bindings`) checks every candidate of `candidate_bindings`
+unless the theory is gap-only (`gap_only`): evaluating it can raise nothing
+but EVALUATION_GAP_ERRORS, which the search skips. Then it checks only the
+candidates that meet the positive atoms every satisfying binding must make
+true (`necessary_conditions`), each decided by filter and refine as the
+canonical order reaches it (`joined_bindings`). The results, their order and
+the errors raised are those of the full search. `candidate_bindings` stays the
+unfiltered oracle; `count_candidates` counts it without listing it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import dsl, geometry, logic
 from .errors import EVALUATION_GAP_ERRORS, UnknownSchema
-from .geometry import Const, EvalContext, ParamRef
+from .geometry import Const, EvalContext, NameRef, NumExpr, ParamRef, eval_num_expr
 from .logic import (
+    Always,
     And,
     Atom,
+    Before,
     CheckReport,
     Compare,
+    Eventually,
     Exists,
+    FalseF,
+    Final,
     Forall,
     Formula,
+    Implies,
+    Next,
     Not,
     NumTerm,
+    Or,
     Sym,
+    TrueF,
+    Until,
     check_theory,
 )
-from .model import Scenario, Theory
+from .model import Scenario, SortHierarchy, Theory, Trace
+from .tree import Node
 
 SHIPPED_SCHEMAS = (
     "AT_REST",
@@ -201,16 +222,16 @@ def make_source_path_goal(n: int = 3, tau: Fraction = Fraction(1, 2)) -> Theory:
 
     visit: Formula = at(n)
     for i in range(n - 1, 0, -1):
-        visit = And(at(i), logic.Eventually(visit))
+        visit = And(at(i), Eventually(visit))
     forward: Optional[Formula] = None
     for i in range(2, n + 1):
-        clause = logic.Implies(at(i), logic.Before(at(i - 1)))
+        clause = Implies(at(i), Before(at(i - 1)))
         forward = clause if forward is None else And(forward, clause)
     return Theory(
         name=f"SOURCE_PATH_GOAL_{n}",
         roles=tuple(roles),
         relations=shipped.relations,
-        axioms=(visit, logic.Always(forward)),
+        axioms=(visit, Always(forward)),
         numeric_params=(("tau", tau),),
     )
 
@@ -229,6 +250,29 @@ class SchemaBinding:
         return dict(self.roles)
 
 
+def _role_pools(
+    theory: Theory,
+    scenario: Scenario,
+    fixed: Optional[Mapping[str, str]],
+    hierarchy: Optional[SortHierarchy] = None,
+) -> Optional[list[list[str]]]:
+    """Each role's sort-compatible entities, sorted by id, in role
+    declaration order; a role named in `fixed` keeps only the entity given
+    there. None when `fixed` names a role the theory lacks. `hierarchy`
+    defaults to the theory's."""
+    fixed = fixed or {}
+    if not set(fixed) <= {role for role, _ in theory.roles}:
+        return None
+    hierarchy = hierarchy or theory.hierarchy()
+    ids = sorted(e.id for e in scenario.entities)
+    sorts = {e.id: e.sort for e in scenario.entities}
+    pools = []
+    for role, sort in theory.roles:
+        pool = [i for i in ids if hierarchy.subsort_of(sorts[i], sort)]
+        pools.append([i for i in pool if i == fixed[role]] if role in fixed else pool)
+    return pools
+
+
 def candidate_bindings(
     theory: Theory,
     scenario: Scenario,
@@ -238,20 +282,37 @@ def candidate_bindings(
     declaration order; roles bind distinct entities. Roles named in
     `fixed` keep the entity given there; naming a role the theory lacks
     leaves no candidate."""
-    fixed = fixed or {}
-    if not set(fixed) <= {role for role, _ in theory.roles}:
-        return
-    hierarchy = theory.hierarchy()
-    ids = sorted(e.id for e in scenario.entities)
-    sorts = {e.id: e.sort for e in scenario.entities}
-    pools = []
-    for role, sort in theory.roles:
-        pool = [i for i in ids if hierarchy.subsort_of(sorts[i], sort)]
-        pools.append([i for i in pool if i == fixed[role]] if role in fixed else pool)
-    for combo in itertools.product(*pools):
+    pools = _role_pools(theory, scenario, fixed)
+    for combo in itertools.product(*pools) if pools is not None else ():
         if len(set(combo)) != len(combo):
             continue
         yield {role: entity for (role, _), entity in zip(theory.roles, combo)}
+
+
+def count_candidates(
+    theory: Theory,
+    scenario: Scenario,
+    fixed: Optional[Mapping[str, str]] = None,
+) -> int:
+    """How many bindings `candidate_bindings` yields, without listing them.
+
+    A dynamic program over the entities: `ways` maps each set of roles (a
+    bitmask) to the number of ways to bind exactly those roles to distinct
+    entities among the ones seen so far; each entity binds at most one more
+    role. Linear in the entities, exponential only in the roles.
+    """
+    pools = _role_pools(theory, scenario, fixed)
+    if pools is None:
+        return 0
+    members = [set(pool) for pool in pools]
+    ways = {0: 1}
+    for entity in set().union(*members):
+        bits = [1 << i for i, pool in enumerate(members) if entity in pool]
+        for mask, n in list(ways.items()):  # the counts before this entity
+            for bit in bits:
+                if not mask & bit:
+                    ways[mask | bit] = ways.get(mask | bit, 0) + n
+    return ways.get((1 << len(pools)) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -275,10 +336,16 @@ def search_bindings(
     evaluated in order up to the first false one, and a candidate whose
     evaluation raises one of EVALUATION_GAP_ERRORS (a relation undefined for
     the shapes bound) is skipped; any other error propagates. A satisfying
-    binding's report lists every axiom as satisfied.
+    binding's report lists every axiom as satisfied. For a gap-only theory
+    with necessary conditions the candidates are those of `joined_bindings`.
     """
     ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
-    for binding in candidate_bindings(theory, scenario, fixed=fixed):
+    conditions = necessary_conditions(theory) if scenario.trace is not None else []
+    if conditions and gap_only(theory, ctx):
+        candidates = joined_bindings(theory, scenario, ctx, conditions, fixed)
+    else:
+        candidates = candidate_bindings(theory, scenario, fixed=fixed)
+    for binding in candidates:
         try:
             report = check_theory(theory, scenario, binding, ctx=ctx, stop_at_first_false=True)
         except EVALUATION_GAP_ERRORS:
@@ -286,6 +353,261 @@ def search_bindings(
         if report.satisfied:
             roles = tuple((role, binding[role]) for role, _ in theory.roles)
             yield ClassifyResult(SchemaBinding(theory.name, roles), report)
+
+
+# --- the join -------------------------------------------------------------------
+
+# The built-in relations of a gap-only theory. Evaluated on rational
+# arguments, each either holds, fails, or raises one of EVALUATION_GAP_ERRORS.
+GAP_ONLY_RELATIONS = frozenset(
+    {"inside", "partOf", "contact", "on", "overlaps", "disjoint", "motion", "ccwStep", "closeTo"}
+)
+_CONNECTIVES = frozenset(
+    {TrueF, FalseF, Final, Not, And, Or, Implies, Next, Always, Eventually, Until, Before}
+)
+# delta, theta and measure are computed in floats
+_RATIONAL_EXPRESSIONS = frozenset(
+    {Const, ParamRef, NameRef, geometry.Add, geometry.Sub, geometry.Mul, geometry.Neg}
+)
+
+
+def gap_only(theory: Theory, ctx: EvalContext) -> bool:
+    """Whether evaluating the theory's axioms under any candidate binding can
+    raise nothing but EVALUATION_GAP_ERRORS, decided from the text alone:
+    every atom applies a built-in of GAP_ONLY_RELATIONS that no template
+    overrides, with the right arity and rational numeric arguments; no
+    expression holds delta, theta or measure; every symbol, parameter and
+    quantifier sort resolves; and epsilon and tau are rationals."""
+    roles = {role for role, _ in theory.roles}
+    exact = type(ctx.epsilon) is Fraction and type(ctx.tau) is Fraction
+    return exact and all(_gap_only_formula(axiom, roles, ctx) for axiom in theory.axioms)
+
+
+def _gap_only_formula(phi: Formula, scope: set[str], ctx: EvalContext) -> bool:
+    kind = type(phi)
+    if kind is Atom:
+        return _gap_only_atom(phi, scope, ctx)
+    if kind is Compare:
+        c = phi.constraint
+        return c.cmp in geometry.COMPARATORS and _rational(c.lhs, scope, ctx) and _rational(c.rhs, scope, ctx)
+    if kind is Forall or kind is Exists:
+        if not ctx.hierarchy.known(phi.sort):
+            return False
+        scope = scope | {phi.var}
+    elif kind not in _CONNECTIVES:
+        return False
+    return all(_gap_only_formula(child, scope, ctx) for child in phi.children)
+
+
+def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext) -> bool:
+    sig = ctx.relations.get(atom.relation)
+    if atom.relation not in GAP_ONLY_RELATIONS or getattr(sig, "definition", None) is not None:
+        return False
+    n_entities = n_numeric = 0
+    for term in atom.args:
+        if type(term) is NumTerm and _rational(term.expr, scope, ctx):
+            n_numeric += 1
+        elif type(term) is Sym and (term.name in scope or term.name in ctx.entities):
+            n_entities += 1
+        elif type(term) is Sym and type(ctx.numeric_params.get(term.name)) is Fraction:
+            n_numeric += 1
+        else:
+            return False
+    arity, most_numeric, _ = geometry.BUILTIN_RELATIONS[atom.relation]
+    return n_entities == arity and n_numeric <= most_numeric
+
+
+def _rational(e: NumExpr, scope: set[str], ctx: EvalContext) -> bool:
+    kind = type(e)
+    if kind not in _RATIONAL_EXPRESSIONS:
+        return False
+    if kind is Const and type(e.value) is not Fraction:
+        return False
+    if kind is NameRef and type(ctx.numeric_params.get(e.name)) is not Fraction:
+        return False
+    return all(s in scope or s in ctx.entities for s in e.symbols) and all(
+        _rational(child, scope, ctx) for child in e.children
+    )
+
+
+class Condition(NamedTuple):
+    """A positive atom that holds at instant 0, or at some instant when
+    `later`, under every binding that satisfies the theory. `roles` are the
+    indices of the roles it names, ascending."""
+
+    atom: Atom
+    later: bool
+    roles: tuple[int, ...]
+
+
+def necessary_conditions(theory: Theory) -> list[Condition]:
+    """The conditions read off each axiom's positive skeleton: an atom keeps
+    the current mode; `and` contributes both sides; `always f` at 0 implies f
+    at 0, so keeps it; `eventually f`, strong `next f` and the right side of
+    `until` switch to "at some instant". Every other node contributes
+    nothing. Atoms naming more than two roles are left out."""
+    index = {role: i for i, (role, _) in enumerate(theory.roles)}
+    out: list[Condition] = []
+    for axiom in theory.axioms:
+        _collect_conditions(axiom, False, index, out)
+    return out
+
+
+def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out: list[Condition]) -> None:
+    kind = type(phi)
+    if kind is Atom:
+        names = [n for t in phi.args for n in ((t.name,) if type(t) is Sym else _symbols(t.expr))]
+        roles = sorted({index[n] for n in names if n in index})
+        if len(roles) <= 2:
+            out.append(Condition(phi, later, tuple(roles)))
+    elif kind is And:
+        _collect_conditions(phi.left, later, index, out)
+        _collect_conditions(phi.right, later, index, out)
+    elif kind is Always:
+        _collect_conditions(phi.operand, later, index, out)
+    elif kind is Eventually or kind is Next:
+        _collect_conditions(phi.operand, True, index, out)
+    elif kind is Until:
+        _collect_conditions(phi.right, True, index, out)
+
+
+def _symbols(node: Node) -> Iterator[str]:
+    yield from node.symbols
+    for child in node.children:
+        yield from _symbols(child)
+
+
+def joined_bindings(
+    theory: Theory,
+    scenario: Scenario,
+    ctx: EvalContext,
+    conditions: Sequence[Condition],
+    fixed: Optional[Mapping[str, str]] = None,
+) -> Iterator[dict[str, str]]:
+    """The subsequence of `candidate_bindings` that meets every one of
+    `conditions`, the `necessary_conditions` of a gap-only theory over a
+    concrete trace.
+
+    Backtracking over the roles in declaration order, each pool in id order,
+    tests a condition as soon as its last role is bound: forward checking
+    (Haralick and Elliott, AIJ 1980) over a filter-and-refine spatial join
+    (Brinkhoff, Kriegel and Seeger, SIGMOD 1993; see `_tester`). A tuple is
+    decided when first reached, so a search that stops at its first binding
+    decides only what it reaches. A gap-only theory raises nothing but
+    EVALUATION_GAP_ERRORS, which the search skips, so dropping a binding
+    that fails a condition changes neither the results nor the errors.
+    """
+    pools = _role_pools(theory, scenario, fixed, ctx.hierarchy)
+    if pools is None:
+        return
+    names = [role for role, _ in theory.roles]
+    boxes = _box_tables(scenario.trace, ctx)
+    tests: list[list[tuple[tuple[int, ...], Callable]]] = [[] for _ in names]
+    for cond in conditions:
+        test = _tester(cond, names, scenario.trace, ctx, boxes)
+        if not cond.roles:
+            if not test(()):
+                return
+        else:
+            tests[cond.roles[-1]].append((cond.roles, test))
+    yield from _extend(names, pools, tests, [])
+
+
+def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequence[list], chosen: list[str]):
+    """The bindings that extend `chosen`, the entities of the first roles,
+    by backtracking; a condition is tested once its last role is bound."""
+    depth = len(chosen)
+    if depth == len(names):
+        yield dict(zip(names, chosen))
+        return
+    for entity in pools[depth]:
+        if entity in chosen:
+            continue
+        chosen.append(entity)
+        if all(test(tuple([chosen[i] for i in roles])) for roles, test in tests[depth]):
+            yield from _extend(names, pools, tests, chosen)
+        chosen.pop()
+
+
+def _box_tables(trace: Trace, ctx: EvalContext) -> Callable[[int], Optional[tuple]]:
+    """`boxes(t)`: the entities' `geometry.scaled_boxes` at instant t, each
+    state's computed once, on first use; None where a state lacks a
+    parameter, so nothing is filtered there."""
+    boxes: dict[int, Optional[tuple]] = {}
+
+    def at(t: int) -> Optional[tuple]:
+        if t not in boxes:
+            try:
+                boxes[t] = geometry.scaled_boxes(trace.states[t], ctx.entities.values())
+            except EVALUATION_GAP_ERRORS:
+                boxes[t] = None
+        return boxes[t]
+
+    return at
+
+
+def _tester(
+    cond: Condition, names: Sequence[str], trace: Trace, ctx: EvalContext, boxes: Callable
+) -> Callable[[tuple[str, ...]], bool]:
+    """Whether the condition's atom holds, at instant 0 or at some instant
+    when `later`, for a tuple of entities bound to its roles; memoized.
+
+    Filter: for a built-in with a `geometry.box_margin`, an instant counts
+    only where the boxes of the two entities lie within that margin. Refine:
+    the atom itself, where a gap error counts as not holding.
+    """
+    atom = cond.atom
+    roles = [names[i] for i in cond.roles]
+    entity_args = [
+        t.name for t in atom.args if isinstance(t, Sym) and (t.name in roles or t.name in ctx.entities)
+    ]
+    margin = _box_margin(atom, entity_args, trace, ctx)
+    # an entity argument is a position in the tuple or an entity id
+    slots = [roles.index(s) if s in roles else s for s in entity_args]
+    scaled_margins: dict[int, int] = {}  # instant -> margin in that state's scale
+    memo: dict[tuple[str, ...], bool] = {}
+
+    def near(combo: tuple[str, ...], t: int) -> bool:
+        scaled = boxes(t)
+        if scaled is None:
+            return True
+        if t not in scaled_margins:
+            scaled_margins[t] = math.floor(margin * scaled[1])
+        a, b = (scaled[0][combo[x] if type(x) is int else x] for x in slots)
+        return geometry.boxes_within(a, b, scaled_margins[t])
+
+    def holds(combo: tuple[str, ...]) -> bool:
+        binding = dict(zip(roles, combo))
+        for t in range(trace.length) if cond.later else (0,):
+            if margin is not None and not near(combo, t):
+                continue
+            try:
+                if logic.eval_atom(atom, trace, t, binding, ctx):
+                    return True
+            except EVALUATION_GAP_ERRORS:
+                pass
+        return False
+
+    def test(combo: tuple[str, ...]) -> bool:
+        if combo not in memo:
+            memo[combo] = holds(combo)
+        return memo[combo]
+
+    return test
+
+
+def _box_margin(atom: Atom, entity_args: Sequence[str], trace: Trace, ctx: EvalContext) -> Optional[Fraction]:
+    """`geometry.box_margin` of the atom, or None where its threshold reads
+    an entity's parameters, so differs between tuples or instants."""
+    threshold = None
+    for term in atom.args:
+        if isinstance(term, NumTerm):
+            if next(_symbols(term.expr), None) is not None:
+                return None
+            threshold = eval_num_expr(term.expr, trace.states[0], ctx)
+        elif term.name not in entity_args:
+            threshold = ctx.numeric_params[term.name]
+    return geometry.box_margin(atom.relation, ctx, threshold)
 
 
 def classify(

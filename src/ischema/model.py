@@ -7,7 +7,7 @@ threads. All parameter values are exact rationals (`fractions.Fraction`).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -278,6 +278,7 @@ class RelationSig:
     name: str
     arg_sorts: tuple[str, ...]
     definition: object = None  # None (builtin/abstract) or geometry.ConstraintAtom
+    sort_spans: tuple = field(default=(), compare=False, repr=False)  # of the arg sorts' names
 
 
 @dataclass(frozen=True)
@@ -290,6 +291,7 @@ class Theory:
     relations: tuple[RelationSig, ...] = ()
     axioms: tuple = ()  # of logic.Formula
     numeric_params: tuple[tuple[str, Fraction], ...] = ()
+    role_spans: tuple = field(default=(), compare=False, repr=False)  # of the roles' sort names
 
     def hierarchy(self) -> SortHierarchy:
         return SortHierarchy(self.sorts)

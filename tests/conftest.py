@@ -104,6 +104,21 @@ def random_shape_scene(rng: random.Random, max_entities: int = 7):
     return entities, State(time=0, values=values)
 
 
+def random_shape_trace(rng: random.Random, max_entities: int = 6, max_len: int = 4):
+    """A concrete scenario over `random_shape_scene`'s entities: from its
+    state, each later one moves some parameters, sizes included, by half
+    units, so sizes may reach 0 or go negative."""
+    entities, state = random_shape_scene(rng, max_entities)
+    states = [state]
+    for t in range(1, rng.randint(1, max_len)):
+        values = dict(states[-1].values)
+        for key in values:
+            if rng.random() < 0.3:
+                values[key] += Fraction(rng.randint(-2, 2), 2)
+        states.append(State(time=t, values=values))
+    return declare_scenario(entities, trace=Trace(tuple(states)))
+
+
 _BINARY_RELATIONS = {
     "inside": {(ShapeKind.POINT, ShapeKind.CIRCLE), (ShapeKind.CIRCLE, ShapeKind.CIRCLE)},
     "partOf": {(ShapeKind.POINT, ShapeKind.CIRCLE), (ShapeKind.CIRCLE, ShapeKind.CIRCLE)},

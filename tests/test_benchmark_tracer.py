@@ -4,6 +4,7 @@ without changing it and check that every site it names still exists as a
 plain function, classmethod or generator function, so renaming or rewrapping
 one of them fails here and not only in a traced benchmark run."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ import pytest
 
 import ischema.cli  # noqa: F401  (loads every engine module the tracer patches)
 from ischema import library
+from ischema.dsl import parse_formula
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,16 +46,26 @@ def test_every_wrapped_site_is_an_engine_function(tracer_module):
             assert inspect.isgeneratorfunction(fn), f"ischema.{module_name}.{path} yields nothing"
 
 
-def test_traced_classify_counts_bindings(tracer_module):
+@pytest.mark.parametrize(
+    "axiom, generated, checked",
+    [
+        # delta keeps the theory off the join: every ordered pair of the 4
+        # distinct entities is generated and checked
+        ("always (on(upper, lower) and delta(upper, lower) >= 0)", 12, 12),
+        # SUPPORT itself is joined: only the pairs `on` holds for at t=0 are checked
+        ("always on(upper, lower)", 0, 3),
+    ],
+)
+def test_traced_classify_counts_bindings(tracer_module, axiom, generated, checked):
+    theory = dataclasses.replace(library.schema_theory("SUPPORT"), axioms=(parse_formula(axiom),))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        results = library.classify(library.shipped_scenario("stack"), ["SUPPORT"])
+        results = library.classify(library.shipped_scenario("stack"), [theory])
     finally:
         tracer.uninstall()
-    generated = tracer.counts["library.bindings.generated"]
-    assert generated == 12  # ordered pairs of the 4 distinct entities
-    assert tracer.calls["logic.check_theory"] == generated
+    assert tracer.counts["library.bindings.generated"] == generated
+    assert tracer.calls["logic.check_theory"] == checked
     assert tracer.counts["library.bindings.satisfied"] == len(results) == 3
     assert library.candidate_bindings.__module__ == "ischema.library"
     assert not hasattr(library.candidate_bindings, "__wrapped__")

@@ -470,7 +470,7 @@ def test_role_of_unknown_sort_is_a_sort_error(runner, tmp_path):
     ist = tmp_path / "spg.ist"
     ist.write_text(_data_text("SOURCE_PATH_GOAL.ist").replace("w2 : Region", "w2 : Regio"))
     result = _run(runner, ["check", str(ist), _path("path3.scn")])
-    _assert_usage_error(result, "<input>:1:1: error[unknown-sort]: role 'w2' has unknown sort 'Regio'")
+    _assert_usage_error(result, f"{ist}:7:13: error[unknown-sort]: role 'w2' has unknown sort 'Regio'")
 
 
 @pytest.mark.parametrize(
@@ -506,6 +506,8 @@ def test_file_that_is_not_utf8_is_a_usage_error(runner, tmp_path):
 _HUGE = "1" + "0" * 400
 _FAR = f"entity a : Object = Point(0, 0)\n  entity b : Object = Point({_HUGE}, 1)"
 _WIDE = f"entity a : Circle = Circle(0, 0, {_HUGE})\n  entity b : Container = Rectangle(0, 0, 1, 1)"
+_APART = "entity a : Object = Point(0, 0)\n  entity b : Object = Point(3, 4)"
+_MIXED = "error: a rational number combined with a distance, angle or measure is beyond the floating-point range"
 
 
 @pytest.mark.parametrize(
@@ -517,8 +519,10 @@ _WIDE = f"entity a : Circle = Circle(0, 0, {_HUGE})\n  entity b : Container = Re
         ("measure(p) > 1", _WIDE.replace(_HUGE, "1" + "0" * 154),  # pi * 10^308 is no float
          "error: the measure of a is beyond the floating-point range"),
         ("smaller(q, p)", _WIDE, "error: the measure of a is beyond the floating-point range"),
+        (f"delta(p, q) = {_HUGE}", _APART, _MIXED),
+        (f"delta(p, q) * {_HUGE} > 1", _APART, _MIXED),
     ],
-    ids=["delta", "theta", "measure", "measure-times-pi", "smaller-mixed-pi"],
+    ids=["delta", "theta", "measure", "measure-times-pi", "smaller-mixed-pi", "mixed-equality", "mixed-product"],
 )
 def test_values_beyond_float_range_are_usage_errors(runner, tmp_path, axiom, entities, message):
     ist = tmp_path / "T.ist"
@@ -527,6 +531,30 @@ def test_values_beyond_float_range_are_usage_errors(runner, tmp_path, axiom, ent
     scn.write_text(f"scenario s\n  {entities}\n  trace length 1\nend\n")
     result = _run(runner, ["check", str(ist), str(scn), "--bind", "p=a", "--bind", "q=b"])
     _assert_usage_error(result, message)
+
+
+def test_effect_beyond_float_range_is_a_usage_error(runner, tmp_path):
+    side = "1" + "0" * 154  # the measure, 10^308, is a float; twice it is not
+    scn = tmp_path / "s.scn"
+    scn.write_text(
+        f"scenario s\n  entity c : Container = Rectangle(0, 0, {side}, {side})\n  rules\n"
+        "    rule grow when true do c.x := measure(c) + measure(c)\n  horizon 2\nend\n"
+    )
+    result = _run(runner, ["simulate", str(scn)])
+    _assert_usage_error(result, "error: the effect on c.x is beyond the floating-point range")
+
+
+def test_check_counts_candidates_without_listing_them(runner, tmp_path):
+    ist = tmp_path / "T.ist"
+    ist.write_text("theory T\n  role a, b, c, d : Object\n  axiom inside(a, b) and inside(c, d)\nend\n")
+    scn = tmp_path / "s.scn"
+    points = "\n".join(f"  entity p{i:02d} : Object = Point({i}, 0)" for i in range(25))
+    scn.write_text(f"scenario s\n{points}\n  trace length 1\nend\n")
+    result = _run(runner, ["check", str(ist), str(scn)])
+    assert result.exit_code == 1
+    assert result.output == "theory T: no satisfying binding among 303600 candidates\n"
+    result = _run(runner, ["check", str(ist), str(scn), "--bind", "b=p03", "--json"])
+    assert json.loads(result.output)["searched"] == 24 * 23 * 22
 
 
 @pytest.mark.parametrize(

@@ -227,6 +227,10 @@ GOLDEN_DIAGNOSTICS = [
      "g:2:24: error[unknown-sort]: unknown sort 'Blob'"),
     (parse_scenario, _RULES + "rule r forall x : Blob when true do x.x += 1\n  horizon 1\nend",
      "g:4:23: error[unknown-sort]: unknown sort 'Blob'"),
+    (parse_theory, "theory T\n  role a : Object\n  role w2 : Regio\nend",
+     "g:3:13: error[unknown-sort]: role 'w2' has unknown sort 'Regio'"),
+    (parse_theory, "theory T\n  relation near(Object, Blob)\nend",
+     "g:2:25: error[unknown-sort]: unknown sort 'Blob' in relation near"),
 ]
 
 

@@ -280,6 +280,43 @@ def test_set_plus_delta_is_a_conflict():
         simulate(sc)
 
 
+_STRATA = """scenario s
+  entity o : Object = Point(0, 0)
+  entity p : Object = Point(0, 0)
+  rules
+    rule first when true do o.x := 1
+    rule second when o.x > 0 do {second}
+    rule third when o.x > 0 do {third}
+  horizon 2
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "second, third, message",
+    [
+        ("o.x := 2", "p.y += 1", "conflicting assignments to o.x: 1 vs 2"),
+        ("o.x += 1", "p.y += 1", "o.x is both assigned and incremented in one step"),
+        # a later stratum's own conflict is found before one across strata
+        ("o.x := 2", "p.y := 1, p.y := 2", "conflicting assignments to p.y: 1 vs 2"),
+        ("o.x := 1", "p.y := 1", None),
+    ],
+)
+def test_effects_across_strata(second, third, message):
+    from ischema.dsl import parse_scenario
+
+    sc = parse_scenario(_STRATA.format(second=second, third=third))
+    ctx = EvalContext.for_scenario(sc)
+    assert [[r.name for r in s] for s in stratify(list(sc.rules), ctx)] == [["first"], ["second"], ["third"]]
+    if message is not None:
+        with pytest.raises(ConflictingEffects, match=re.escape(message)):
+            simulate(sc)
+        return
+    trace = simulate(sc)
+    assert trace.states[0].value("o", "x") == 0  # stepping copies state 0's values
+    assert (trace.states[1].value("o", "x"), trace.states[1].value("p", "y")) == (1, 1)
+
+
 def test_deltas_sum():
     o = make_entity("o", "Object", ShapeKind.POINT, [0, 0])
     r1 = Rule("r1", TrueF(), (DeltaParam("o", "x", Const(Fraction(2))),))

@@ -24,11 +24,14 @@ from ischema.geometry import (
     Mul,
     Add,
     angular_position,
+    box_margin,
     distance,
     eval_num_expr,
     eval_relation,
     horizontal_overlap,
+    boxes_within,
     measure,
+    scaled_boxes,
     x_neighbours,
 )
 from ischema.model import (
@@ -359,3 +362,56 @@ def test_x_neighbours_corner_cases():
     got = {k: set(v) for k, v in x_neighbours(State(0, squashed), entities).items()}
     assert got["l"] == {"f", "l", "s"}
     assert got["r"] == {"f", "s"}
+
+
+# --- the box filter of the binding search ---------------------------------------------
+
+BOXED_RELATIONS = ("inside", "partOf", "overlaps", "contact", "on", "closeTo")
+
+
+def _within(entities, state, ctx, name, a, b, threshold=None):
+    boxes, scale = scaled_boxes(state, entities)
+    return boxes_within(boxes[a], boxes[b], math.floor(box_margin(name, ctx, threshold) * scale))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1, Fraction(-1, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_box_filter_keeps_every_pair_a_relation_holds_for(seed, epsilon):
+    entities, state = random_shape_scene(random.Random(seed), max_entities=7)
+    ctx = EvalContext(entities={e.id: e for e in entities}, epsilon=Fraction(epsilon))
+    for name in BOXED_RELATIONS:
+        for threshold in (None, Fraction(0), Fraction(3, 2)) if name == "closeTo" else (None,):
+            for a in entities:
+                for b in entities:
+                    nums = [] if threshold is None else [threshold]
+                    try:
+                        holds = eval_relation(name, [a.id, b.id], state, ctx, nums)
+                    except UnsupportedShapePair:
+                        continue
+                    if holds:
+                        assert _within(entities, state, ctx, name, a.id, b.id, threshold), (name, a, b)
+
+
+def test_box_filter_boundary_cases():
+    left = make_entity("l", "Rectangle", ShapeKind.RECTANGLE, [1, 1, 2, 2])  # x in [0, 2]
+    right = make_entity("r", "Rectangle", ShapeKind.RECTANGLE, [3, 1, 2, 2])  # x in [2, 4]
+    gap = make_entity("g", "Rectangle", ShapeKind.RECTANGLE, [Fraction(9, 2), 1, 1, 2])  # x in [4, 5]
+    floor = make_entity("f", "Floor", ShapeKind.FLOOR, [Fraction(-1, 4)])
+    ring = make_entity("c", "Circle", ShapeKind.CIRCLE, [10, 10, 1])
+    dot = make_entity("p", "Object", ShapeKind.POINT, [Fraction(21, 2), 10])
+    entities = [left, right, gap, floor, ring, dot]
+    state, ctx = _ctx(*entities, epsilon=Fraction(1, 4))
+    # edges that meet exactly: the closed comparison keeps them
+    assert eval_relation("contact", ["l", "r"], state, ctx)
+    assert _within(entities, state, ctx, "contact", "l", "r")
+    # within epsilon but apart: the margin keeps them
+    moved = State(0, {**state.values, ("g", "x"): Fraction(19, 4)})  # x in [17/4, 21/4]
+    assert eval_relation("contact", ["r", "g"], moved, ctx)
+    assert _within(entities, moved, ctx, "contact", "r", "g")
+    assert eval_relation("on", ["l", "f"], state, ctx)
+    assert _within(entities, state, ctx, "on", "l", "f")
+    # a negative radius still holds the point: boxes count sizes by absolute value
+    flipped = State(0, {**state.values, ("c", "r"): Fraction(-1)})
+    assert eval_relation("inside", ["p", "c"], flipped, ctx)
+    assert _within(entities, flipped, ctx, "inside", "p", "c")
+    assert not _within(entities, state, ctx, "closeTo", "l", "c", Fraction(1, 4))

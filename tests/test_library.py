@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_trace_scenario
+from conftest import random_shape_trace, random_trace_scenario
 
 from ischema import dsl, library, logic
 from ischema.dsl import parse_formula
@@ -13,21 +14,32 @@ from ischema.errors import (
     UnknownSchema,
     UnsupportedShapePair,
 )
-from ischema.geometry import EvalContext
+from ischema.geometry import DEFAULT_EPSILON, Const, EvalContext
 from ischema.library import (
     SHIPPED_SCHEMAS,
     SchemaBinding,
     analogy,
     candidate_bindings,
     classify,
+    count_candidates,
+    gap_only,
     make_source_path_goal,
+    necessary_conditions,
     primitive_catalog,
     schema_theory,
     search_bindings,
     shipped_scenario,
 )
-from ischema.logic import Atom, Forall, Not, Sym, check_theory, reference_eval
-from ischema.model import ShapeKind, Theory, Trace, declare_scenario, initial_state, make_entity
+from ischema.logic import Atom, Forall, Not, NumTerm, Sym, check_theory, reference_eval
+from ischema.model import (
+    RelationSig,
+    ShapeKind,
+    Theory,
+    Trace,
+    declare_scenario,
+    initial_state,
+    make_entity,
+)
 
 TABLE_NAMES = {
     "OBJECT", "CONTAINER", "PATH", "REGION", "DOWN", "UP",
@@ -337,3 +349,213 @@ def test_ccw_step_agrees_with_literal_theta_away_from_wrap():
         lit_v = logic.eval_formula(lit, sc.trace, t, {}, ctx)
         assert ccw_v is True
         assert lit_v is (False if t == 4 else True)
+
+
+# --- the join ----------------------------------------------------------------------
+
+
+def _unfiltered(theory, sc, epsilon, tau, fixed):
+    """The search as it runs for a theory that is not gap-only: every
+    candidate of `candidate_bindings` checked."""
+    ctx = EvalContext.for_scenario(sc, theory, epsilon=epsilon, tau=tau)
+    for binding in candidate_bindings(theory, sc, fixed=fixed):
+        try:
+            report = check_theory(theory, sc, binding, ctx=ctx, stop_at_first_false=True)
+        except EVALUATION_GAP_ERRORS:
+            continue
+        if report.satisfied:
+            yield tuple((r, binding[r]) for r, _ in theory.roles)
+
+
+def _outcome(results):
+    """What a search yields, in order, then the type and message of the
+    error that ended it, if one did."""
+    out = []
+    try:
+        out.extend(results)
+    except Exception as exc:  # the comparison covers every error
+        out.append((type(exc), str(exc)))
+    return out
+
+
+# closeTo twice: with a threshold of 3/2 or 5 it often holds, so bindings survive
+_JOIN_RELATIONS = ("inside", "partOf", "contact", "on", "overlaps", "disjoint", "closeTo", "closeTo", "ccwStep")
+
+
+def _random_theory(rng, sc, gappy):
+    """A theory over 1 to 3 roles whose axioms combine atoms under and,
+    always, eventually, next and until, with now and then a node that gives
+    no condition. Unless `gappy`, one atom somewhere leaves the gap-only
+    fragment."""
+    sorts = ("Entity",) * 5 + ("Object", "Container", "Path", "Floor")
+    roles = [(name, rng.choice(sorts))
+             for name in ("a", "b", "c")[: rng.randint(1, min(3, len(sc.entities)))]]
+    names = [r for r, _ in roles] + [rng.choice(sc.entities).id]
+
+    def atom():
+        if rng.random() < 0.15:
+            return f"motion({rng.choice(names)})"
+        rel = rng.choice(_JOIN_RELATIONS)
+        x, y = rng.choice(names), rng.choice(names)
+        if rel == "closeTo":
+            threshold = rng.choice(("", ", 0", ", 3/2", ", 5", ", k", f", {x}.y + 1"))
+            return f"closeTo({x}, {y}{threshold})"
+        return f"{rel}({x}, {y})"
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return atom()
+        op = rng.choice(("and", "and", "always", "eventually", "next", "until", "not", "or", "->", "forall"))
+        if op in ("and", "until", "or", "->"):
+            return f"({formula(depth - 1)} {op} {formula(depth - 1)})"
+        if op == "forall":
+            return f"(forall v : Entity . contact(v, {rng.choice(names)}) -> {formula(depth - 1)})"
+        return f"{op} ({formula(depth - 1)})"
+
+    axioms = [formula(rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.3:
+        axioms.append(f"{rng.choice(('eventually', 'next'))} {atom()}")
+    relations = ()
+    if not gappy:
+        spoiler = rng.choice(("delta(a, a) < 2", "smaller(a, a)", "ghost.x > 0", "template"))
+        if spoiler == "template":
+            relations = (RelationSig("contact", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y").constraint),)
+            spoiler = "contact(a, a)"
+        axioms[0] = f"({axioms[0]}) and {spoiler}"
+    return Theory(
+        name="J",
+        roles=tuple(roles),
+        relations=relations,
+        axioms=tuple(parse_formula(a) for a in axioms),
+        numeric_params=(("k", Fraction(1)),),
+    )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=400, deadline=None)
+def test_joined_search_equals_the_unfiltered_loop(seed):
+    rng = random.Random(seed)
+    sc = random_shape_trace(rng, max_entities=7, max_len=5)
+    gappy = rng.random() < 0.8
+    theory = _random_theory(rng, sc, gappy)
+    epsilon = rng.choice((DEFAULT_EPSILON, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 2)))
+    tau = rng.choice((Fraction(1, 2), Fraction(2)))
+    fixed = {}
+    if rng.random() < 0.3:
+        fixed[rng.choice(theory.roles)[0]] = rng.choice(sc.entities).id
+    if rng.random() < 0.05:
+        fixed["zz"] = sc.entities[0].id
+    ctx = EvalContext.for_scenario(sc, theory, epsilon=epsilon, tau=tau)
+    assert gap_only(theory, ctx) is gappy
+    got = _outcome(r.binding.roles for r in search_bindings(theory, sc, epsilon, tau, fixed=fixed))
+    assert got == _outcome(_unfiltered(theory, sc, epsilon, tau, fixed))
+
+
+def test_gap_only_classifier():
+    sc = shipped_scenario("stack")
+
+    def gap(theory):
+        return gap_only(theory, EvalContext.for_scenario(sc, theory))
+
+    assert [n for n in SHIPPED_SCHEMAS if not gap(schema_theory(n))] == [
+        "REVOLUTION",
+        "SOURCE_PATH_GOAL",  # its `at` is a template
+    ]
+    roles = (("a", "Entity"), ("b", "Entity"))
+
+    def theory(axiom, relations=(), params=()):
+        formula = parse_formula(axiom) if isinstance(axiom, str) else axiom
+        return Theory("T", roles=roles, relations=relations, axioms=(formula,), numeric_params=params)
+
+    assert gap(theory("closeTo(a, b, 3/2) and eventually on(a, f)"))
+    # a template overriding a built-in the axioms apply; one they do not apply is never evaluated
+    override = RelationSig("on", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y").constraint)
+    assert not gap(theory("contact(a, b) or not on(b, a)", relations=(override,)))
+    assert gap(theory("contact(a, b)", relations=(override,)))
+    # a signature without a template keeps the built-in
+    assert gap(theory("on(a, b)", relations=(RelationSig("on", ("Entity", "Entity")),)))
+    assert not gap(theory("inside(a, b) and delta(a, b) < 2"))
+    assert not gap(theory("always (theta(a, b) > 0)"))
+    assert not gap(theory("not measure(a) > 1"))
+    # a float threshold, as a constant or as a parameter, takes closeTo off exact arithmetic
+    assert not gap(theory(Atom("closeTo", (Sym("a"), Sym("b"), NumTerm(Const(1.5))))))
+    assert not gap(theory("closeTo(a, b, k)", params=(("k", 1.5),)))
+    assert gap(theory("closeTo(a, b, k)", params=(("k", Fraction(3, 2)),)))
+    # symbols, parameters, sorts and arities that do not resolve raise more than gaps
+    assert not gap(theory("contact(a, ghost)"))
+    assert not gap(theory("closeTo(a, b, nope)"))
+    assert not gap(theory("ghost.x > 0"))
+    assert not gap(theory("exists v : Blob . on(v, a)"))
+    assert not gap(theory("motion(a, b)"))
+    assert not gap(theory("smaller(a, b)"))
+    assert gap(theory("exists v : Entity . on(v, a) and v.x < b.x"))
+
+
+def test_necessary_conditions_follow_the_positive_skeleton():
+    theory = Theory(
+        "T",
+        roles=(("a", "Entity"), ("b", "Entity"), ("c", "Entity")),
+        axioms=tuple(
+            parse_formula(text)
+            for text in (
+                "always (on(a, b) and next contact(b, c))",
+                "not inside(a, b)",
+                "(motion(a) or motion(b)) and eventually inside(c, f)",
+                "disjoint(a, b) until (overlaps(b, a) and always partOf(c, c))",
+                "forall v : Entity . on(v, a)",
+                "closeTo(a, b, c.r)",
+            )
+        ),
+    )
+    got = [(dsl.formula_to_text(c.atom), c.later, c.roles) for c in necessary_conditions(theory)]
+    assert got == [
+        ("on(a, b)", False, (0, 1)),
+        ("contact(b, c)", True, (1, 2)),
+        ("inside(c, f)", True, (2,)),
+        ("overlaps(b, a)", True, (0, 1)),
+        ("partOf(c, c)", True, (2,)),
+    ]
+
+
+def test_join_checks_only_candidates_that_meet_the_conditions(monkeypatch):
+    sc = shipped_scenario("stack")
+    checked = []
+
+    def counting(theory, scenario, binding, **kw):
+        checked.append(dict(binding))
+        return check_theory(theory, scenario, binding, **kw)
+
+    monkeypatch.setattr(library, "check_theory", counting)
+    found = [r.binding.as_dict() for r in search_bindings(schema_theory("SUPPORT"), sc)]
+    assert checked == found == [
+        {"upper": "box", "lower": "crate"},
+        {"upper": "crate", "lower": "f"},
+        {"upper": "marble", "lower": "box"},
+    ]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_count_candidates_equals_the_enumerated_count(seed):
+    rng = random.Random(seed)
+    sc = random_shape_trace(rng, max_entities=7, max_len=1)
+    sorts = ("Entity", "Entity", "Object", "Container", "Circle", "Path", "Floor")
+    roles = tuple((f"r{i}", rng.choice(sorts)) for i in range(rng.randint(0, 5)))
+    theory = Theory("T", roles=roles)
+    fixed = {}
+    for role, _ in roles:
+        if rng.random() < 0.2:
+            fixed[role] = rng.choice(sc.entities).id
+    if rng.random() < 0.05:
+        fixed["zz"] = sc.entities[0].id
+    expected = sum(1 for _ in candidate_bindings(theory, sc, fixed=fixed))
+    assert count_candidates(theory, sc, fixed=fixed) == expected
+
+
+def test_count_candidates_needs_no_listing():
+    points = [make_entity(f"p{i:02d}", "Object", ShapeKind.POINT, [i, 0]) for i in range(60)]
+    sc = declare_scenario(points, trace=Trace((initial_state(points),)))
+    roles = tuple((r, "Object") for r in "abcdef")
+    assert count_candidates(Theory("T", roles=roles), sc) == 60 * 59 * 58 * 57 * 56 * 55
+    assert count_candidates(Theory("T", roles=roles), sc, fixed={"a": "p00", "b": "p00"}) == 0
+
