@@ -38,6 +38,7 @@ bytes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import re
@@ -46,7 +47,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dynamics, geometry
-from .errors import IschemaError
+from .errors import IschemaError, UnknownSort
 from .geometry import (
     COMPARATORS,
     Add,
@@ -148,49 +149,72 @@ RESERVED = frozenset(
     }
 )
 
+# One alternative per token kind; no two of them start with the same
+# character, so their order only puts the common ones first. Whitespace and
+# comments match no named group and are dropped. Any other character matches
+# `unexpected`, so the scan covers the text without gaps.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<rational>\d+/\d+|\d+\.\d+|\d+)
+    [ \t\r\n]+
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>:=|\+=|->|<=|>=|!=|[()<>={},.:+\-*])
+  | (?P<rational>\d+/\d+|\d+\.\d+|\d+)
+  | \#[^\n]*
+  | (?P<unexpected>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
+class _Source:
+    """A text being parsed and its file name. Positions are 1-based lines
+    and columns; a column counts characters and only "\\n" ends a line."""
+
+    __slots__ = ("file", "text", "_newlines")
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._newlines: Optional[list[int]] = None  # offsets of "\\n", on first use
+
+    def span(self, offset: int) -> SourceSpan:
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect.bisect_left(self._newlines, offset)
+        line_start = self._newlines[line - 1] + 1 if line else 0
+        return SourceSpan(self.file, line + 1, offset - line_start + 1)
+
+
 class Token:
-    kind: str  # "rational" | "ident" | "op" | "eof"
-    text: str
-    span: SourceSpan
+    """A lexeme: its kind, text and offset in its source. Its line and
+    column are found only when its span is asked for."""
+
+    __slots__ = ("kind", "text", "offset", "source")
+
+    def __init__(self, kind: str, text: str, offset: int, source: _Source):
+        self.kind = kind  # "rational" | "ident" | "op" | "eof"
+        self.text = text
+        self.offset = offset
+        self.source = source
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.offset)
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    source = _Source(filename, text)
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(filename, line, col)
-            raise DslError([
-                Diagnostic("error", "syntax", f"unexpected character {text[pos]!r}", span)
-            ])
-        lexeme = m.group(0)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            span = SourceSpan(filename, line, col)
-            tokens.append(Token(kind, lexeme, span))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(filename, line, col)))
+        if kind is None:
+            continue
+        if kind == "unexpected":
+            message = f"unexpected character {m.group()!r}"
+            raise DslError([Diagnostic("error", "syntax", message, source.span(m.start()))])
+        append(Token(kind, m.group(), m.start(), source))
+    tokens.append(Token("eof", "", len(text), source))
     return tokens
 
 
@@ -285,7 +309,9 @@ def nesting_depth(node: Node) -> int:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # The cursor never passes the eof token, and the parser looks at most
+        # one token ahead, so one more eof keeps every look in range.
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.depth = 0  # enclosing nested constructs of the one being parsed
 
@@ -293,26 +319,25 @@ class _Parser:
     # no end of input spells a keyword or an operator.
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tokens[self.pos].text == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
+        tok = self.tokens[self.pos]
+        if tok.text != text:
             self.fail(f"expected keyword {text!r}" if text.isalpha() else f"expected {text!r}")
-        return self.next()
+        self.pos += 1
+        return tok
 
     def end(self) -> None:
         if self.peek().kind != "eof":
@@ -326,12 +351,13 @@ class _Parser:
         return found
 
     def expect_ident(self, what: str = "identifier", allow_reserved: bool = False) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             self.fail(f"expected {what}")
         if not allow_reserved and tok.text in RESERVED:
             self.fail(f"{tok.text!r} is a reserved word")
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_nat(self) -> int:
         tok = self.peek()
@@ -341,19 +367,28 @@ class _Parser:
         return int(tok.text)
 
     def expect_rational(self) -> Fraction:
-        negative = self.accept("-")
-        if self.peek().kind != "rational":
+        """The value of the rational literal at the cursor, negated if a
+        minus precedes it, consumed: `n`, `p/q` or `a.b`, which is
+        `ab / 10^len(b)`."""
+        tok = self.tokens[self.pos]
+        sign = 1
+        if tok.text == "-":
+            sign = -1
+            self.pos += 1
+            tok = self.tokens[self.pos]
+        if tok.kind != "rational":
             self.fail("expected a rational number")
-        value = self.rational()
-        return -value if negative else value
-
-    def rational(self) -> Fraction:
-        """The value of the rational literal at the cursor, consumed."""
-        tok = self.next()
-        try:
-            return text_to_rational(tok.text)
-        except ZeroDivisionError:
-            self.fail(f"zero denominator in {tok.text!r}", tok.span)
+        self.pos += 1
+        text = tok.text
+        if "/" in text:
+            p, q = text.split("/")
+            if int(q) == 0:
+                self.fail(f"zero denominator in {text!r}", tok.span)
+            return Fraction(sign * int(p), int(q))
+        if "." in text:
+            whole, decimals = text.split(".")
+            return Fraction(sign * int(whole + decimals), 10 ** len(decimals))
+        return Fraction(sign * int(text))
 
     def fail(self, message: str, span: Optional[SourceSpan] = None) -> None:
         span = span or self.peek().span
@@ -470,7 +505,7 @@ class _Parser:
     def _num_primary(self) -> NumExpr:
         tok = self.peek()
         if tok.kind == "rational":
-            return Const(self.rational())
+            return Const(self.expect_rational())
         if self.accept("("):
             inner = self._nested(tok, self.num_expr)
             self.expect(")")
@@ -510,7 +545,7 @@ class _Parser:
                 child = self.expect_ident("sort name")
                 self.expect("<")
                 parent = self.expect_ident("parent sort")
-                sorts.append(Sort(child.text, parent.text))
+                sorts.append(Sort(child.text, parent.text, child.span, parent.span))
             elif self.accept("role"):
                 names = self.items(lambda: self.expect_ident("role name").text)
                 self.expect(":")
@@ -607,7 +642,7 @@ class _Parser:
         if length < 1:
             self.fail("trace length must be at least 1", length_tok.span)
         overrides: dict[int, dict[tuple[str, str], Fraction]] = {}
-        decls = {e.id: e for e in reversed(entities)}  # the first of a repeated id
+        params = {e.id: e.param_names() for e in reversed(entities)}  # the first of a repeated id
         while self.accept("state"):
             idx_tok = self.peek()
             idx = self.expect_nat()
@@ -617,12 +652,12 @@ class _Parser:
             self.expect("{")
             while not self.accept("}"):
                 ent = self.expect_ident("entity id")
-                decl = decls.get(ent.text)
-                if decl is None:
+                names = params.get(ent.text)
+                if names is None:
                     self.fail(f"unknown entity {ent.text!r}", ent.span)
                 self.expect(".")
                 pname = self.expect_ident("parameter name", allow_reserved=True)
-                if pname.text not in decl.param_names():
+                if pname.text not in names:
                     self.fail(f"{ent.text} has no parameter {pname.text!r}", pname.span)
                 self.expect("=")
                 block[(ent.text, pname.text)] = self.expect_rational()
@@ -816,8 +851,8 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
     if isinstance(obj, Theory):
         try:
             hierarchy = hierarchy or obj.hierarchy()
-        except IschemaError as exc:
-            return [Diagnostic("error", "unknown-sort", str(exc), _NO_SPAN)]
+        except UnknownSort as exc:
+            return [Diagnostic("error", "unknown-sort", str(exc), exc.span or _NO_SPAN)]
         relations = {sig.name: sig for sig in obj.relations}
         checker = _SortChecker(
             hierarchy,

@@ -24,7 +24,9 @@ class InvalidScenario(IschemaError):
 
 
 class UnknownSort(IschemaError):
-    pass
+    def __init__(self, message: str, span=None):
+        super().__init__(message)
+        self.span = span  # where the declaration at fault names the sort, if known
 
 
 class UnknownEntity(IschemaError):

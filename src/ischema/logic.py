@@ -397,14 +397,16 @@ def _ref(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext) ->
 
 def substitute_symbols(phi: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename free symbols (roles to entity ids, say); bound variables shadow."""
+    return _substitute(phi, mapping)
 
-    def walk(node: Node, live: Mapping[str, str]) -> Node:
-        if isinstance(node, (Forall, Exists)):
-            live = {k: v for k, v in live.items() if k != node.var}
-        children = [walk(child, live) for child in node.children]
-        return node.rebuild(children, [live.get(s, s) for s in node.symbols])
 
-    return walk(phi, mapping)
+def _substitute(node: Node, live: Mapping[str, str]) -> Node:
+    # Module-level, not a closure: a recursive closure is a reference cycle
+    # that only the cyclic collector frees.
+    if isinstance(node, (Forall, Exists)):
+        live = {k: v for k, v in live.items() if k != node.var}
+    children = [_substitute(child, live) for child in node.children]
+    return node.rebuild(children, [live.get(s, s) for s in node.symbols])
 
 
 # --- theory checking ---------------------------------------------------------------

@@ -69,6 +69,8 @@ class Sort:
 
     name: str
     parent: Optional[str] = None
+    span: object = field(default=None, compare=False, repr=False)  # of the name, when parsed
+    parent_span: object = field(default=None, compare=False, repr=False)  # of the parent's name
 
 
 BUILTIN_SORTS: tuple[Sort, ...] = (
@@ -82,8 +84,9 @@ BUILTIN_SORTS: tuple[Sort, ...] = (
     Sort("Rectangle", "Container"),
 )
 
-# Which shapes an entity may take at each built-in sort. User-declared sorts
-# inherit the admissible set of their nearest built-in ancestor.
+# Which shapes an entity may take at each built-in sort, the only sorts an
+# entity may have. User-declared sorts inherit the admissible set of their
+# nearest built-in ancestor.
 ADMISSIBLE_SHAPES: dict[str, frozenset[ShapeKind]] = {
     "Entity": frozenset(ShapeKind),
     "Object": frozenset({ShapeKind.POINT}),
@@ -99,34 +102,40 @@ ADMISSIBLE_SHAPES: dict[str, frozenset[ShapeKind]] = {
 class SortHierarchy:
     """The sort forest: built-ins plus optional user sorts.
 
-    Cycles and unknown parents are rejected at construction.
+    Cycles and unknown parents are rejected at construction, at the span of
+    the declaration at fault: the parent's name for an unknown parent, the
+    sort's own name otherwise.
     """
 
     def __init__(self, extra: Iterable[Sort] = ()):
-        self._parent: dict[str, Optional[str]] = {}
-        for s in BUILTIN_SORTS:
-            self._parent[s.name] = s.parent
+        self._parent: dict[str, Optional[str]] = {s.name: s.parent for s in BUILTIN_SORTS}
+        declared: dict[str, Sort] = {}
         for s in extra:
             if s.name in self._parent:
-                raise UnknownSort(f"sort {s.name!r} is already declared")
+                raise UnknownSort(f"sort {s.name!r} is already declared", s.span)
             if s.parent is None:
-                raise UnknownSort(f"sort {s.name!r} must name a parent sort")
+                raise UnknownSort(f"sort {s.name!r} must name a parent sort", s.span)
             self._parent[s.name] = s.parent
-        for name in self._parent:
-            self._walk_to_root(name)
+            declared[s.name] = s
+        # The built-in sorts form a tree, so a cycle or an unknown parent is
+        # met only on the way up from a declared sort.
+        for decl in declared.values():
+            seen = set()
+            while decl is not None:
+                if decl.name in seen:
+                    raise UnknownSort(f"sort hierarchy has a cycle through {decl.name!r}", decl.span)
+                if decl.parent not in self._parent:
+                    raise UnknownSort(f"unknown sort {decl.parent!r}", decl.parent_span)
+                seen.add(decl.name)
+                decl = declared.get(decl.parent)
 
     def _walk_to_root(self, name: str) -> list[str]:
+        if name not in self._parent:
+            raise UnknownSort(f"unknown sort {name!r}")
         chain = []
-        seen = set()
-        cur: Optional[str] = name
-        while cur is not None:
-            if cur in seen:
-                raise UnknownSort(f"sort hierarchy has a cycle through {cur!r}")
-            if cur not in self._parent:
-                raise UnknownSort(f"unknown sort {cur!r}")
-            seen.add(cur)
-            chain.append(cur)
-            cur = self._parent[cur]
+        while name is not None:
+            chain.append(name)
+            name = self._parent[name]
         return chain
 
     def known(self, name: str) -> bool:
@@ -182,6 +191,10 @@ class EntityDecl:
         raise UnknownParameter(f"{self.id} has no parameter {name!r}")
 
 
+def _exact(v: Rational | int | str) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def make_entity(
     id: str,
     sort: str,
@@ -190,20 +203,21 @@ def make_entity(
     attrs: Sequence[tuple[str, Rational | int | str]] = (),
 ) -> EntityDecl:
     """Build and validate one entity declaration."""
-    if not BUILTIN_HIERARCHY.known(sort):
+    admissible = ADMISSIBLE_SHAPES.get(sort)
+    if admissible is None:
         raise UnknownSort(f"unknown sort {sort!r} for entity {id!r}")
-    if not BUILTIN_HIERARCHY.admissible(sort, shape):
+    if shape not in admissible:
         raise BadShapeForSort(f"shape {shape.value} is not admissible at sort {sort!r}")
     names = SHAPE_PARAMS[shape]
     if len(values) != len(names):
         raise InvalidScenario(
             f"{shape.value} takes {len(names)} parameters {names}, got {len(values)}"
         )
-    params = [(n, Fraction(v)) for n, v in zip(names, values)]
+    params = [(n, _exact(v)) for n, v in zip(names, values)]
     for aname, avalue in attrs:
         if aname in names:
             raise InvalidScenario(f"attribute {aname!r} collides with a shape parameter")
-        params.append((aname, Fraction(avalue)))
+        params.append((aname, _exact(avalue)))
     for name, value in params:
         if name in EXTENT_PARAMS and value <= 0:
             raise NegativeExtent(f"{id}.{name} = {value} must be positive")
@@ -245,11 +259,11 @@ class Trace:
     def __post_init__(self):
         if len(self.states) < 1:
             raise InvalidScenario("a trace needs at least one state")
-        keys = set(self.states[0].values)
+        keys = self.states[0].values.keys()
         for i, s in enumerate(self.states):
             if s.time != i:
                 raise InvalidScenario(f"state at position {i} has time index {s.time}")
-            if set(s.values) != keys:
+            if s.values.keys() != keys:
                 raise InvalidScenario(f"state {i} does not share the trace's key set")
 
     @property
@@ -348,9 +362,10 @@ def declare_scenario(
         if e.id in seen:
             raise DuplicateEntity(f"entity {e.id!r} declared twice")
         seen.add(e.id)
-        if not BUILTIN_HIERARCHY.known(e.sort):
+        admissible = ADMISSIBLE_SHAPES.get(e.sort)
+        if admissible is None:
             raise UnknownSort(f"unknown sort {e.sort!r} for entity {e.id!r}")
-        if not BUILTIN_HIERARCHY.admissible(e.sort, e.shape):
+        if e.shape not in admissible:
             raise BadShapeForSort(
                 f"entity {e.id!r}: shape {e.shape.value} is not admissible at sort {e.sort!r}"
             )
@@ -373,9 +388,7 @@ def declare_scenario(
     if has_trace:
         keys = {(e.id, name) for e in entities for name, _ in e.params}
         for s in trace.states:
-            missing = keys - set(s.values)
-            extra = set(s.values) - keys
-            if missing or extra:
+            if s.values.keys() != keys:
                 raise InvalidScenario(
                     f"state {s.time} is not a total assignment over the declared parameters"
                 )

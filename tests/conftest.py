@@ -195,3 +195,21 @@ def random_formula(rng: random.Random, depth: int, scenario) -> logic.Formula:
         return cls(build(d - 1, scope))
 
     return build(depth, [])
+
+
+def mutate(lexemes: list[str], edits) -> list[str]:
+    """`lexemes` after `edits`, each `(op, i, j, word)`: delete lexeme i
+    ("d"), insert `word` before it ("i"), replace it by `word` ("r") or swap
+    it with lexeme j ("s"). Indices wrap around."""
+    lexemes = list(lexemes)
+    for op, i, j, word in edits:
+        i, j = i % len(lexemes), j % len(lexemes)
+        if op == "d":
+            del lexemes[i]
+        elif op == "i":
+            lexemes.insert(i, word)
+        elif op == "r":
+            lexemes[i] = word
+        else:
+            lexemes[i], lexemes[j] = lexemes[j], lexemes[i]
+    return lexemes

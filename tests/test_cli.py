@@ -1,11 +1,16 @@
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import mutate
 
 from ischema.cli import main
-from ischema.library import _data_text
+from ischema.library import SHIPPED_SCHEMAS, _data_text
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ischema" / "data"
 
@@ -571,3 +576,65 @@ def test_check_counts_candidates_without_listing_them(runner, tmp_path):
 def test_negative_epsilon_is_a_usage_error(runner, args):
     _assert_usage_error(_run(runner, args + ["--epsilon", "-1"]), "error: --epsilon must not be negative, got -1")
     assert _run(runner, args + ["--epsilon", "0"]).exit_code in (0, 1)
+
+
+# --- fuzz: every command ends in a documented exit code -------------------------
+
+_FUZZ_VOCABULARY = (
+    "0/0", "1/0", "1.5", "1" + "0" * 400, "-", "(", ")", ",", ":", "=", "<", "<=",
+    "end", "on", "until", "forall", "not", "always", "x", "o.x", "Regio", "ghost",
+    "delta(a, b)", "measure(c)", "\n", "\t", "\r", "# c", "\u00e9",
+    "sort Cup < Contaner\n", "role r : Object\n", "axiom true\n", "gravity(1)",
+    "rule r when true do o.x += 1", "rule s when true do o.y := 1",
+    "umph p on o (1, 0) until o.x > 3", "state 0 { o.x = 1 }",
+)
+# Per command of the CLI: (arguments, the shipped file whose mutant "{}" is).
+_CONCRETE = sorted(p.name for p in DATA.glob("*.scn") if p.name != "drop.scn")
+_FUZZ_CASES = {
+    "check": [(["check", "{}", _path("fig1.scn")], f"{n}.ist") for n in SHIPPED_SCHEMAS]
+    + [(["check", _path("SUPPORT.ist"), "{}", "--json"], n) for n in _CONCRETE],
+    "simulate": [(["simulate", "{}", "--steps", "3"], "drop.scn"),
+                 (["simulate", "{}", "--steps", "2", "--json"], "drop.scn")],
+    "classify": [(["classify", "{}", "--json"], n) for n in _CONCRETE],
+    "analogy": [(["analogy", "{}", _path("solar.scn"), "--schema", "REVOLUTION"], n)
+                for n in _CONCRETE],
+    "enumerate": [(["enumerate", "{}", _path("containment_grid.scn"), "--grid", "0:2,0:2",
+                    "--cap", "1000"], f"{n}.ist") for n in SHIPPED_SCHEMAS]
+    + [(["enumerate", "{}", _path("containment_grid.scn"), "--grid", "0:2,0:2", "--steps", "2",
+         "--cap", "50"], f"{n}.ist") for n in SHIPPED_SCHEMAS]
+    + [(["enumerate", _path("CONTAINMENT.ist"), "{}", "--grid", "0:2,0:2", "--cap", "1000"], n)
+       for n in _CONCRETE],
+}
+# The lexemes of a text with the whitespace and comments between them, so
+# that a mutant keeps the layout of the text around each edit.
+_LAYOUT_LEXEME = re.compile(r"\s+|#[^\n]*|\d+/\d+|\d+\.\d+|\d+|\w+|:=|\+=|->|<=|>=|!=|\S")
+# What `check` and `analogy` print when they exit 1.
+_VERDICTS = (
+    "result: violated", "no satisfying binding", '"satisfied": false',
+    "no analogy", '"found": false',
+)
+
+
+@given(
+    st.sampled_from(sorted(_FUZZ_CASES)).flatmap(lambda c: st.sampled_from(_FUZZ_CASES[c])),
+    st.lists(
+        st.tuples(st.sampled_from("dirs"), st.integers(0, 999), st.integers(0, 999),
+                  st.sampled_from(_FUZZ_VOCABULARY)),
+        min_size=1, max_size=2,
+    ),
+)
+@settings(max_examples=1000, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_inputs_end_in_a_documented_exit_code(runner, case, edits):
+    args, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / name
+        lexemes = mutate(_LAYOUT_LEXEME.findall(_data_text(name)), edits)
+        mutant.write_text("".join(lexemes), encoding="utf-8")
+        result = _run(runner, [a.format(mutant) for a in args])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
+    assert result.exit_code in range(5), result.output
+    if result.exit_code == 1:
+        assert args[0] in ("check", "analogy")
+        assert any(v in result.stdout for v in _VERDICTS), result.output

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_trace_scenario
+from conftest import mutate, random_trace_scenario
 
 from ischema.dsl import (
     MAX_NESTING,
@@ -23,6 +23,7 @@ from ischema.dsl import (
     serialize_trace,
     sort_check,
     text_to_rational,
+    tokenize,
     trace_to_json,
 )
 from ischema.errors import UnknownRelation
@@ -59,6 +60,86 @@ def test_rational_rendering(value, text):
 @settings(max_examples=200, deadline=None)
 def test_rational_text_round_trip(q):
     assert text_to_rational(rational_to_text(q)) == q
+
+
+@given(st.fractions(max_denominator=10**6))
+@settings(max_examples=200, deadline=None)
+def test_rational_literals_parse_to_their_value(q):
+    text = f"scenario s\n  entity o : Object = Point({rational_to_text(q)}, 0)\n  trace length 1\nend"
+    assert parse_scenario(text).entities[0].initial("x") == q
+
+
+# --- lexing -------------------------------------------------------------------
+
+# The oracle of the lexer: one `re.match` per lexeme, whitespace and comments
+# included, counting lines and columns as it goes.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<rational>\d+/\d+|\d+\.\d+|\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>:=|\+=|->|<=|>=|!=|[()<>={},.:+\-*])
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_tokens(text: str):
+    """[(kind, text, line, column)] ending with eof, and the diagnostic of
+    the first unexpected character (None when there is none)."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            return tokens, f"t:{line}:{col}: error[syntax]: unexpected character {text[pos]!r}"
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group(), line, col))
+        newlines = m.group().count("\n")
+        if newlines:
+            line += newlines
+            col = len(m.group()) - m.group().rfind("\n")
+        else:
+            col += len(m.group())
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens, None
+
+
+_LEX_FRAGMENTS = (
+    " ", "  ", "\t", "\n", "\r\n", "\r", "# a comment", "# caf\u00e9 \u00df", "#", "x",
+    "o_2", "Point", "theory", "0", "12", "3/4", "1.50", "0/0", "7.", ".5", "/", ":=", "+=",
+    "->", "<=", ">=", "!=", ":", "+", "-", "*", "(", ")", "{", "}", "<", ">", "=", ",", ".",
+    "\u0663", "@",
+)
+_UNEXPECTED = ("@", "$", "\u00e9", "\x0b", "\u2028")
+
+
+@given(
+    st.lists(st.sampled_from(_LEX_FRAGMENTS), max_size=40),
+    st.sampled_from(["", "\n", "# a comment at the end", "\r\n# caf\u00e9"]),
+    st.sampled_from(_UNEXPECTED),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_lexer_agrees_with_the_one_match_per_lexeme_oracle(fragments, ending, unexpected):
+    body = "".join(fragments) + ending
+    for text in (body, unexpected + body, body + unexpected):
+        expected, diagnostic = _oracle_tokens(text)
+        try:
+            tokens = tokenize(text, "t")
+        except DslError as err:
+            assert [str(d) for d in err.diagnostics] == [diagnostic]
+            continue
+        assert diagnostic is None
+        assert [(t.kind, t.text, t.span.line, t.span.column) for t in tokens] == expected
+        for t in tokens:
+            before = text[: t.offset]
+            line_start = before.rfind("\n") + 1
+            assert (t.span.file, t.span.line, t.span.column) == (
+                "t", before.count("\n") + 1, len(before) - line_start + 1
+            )
+        assert tokens[-1].offset == len(text)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -131,6 +212,15 @@ _RULES = _ENTITY + "  rules\n    "
 GOLDEN_DIAGNOSTICS = [
     (parse_theory, "theory T\n  axiom o.x @ 1\nend",
      "g:2:13: error[syntax]: unexpected character '@'"),
+    # a tab and a "\r" are one column each; only "\n" ends a line
+    (parse_theory, "theory T\n\taxiom o.x @ 1\nend",
+     "g:2:12: error[syntax]: unexpected character '@'"),
+    (parse_theory, "theory T\r\n  axiom o.x @ 1\r\nend",
+     "g:2:13: error[syntax]: unexpected character '@'"),
+    (parse_theory, "theory T\r  axiom o.x @ 1\nend",
+     "g:1:22: error[syntax]: unexpected character '@'"),
+    (parse_theory, "theory T\n  axiom o.x < \u00e9\nend",
+     "g:2:15: error[syntax]: unexpected character '\u00e9'"),
     (parse_theory, "theory T\n  role a Object\nend",
      "g:2:10: error[syntax]: expected ':'"),
     (parse_scenario, _ENTITY + "  trace length 1\n",
@@ -231,6 +321,14 @@ GOLDEN_DIAGNOSTICS = [
      "g:3:13: error[unknown-sort]: role 'w2' has unknown sort 'Regio'"),
     (parse_theory, "theory T\n  relation near(Object, Blob)\nend",
      "g:2:25: error[unknown-sort]: unknown sort 'Blob' in relation near"),
+    (parse_theory, "theory T\n  sort Cup < Contaner\nend",
+     "g:2:14: error[unknown-sort]: unknown sort 'Contaner'"),
+    (parse_theory, "theory T\n  sort Mug < Cup\n  sort Cup < Contaner\nend",
+     "g:3:14: error[unknown-sort]: unknown sort 'Contaner'"),
+    (parse_theory, "theory T\n  sort Object < Entity\nend",
+     "g:2:8: error[unknown-sort]: sort 'Object' is already declared"),
+    (parse_theory, "theory T\n  sort A < B\n  sort B < A\nend",
+     "g:2:8: error[unknown-sort]: sort hierarchy has a cycle through 'A'"),
 ]
 
 
@@ -449,17 +547,7 @@ _SHIPPED_TEXTS = [(parse_theory, _data_text(n + ".ist")) for n in SHIPPED_SCHEMA
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_mutated_texts_parse_or_give_diagnostics(shipped, edits):
     parse, text = shipped
-    lexemes = _LEXEME.findall(re.sub(r"#[^\n]*", "", text))
-    for op, i, j, word in edits:
-        i, j = i % len(lexemes), j % len(lexemes)
-        if op == "d":
-            del lexemes[i]
-        elif op == "i":
-            lexemes.insert(i, word)
-        elif op == "r":
-            lexemes[i] = word
-        else:
-            lexemes[i], lexemes[j] = lexemes[j], lexemes[i]
+    lexemes = mutate(_LEXEME.findall(re.sub(r"#[^\n]*", "", text)), edits)
     try:
         parsed = parse(" ".join(lexemes), "m")
     except DslError:

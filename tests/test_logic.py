@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -315,3 +316,18 @@ def test_substitute_symbols_respects_shadowing():
     out = substitute_symbols(phi, {"object": "o", "container": "cup"})
     assert out.left == Atom("inside", (Sym("o"), Sym("cup")))
     assert out.right == Exists("object", "Object", Atom("inside", (Sym("object"), Sym("cup"))))
+
+
+def test_substitute_symbols_leaves_nothing_for_the_cyclic_collector():
+    phi = Forall("x", "Object", And(
+        Atom("inside", (Sym("x"), Sym("container"))),
+        Exists("y", "Object", Atom("on", (Sym("y"), Sym("object")))),
+    ))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            substitute_symbols(phi, {"object": "o", "container": "cup"})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
