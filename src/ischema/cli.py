@@ -16,7 +16,6 @@ Given identical inputs and flags, output bytes are identical across runs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import sys
 from fractions import Fraction
@@ -50,21 +49,29 @@ def _color_enabled() -> Optional[bool]:
     return None
 
 
+def _stream(err: bool = False):
+    """stdout, or stderr, as click.echo picks it, looked up on every call.
+    click.echo keeps the stream it picks in a cache that holds on to every
+    stream it is given, so commands run in one process on fresh streams, as
+    tests and benchmarks run them, would keep all their output alive."""
+    return click.get_text_stream("stderr" if err else "stdout", errors=None)
+
+
 def _echo(text: str = "", fg: Optional[str] = None) -> None:
     color = _color_enabled()
     if fg is not None and color is not False:
-        click.secho(text, fg=fg, color=color)
+        click.secho(text, fg=fg, color=color, file=_stream())
     else:
-        click.echo(text)
+        click.echo(text, file=_stream())
 
 
 def _emit_diagnostics(diags) -> None:
     for d in diags:
-        click.echo(str(d), err=True)
+        click.echo(str(d), file=_stream(err=True))
 
 
 def _fail_usage(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=_stream(err=True))
     sys.exit(EXIT_USAGE)
 
 
@@ -116,7 +123,7 @@ def _epsilon_option(text: Optional[str]) -> Fraction:
 
 
 def _print_json(doc) -> None:
-    click.echo(json.dumps(doc, sort_keys=True, indent=2))
+    click.echo(dsl.json_text(doc), file=_stream())
 
 
 def _report_to_json(report: logic.CheckReport) -> dict:
@@ -142,21 +149,20 @@ def _report_to_json(report: logic.CheckReport) -> dict:
     }
 
 
-def _print_report_text(report: logic.CheckReport) -> None:
+def _report_lines(report: logic.CheckReport) -> list[tuple[str, Optional[str]]]:
+    """The text report, as (line, color) pairs."""
     binding = dict(report.binding)
     bound = ", ".join(f"{r}={e}" for r, e in report.binding)
-    _echo(f"theory {report.theory}" + (f" with {bound}" if bound else ""))
+    lines = [(f"theory {report.theory}" + (f" with {bound}" if bound else ""), None)]
     for a in report.axioms:
         shown = logic.substitute_symbols(a.formula, binding)
         verdict = "satisfied" if a.satisfied else "violated"
-        _echo(
-            f"  {dsl.formula_to_text(shown)}: {verdict}",
-            fg="green" if a.satisfied else "red",
-        )
+        lines.append((f"  {dsl.formula_to_text(shown)}: {verdict}", "green" if a.satisfied else "red"))
         if a.witness is not None:
             wf = logic.substitute_symbols(a.witness.formula, binding)
-            _echo(f"    fails at t={a.witness.time}: {dsl.formula_to_text(wf)}")
-    _echo(f"result: {'satisfied' if report.satisfied else 'violated'}")
+            lines.append((f"    fails at t={a.witness.time}: {dsl.formula_to_text(wf)}", None))
+    lines.append((f"result: {'satisfied' if report.satisfied else 'violated'}", None))
+    return lines
 
 
 @click.group(name="ischema")
@@ -212,13 +218,16 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
                     )
                 sys.exit(EXIT_UNSATISFIED)
             report = found.report
+        # rendered here, since a constant can be too long to print
+        output = _report_to_json(report) if json_output else _report_lines(report)
     except IschemaError as exc:
         _fail_usage(str(exc))
 
     if json_output:
-        _print_json(_report_to_json(report))
+        _print_json(output)
     else:
-        _print_report_text(report)
+        for line, fg in output:
+            _echo(line, fg=fg)
     sys.exit(EXIT_OK if report.satisfied else EXIT_UNSATISFIED)
 
 
@@ -234,7 +243,7 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     scenario = _load(scenario_file, dsl.parse_scenario)
     if not scenario.is_generative:
         _fail_usage("the scenario already carries a trace; nothing to simulate")
-    _check_at_least_one("--steps", steps)
+    _check_steps(steps)
     eps = _epsilon_option(epsilon)
     if delta is not None:
         delta_v = _rational_option(delta, "--delta")
@@ -247,23 +256,25 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
         scenario = dataclasses.replace(scenario, rules=rules)
     try:
         trace = dynamics.simulate(scenario, epsilon=eps, horizon=steps)
-    except (ConflictingEffects, UnstratifiableRuleSet) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RULESET)
-    except IschemaError as exc:
-        _fail_usage(str(exc))
-    payload = dsl.serialize_trace(trace, scenario.entities)
-    if trace_out:
-        Path(trace_out).write_text(payload, encoding="utf-8")
-    if json_output:
-        click.echo(payload, nl=False)
-    elif not trace_out:
-        for state in trace.states:
-            parts = " ".join(
+        payload = dsl.serialize_trace(trace, scenario.entities) if json_output or trace_out else None
+        lines = [] if json_output or trace_out else [
+            f"t={state.time} " + " ".join(
                 f"{eid}.{p}={dsl.rational_to_text(v)}"
                 for (eid, p), v in sorted(state.values.items())
             )
-            _echo(f"t={state.time} {parts}")
+            for state in trace.states
+        ]
+    except (ConflictingEffects, UnstratifiableRuleSet) as exc:
+        click.echo(f"error: {exc}", file=_stream(err=True))
+        sys.exit(EXIT_RULESET)
+    except IschemaError as exc:
+        _fail_usage(str(exc))
+    if trace_out:
+        Path(trace_out).write_text(payload, encoding="utf-8")
+    if json_output:
+        click.echo(payload, nl=False, file=_stream())
+    for line in lines:
+        _echo(line)
     sys.exit(EXIT_OK)
 
 
@@ -370,6 +381,13 @@ def _check_at_least_one(option: str, value: Optional[int]) -> None:
         _fail_usage(f"{option} must be at least 1, got {value}")
 
 
+def _check_steps(value: Optional[int]) -> None:
+    """--steps: from 1 to dsl.MAX_INSTANTS instants."""
+    _check_at_least_one("--steps", value)
+    if value is not None and value > dsl.MAX_INSTANTS:
+        _fail_usage(f"--steps must be at most {dsl.MAX_INSTANTS}, got {value}")
+
+
 @main.command("enumerate")
 @click.argument("theory_file")
 @click.argument("scenario_file")
@@ -394,7 +412,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     scenario = _load(scenario_file, dsl.parse_scenario)
     eps = _epsilon_option(epsilon)
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
-    _check_at_least_one("--steps", steps)
+    _check_steps(steps)
     _check_at_least_one("--cap", cap)
     x_range, y_range, step = _parse_grid(grid)
 
@@ -407,6 +425,9 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
         )
     if not free_ids:
         _fail_usage("no free entities: pass --free or declare Object entities")
+    for i, eid in enumerate(free_ids):
+        if eid in free_ids[:i]:
+            _fail_usage(f"--free names {eid!r} twice")
 
     binding = _parse_bindings(binds)
     unbound = [role for role, _ in theory.roles if role not in binding]
@@ -431,28 +452,36 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
         else:
             models = enumeration.enumerate_models(theory, scenario, spec, binding, eps, tau_v)
             count = len(models)
+        if json_output:
+            doc = {"command": "enumerate", "count": count}
+            if models is not None:
+                shared: dict = {}
+                doc["models"] = [dsl.trace_to_json(m, scenario.entities, shared) for m in models]
+        else:
+            lines = [f"models: {count}"] + ["  " + _placements(m, free_ids) for m in models or ()]
     except SearchSpaceTooLarge as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=_stream(err=True))
         sys.exit(EXIT_SEARCH_SPACE)
     except IschemaError as exc:
         _fail_usage(str(exc))
 
     if json_output:
-        doc = {"command": "enumerate", "count": count}
-        if models is not None:
-            doc["models"] = [dsl.trace_to_json(m, scenario.entities) for m in models]
         _print_json(doc)
     else:
-        _echo(f"models: {count}")
-        for m in models or ():
-            placements = []
-            for eid in free_ids:
-                xs = [dsl.rational_to_text(s.value(eid, "x")) for s in m.states]
-                ys = [dsl.rational_to_text(s.value(eid, "y")) for s in m.states]
-                coords = " -> ".join(f"({x}, {y})" for x, y in zip(xs, ys))
-                placements.append(f"{eid}: {coords}")
-            _echo("  " + "; ".join(placements))
+        for line in lines:
+            _echo(line)
     sys.exit(EXIT_OK)
+
+
+def _placements(model, free_ids: Sequence[str]) -> str:
+    """Where the free entities of `model` are, instant by instant."""
+    placements = []
+    for eid in free_ids:
+        xs = [dsl.rational_to_text(s.value(eid, "x")) for s in model.states]
+        ys = [dsl.rational_to_text(s.value(eid, "y")) for s in model.states]
+        coords = " -> ".join(f"({x}, {y})" for x, y in zip(xs, ys))
+        placements.append(f"{eid}: {coords}")
+    return "; ".join(placements)
 
 
 if __name__ == "__main__":

@@ -42,12 +42,13 @@ import bisect
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dynamics, geometry
-from .errors import IschemaError, UnknownSort
+from .errors import IschemaError, UnknownSort, ValueOutOfRange
 from .geometry import (
     COMPARATORS,
     Add,
@@ -223,23 +224,29 @@ def text_to_rational(text: str) -> Fraction:
 
 
 def rational_to_text(q: Fraction) -> str:
-    """Exact decimal when the denominator is 2^a 5^b, else "p/q"."""
+    """Exact decimal when the denominator is 2^a 5^b, else "p/q". Raises
+    ValueOutOfRange for a value with more digits than the interpreter
+    converts to text."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    d = q.denominator
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        return f"{q.numerator}/{q.denominator}"
-    k = max(twos, fives)
-    scaled = abs(q.numerator) * 10**k // q.denominator
-    digits = str(scaled).rjust(k + 1, "0")
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        d = q.denominator
+        twos = fives = 0
+        while d % 2 == 0:
+            d //= 2
+            twos += 1
+        while d % 5 == 0:
+            d //= 5
+            fives += 1
+        if d != 1:
+            return f"{q.numerator}/{q.denominator}"
+        k = max(twos, fives)
+        scaled = abs(q.numerator) * 10**k // q.denominator
+        digits = str(scaled).rjust(k + 1, "0")
+    except ValueError:  # beyond the interpreter's limit on digits converted
+        limit = sys.get_int_max_str_digits()
+        raise ValueOutOfRange(f"a value of more than {limit} digits is too long to print") from None
     sign = "-" if q.numerator < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
@@ -293,6 +300,12 @@ _NUM_UNARY = _operators(NumExpr, "prefix")
 # so that parsing, sort-checking, evaluation and printing, which all recurse
 # over the tree, stay within the interpreter's recursion limit.
 MAX_NESTING = 64
+
+# The most instants a trace may have: a scenario's `trace length` and
+# `horizon`, and the `--steps` of `simulate` and `enumerate`. A larger number
+# is refused before any state is built, since every instant holds a state of
+# every parameter.
+MAX_INSTANTS = 10_000
 
 
 def nesting_depth(node: Node) -> int:
@@ -364,7 +377,14 @@ class _Parser:
         if tok.kind != "rational" or not tok.text.isdigit():
             self.fail("expected a natural number")
         self.next()
-        return int(tok.text)
+        return self._integer(tok.text, tok)
+
+    def _integer(self, digits: str, tok: Token) -> int:
+        """The integer that `digits`, a part of literal `tok`, spell."""
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's limit on digits converted
+            self.fail(f"number of {len(digits)} digits is too long", tok.span)
 
     def expect_rational(self) -> Fraction:
         """The value of the rational literal at the cursor, negated if a
@@ -381,14 +401,15 @@ class _Parser:
         self.pos += 1
         text = tok.text
         if "/" in text:
-            p, q = text.split("/")
-            if int(q) == 0:
+            numerator, denominator = text.split("/")
+            q = self._integer(denominator, tok)
+            if q == 0:
                 self.fail(f"zero denominator in {text!r}", tok.span)
-            return Fraction(sign * int(p), int(q))
+            return Fraction(sign * self._integer(numerator, tok), q)
         if "." in text:
             whole, decimals = text.split(".")
-            return Fraction(sign * int(whole + decimals), 10 ** len(decimals))
-        return Fraction(sign * int(text))
+            return Fraction(sign * self._integer(whole + decimals, tok), 10 ** len(decimals))
+        return Fraction(sign * self._integer(text, tok))
 
     def fail(self, message: str, span: Optional[SourceSpan] = None) -> None:
         span = span or self.peek().span
@@ -603,7 +624,10 @@ class _Parser:
         elif self.accept("rules"):
             rules = self._rules_block()
             self.expect("horizon")
+            horizon_tok = self.peek()
             horizon = self.expect_nat()
+            if horizon > MAX_INSTANTS:
+                self.fail(f"horizon must be at most {MAX_INSTANTS}", horizon_tok.span)
         else:
             self.fail("expected a trace block or a rules block")
         self.expect("end")
@@ -641,6 +665,8 @@ class _Parser:
         length = self.expect_nat()
         if length < 1:
             self.fail("trace length must be at least 1", length_tok.span)
+        if length > MAX_INSTANTS:
+            self.fail(f"trace length must be at most {MAX_INSTANTS}", length_tok.span)
         overrides: dict[int, dict[tuple[str, str], Fraction]] = {}
         params = {e.id: e.param_names() for e in reversed(entities)}  # the first of a repeated id
         while self.accept("state"):
@@ -1066,13 +1092,18 @@ def _force_to_json(f: ForceFluent) -> dict:
     }
 
 
-def trace_to_json(trace: Trace, entities: Sequence[EntityDecl]) -> dict:
-    """The JSON document of a trace, with exact rational strings."""
-    return {
-        "length": trace.length,
-        "entities": [_entity_to_json(e) for e in entities],
-        "states": [
-            {
+def trace_to_json(trace: Trace, entities: Sequence[EntityDecl], shared: Optional[dict] = None) -> dict:
+    """The JSON document of a trace, with exact rational strings. The
+    documents of several traces built with one `shared` dict share one entity
+    list and one document per State object, which `json_text` writes once."""
+    if shared is None:
+        shared = {}
+    if "entities" not in shared:
+        shared["entities"] = [_entity_to_json(e) for e in entities]
+    states = []
+    for s in trace.states:
+        if id(s) not in shared:  # the state is kept with its document, so its id stays its own
+            shared[id(s)] = s, {
                 "t": s.time,
                 "values": {
                     f"{eid}.{pname}": rational_to_text(v)
@@ -1083,15 +1114,42 @@ def trace_to_json(trace: Trace, entities: Sequence[EntityDecl]) -> dict:
                     for f in sorted(s.forces, key=lambda f: (f.label, f.target))
                 ],
             }
-            for s in trace.states
-        ],
-    }
+        states.append(shared[id(s)][1])
+    return {"length": trace.length, "entities": shared["entities"], "states": states}
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)` for a document of dicts
+    with string keys, lists and JSON scalars, writing a dict or list that
+    occurs in it more than once, as one object, once."""
+    written: dict[tuple[int, int], str] = {}
+
+    def write(obj, level: int) -> str:
+        if isinstance(obj, str):
+            return _json_string(obj)
+        if not obj or not isinstance(obj, (dict, list)):
+            return json.dumps(obj)
+        key = (id(obj), level)  # ids are unique while `doc` holds the objects
+        if key not in written:
+            pad = "\n" + "  " * (level + 1)
+            if isinstance(obj, dict):
+                items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
+                written[key] = "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+            else:
+                items = [write(v, level + 1) for v in obj]
+                written[key] = "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+        return written[key]
+
+    return write(doc, 0)
 
 
 def serialize_trace(trace: Trace, entities: Sequence[EntityDecl]) -> str:
     """Canonical JSON: sorted keys, exact rational strings, byte-identical for
     equal traces."""
-    return json.dumps(trace_to_json(trace, entities), sort_keys=True, indent=2) + "\n"
+    return json_text(trace_to_json(trace, entities)) + "\n"
 
 
 def parse_trace_json(text: str) -> tuple[tuple[EntityDecl, ...], Trace]:

@@ -746,6 +746,17 @@ BUILTIN_RELATIONS: dict[str, tuple[int, int, RelationTest]] = {
 }
 
 
+# The built-in relations that read the next state.
+STEP_RELATIONS = frozenset({"motion", "ccwStep", "thetaStep"})
+
+
+def reads_next_state(name: str, ctx: EvalContext) -> bool:
+    """Whether relation `name` reads the next state: a built-in step relation
+    that no template of the theory overrides."""
+    sig = ctx.relations.get(name)
+    return name in STEP_RELATIONS and (sig is None or sig.definition is None)
+
+
 def arity_message(name: str) -> str:
     """Why an application of built-in `name` has the wrong number of arguments."""
     n_entities, n_numeric, _ = BUILTIN_RELATIONS[name]

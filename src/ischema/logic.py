@@ -28,7 +28,7 @@ from .errors import (
     UnboundSymbol,
 )
 from .geometry import ConstraintAtom, EvalContext, eval_constraint, eval_num_expr
-from .model import Scenario, Theory, Trace
+from .model import Scenario, State, Theory, Trace
 from .tree import Node
 
 Binding = Mapping[str, str]
@@ -193,13 +193,14 @@ def _domain(ctx: EvalContext, sort: str) -> list[str]:
 
 
 def _resolve_atom_args(
-    atom: Atom, trace: Trace, t: int, binding: Binding, ctx: EvalContext
+    atom: Atom, state: State, binding: Binding, ctx: EvalContext
 ) -> tuple[list[str], list]:
+    """The atom's entity arguments and its numeric ones, these read in `state`."""
     entity_args: list[str] = []
     num_args: list = []
     for term in atom.args:
         if isinstance(term, NumTerm):
-            num_args.append(eval_num_expr(term.expr, trace.states[t], ctx, binding))
+            num_args.append(eval_num_expr(term.expr, state, ctx, binding))
         elif isinstance(term, Sym):
             name = term.name
             if name in binding:
@@ -217,8 +218,8 @@ def _resolve_atom_args(
 
 def eval_atom(atom: Atom, trace: Trace, t: int, binding: Binding, ctx: EvalContext) -> bool:
     """The atom at instant t; the step relations also read state t+1."""
-    entity_args, num_args = _resolve_atom_args(atom, trace, t, binding, ctx)
     states = trace.states
+    entity_args, num_args = _resolve_atom_args(atom, states[t], binding, ctx)
     after = states[t + 1] if t + 1 < len(states) else None
     return geometry.eval_relation(atom.relation, entity_args, states[t], ctx, num_args, after)
 

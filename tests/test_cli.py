@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import mutate
 
 from ischema.cli import main
-from ischema.library import SHIPPED_SCHEMAS, _data_text
+from ischema import dsl, enumeration
+from ischema.library import SHIPPED_SCHEMAS, _data_text, shipped_scenario
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ischema" / "data"
 
@@ -254,6 +256,21 @@ def test_enumerate_json(runner):
     assert len(doc["models"]) == 5
 
 
+def test_enumerate_json_listing_is_the_brute_force_listing(runner):
+    # two instants, so that models share the documents of their states
+    theory = dsl.parse_theory(_data_text("OBJECT_INTO_CONTAINER.ist"))
+    scenario = shipped_scenario("containment_grid")
+    spec = enumeration.GridSpec(x_range=(0, 2), y_range=(0, 2), free_entities=("o",), horizon=2)
+    models = enumeration.brute_force_models(theory, scenario, spec, {"object": "o", "container": "c"})
+    expected = {"command": "enumerate", "count": len(models),
+                "models": [dsl.trace_to_json(m, scenario.entities) for m in models]}
+    result = _run(runner, ["enumerate", _path("OBJECT_INTO_CONTAINER.ist"), _path("containment_grid.scn"),
+                           "--grid", "0:2,0:2", "--steps", "2", "--json"])
+    assert result.exit_code == 0
+    assert len(models) == 20
+    assert result.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_enumerate_cap_exits_four(runner):
     result = _run(
         runner,
@@ -271,8 +288,10 @@ def test_enumerate_cap_exits_four(runner):
         (["CONTAINMENT.ist", "containment_grid.scn", "--cap", "0"], "--cap must be at least 1, got 0"),
         (["CONTAINMENT.ist", "containment_grid.scn", "--cap", "-3"], "--cap must be at least 1, got -3"),
         (["SUPPORT.ist", "stack.scn", "--free", "f"], "free entity 'f' must have a center"),
+        # o would be placed twice, and every model listed once per placement
+        (["CONTAINMENT.ist", "containment_grid.scn", "--free", "o,o"], "error: --free names 'o' twice"),
     ],
-    ids=["cap-0", "cap-negative", "free-floor"],
+    ids=["cap-0", "cap-negative", "free-floor", "free-repeated"],
 )
 def test_bad_enumerate_options_are_usage_errors(runner, args, message):
     theory, scenario, *options = args
@@ -638,3 +657,82 @@ def test_mutated_inputs_end_in_a_documented_exit_code(runner, case, edits):
     if result.exit_code == 1:
         assert args[0] in ("check", "analogy")
         assert any(v in result.stdout for v in _VERDICTS), result.output
+
+
+# More instants than memory holds states for: every one is refused before any
+# state is built.
+_TOO_LONG = str(10**12)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["classify"], f"  trace length {_TOO_LONG}\nend\n",
+         "s.scn:3:16: error[syntax]: trace length must be at most 10000"),
+        (["simulate"], f"  rules\n    gravity(1)\n  horizon {_TOO_LONG}\nend\n",
+         "s.scn:5:11: error[syntax]: horizon must be at most 10000"),
+        (["simulate", "--steps", _TOO_LONG], "  rules\n    gravity(1)\n  horizon 2\nend\n",
+         f"error: --steps must be at most 10000, got {_TOO_LONG}"),
+        (["enumerate", "--grid", "0:0,0:0", "--steps", _TOO_LONG], "  trace length 1\nend\n",
+         f"error: --steps must be at most 10000, got {_TOO_LONG}"),
+        # one grid point: the cap, 1^3000000 = 1, lets this length through
+        (["enumerate", "--grid", "46:46,24:24", "--steps", "3000000", "--count-only"],
+         "  trace length 1\nend\n", "error: --steps must be at most 10000, got 3000000"),
+    ],
+    ids=["trace-length", "horizon", "simulate-steps", "enumerate-steps", "enumerate-one-point"],
+)
+def test_instants_beyond_the_limit_are_refused(runner, tmp_path, command, text, message):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text("scenario s\n  entity o : Object = Point(0, 0)\n" + text, encoding="utf-8")
+    files = [_path("CONTAINMENT.ist"), str(scenario)] if command[0] == "enumerate" else [str(scenario)]
+    result = _run(runner, command[:1] + files + command[1:])
+    _assert_usage_error(result, message)
+    assert result.stdout == ""
+
+
+def test_enumerate_at_the_instant_limit(runner):
+    result = _run(runner, _ENUMERATE + ["--grid", "1:1,1:1", "--steps", "10000", "--count-only"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "models: 1\n"
+
+
+_DIGITS = "1" * 5000  # beyond the interpreter's 4,300 digits of int-to-text conversion
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("T.ist", f"theory T\n  role a : Object\n  axiom a.x < {_DIGITS}\nend\n", "3:15: error[syntax]: number of 5000 digits"),
+        # the digits of 0.111...1 are 0111...1
+        ("s.scn", f"scenario s\n  entity o : Object = Point(0.{_DIGITS}, 0)\n  trace length 1\nend\n",
+         "2:29: error[syntax]: number of 5001 digits"),
+    ],
+    ids=["theory", "scenario"],
+)
+def test_literal_beyond_the_digit_limit_is_a_syntax_error(runner, tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    files = [str(path), _path("fig1.scn")] if name.endswith(".ist") else [_path("CONTAINMENT.ist"), str(path)]
+    result = _run(runner, ["check", *files])
+    _assert_usage_error(result, f"{path}:{where} is too long")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_value_too_long_to_print_is_a_usage_error(runner, tmp_path, json_flag, command):
+    if command == "simulate":  # 10 squared 14 times has 16,385 digits
+        scenario = tmp_path / "sq.scn"
+        scenario.write_text(
+            "scenario sq\n  entity o : Object = Point(10, 0)\n  rules\n"
+            "    rule sq when true do o.x := o.x * o.x\n  horizon 14\nend\n",
+            encoding="utf-8",
+        )
+        args = [str(scenario)]
+    else:  # the literal parses, but its decimal has 14,000 digits
+        theory = tmp_path / "T.ist"
+        theory.write_text(f"theory T\n  role a : Object\n  axiom a.x < 1/{2 ** 14000}\nend\n", encoding="utf-8")
+        args = [str(theory), _path("containment_grid.scn"), "--bind", "a=o"]
+    result = _run(runner, [command, *args, *json_flag])
+    limit = sys.get_int_max_str_digits()
+    _assert_usage_error(result, f"error: a value of more than {limit} digits is too long to print")
+    assert result.stdout == ""

@@ -12,6 +12,7 @@ from ischema.dsl import (
     MAX_NESTING,
     DslError,
     formula_to_text,
+    json_text,
     nesting_depth,
     parse_formula,
     parse_scenario,
@@ -596,6 +597,21 @@ def test_trace_json_document_is_what_serialize_trace_prints(fig1_scenario):
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == serialize_trace(
         fig1_scenario.trace, fig1_scenario.entities
     )
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES, st.integers(1, 3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_json_text_is_json_dumps(value, repeats):
+    # a dict or list that occurs more than once, as one object, is written once
+    doc = {"one": value, "many": [value] * repeats, "nested": [{"v": value}]}
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_trace_json_figure_values(fig1_scenario):
