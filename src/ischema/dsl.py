@@ -227,7 +227,8 @@ def rational_to_text(q: Fraction) -> str:
     """Exact decimal when the denominator is 2^a 5^b, else "p/q". Raises
     ValueOutOfRange for a value with more digits than the interpreter
     converts to text."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)
@@ -320,6 +321,23 @@ def nesting_depth(node: Node) -> int:
     return deepest
 
 
+# The tokens that may follow a parenthesized group in a comparison.
+_NUMERIC_FOLLOWERS = frozenset(_NUM_BINARY) | frozenset(COMPARATORS)
+
+
+def _closers(tokens: Sequence[Token]) -> dict[int, int]:
+    """The position of each "(" in `tokens` -> that of its matching ")";
+    an unmatched "(" has none."""
+    out: dict[int, int] = {}
+    opened: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok.text == "(":
+            opened.append(i)
+        elif tok.text == ")" and opened:
+            out[opened.pop()] = i
+    return out
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         # The cursor never passes the eof token, and the parser looks at most
@@ -327,6 +345,7 @@ class _Parser:
         self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.depth = 0  # enclosing nested constructs of the one being parsed
+        self.closer = _closers(self.tokens)
 
     # -- token helpers. The token text alone decides a match: no number and
     # no end of input spells a keyword or an operator.
@@ -493,14 +512,21 @@ class _Parser:
         return NumTerm(self.num_expr())
 
     def _comparison(self, start: Token) -> Formula:
-        saved = self.pos
-        try:
+        """A comparison, or a parenthesized formula at a "(" that opens no
+        numeric group. A comparison that starts with a group has an
+        arithmetic operator or a comparator right after the group's ")", so
+        any other "(" opens a formula. A group followed by one that still
+        fails to parse as a comparison is read as a formula, whose error
+        is the one reported."""
+        if start.text != "(":
             return Compare(self._constraint(), span=start.span)
-        except DslError:
-            if start.text != "(":
-                raise
-        # fall back to a parenthesized formula
-        self.pos = saved
+        after = self.closer.get(self.pos)
+        if after is not None and self.tokens[after + 1].text in _NUMERIC_FOLLOWERS:
+            saved = self.pos
+            try:
+                return Compare(self._constraint(), span=start.span)
+            except DslError:
+                self.pos = saved
         self.expect("(")
         inner = self._nested(start, self.formula)
         self.expect(")")

@@ -8,7 +8,6 @@ directed-push forces are built-in rule constructors.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,15 +272,16 @@ def stratify(rules: Sequence[Rule], ctx: EvalContext) -> list[list[Rule]]:
 # --- stepping ----------------------------------------------------------------------
 
 
-def _one_state_trace(state: State) -> Trace:
-    return Trace((dataclasses.replace(state, time=0),))
-
-
-def _clamped_drop(base: Fraction, surfaces: Iterable[Optional[Fraction]], delta: Fraction) -> Fraction:
+def _clamped_drop(scale: int, base: int, surfaces: Iterable[Optional[int]], delta: Fraction) -> Fraction:
     """How far a body whose bottom is at `base` falls: `delta`, clamped at the
-    highest of `surfaces` at or below `base`."""
+    highest of `surfaces` at or below `base`; heights are integers over
+    `scale`."""
     below = [s for s in surfaces if s is not None and s <= base]
-    return min(delta, base - max(below)) if below else delta
+    if below:
+        gap = base - max(below)
+        if gap * delta.denominator < delta.numerator * scale:
+            return Fraction(gap, scale)
+    return delta
 
 
 def _fall_drop(state: State, ctx: EvalContext, target: str, delta: Fraction) -> Fraction:
@@ -291,37 +291,44 @@ def _fall_drop(state: State, ctx: EvalContext, target: str, delta: Fraction) -> 
     base = geometry.bottom(state, decl)
     if base is None:
         return Fraction(0)
-    near = geometry.x_neighbours(state, ctx.entities.values())[target]
-    return _clamped_drop(base, (geometry.top(state, ctx.entities[y]) for y in near if y != target), delta)
+    near = (
+        geometry.top(state, other)
+        for other in ctx.entities.values()
+        if other.id != target and geometry.horizontal_overlap(state, decl, other)
+    )
+    return _clamped_drop(geometry.int_view(state).scale, base, near, delta)
 
 
-def _gravity_effects(rule: Rule, state: State, ctx: EvalContext) -> list[tuple]:
-    """The built-in gravity rule's effects from one horizontal sweep of
-    `state`. `on(x, y)` implies that x's and y's extents meet, so a target
-    is supported iff it rests on one of its sweep neighbours, and only those
-    can stop its fall."""
+def _gravity_effects(
+    rule: Rule, state: State, ctx: EvalContext, targets: Sequence[str], domain: frozenset[str]
+) -> list[tuple]:
+    """The built-in gravity rule's effects on its scope `targets`, from one
+    horizontal sweep of `state`; `domain` is the sort Entity's. `on(x, y)`
+    implies that x's and y's extents meet, so a target is supported iff it
+    rests on one of its sweep neighbours, and only those can stop its fall."""
     (fall,) = rule.effects
-    domain = set(_domain(ctx, "Entity"))
     neighbours = geometry.x_neighbours(state, ctx.entities.values())
     tops = {eid: geometry.top(state, decl) for eid, decl in ctx.entities.items()}
+    view = geometry.int_view(state)
+    eps = view.floor(ctx.epsilon)
     out: list[tuple] = []
-    for target in _scope_targets(rule, ctx):
+    for target in targets:
         decl = ctx.entities[target]
         base = geometry.bottom(state, decl)
         if base is None:
             continue
         near = neighbours[target]
-        # rel_on(x, y) has the conjunct top(y) <= bottom(x) + epsilon; test it first
-        limit = base + ctx.epsilon
+        # rel_on(x, y) is contact, top(y) - bottom(x) <= epsilon, and the
+        # horizontal overlap that the sweep found
         if any(
             y in domain
             and tops[y] is not None
-            and tops[y] <= limit
-            and geometry.rests_on(state, ctx, decl, ctx.entities[y])
+            and tops[y] - base <= eps
+            and geometry.touches(state, ctx, decl, ctx.entities[y])
             for y in near
         ):
             continue
-        drop = _clamped_drop(base, (tops[y] for y in near if y != target), fall.delta)
+        drop = _clamped_drop(view.scale, base, (tops[y] for y in near if y != target), fall.delta)
         if drop != 0:
             out.append(("delta", target, "y", -drop))
     return out
@@ -395,44 +402,60 @@ _CONFLICTING = "conflicting assignments to {}.{}: {} vs {}"
 _ASSIGNED_AND_INCREMENTED = "{}.{} is both assigned and incremented in one step"
 
 
+@dataclass
+class StepPlan:
+    """What every step of one simulation shares: the strata, each rule with
+    its scope targets ([None] for an unscoped rule), and the domain of the
+    sort Entity, which the built-in gravity rule quantifies over."""
+
+    strata: list[list[tuple[Rule, list]]]
+    entity_domain: frozenset[str]
+
+    @classmethod
+    def build(cls, strata: list[list[Rule]], ctx: EvalContext) -> "StepPlan":
+        return cls(
+            [[(rule, _scope_targets(rule, ctx) if rule.scope else [None]) for rule in s] for s in strata],
+            frozenset(_domain(ctx, "Entity")),
+        )
+
+
 def step(
     state: State,
     rules: Sequence[Rule],
     ctx: EvalContext,
-    strata: Optional[list[list[Rule]]] = None,
+    plan: Optional[StepPlan] = None,
 ) -> State:
-    """Compute the successor state.
+    """Compute the successor state; `plan`, of `StepPlan.build`, saves
+    computing the strata and the scopes again.
 
     Rules fire by stratum against the current state with earlier strata's
     effects visible; all effects then apply atomically (same-parameter deltas
     sum, disagreeing assignments are an error); everything unwritten persists;
     active forces displace their targets and persist.
     """
-    if strata is None:
-        strata = stratify(rules, ctx)
+    if plan is None:
+        plan = StepPlan.build(stratify(rules, ctx), ctx)
 
     # gravity's fast path decides `not exists y. on(x, y)` for the built-in `on`
     builtin_on = getattr(ctx.relations.get("on"), "definition", None) is None
-    # Rules read `working`, whose values each stratum's effects update in
-    # place once all of its rules have read them.
+    # Each stratum's effects update `values` in place once all of its rules
+    # have read them, so each stratum reads a state of its own, whose
+    # integer view sees its values.
     values = dict(state.values)
-    working = dataclasses.replace(state, values=values)
     # Across strata: (entity, param) -> [first assigned value, any delta], in
     # the order keys first appear, and the first assignment that disagrees
     # with an earlier stratum's. Both are reported once every stratum ran.
     written: dict[tuple[str, str], list] = {}
     disagreement: Optional[str] = None
     force_effects: list[tuple] = []
-    for stratum in strata:
+    for stratum in plan.strata:
+        working = State(time=0, values=values, forces=state.forces)
+        trace_view = Trace((working,))
         stratum_effects: list[tuple] = []
-        for rule in stratum:
+        for rule, targets in stratum:
             if rule.kind == "gravity" and builtin_on:
-                stratum_effects.extend(_gravity_effects(rule, working, ctx))
+                stratum_effects.extend(_gravity_effects(rule, working, ctx, targets, plan.entity_domain))
                 continue
-            targets: list[Optional[str]] = (
-                _scope_targets(rule, ctx) if rule.scope else [None]
-            )
-            trace_view = _one_state_trace(working)
             for target in targets:
                 binding = {rule.scope[0]: target} if rule.scope else {}
                 if rule.until is not None and eval_formula(
@@ -488,8 +511,8 @@ def simulate(
         raise ConflictingEffects("simulation horizon must be at least 1")
     ctx = EvalContext.for_scenario(scenario, epsilon=epsilon, tau=tau)
     rules = list(scenario.rules or ())
-    strata = stratify(rules, ctx)
+    plan = StepPlan.build(stratify(rules, ctx), ctx)
     states = [initial_state(scenario.entities, forces=initial_forces)]
     for _ in range(T - 1):
-        states.append(step(states[-1], rules, ctx, strata=strata))
+        states.append(step(states[-1], rules, ctx, plan=plan))
     return Trace(tuple(states))

@@ -1,9 +1,11 @@
 """Spatial relations as algebraic constraints over object parameters.
 
 All decisions that can be made in exact rational arithmetic are: containment,
-overlap and proximity compare squared distances as `Fraction`s. The tolerance
-epsilon (itself a rational) only enters coincidence-style relations (contact)
-and equality comparisons over the real-valued distance/angle functions.
+overlap and proximity compare squared distances as `Fraction`s; contact, `on`,
+bottoms, tops, horizontal extents and boxes compare integers of the state's
+exact integer view (`IntView`). The tolerance epsilon (itself a rational) only
+enters coincidence-style relations (contact) and equality comparisons over the
+real-valued distance/angle functions.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import (
     NotMeasurable,
     UnboundSymbol,
     UnknownEntity,
+    UnknownParameter,
     UnknownRelation,
     UnsupportedShapePair,
     ValueOutOfRange,
@@ -196,41 +199,102 @@ def center(state: State, decl: EntityDecl) -> Optional[tuple[Fraction, Fraction]
     return None
 
 
-def bottom(state: State, decl: EntityDecl) -> Optional[Fraction]:
+# --- the exact integer view -----------------------------------------------------
+
+# Every parameter name some shape uses.
+GEOMETRIC_PARAMS = frozenset(p for names in SHAPE_PARAMS.values() for p in names)
+
+
+class _Ints(dict):
+    """(entity, parameter) -> integer; a missing key raises as `State.value` does."""
+
+    def __missing__(self, key: tuple[str, str]):
+        raise UnknownParameter(f"no value for {key[0]}.{key[1]}")
+
+
+class IntView:
+    """A state's geometric parameters as exact integers over one scale.
+
+    The scale L is the least common multiple of the doubled denominators of
+    the state's values of geometric parameters (the names some shape uses),
+    so each of them, and each half-size, is an integer multiple of 1/L, and
+    comparing them is comparing integers (exact integer predicates, Fortune
+    and Van Wyk, ACM TOG 1996). A rational tolerance e enters exactly: an
+    integer difference d is at most e*L when d <= floor(e*L), and a squared
+    distance is compared by cross-multiplying with e's denominator.
+    """
+
+    __slots__ = ("scale", "ints")
+
+    def __init__(self, values: Mapping[tuple[str, str], Fraction]):
+        geometric = [(key, v) for key, v in values.items() if key[1] in GEOMETRIC_PARAMS]
+        self.scale = scale = math.lcm(*(2 * v.denominator for _, v in geometric))
+        self.ints = _Ints((key, v.numerator * (scale // v.denominator)) for key, v in geometric)
+
+    def floor(self, q: Fraction) -> int:
+        """floor(q * L): an integer d over L is at most q exactly when d <= this."""
+        return q.numerator * self.scale // q.denominator
+
+    def within(self, d2: int, bound: int, eps: Fraction) -> bool:
+        """|sqrt(d2) - bound| <= eps, for d2 over L^2 and bound over L: d2
+        lies between (bound - eps)^2, or 0 where bound - eps <= 0, and
+        (bound + eps)^2, all multiplied by (L q)^2 for eps = p/q."""
+        p, q = eps.numerator * self.scale, eps.denominator
+        qd2, qb = q * q * d2, q * bound
+        if qd2 > (qb + p) ** 2:
+            return False
+        return qb - p <= 0 or (qb - p) ** 2 <= qd2
+
+
+def int_view(state: State) -> IntView:
+    """The state's `IntView`, built on first use and kept on the state."""
+    view = state.view
+    if view is None:
+        view = IntView(state.values)
+        object.__setattr__(state, "view", view)
+    return view
+
+
+def bottom(state: State, decl: EntityDecl) -> Optional[int]:
+    """The lowest y of a Point, Circle or Rectangle over `int_view(state).scale`;
+    None for the other shapes."""
+    n, e = int_view(state).ints, decl.id
     if decl.shape is ShapeKind.POINT:
-        return state.value(decl.id, "y")
+        return n[e, "y"]
     if decl.shape is ShapeKind.CIRCLE:
-        return state.value(decl.id, "y") - state.value(decl.id, "r")
+        return n[e, "y"] - n[e, "r"]
     if decl.shape is ShapeKind.RECTANGLE:
-        return state.value(decl.id, "y") - state.value(decl.id, "h") / 2
+        return n[e, "y"] - n[e, "h"] // 2
     return None
 
 
-def top(state: State, decl: EntityDecl) -> Optional[Fraction]:
-    if decl.shape is ShapeKind.POINT:
-        return state.value(decl.id, "y")
+def top(state: State, decl: EntityDecl) -> Optional[int]:
+    """The highest y of every shape but a Segment over `int_view(state).scale`;
+    None for a Segment."""
+    n, e = int_view(state).ints, decl.id
+    if decl.shape is ShapeKind.POINT or decl.shape is ShapeKind.FLOOR:
+        return n[e, "y"]
     if decl.shape is ShapeKind.CIRCLE:
-        return state.value(decl.id, "y") + state.value(decl.id, "r")
+        return n[e, "y"] + n[e, "r"]
     if decl.shape is ShapeKind.RECTANGLE:
-        return state.value(decl.id, "y") + state.value(decl.id, "h") / 2
-    if decl.shape is ShapeKind.FLOOR:
-        return state.value(decl.id, "y")
+        return n[e, "y"] + n[e, "h"] // 2
     return None
 
 
-def horizontal_interval(state: State, decl: EntityDecl) -> Optional[tuple[Fraction, Fraction]]:
-    """Closed x-extent; None means unbounded (Floor)."""
+def horizontal_interval(state: State, decl: EntityDecl) -> Optional[tuple[int, int]]:
+    """Closed x-extent over `int_view(state).scale`; None means unbounded (Floor)."""
+    n, e = int_view(state).ints, decl.id
     if decl.shape is ShapeKind.POINT:
-        x = state.value(decl.id, "x")
+        x = n[e, "x"]
         return x, x
     if decl.shape is ShapeKind.CIRCLE:
-        x, r = state.value(decl.id, "x"), state.value(decl.id, "r")
+        x, r = n[e, "x"], n[e, "r"]
         return x - r, x + r
     if decl.shape is ShapeKind.RECTANGLE:
-        x, w = state.value(decl.id, "x"), state.value(decl.id, "w")
-        return x - w / 2, x + w / 2
+        x, hw = n[e, "x"], n[e, "w"] // 2
+        return x - hw, x + hw
     if decl.shape is ShapeKind.SEGMENT:
-        x1, x2 = state.value(decl.id, "x1"), state.value(decl.id, "x2")
+        x1, x2 = n[e, "x1"], n[e, "x2"]
         return min(x1, x2), max(x1, x2)
     return None  # Floor spans everything
 
@@ -255,7 +319,7 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
     """
     out: dict[str, list[str]] = {}
     unbounded: list[str] = []
-    extents: list[tuple[Fraction, Fraction, str]] = []
+    extents: list[tuple[int, int, str]] = []
     for decl in decls:
         out[decl.id] = []
         extent = horizontal_interval(state, decl)
@@ -264,7 +328,7 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
         else:
             extents.append((extent[0], extent[1], decl.id))
     extents.sort(key=lambda e: e[0])
-    active: list[tuple[Fraction, Fraction, str]] = []  # (right, left, id) of open extents
+    active: list[tuple[int, int, str]] = []  # (right, left, id) of open extents
     for lo, hi, eid in extents:
         active = [a for a in active if a[0] >= lo]
         for _, other_lo, other in active:
@@ -286,21 +350,17 @@ Box = tuple[Optional[tuple[int, int]], tuple[int, int]]
 
 
 def scaled_boxes(state: State, decls: Iterable[EntityDecl]) -> tuple[dict[str, Box], int]:
-    """Each entity's box, and the scale its coordinates are multiplied by.
+    """Each entity's box over `int_view(state).scale`, and that scale.
 
     A box is the closed x- and y-extent around every point of the entity
     that a relation test reads: its center or nearest point, its boundary
     and its interior. Sizes count by absolute value, so a negative size
     leaves the box the right way out; a Floor's x-extent is None, unbounded.
-    The scale is the least common multiple of the parameters' doubled
-    denominators, so every coordinate, half-sizes included, is an exact
-    integer and the boxes compare at integer speed.
     """
-    params = [(decl, [state.value(decl.id, p) for p in SHAPE_PARAMS[decl.shape]]) for decl in decls]
-    scale = math.lcm(*(2 * v.denominator for _, values in params for v in values))
+    view = int_view(state)
     out: dict[str, Box] = {}
-    for decl, values in params:
-        n = [v.numerator * (scale // v.denominator) for v in values]
+    for decl in decls:
+        n = [view.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
         if decl.shape is ShapeKind.FLOOR:
             out[decl.id] = None, (n[0], n[0])
         elif decl.shape is ShapeKind.SEGMENT:
@@ -315,7 +375,7 @@ def scaled_boxes(state: State, decls: Iterable[EntityDecl]) -> tuple[dict[str, B
             else:
                 hw = hh = 0
             out[decl.id] = (x - hw, x + hw), (y - hh, y + hh)
-    return out, scale
+    return out, view.scale
 
 
 def boxes_within(a: Box, b: Box, margin: int) -> bool:
@@ -530,13 +590,6 @@ def _sq(v: Fraction) -> Fraction:
     return v * v
 
 
-def _within(value_sq: Fraction, bound: Fraction, eps: Fraction) -> bool:
-    """|sqrt(value_sq) - bound| <= eps, decided in rational arithmetic."""
-    hi = _sq(bound + eps)
-    lo = _sq(bound - eps) if bound - eps > 0 else Fraction(0)
-    return lo <= value_sq <= hi
-
-
 def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optional[bool]:
     """a inside b; None when the shape pair is not supported.
 
@@ -577,43 +630,46 @@ def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optio
     return None
 
 
-def _touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
-    """Boundary contact; symmetric; None when the pair is not supported."""
-    eps = ctx.epsilon
+def touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
+    """Boundary contact; symmetric; None when the pair is not supported.
+    Decided on `int_view(state)`."""
     sa, sb = a.shape, b.shape
     if sa is ShapeKind.FLOOR and sb is ShapeKind.FLOOR:
         return None
+    if sa is ShapeKind.FLOOR:
+        a, b, sa, sb = b, a, sb, sa
+    view = int_view(state)
+    n = view.ints
     if sb is ShapeKind.FLOOR:
         ba = bottom(state, a)
-        if ba is None:
-            return None
-        return abs(ba - state.value(b.id, "y")) <= eps
-    if sa is ShapeKind.FLOOR:
-        return _touches(state, ctx, b, a)
-    if sa is ShapeKind.CIRCLE and sb is ShapeKind.CIRCLE:
-        d2 = distance_squared(state, a, b)
-        return _within(d2, state.value(a.id, "r") + state.value(b.id, "r"), eps)
-    if {sa, sb} == {ShapeKind.POINT, ShapeKind.CIRCLE}:
-        circ = a if sa is ShapeKind.CIRCLE else b
-        d2 = distance_squared(state, a, b)
-        return _within(d2, state.value(circ.id, "r"), eps)
-    if sa is ShapeKind.RECTANGLE and sb is ShapeKind.RECTANGLE:
-        dx = abs(state.value(a.id, "x") - state.value(b.id, "x"))
-        dy = abs(state.value(a.id, "y") - state.value(b.id, "y"))
-        sumw = (state.value(a.id, "w") + state.value(b.id, "w")) / 2
-        sumh = (state.value(a.id, "h") + state.value(b.id, "h")) / 2
-        if dx > sumw + eps or dy > sumh + eps:
+        return None if ba is None else abs(ba - n[b.id, "y"]) <= view.floor(ctx.epsilon)
+    if (sa is ShapeKind.CIRCLE or sb is ShapeKind.CIRCLE) and sa in _ROUND and sb in _ROUND:
+        # circle-circle or point-circle: the centers lie the radii apart
+        ax, ay, bx, by = n[a.id, "x"], n[a.id, "y"], n[b.id, "x"], n[b.id, "y"]
+        if sa is sb:
+            radii = n[a.id, "r"] + n[b.id, "r"]
+        else:
+            radii = n[(a if sa is ShapeKind.CIRCLE else b).id, "r"]
+        return view.within((ax - bx) ** 2 + (ay - by) ** 2, radii, ctx.epsilon)
+    if (sa is ShapeKind.RECTANGLE or sb is ShapeKind.RECTANGLE) and sa in _BOXY and sb in _BOXY:
+        # rectangle-rectangle or point-rectangle: an edge meets the other's
+        if sb is ShapeKind.POINT:
+            a, b, sa = b, a, sb
+        dx = abs(n[a.id, "x"] - n[b.id, "x"])
+        dy = abs(n[a.id, "y"] - n[b.id, "y"])
+        if sa is ShapeKind.RECTANGLE:
+            hw, hh = (n[a.id, "w"] + n[b.id, "w"]) // 2, (n[a.id, "h"] + n[b.id, "h"]) // 2
+        else:
+            hw, hh = n[b.id, "w"] // 2, n[b.id, "h"] // 2
+        eps = view.floor(ctx.epsilon)
+        if dx - hw > eps or dy - hh > eps:
             return False
-        return dx >= sumw - eps or dy >= sumh - eps
-    if {sa, sb} == {ShapeKind.POINT, ShapeKind.RECTANGLE}:
-        p, r = (a, b) if sa is ShapeKind.POINT else (b, a)
-        dx = abs(state.value(p.id, "x") - state.value(r.id, "x"))
-        dy = abs(state.value(p.id, "y") - state.value(r.id, "y"))
-        hw, hh = state.value(r.id, "w") / 2, state.value(r.id, "h") / 2
-        if dx > hw + eps or dy > hh + eps:
-            return False
-        return dx >= hw - eps or dy >= hh - eps
+        return hw - dx <= eps or hh - dy <= eps
     return None
+
+
+_ROUND = (ShapeKind.POINT, ShapeKind.CIRCLE)
+_BOXY = (ShapeKind.POINT, ShapeKind.RECTANGLE)
 
 
 def _interiors_overlap(state: State, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
@@ -650,24 +706,19 @@ def _defined(name: str, decls: Sequence[EntityDecl], result: Optional[bool]) -> 
 
 
 def rel_on(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
-    """a rests on b: contact, a's bottom at or above b's top, horizontal overlap.
+    """a rests on b: contact, a's bottom at or above b's top less epsilon,
+    horizontal overlap. Decided on `int_view(state)`.
 
     Total over all shape pairs: pairs lacking the needed notions are simply
     not in the relation (so quantified conditions like gravity's stay safe).
     """
-    return rests_on(state, ctx, a, b) and horizontal_overlap(state, a, b)
-
-
-def rests_on(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
-    """`rel_on` less its horizontal-overlap conjunct, for callers that know
-    the two extents meet (the pairs of `x_neighbours`)."""
-    if not _touches(state, ctx, a, b):
+    if not touches(state, ctx, a, b):
         return False
     ba = bottom(state, a)
     tb = top(state, b)
     if ba is None or tb is None:
         return False
-    return ba >= tb - ctx.epsilon
+    return tb - ba <= int_view(state).floor(ctx.epsilon) and horizontal_overlap(state, a, b)
 
 
 def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
@@ -682,7 +733,7 @@ def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -
     for test in (
         _contains(state, a, b, False),
         _contains(state, b, a, False),
-        _touches(state, ctx, a, b),
+        touches(state, ctx, a, b),
         _interiors_overlap(state, a, b),
     ):
         if test:
@@ -733,7 +784,7 @@ RelationTest = Callable[[State, EvalContext, Sequence[EntityDecl], Sequence, Opt
 BUILTIN_RELATIONS: dict[str, tuple[int, int, RelationTest]] = {
     "inside": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, True))),
     "partOf": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, False))),
-    "contact": (2, 0, lambda st, ctx, d, n, after: _defined("contact", d, _touches(st, ctx, *d))),
+    "contact": (2, 0, lambda st, ctx, d, n, after: _defined("contact", d, touches(st, ctx, *d))),
     "on": (2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d)),
     "overlaps": (2, 0, lambda st, ctx, d, n, after: _defined("overlaps", d, _interiors_overlap(st, *d))),
     "disjoint": (2, 0, lambda st, ctx, d, n, after: rel_disjoint(st, ctx, *d)),

@@ -242,6 +242,9 @@ class State:
     time: int
     values: Mapping[tuple[str, str], Fraction]
     forces: frozenset[ForceFluent] = frozenset()
+    # geometry.int_view's cache: built on first use, never copied by
+    # `dataclasses.replace`. Values must not change once it is built.
+    view: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
     def value(self, entity: str, param: str) -> Fraction:
         try:

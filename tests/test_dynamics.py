@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_geometry
 from conftest import random_shape_scene, random_trace_scenario, rational
 
 from ischema import dynamics, geometry
@@ -172,27 +173,6 @@ def test_gravity_support_within_epsilon():
     assert _ys(simulate(sc)) == [Fraction(1, 4), 0, 0]
 
 
-def _all_pairs_drop(state, ctx, target, delta):
-    """The clamp by a scan over every entity: the oracle for the sweep."""
-    decl = ctx.decl(target)
-    base = geometry.bottom(state, decl)
-    if base is None:
-        return Fraction(0)
-    best_gap = None
-    for other in ctx.entities.values():
-        if other.id == target:
-            continue
-        surface = geometry.top(state, other)
-        if surface is None or surface > base:
-            continue
-        if not geometry.horizontal_overlap(state, decl, other):
-            continue
-        gap = base - surface
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-    return delta if best_gap is None else min(delta, best_gap)
-
-
 @given(
     st.integers(0, 10**6),
     st.sampled_from([Fraction(0), DEFAULT_EPSILON, Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
@@ -208,9 +188,70 @@ def test_gravity_sweep_matches_generic_evaluator(seed, epsilon, delta):
     for _ in range(3):
         after = step(state, [fast], ctx)
         assert step(state, [generic], ctx) == after
-        with mock.patch.object(dynamics, "_fall_drop", _all_pairs_drop):
+        # the generic side again, deciding `on` and the clamp in `Fraction`s
+        with mock.patch.object(dynamics, "_fall_drop", fraction_geometry.fall_drop), \
+                mock.patch.object(geometry, "rel_on", fraction_geometry.rel_on):
             assert step(state, [generic], ctx) == after
         state = after
+
+
+@pytest.mark.parametrize(
+    "condition",
+    # the second reads `on`, so the first stratum builds its state's integer
+    # view before its effect moves the crate
+    [TrueF(), Not(Atom("on", (Sym("crate"), Sym("pillar"))))],
+)
+def test_gravity_reads_what_an_earlier_stratum_wrote(condition):
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, 10])
+    crate = make_entity("crate", "Container", ShapeKind.RECTANGLE, [0, 5, 2, 2])
+    pillar = make_entity("pillar", "Container", ShapeKind.RECTANGLE, [0, 1, 2, 2])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    lift = Rule("lift", condition, (SetParam("crate", "y", Const(Fraction(3))),))
+    fall = dataclasses.replace(gravity_rule(10), shapes=frozenset({ShapeKind.POINT}))
+    sc = declare_scenario([o, crate, pillar, f], rules=[fall, lift], horizon=2)
+    ctx = EvalContext.for_scenario(sc)
+    assert [[r.name for r in s] for s in stratify(list(sc.rules), ctx)] == [["lift"], ["gravity"]]
+    # lift sets the crate on the pillar, and o lands on its new top (4), not its old (6)
+    after = simulate(sc).states[1]
+    assert (after.value("crate", "y"), after.value("o", "y")) == (3, 4)
+
+
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def prime_denominator_scene() -> str:
+    """Sixteen bodies in four columns above a floor, with sideways pushes;
+    the parameters of body k have denominator `_PRIMES[k]`, so the integer
+    view's scale is twice the product of all sixteen."""
+    lines = ["scenario primes", "  entity f : Floor = Floor(0)"]
+    for k, p in enumerate(_PRIMES):
+        x, y = Fraction(6 * (k % 4) * p + 1, p), Fraction(p * (2 + 3 * (k // 4)) + 1, p)
+        size = Fraction(p + 1, p)
+        params = [x, y] + [size] * (k % 3)
+        shape = ("Point", "Circle", "Rectangle")[k % 3]
+        text = ", ".join(f"{v.numerator}/{v.denominator}" for v in params)
+        lines.append(f"  entity b{k} : {'Object' if k % 3 == 0 else 'Container'} = {shape}({text})")
+    lines += ["  rules", "    gravity(1/2)"]
+    lines += [f"    umph push{k} on b{k} ({(-1) ** k}/{_PRIMES[k]}, 0)" for k in range(0, 16, 5)]
+    return "\n".join(lines + ["  horizon 24", "end", ""])
+
+
+def test_gravity_with_sixteen_prime_denominators_matches_the_fraction_oracle():
+    from ischema.dsl import parse_scenario
+
+    sc = parse_scenario(prime_denominator_scene())
+    trace = simulate(sc)
+    assert len(str(geometry.int_view(trace.states[0]).scale)) == 22
+    generic = [dataclasses.replace(r, kind="generic") if r.kind == "gravity" else r for r in sc.rules]
+    ctx = EvalContext.for_scenario(sc)
+    state = trace.states[0]
+    with mock.patch.object(dynamics, "_fall_drop", fraction_geometry.fall_drop), \
+            mock.patch.object(geometry, "rel_on", fraction_geometry.rel_on):
+        for expected in trace.states[1:]:
+            state = step(state, generic, ctx)
+            assert state == expected
+    ys = [s.value("b15", "y") for s in trace.states]
+    assert ys[-1] < ys[0]  # the bodies do fall
 
 
 def test_gravity_rejects_nonpositive_delta():

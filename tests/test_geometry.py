@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_shape_scene
+import fraction_geometry as oracle
+from conftest import _SCENE_SHAPES, random_shape_scene
 
 from ischema.errors import (
     CoincidentCenters,
     NotMeasurable,
+    UnknownParameter,
     UnknownRelation,
     UnsupportedShapePair,
 )
@@ -25,16 +27,23 @@ from ischema.geometry import (
     Add,
     angular_position,
     box_margin,
+    bottom,
     distance,
     eval_num_expr,
     eval_relation,
+    horizontal_interval,
     horizontal_overlap,
     boxes_within,
+    int_view,
     measure,
+    rel_on,
     scaled_boxes,
+    top,
+    touches,
     x_neighbours,
 )
 from ischema.model import (
+    SHAPE_PARAMS,
     ShapeKind,
     State,
     Trace,
@@ -341,6 +350,83 @@ def test_x_neighbours_match_all_pairs_horizontal_overlap(seed):
     for a in entities:
         expected = [b.id for b in entities if horizontal_overlap(state, a, b)]
         assert sorted(neighbours[a.id]) == sorted(expected)
+
+
+# --- the integer view against the Fraction oracle ----------------------------------
+
+_VIEW_EPSILONS = [Fraction(0), Fraction(1, 10**9), Fraction(1, 4), Fraction(1)]
+# Half units make shared edges and exact contacts common; other denominators
+# make the scale large.
+_view_value = st.one_of(
+    st.integers(-8, 8).map(lambda n: Fraction(n, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=13),
+)
+
+
+@st.composite
+def _view_scene(draw):
+    """Two to four entities, the first two of any shapes, and a state whose
+    values, sizes included, may be 0 or negative."""
+    kinds = [draw(st.sampled_from(_SCENE_SHAPES)) for _ in range(draw(st.integers(2, 4)))]
+    entities, values = [], {}
+    for i, (sort, shape) in enumerate(kinds):
+        entities.append(make_entity(f"e{i}", sort, shape, [1] * len(SHAPE_PARAMS[shape])))
+        for name in SHAPE_PARAMS[shape]:
+            values[(f"e{i}", name)] = draw(_view_value)
+    return entities, State(0, values)
+
+
+def _over(value, scale):
+    """A view quantity (an integer, a pair of them, or None) as rationals."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(Fraction(v, scale) for v in value)
+    return Fraction(value, scale)
+
+
+@given(_view_scene(), st.sampled_from(_VIEW_EPSILONS))
+@settings(max_examples=600, deadline=None)
+def test_integer_view_matches_the_fraction_oracle(scene, epsilon):
+    entities, state = scene
+    ctx = EvalContext(entities={e.id: e for e in entities}, epsilon=epsilon)
+    scale = int_view(state).scale
+    for a in entities:
+        assert _over(bottom(state, a), scale) == oracle.bottom(state, a)
+        assert _over(top(state, a), scale) == oracle.top(state, a)
+        assert _over(horizontal_interval(state, a), scale) == oracle.horizontal_interval(state, a)
+        for b in entities:
+            assert horizontal_overlap(state, a, b) == oracle.horizontal_overlap(state, a, b)
+            assert touches(state, ctx, a, b) == oracle.touches(state, ctx, a, b), (a, b)
+            assert rel_on(state, ctx, a, b) == oracle.rel_on(state, ctx, a, b), (a, b)
+    got = {k: sorted(v) for k, v in x_neighbours(state, entities).items()}
+    assert got == {k: sorted(v) for k, v in oracle.x_neighbours(state, entities).items()}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnknownParameter as exc:
+        return str(exc)
+
+
+@given(_view_scene(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_view_reports_a_missing_parameter_as_the_oracle_does(scene, data):
+    entities, state = scene
+    missing = data.draw(st.sampled_from(sorted(state.values)))
+    state = State(0, {k: v for k, v in state.values.items() if k != missing})
+    ctx = EvalContext(entities={e.id: e for e in entities}, epsilon=Fraction(1, 4))
+    scale = int_view(state).scale
+    for a in entities:
+        for ours, theirs in ((bottom, oracle.bottom), (top, oracle.top)):
+            got = _outcome(ours, state, a)
+            assert (got if isinstance(got, str) else _over(got, scale)) == _outcome(theirs, state, a)
+        for b in entities:
+            for name in ("touches", "rel_on", "horizontal_overlap"):
+                ours, theirs = globals()[name], getattr(oracle, name)
+                args = (state, ctx, a, b) if name != "horizontal_overlap" else (state, a, b)
+                assert _outcome(ours, *args) == _outcome(theirs, *args), name
 
 
 def test_x_neighbours_corner_cases():

@@ -1,0 +1,149 @@
+"""Compare the benchmark of two commits in alternating pairs of runs.
+
+    python3 tools/bench_compare.py --base REV --workloads simulate_gravity \
+        --pairs 10 --seed 71 --seconds 6 --label gravity_view
+
+Run it from the root of the repository. It checks the base revision and HEAD
+out into temporary `git worktree`s, so only committed files are measured, and
+runs HEAD's `perfbench/run.py` against each side's sources, so both sides
+share one benchmark. Each pair runs both sides once, one after the other;
+the side that runs first alternates from pair to pair. It writes
+`BENCH_<label>.json` with both shas, the Python version, the seed, every
+pair's metrics, and per workload and end-to-end metric each side's median
+with [q1, q3] and the number of pairs the change won.
+
+A gain is shown when the change wins at least nine tenths of the pairs and
+its median is better than the base's by more than the distance between the
+base's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run_bench(runner: Path, side: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run of `runner` (a perfbench/run.py) on the sources under `side`:
+    the JSON summary it prints last."""
+    proc = subprocess.run(
+        [sys.executable, str(runner), "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=side, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{runner} failed in {side}:\n{proc.stderr[-2000:]}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "correct": summary["correct"],
+        "attempted": summary["attempted"],
+        "failed": summary["failed"],
+        "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+    }
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and [q1, q3], the change's wins (ties
+    count for neither side), and whether a gain is shown."""
+    out = {}
+    for name, direction in better.items():
+        base = [p["base"]["metrics"][name] for p in pairs]
+        head = [p["head"]["metrics"][name] for p in pairs]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
+        sides = {}
+        for side, values in (("base", base), ("head", head)):
+            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            sides[side] = {"median": statistics.median(values), "q1_q3": [q1, q3]}
+        spread = sides["base"]["q1_q3"][1] - sides["base"]["q1_q3"][0]
+        gain = sign * (sides["head"]["median"] - sides["base"]["median"])
+        out[name] = {
+            **sides,
+            "ratio": sides["head"]["median"] / sides["base"]["median"] if sides["base"]["median"] else None,
+            "wins": wins,
+            "pairs": len(pairs),
+            "gain_shown": wins >= 0.9 * len(pairs) and gain > spread,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="the revision to compare HEAD against")
+    parser.add_argument("--workloads", required=True, help="comma-separated perfbench workloads")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench's --seconds per run")
+    parser.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
+    parser.add_argument("--workdir", default=None, help="where the worktrees go (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, so that quartiles exist")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
+    workloads = args.workloads.split(",")
+    results: dict[str, list[dict]] = {w: [] for w in workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.workdir) as tmp:
+        sides = {side: Path(tmp) / side for side in shas}
+        try:
+            for side, path in sides.items():
+                git("worktree", "add", "--detach", str(path), shas[side])
+            runner = sides["head"] / "perfbench" / "run.py"
+            for k in range(args.pairs):
+                order = ("base", "head") if k % 2 == 0 else ("head", "base")
+                for workload in workloads:
+                    pair = {"first": order[0]}
+                    for side in order:
+                        pair[side] = run_bench(runner, sides[side], workload, args.seed, args.seconds)
+                    results[workload].append(pair)
+                    print(f"pair {k + 1}/{args.pairs} {workload}: "
+                          + ", ".join(f"{s} {pair[s]['metrics']['throughput_cmd_s']:.1f} cmd/s" for s in order),
+                          file=sys.stderr)
+        finally:
+            for path in sides.values():
+                if path.exists():
+                    git("worktree", "remove", "--force", str(path))
+            git("worktree", "prune")
+
+    doc = {
+        "label": args.label,
+        "base_sha": shas["base"],
+        "head_sha": shas["head"],
+        "python": platform.python_version(),
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "workloads": {
+            w: {
+                "correct": all(p[s]["correct"] for p in pairs for s in ("base", "head")),
+                "summary": summarize(pairs, better),
+                "runs": pairs,
+            }
+            for w, pairs in results.items()
+        },
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for w, entry in doc["workloads"].items():
+        for name, m in entry["summary"].items():
+            print(f"{w} {name}: base {m['base']['median']:.4g} {m['base']['q1_q3']}, "
+                  f"head {m['head']['median']:.4g}, wins {m['wins']}/{m['pairs']}, gain shown: {m['gain_shown']}")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
