@@ -354,7 +354,8 @@ def test_x_neighbours_match_all_pairs_horizontal_overlap(seed):
 
 # --- the integer view against the Fraction oracle ----------------------------------
 
-_VIEW_EPSILONS = [Fraction(0), Fraction(1, 10**9), Fraction(1, 4), Fraction(1)]
+# The CLI refuses a negative tolerance; the library API takes one.
+_VIEW_EPSILONS = [Fraction(0), Fraction(1, 10**9), Fraction(1, 4), Fraction(1), Fraction(-1, 4)]
 # Half units make shared edges and exact contacts common; other denominators
 # make the scale large.
 _view_value = st.one_of(
