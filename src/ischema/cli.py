@@ -99,8 +99,10 @@ def _parse_bindings(pairs: Sequence[str]) -> dict[str, str]:
     for pair in pairs:
         if "=" not in pair:
             _fail_usage(f"--bind expects role=entity, got {pair!r}")
-        role, entity = pair.split("=", 1)
-        binding[role.strip()] = entity.strip()
+        role, entity = (part.strip() for part in pair.split("=", 1))
+        if role in binding:
+            _fail_usage(f"--bind names role {role!r} twice")
+        binding[role] = entity
     return binding
 
 
@@ -191,10 +193,11 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     eps = _epsilon_option(epsilon)
     tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
     binding = _parse_bindings(binds)
-    unbound = [role for role, _ in theory.roles if role not in binding]
 
     try:
-        if not unbound:
+        # a binding that leaves a role unbound, or names one the theory
+        # lacks, goes through the search, which finds no candidate for the latter
+        if binding.keys() == {role for role, _ in theory.roles}:
             report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
         else:
             found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding), None)
@@ -270,7 +273,10 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     except IschemaError as exc:
         _fail_usage(str(exc))
     if trace_out:
-        Path(trace_out).write_text(payload, encoding="utf-8")
+        try:
+            Path(trace_out).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            _fail_usage(str(exc))
     if json_output:
         click.echo(payload, nl=False, file=_stream())
     for line in lines:

@@ -38,6 +38,7 @@ from .dsl import MAX_INSTANTS
 from .errors import IschemaError, SearchSpaceTooLarge, UnknownEntity, UnsupportedShapePair
 from .geometry import EvalContext
 from .model import Scenario, State, Theory, Trace
+from .tree import all_symbols
 
 DEFAULT_CAP = 10**7
 
@@ -144,11 +145,6 @@ _KINDS = {
 _LAST = -1  # the values read from the next instant, at the last instant: none
 
 
-def _symbols(node) -> set[str]:
-    """The entity symbols a formula or expression names."""
-    return set(node.symbols).union(*map(_symbols, node.children))
-
-
 class _Ground:
     """The bound axioms as one ground formula DAG, children before parents.
 
@@ -188,7 +184,7 @@ class _Ground:
             pair = isinstance(phi, logic.Atom) and geometry.reads_next_state(phi.relation, self.ctx)
             table = self.steps if pair else self.local
             # the binding matters to an atom only at the symbols it names
-            key = phi, tuple(sorted((name, scope[name]) for name in _symbols(phi) if name in scope))
+            key = phi, tuple(sorted((name, scope[name]) for name in all_symbols(phi) if name in scope))
             i = self._leaves.setdefault(key, len(table))
             if i == len(table):
                 table.append((phi, scope))

@@ -221,15 +221,17 @@ class IntView:
     comparing them is comparing integers (exact integer predicates, Fortune
     and Van Wyk, ACM TOG 1996). A rational tolerance e enters exactly: an
     integer difference d is at most e*L when d <= floor(e*L), and a squared
-    distance is compared by cross-multiplying with e's denominator.
+    distance is compared by cross-multiplying with e's denominator. The
+    view also keeps each entity's `box` once built.
     """
 
-    __slots__ = ("scale", "ints")
+    __slots__ = ("scale", "ints", "boxes")
 
     def __init__(self, values: Mapping[tuple[str, str], Fraction]):
         geometric = [(key, v) for key, v in values.items() if key[1] in GEOMETRIC_PARAMS]
         self.scale = scale = math.lcm(*(2 * v.denominator for _, v in geometric))
         self.ints = _Ints((key, v.numerator * (scale // v.denominator)) for key, v in geometric)
+        self.boxes: dict[tuple[str, ShapeKind], Box] = {}  # (entity, shape) -> `box`
 
     def floor(self, q: Fraction) -> int:
         """floor(q * L): an integer d over L is at most q exactly when d <= this."""
@@ -349,8 +351,9 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
 Box = tuple[Optional[tuple[int, int]], tuple[int, int]]
 
 
-def scaled_boxes(state: State, decls: Iterable[EntityDecl]) -> tuple[dict[str, Box], int]:
-    """Each entity's box over `int_view(state).scale`, and that scale.
+def box(state: State, decl: EntityDecl) -> Box:
+    """The entity's box over `int_view(state).scale`, built on first use and
+    kept on the view, so every search over the state shares it.
 
     A box is the closed x- and y-extent around every point of the entity
     that a relation test reads: its center or nearest point, its boundary
@@ -358,32 +361,41 @@ def scaled_boxes(state: State, decls: Iterable[EntityDecl]) -> tuple[dict[str, B
     leaves the box the right way out; a Floor's x-extent is None, unbounded.
     """
     view = int_view(state)
-    out: dict[str, Box] = {}
-    for decl in decls:
-        n = [view.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
-        if decl.shape is ShapeKind.FLOOR:
-            out[decl.id] = None, (n[0], n[0])
-        elif decl.shape is ShapeKind.SEGMENT:
-            x1, y1, x2, y2 = n
-            out[decl.id] = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
+    key = decl.id, decl.shape
+    if key in view.boxes:
+        return view.boxes[key]
+    n = [view.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
+    if decl.shape is ShapeKind.FLOOR:
+        out = None, (n[0], n[0])
+    elif decl.shape is ShapeKind.SEGMENT:
+        x1, y1, x2, y2 = n
+        out = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
+    else:
+        x, y = n[0], n[1]
+        if decl.shape is ShapeKind.CIRCLE:
+            hw = hh = abs(n[2])
+        elif decl.shape is ShapeKind.RECTANGLE:
+            hw, hh = abs(n[2]) // 2, abs(n[3]) // 2
         else:
-            x, y = n[0], n[1]
-            if decl.shape is ShapeKind.CIRCLE:
-                hw = hh = abs(n[2])
-            elif decl.shape is ShapeKind.RECTANGLE:
-                hw, hh = abs(n[2]) // 2, abs(n[3]) // 2
-            else:
-                hw = hh = 0
-            out[decl.id] = (x - hw, x + hw), (y - hh, y + hh)
-    return out, view.scale
+            hw = hh = 0
+        out = (x - hw, x + hw), (y - hh, y + hh)
+    view.boxes[key] = out
+    return out
 
 
-def boxes_within(a: Box, b: Box, margin: int) -> bool:
-    """Whether boxes `a` and `b` lie within `margin` of each other in both axes."""
-    (ax, ay), (bx, by) = a, b
-    if ax is not None and bx is not None and (ax[0] > bx[1] + margin or bx[0] > ax[1] + margin):
+def boxes_apart(state: State, a: EntityDecl, b: EntityDecl, margin: Fraction) -> bool:
+    """Whether the boxes of `a` and `b` lie more than `margin` apart in some
+    axis, so that no relation whose `box_margin` is `margin` holds of them.
+    False where either entity lacks a parameter, so only its own pairs go
+    unfiltered."""
+    try:
+        (ax, ay), (bx, by) = box(state, a), box(state, b)
+    except UnknownParameter:
         return False
-    return ay[0] <= by[1] + margin and by[0] <= ay[1] + margin
+    m = int_view(state).floor(margin)
+    if ax is not None and bx is not None and (ax[0] > bx[1] + m or bx[0] > ax[1] + m):
+        return True
+    return ay[0] > by[1] + m or by[0] > ay[1] + m
 
 
 def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None) -> Optional[Fraction]:

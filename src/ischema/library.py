@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -53,7 +52,7 @@ from .logic import (
     check_theory,
 )
 from .model import Scenario, SortHierarchy, Theory, Trace
-from .tree import Node
+from .tree import all_symbols
 
 SHIPPED_SCHEMAS = (
     "AT_REST",
@@ -456,8 +455,7 @@ def necessary_conditions(theory: Theory) -> list[Condition]:
 def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out: list[Condition]) -> None:
     kind = type(phi)
     if kind is Atom:
-        names = [n for t in phi.args for n in ((t.name,) if type(t) is Sym else _symbols(t.expr))]
-        roles = sorted({index[n] for n in names if n in index})
+        roles = sorted({index[n] for n in all_symbols(phi) if n in index})
         if len(roles) <= 2:
             out.append(Condition(phi, later, tuple(roles)))
     elif kind is And:
@@ -469,12 +467,6 @@ def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out
         _collect_conditions(phi.operand, True, index, out)
     elif kind is Until:
         _collect_conditions(phi.right, True, index, out)
-
-
-def _symbols(node: Node) -> Iterator[str]:
-    yield from node.symbols
-    for child in node.children:
-        yield from _symbols(child)
 
 
 def joined_bindings(
@@ -501,10 +493,9 @@ def joined_bindings(
     if pools is None:
         return
     names = [role for role, _ in theory.roles]
-    boxes = _box_tables(scenario.trace, ctx)
     tests: list[list[tuple[tuple[int, ...], Callable]]] = [[] for _ in names]
     for cond in conditions:
-        test = _tester(cond, names, scenario.trace, ctx, boxes)
+        test = _tester(cond, names, scenario.trace, ctx)
         if not cond.roles:
             if not test(()):
                 return
@@ -529,32 +520,16 @@ def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequenc
         chosen.pop()
 
 
-def _box_tables(trace: Trace, ctx: EvalContext) -> Callable[[int], Optional[tuple]]:
-    """`boxes(t)`: the entities' `geometry.scaled_boxes` at instant t, each
-    state's computed once, on first use; None where a state lacks a
-    parameter, so nothing is filtered there."""
-    boxes: dict[int, Optional[tuple]] = {}
-
-    def at(t: int) -> Optional[tuple]:
-        if t not in boxes:
-            try:
-                boxes[t] = geometry.scaled_boxes(trace.states[t], ctx.entities.values())
-            except EVALUATION_GAP_ERRORS:
-                boxes[t] = None
-        return boxes[t]
-
-    return at
-
-
 def _tester(
-    cond: Condition, names: Sequence[str], trace: Trace, ctx: EvalContext, boxes: Callable
+    cond: Condition, names: Sequence[str], trace: Trace, ctx: EvalContext
 ) -> Callable[[tuple[str, ...]], bool]:
     """Whether the condition's atom holds, at instant 0 or at some instant
     when `later`, for a tuple of entities bound to its roles; memoized.
 
     Filter: for a built-in with a `geometry.box_margin`, an instant counts
-    only where the boxes of the two entities lie within that margin. Refine:
-    the atom itself, where a gap error counts as not holding.
+    only where the two entities' boxes are not `geometry.boxes_apart` by
+    that margin. Refine: the atom itself, where a gap error counts as not
+    holding.
     """
     atom = cond.atom
     roles = [names[i] for i in cond.roles]
@@ -564,22 +539,14 @@ def _tester(
     margin = _box_margin(atom, entity_args, trace, ctx)
     # an entity argument is a position in the tuple or an entity id
     slots = [roles.index(s) if s in roles else s for s in entity_args]
-    scaled_margins: dict[int, int] = {}  # instant -> margin in that state's scale
     memo: dict[tuple[str, ...], bool] = {}
-
-    def near(combo: tuple[str, ...], t: int) -> bool:
-        scaled = boxes(t)
-        if scaled is None:
-            return True
-        if t not in scaled_margins:
-            scaled_margins[t] = math.floor(margin * scaled[1])
-        a, b = (scaled[0][combo[x] if type(x) is int else x] for x in slots)
-        return geometry.boxes_within(a, b, scaled_margins[t])
 
     def holds(combo: tuple[str, ...]) -> bool:
         binding = dict(zip(roles, combo))
+        if margin is not None:
+            a, b = (ctx.entities[combo[x] if type(x) is int else x] for x in slots)
         for t in range(trace.length) if cond.later else (0,):
-            if margin is not None and not near(combo, t):
+            if margin is not None and geometry.boxes_apart(trace.states[t], a, b, margin):
                 continue
             try:
                 if logic.eval_atom(atom, trace, t, binding, ctx):
@@ -602,7 +569,7 @@ def _box_margin(atom: Atom, entity_args: Sequence[str], trace: Trace, ctx: EvalC
     threshold = None
     for term in atom.args:
         if isinstance(term, NumTerm):
-            if next(_symbols(term.expr), None) is not None:
+            if all_symbols(term.expr):
                 return None
             threshold = eval_num_expr(term.expr, trace.states[0], ctx)
         elif term.name not in entity_args:

@@ -38,3 +38,8 @@ class Node:
         if symbols is not None:
             changes.update(zip(self.SYMBOLS, symbols))
         return dataclasses.replace(self, **changes) if changes else self
+
+
+def all_symbols(node: Node) -> set[str]:
+    """The entity symbols that `node` and the nodes below it name."""
+    return set(node.symbols).union(*map(all_symbols, node.children))

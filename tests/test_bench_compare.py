@@ -24,3 +24,52 @@ def test_summary_counts_wins_by_direction_and_shows_a_gain_beyond_the_base_sprea
     assert summary["t"]["gain_shown"]
     summary = bench_compare.summarize(_pairs([10, 11, 20], [12, 13, 22]), {"t": "higher"})
     assert not summary["t"]["gain_shown"]  # a median gain of 2 within a base spread of 5
+
+
+_FAKE_RUNNER = '''\
+import argparse, json, pathlib
+parser = argparse.ArgumentParser()
+for option in ("--workload", "--seed", "--seconds"):
+    parser.add_argument(option, required=True)
+parser.add_argument("--trace", choices=("0", "1"), required=True)
+args = parser.parse_args()
+side = pathlib.Path("SIDE").read_text().strip()
+if args.trace == "1":
+    metrics = {"library.bindings.generated": {"value": 7 if side == "head" else 9, "unit": "count"}}
+else:
+    metrics = {"throughput_cmd_s": {"value": 2.0 if side == "head" else 1.0, "unit": "cmd/s"}}
+print("human-readable lines come first")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+'''
+
+
+def test_a_traced_run_per_side_lands_in_the_document(tmp_path, monkeypatch):
+    import json
+    import subprocess
+
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(_FAKE_RUNNER, encoding="utf-8")
+    (repo / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "throughput_cmd_s", "better": "higher"}]}), encoding="utf-8"
+    )
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    for side in ("base", "head"):
+        (repo / "SIDE").write_text(side, encoding="utf-8")
+        git("add", "-A")
+        git("commit", "-q", "-m", side)
+    monkeypatch.setattr(bench_compare, "ROOT", repo)
+    argv = ["--base", "HEAD~1", "--workloads", "w", "--pairs", "2", "--seed", "1", "--label", "fake",
+            "--workdir", str(tmp_path)]
+    assert bench_compare.main(argv) == 0
+    doc = json.loads((repo / "BENCH_fake.json").read_text(encoding="utf-8"))
+    entry = doc["workloads"]["w"]
+    assert entry["correct"]
+    assert entry["summary"]["throughput_cmd_s"]["wins"] == 2
+    traced = {side: run["metrics"] for side, run in entry["traced"].items()}
+    assert traced == {"base": {"library.bindings.generated": 9}, "head": {"library.bindings.generated": 7}}

@@ -429,6 +429,34 @@ def test_check_unbound_search_unknown_role_has_no_candidates(runner):
     assert doc["searched"] == 0
 
 
+def test_check_unknown_role_beside_every_real_role_has_no_candidates(runner):
+    binds = ["--bind", "upper=box", "--bind", "lower=crate", "--bind", "bogus=zz"]
+    result = _run(runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), *binds])
+    assert result.exit_code == 1, result.output
+    assert result.output == "theory SUPPORT: no satisfying binding among 0 candidates\n"
+    result = _run(runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), *binds, "--json"])
+    assert result.exit_code == 1
+    doc = json.loads(result.output)
+    _validate_cli_doc(doc)
+    assert (doc["satisfied"], doc["searched"]) == (False, 0)
+
+
+def test_check_role_bound_twice_is_a_usage_error(runner):
+    binds = ["--bind", "upper=box", "--bind", "lower=crate", "--bind", "upper=marble"]
+    result = _run(runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), *binds])
+    _assert_usage_error(result, "error: --bind names role 'upper' twice")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_simulate_unwritable_trace_out_is_a_usage_error(runner, tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "t.json"
+    for extra in ([], ["--json"]):
+        result = _run(runner, ["simulate", _path("drop.scn"), "--trace-out", str(target), *extra])
+        _assert_usage_error(result, "error: ")
+        assert result.stdout == ""
+
+
 # --- nesting limit -------------------------------------------------------------------
 
 

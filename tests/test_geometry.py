@@ -33,11 +33,10 @@ from ischema.geometry import (
     eval_relation,
     horizontal_interval,
     horizontal_overlap,
-    boxes_within,
+    boxes_apart,
     int_view,
     measure,
     rel_on,
-    scaled_boxes,
     top,
     touches,
     x_neighbours,
@@ -457,8 +456,8 @@ BOXED_RELATIONS = ("inside", "partOf", "overlaps", "contact", "on", "closeTo")
 
 
 def _within(entities, state, ctx, name, a, b, threshold=None):
-    boxes, scale = scaled_boxes(state, entities)
-    return boxes_within(boxes[a], boxes[b], math.floor(box_margin(name, ctx, threshold) * scale))
+    decls = {e.id: e for e in entities}
+    return not boxes_apart(state, decls[a], decls[b], box_margin(name, ctx, threshold))
 
 
 @given(st.integers(0, 10**6), st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1, Fraction(-1, 2)]))

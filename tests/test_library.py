@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_shape_trace, random_trace_scenario
 
-from ischema import dsl, library, logic
+from ischema import dsl, geometry, library, logic
 from ischema.dsl import parse_formula
 from ischema.errors import (
     EVALUATION_GAP_ERRORS,
@@ -23,6 +24,7 @@ from ischema.library import (
     classify,
     count_candidates,
     gap_only,
+    joined_bindings,
     make_source_path_goal,
     necessary_conditions,
     primitive_catalog,
@@ -33,7 +35,9 @@ from ischema.library import (
 from ischema.logic import Atom, Forall, Not, NumTerm, Sym, check_theory, reference_eval
 from ischema.model import (
     RelationSig,
+    Scenario,
     ShapeKind,
+    State,
     Theory,
     Trace,
     declare_scenario,
@@ -532,6 +536,56 @@ def test_join_checks_only_candidates_that_meet_the_conditions(monkeypatch):
         {"upper": "crate", "lower": "f"},
         {"upper": "marble", "lower": "box"},
     ]
+
+
+def test_classify_builds_each_box_once(monkeypatch):
+    sc = shipped_scenario("ball_cup")
+    served: dict[tuple[int, str], list] = {}  # (instant, entity) -> every box handed out
+    real_box = geometry.box
+
+    def box(state, decl):
+        out = real_box(state, decl)
+        served.setdefault((state.time, decl.id), []).append(out)
+        return out
+
+    monkeypatch.setattr(geometry, "box", box)
+    classify(sc)
+    # every box was asked for; those at instant 0 by CONTAINMENT, LINK,
+    # OBJECT_INTO_CONTAINER and SUPPORT
+    assert set(served) == {(t, e) for t in range(3) for e in ("ball", "cup")}
+    assert len(served[0, "ball"]) >= 4 and len(served[0, "cup"]) >= 4
+    # and each was built once: the same object every time
+    assert all(b is boxes[0] for boxes in served.values() for b in boxes)
+
+
+def test_an_entity_lacking_a_parameter_unfilters_only_its_own_pairs(monkeypatch):
+    circles = [make_entity(f"c{i}", "Circle", ShapeKind.CIRCLE, [10 * i, 0, 1]) for i in range(4)]
+    entities = circles + [make_entity("q", "Circle", ShapeKind.CIRCLE, [5, 20, 1])]
+    values = {k: v for k, v in initial_state(entities).values.items() if k != ("q", "r")}
+    moved = {**values, ("c1", "x"): Fraction(2)}  # c1 touches c0 at t=1
+    # built directly: `declare_scenario` rejects a state without q.r
+    sc = Scenario(tuple(entities), trace=Trace((State(0, values), State(1, moved))))
+    theory = Theory("T", roles=(("a", "Entity"), ("b", "Entity")),
+                    axioms=(parse_formula("eventually contact(a, b)"),))
+    ctx = EvalContext.for_scenario(sc, theory)
+    refined = []
+    real_eval_atom = logic.eval_atom
+
+    def counting(atom, trace, t, binding, ctx):
+        refined.append((t, binding["a"], binding["b"]))
+        return real_eval_atom(atom, trace, t, binding, ctx)
+
+    monkeypatch.setattr(logic, "eval_atom", counting)
+    joined = list(joined_bindings(theory, sc, ctx, necessary_conditions(theory)))
+    monkeypatch.undo()
+    # q's pairs are refined at both instants, and of the others only the pair in contact
+    ids = [e.id for e in entities]
+    with_q = [(t, a, b) for t in (0, 1) for a, b in permutations(ids, 2) if "q" in (a, b)]
+    assert sorted(refined) == sorted(with_q + [(1, "c0", "c1"), (1, "c1", "c0")])
+    assert joined == [{"a": "c0", "b": "c1"}, {"a": "c1", "b": "c0"}]
+    got = [r.binding.roles for r in classify(sc, [theory])]
+    assert got == list(_unfiltered(theory, sc, DEFAULT_EPSILON, Fraction(1, 2), None))
+    assert got == [(("a", "c0"), ("b", "c1")), (("a", "c1"), ("b", "c0"))]
 
 
 @given(st.integers(0, 10**6))

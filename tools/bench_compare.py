@@ -10,7 +10,9 @@ share one benchmark. Each pair runs both sides once, one after the other;
 the side that runs first alternates from pair to pair. It writes
 `BENCH_<label>.json` with both shas, the Python version, the seed, every
 pair's metrics, and per workload and end-to-end metric each side's median
-with [q1, q3] and the number of pairs the change won.
+with [q1, q3] and the number of pairs the change won. After the timed pairs
+it runs `perfbench/run.py --trace 1` once per side and workload, and stores
+those per-layer metrics (work counters and self times) under `traced`.
 
 A gain is shown when the change wins at least nine tenths of the pairs and
 its median is better than the base's by more than the distance between the
@@ -31,15 +33,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_bench(runner: Path, side: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run of `runner` (a perfbench/run.py) on the sources under `side`:
-    the JSON summary it prints last."""
+def run_bench(runner: Path, side: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One run of `runner` (a perfbench/run.py) on the sources under `side`,
+    traced or not: the JSON summary it prints last."""
     proc = subprocess.run(
-        [sys.executable, str(runner), "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, str(runner), "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "1" if trace else "0"],
         cwd=side, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -96,6 +99,7 @@ def main(argv=None) -> int:
     shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     workloads = args.workloads.split(",")
     results: dict[str, list[dict]] = {w: [] for w in workloads}
+    traced: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.workdir) as tmp:
         sides = {side: Path(tmp) / side for side in shas}
         try:
@@ -112,6 +116,10 @@ def main(argv=None) -> int:
                     print(f"pair {k + 1}/{args.pairs} {workload}: "
                           + ", ".join(f"{s} {pair[s]['metrics']['throughput_cmd_s']:.1f} cmd/s" for s in order),
                           file=sys.stderr)
+            for workload in workloads:
+                traced[workload] = {side: run_bench(runner, path, workload, args.seed, args.seconds, trace=True)
+                                    for side, path in sides.items()}
+                print(f"traced {workload}", file=sys.stderr)
         finally:
             for path in sides.values():
                 if path.exists():
@@ -128,9 +136,10 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "workloads": {
             w: {
-                "correct": all(p[s]["correct"] for p in pairs for s in ("base", "head")),
+                "correct": all(p[s]["correct"] for p in pairs + [traced[w]] for s in ("base", "head")),
                 "summary": summarize(pairs, better),
                 "runs": pairs,
+                "traced": traced[w],
             }
             for w, pairs in results.items()
         },
