@@ -362,8 +362,9 @@ def box(state: State, decl: EntityDecl) -> Box:
     """
     view = int_view(state)
     key = decl.id, decl.shape
-    if key in view.boxes:
-        return view.boxes[key]
+    out = view.boxes.get(key)
+    if out is not None:
+        return out
     n = [view.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
     if decl.shape is ShapeKind.FLOOR:
         out = None, (n[0], n[0])
