@@ -212,6 +212,10 @@ class _Ints(dict):
         raise UnknownParameter(f"no value for {key[0]}.{key[1]}")
 
 
+# An entity's closed x-extent (None: unbounded) and y-extent, over a view's scale.
+Box = tuple[Optional[tuple[int, int]], tuple[int, int]]
+
+
 class IntView:
     """A state's geometric parameters as exact integers over one scale.
 
@@ -222,7 +226,7 @@ class IntView:
     and Van Wyk, ACM TOG 1996). A rational tolerance e enters exactly: an
     integer difference d is at most e*L when d <= floor(e*L), and a squared
     distance is compared by cross-multiplying with e's denominator. The
-    view also keeps each entity's `box` once built.
+    view also keeps each entity's box (`box`) once built.
     """
 
     __slots__ = ("scale", "ints", "boxes")
@@ -231,7 +235,8 @@ class IntView:
         geometric = [(key, v) for key, v in values.items() if key[1] in GEOMETRIC_PARAMS]
         self.scale = scale = math.lcm(*(2 * v.denominator for _, v in geometric))
         self.ints = _Ints((key, v.numerator * (scale // v.denominator)) for key, v in geometric)
-        self.boxes: dict[tuple[str, ShapeKind], Box] = {}  # (entity, shape) -> `box`
+        # entity -> (the shape its box was built for, the box)
+        self.boxes: dict[str, tuple[ShapeKind, Box]] = {}
 
     def floor(self, q: Fraction) -> int:
         """floor(q * L): an integer d over L is at most q exactly when d <= this."""
@@ -246,6 +251,37 @@ class IntView:
         if qd2 > (qb + p) ** 2:
             return False
         return qb - p <= 0 or (qb - p) ** 2 <= qd2
+
+    def box(self, decl: EntityDecl) -> Box:
+        """The entity's box over this view's scale, built on first use and
+        kept, so every search over the state shares it; a declaration of
+        another shape for the same id builds it anew.
+
+        A box is the closed x- and y-extent around every point of the entity
+        that a relation test reads: its center or nearest point, its boundary
+        and its interior. Sizes count by absolute value, so a negative size
+        leaves the box the right way out; a Floor's x-extent is None, unbounded.
+        """
+        kept = self.boxes.get(decl.id)
+        if kept is not None and kept[0] is decl.shape:
+            return kept[1]
+        n = [self.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
+        if decl.shape is ShapeKind.FLOOR:
+            out = None, (n[0], n[0])
+        elif decl.shape is ShapeKind.SEGMENT:
+            x1, y1, x2, y2 = n
+            out = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
+        else:
+            x, y = n[0], n[1]
+            if decl.shape is ShapeKind.CIRCLE:
+                hw = hh = abs(n[2])
+            elif decl.shape is ShapeKind.RECTANGLE:
+                hw, hh = abs(n[2]) // 2, abs(n[3]) // 2
+            else:
+                hw = hh = 0
+            out = (x - hw, x + hw), (y - hh, y + hh)
+        self.boxes[decl.id] = decl.shape, out
+        return out
 
 
 def int_view(state: State) -> IntView:
@@ -348,52 +384,17 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
     return out
 
 
-Box = tuple[Optional[tuple[int, int]], tuple[int, int]]
-
-
-def box(state: State, decl: EntityDecl) -> Box:
-    """The entity's box over `int_view(state).scale`, built on first use and
-    kept on the view, so every search over the state shares it.
-
-    A box is the closed x- and y-extent around every point of the entity
-    that a relation test reads: its center or nearest point, its boundary
-    and its interior. Sizes count by absolute value, so a negative size
-    leaves the box the right way out; a Floor's x-extent is None, unbounded.
-    """
-    view = int_view(state)
-    key = decl.id, decl.shape
-    out = view.boxes.get(key)
-    if out is not None:
-        return out
-    n = [view.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
-    if decl.shape is ShapeKind.FLOOR:
-        out = None, (n[0], n[0])
-    elif decl.shape is ShapeKind.SEGMENT:
-        x1, y1, x2, y2 = n
-        out = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
-    else:
-        x, y = n[0], n[1]
-        if decl.shape is ShapeKind.CIRCLE:
-            hw = hh = abs(n[2])
-        elif decl.shape is ShapeKind.RECTANGLE:
-            hw, hh = abs(n[2]) // 2, abs(n[3]) // 2
-        else:
-            hw = hh = 0
-        out = (x - hw, x + hw), (y - hh, y + hh)
-    view.boxes[key] = out
-    return out
-
-
 def boxes_apart(state: State, a: EntityDecl, b: EntityDecl, margin: Fraction) -> bool:
     """Whether the boxes of `a` and `b` lie more than `margin` apart in some
     axis, so that no relation whose `box_margin` is `margin` holds of them.
     False where either entity lacks a parameter, so only its own pairs go
     unfiltered."""
+    view = int_view(state)
     try:
-        (ax, ay), (bx, by) = box(state, a), box(state, b)
+        (ax, ay), (bx, by) = view.box(a), view.box(b)
     except UnknownParameter:
         return False
-    m = int_view(state).floor(margin)
+    m = view.floor(margin)
     if ax is not None and bx is not None and (ax[0] > bx[1] + m or bx[0] > ax[1] + m):
         return True
     return ay[0] > by[1] + m or by[0] > ay[1] + m

@@ -478,6 +478,19 @@ def test_box_filter_keeps_every_pair_a_relation_holds_for(seed, epsilon):
                         assert _within(entities, state, ctx, name, a.id, b.id, threshold), (name, a, b)
 
 
+def test_a_view_builds_each_box_once_per_shape():
+    rect = make_entity("e", "Rectangle", ShapeKind.RECTANGLE, [1, 1, 2, 4])
+    point = make_entity("e", "Object", ShapeKind.POINT, [1, 1])
+    view = int_view(initial_state([rect]))
+    L = view.scale
+    box = view.box(rect)
+    assert box == ((0, 2 * L), (-L, 3 * L))
+    assert view.box(rect) is box
+    # the same id declared as another shape reads other parameters
+    assert view.box(point) == ((L, L), (L, L))
+    assert view.box(rect) == box
+
+
 def test_box_filter_boundary_cases():
     left = make_entity("l", "Rectangle", ShapeKind.RECTANGLE, [1, 1, 2, 2])  # x in [0, 2]
     right = make_entity("r", "Rectangle", ShapeKind.RECTANGLE, [3, 1, 2, 2])  # x in [2, 4]

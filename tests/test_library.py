@@ -540,20 +540,21 @@ def test_join_checks_only_candidates_that_meet_the_conditions(monkeypatch):
 
 def test_classify_builds_each_box_once(monkeypatch):
     sc = shipped_scenario("ball_cup")
-    served: dict[tuple[int, str], list] = {}  # (instant, entity) -> every box handed out
-    real_box = geometry.box
+    served: dict[tuple, list] = {}  # (view, entity) -> every box handed out
+    real_box = geometry.IntView.box
 
-    def box(state, decl):
-        out = real_box(state, decl)
-        served.setdefault((state.time, decl.id), []).append(out)
+    def box(view, decl):
+        out = real_box(view, decl)
+        served.setdefault((view, decl.id), []).append(out)
         return out
 
-    monkeypatch.setattr(geometry, "box", box)
+    monkeypatch.setattr(geometry.IntView, "box", box)
     classify(sc)
     # every box was asked for; those at instant 0 by CONTAINMENT, LINK,
     # OBJECT_INTO_CONTAINER and SUPPORT
-    assert set(served) == {(t, e) for t in range(3) for e in ("ball", "cup")}
-    assert len(served[0, "ball"]) >= 4 and len(served[0, "cup"]) >= 4
+    views = [geometry.int_view(state) for state in sc.trace.states]
+    assert set(served) == {(view, e) for view in views for e in ("ball", "cup")}
+    assert len(served[views[0], "ball"]) >= 4 and len(served[views[0], "cup"]) >= 4
     # and each was built once: the same object every time
     assert all(b is boxes[0] for boxes in served.values() for b in boxes)
 
