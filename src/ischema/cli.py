@@ -5,8 +5,13 @@ Exit codes separate semantic outcomes from operational failures:
     0  satisfied / done / analogy found
     1  theory violated / no analogy / no satisfying binding
     2  usage, parse, or sort errors (diagnostics on stderr as file:line:col)
-    3  simulation rejected the rule set (conflicts, unstratifiable)
-    4  enumeration search space exceeds the cap
+    3  the rule set is rejected (conflicting effects, unstratifiable)
+    4  a search space exceeds the cap
+
+An engine error decides the exit code by its class, the same way in every
+command (`_ERROR_EXITS`), and is written as `error: <message>` on stderr. A
+command that fails writes nothing to stdout. A `--bind` role the theory lacks
+leaves `check` no candidate (exit 1) and is a usage error in `enumerate`.
 
 Set ISCHEMA_COLOR=0|1 to force plain or colored text output; --json emits
 machine-readable documents that validate against data/cli_output.schema.json.
@@ -16,6 +21,7 @@ Given identical inputs and flags, output bytes are identical across runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -57,19 +63,6 @@ def _stream(err: bool = False):
     return click.get_text_stream("stderr" if err else "stdout", errors=None)
 
 
-def _echo(text: str = "", fg: Optional[str] = None) -> None:
-    color = _color_enabled()
-    if fg is not None and color is not False:
-        click.secho(text, fg=fg, color=color, file=_stream())
-    else:
-        click.echo(text, file=_stream())
-
-
-def _emit_diagnostics(diags) -> None:
-    for d in diags:
-        click.echo(str(d), file=_stream(err=True))
-
-
 def _fail_usage(message: str) -> NoReturn:
     click.echo(f"error: {message}", file=_stream(err=True))
     sys.exit(EXIT_USAGE)
@@ -89,7 +82,8 @@ def _load(path: str, parse):
     else:
         diags = dsl.sort_check(obj)
     if diags:
-        _emit_diagnostics(diags)
+        for d in diags:
+            click.echo(str(d), file=_stream(err=True))
         sys.exit(EXIT_USAGE)
     return obj
 
@@ -124,8 +118,50 @@ def _epsilon_option(text: Optional[str]) -> Fraction:
     return eps
 
 
-def _print_json(doc) -> None:
-    click.echo(dsl.json_text(doc), file=_stream())
+def _tolerances(epsilon: Optional[str], tau: Optional[str]) -> tuple[Fraction, Fraction]:
+    """The --epsilon and --tau tolerances, in that order."""
+    eps = _epsilon_option(epsilon)
+    return eps, (_rational_option(tau, "--tau") if tau else DEFAULT_TAU)
+
+
+# The exit code of a command that an engine error stops; any error not named
+# here is a usage error.
+_ERROR_EXITS = {
+    SearchSpaceTooLarge: EXIT_SEARCH_SPACE,
+    ConflictingEffects: EXIT_RULESET,
+    UnstratifiableRuleSet: EXIT_RULESET,
+}
+
+
+def _runs(body):
+    """The command callback that runs `body`, which returns (output, exit
+    code), writes the output to stdout and exits with the code. The output is
+    a JSON document, text written as it is, or a list of (line, color) pairs.
+    An engine error that `body` raises, rendering included, is written as
+    `error: <message>` on stderr, and nothing goes to stdout."""
+
+    @functools.wraps(body)
+    def run(**options):
+        try:
+            output, code = body(**options)
+            if isinstance(output, dict):
+                output = dsl.json_text(output) + "\n"
+        except IschemaError as exc:
+            click.echo(f"error: {exc}", file=_stream(err=True))
+            sys.exit(_ERROR_EXITS.get(type(exc), EXIT_USAGE))
+        out = _stream()
+        if isinstance(output, str):
+            click.echo(output, nl=False, file=out)
+        else:
+            color = _color_enabled()
+            for line, fg in output:
+                if fg is not None and color is not False:
+                    click.secho(line, fg=fg, color=color, file=out)
+                else:
+                    click.echo(line, file=out)
+        sys.exit(code)
+
+    return run
 
 
 def _report_to_json(report: logic.CheckReport) -> dict:
@@ -180,6 +216,7 @@ def main() -> None:
 @click.option("--epsilon", default=None, help="coincidence tolerance")
 @click.option("--tau", default=None, help="default proximity threshold")
 @click.option("--json", "json_output", is_flag=True)
+@_runs
 def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     """Check a concrete scenario against a theory under a role binding.
 
@@ -190,48 +227,31 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
-    eps = _epsilon_option(epsilon)
-    tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
+    eps, tau_v = _tolerances(epsilon, tau)
     binding = _parse_bindings(binds)
 
-    try:
-        # a binding that leaves a role unbound, or names one the theory
-        # lacks, goes through the search, which finds no candidate for the latter
-        if binding.keys() == {role for role, _ in theory.roles}:
-            report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
-        else:
-            found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding), None)
-            if found is None:
-                searched = library.count_candidates(theory, scenario, fixed=binding)
-                if json_output:
-                    _print_json(
-                        {
-                            "command": "check",
-                            "theory": theory.name,
-                            "binding": binding,
-                            "satisfied": False,
-                            "axioms": [],
-                            "searched": searched,
-                        }
-                    )
-                else:
-                    _echo(
-                        f"theory {theory.name}: no satisfying binding "
-                        f"among {searched} candidates"
-                    )
-                sys.exit(EXIT_UNSATISFIED)
-            report = found.report
-        # rendered here, since a constant can be too long to print
-        output = _report_to_json(report) if json_output else _report_lines(report)
-    except IschemaError as exc:
-        _fail_usage(str(exc))
-
-    if json_output:
-        _print_json(output)
+    # a binding that leaves a role unbound, or names one the theory
+    # lacks, goes through the search, which finds no candidate for the latter
+    if binding.keys() == {role for role, _ in theory.roles}:
+        report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
     else:
-        for line, fg in output:
-            _echo(line, fg=fg)
-    sys.exit(EXIT_OK if report.satisfied else EXIT_UNSATISFIED)
+        found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding), None)
+        if found is None:
+            searched = library.count_candidates(theory, scenario, fixed=binding)
+            if json_output:
+                return {
+                    "command": "check",
+                    "theory": theory.name,
+                    "binding": binding,
+                    "satisfied": False,
+                    "axioms": [],
+                    "searched": searched,
+                }, EXIT_UNSATISFIED
+            text = f"theory {theory.name}: no satisfying binding among {searched} candidates\n"
+            return text, EXIT_UNSATISFIED
+        report = found.report
+    output = _report_to_json(report) if json_output else _report_lines(report)
+    return output, EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 
 @main.command("simulate")
@@ -241,6 +261,7 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
 @click.option("--trace-out", default=None, help="write the trace JSON here")
 @click.option("--epsilon", default=None)
 @click.option("--json", "json_output", is_flag=True)
+@_runs
 def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
     """Run a generative scenario and emit its trace."""
     scenario = _load(scenario_file, dsl.parse_scenario)
@@ -257,31 +278,22 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
             for r in scenario.rules
         )
         scenario = dataclasses.replace(scenario, rules=rules)
-    try:
-        trace = dynamics.simulate(scenario, epsilon=eps, horizon=steps)
-        payload = dsl.serialize_trace(trace, scenario.entities) if json_output or trace_out else None
-        lines = [] if json_output or trace_out else [
+    trace = dynamics.simulate(scenario, epsilon=eps, horizon=steps)
+    if not (json_output or trace_out):
+        return "".join(
             f"t={state.time} " + " ".join(
                 f"{eid}.{p}={dsl.rational_to_text(v)}"
                 for (eid, p), v in sorted(state.values.items())
-            )
+            ) + "\n"
             for state in trace.states
-        ]
-    except (ConflictingEffects, UnstratifiableRuleSet) as exc:
-        click.echo(f"error: {exc}", file=_stream(err=True))
-        sys.exit(EXIT_RULESET)
-    except IschemaError as exc:
-        _fail_usage(str(exc))
+        ), EXIT_OK
+    payload = dsl.serialize_trace(trace, scenario.entities)
     if trace_out:
         try:
             Path(trace_out).write_text(payload, encoding="utf-8")
         except OSError as exc:
             _fail_usage(str(exc))
-    if json_output:
-        click.echo(payload, nl=False, file=_stream())
-    for line in lines:
-        _echo(line)
-    sys.exit(EXIT_OK)
+    return payload if json_output else "", EXIT_OK
 
 
 @main.command("classify")
@@ -290,35 +302,28 @@ def cmd_simulate(scenario_file, steps, delta, trace_out, epsilon, json_output):
 @click.option("--epsilon", default=None)
 @click.option("--tau", default=None)
 @click.option("--json", "json_output", is_flag=True)
+@_runs
 def cmd_classify(scenario_file, schemas, epsilon, tau, json_output):
     """List every (schema, binding) pair the scenario's trace satisfies."""
     scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
-    eps = _epsilon_option(epsilon)
-    tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
+    eps, tau_v = _tolerances(epsilon, tau)
     names = [s.strip() for s in schemas.split(",")] if schemas else None
-    try:
-        results = library.classify(scenario, names, epsilon=eps, tau=tau_v)
-    except IschemaError as exc:
-        _fail_usage(str(exc))
+    results = library.classify(scenario, names, epsilon=eps, tau=tau_v)
     if json_output:
-        _print_json(
-            {
-                "command": "classify",
-                "results": [
-                    {"schema": r.binding.schema, "binding": r.binding.as_dict()}
-                    for r in results
-                ],
-            }
-        )
-    else:
-        if not results:
-            _echo("no schema instantiations found")
-        for r in results:
-            bound = ", ".join(f"{role}={entity}" for role, entity in r.binding.roles)
-            _echo(f"{r.binding.schema}: {bound}", fg="green")
-    sys.exit(EXIT_OK)
+        return {
+            "command": "classify",
+            "results": [
+                {"schema": r.binding.schema, "binding": r.binding.as_dict()}
+                for r in results
+            ],
+        }, EXIT_OK
+    lines = [
+        (f"{r.binding.schema}: " + ", ".join(f"{role}={e}" for role, e in r.binding.roles), "green")
+        for r in results
+    ]
+    return lines or [("no schema instantiations found", None)], EXIT_OK
 
 
 @main.command("analogy")
@@ -328,6 +333,7 @@ def cmd_classify(scenario_file, schemas, epsilon, tau, json_output):
 @click.option("--epsilon", default=None)
 @click.option("--tau", default=None)
 @click.option("--json", "json_output", is_flag=True)
+@_runs
 def cmd_analogy(scenario_a, scenario_b, schema, epsilon, tau, json_output):
     """Find bindings showing both scenarios instantiate the same schema."""
     sc_a = _load(scenario_a, dsl.parse_scenario)
@@ -335,34 +341,26 @@ def cmd_analogy(scenario_a, scenario_b, schema, epsilon, tau, json_output):
     for sc, path in ((sc_a, scenario_a), (sc_b, scenario_b)):
         if sc.trace is None:
             _fail_usage(f"{path} is generative; run `ischema simulate` first")
-    eps = _epsilon_option(epsilon)
-    tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
-    try:
-        pair = library.analogy(sc_a, sc_b, schema, epsilon=eps, tau=tau_v)
-    except IschemaError as exc:
-        _fail_usage(str(exc))
+    eps, tau_v = _tolerances(epsilon, tau)
+    pair = library.analogy(sc_a, sc_b, schema, epsilon=eps, tau=tau_v)
     if pair is None:
         if json_output:
-            _print_json({"command": "analogy", "schema": schema, "found": False})
-        else:
-            _echo(f"no analogy: {schema} is not instantiated in both scenarios")
-        sys.exit(EXIT_UNSATISFIED)
+            return {"command": "analogy", "schema": schema, "found": False}, EXIT_UNSATISFIED
+        return f"no analogy: {schema} is not instantiated in both scenarios\n", EXIT_UNSATISFIED
     ba, bb = pair
     if json_output:
-        _print_json(
-            {
-                "command": "analogy",
-                "schema": schema,
-                "found": True,
-                "bindingA": ba.as_dict(),
-                "bindingB": bb.as_dict(),
-            }
-        )
-    else:
-        _echo(f"analogy via {schema}:", fg="green")
-        _echo("  " + ", ".join(f"{r}={e}" for r, e in ba.roles))
-        _echo("  " + ", ".join(f"{r}={e}" for r, e in bb.roles))
-    sys.exit(EXIT_OK)
+        return {
+            "command": "analogy",
+            "schema": schema,
+            "found": True,
+            "bindingA": ba.as_dict(),
+            "bindingB": bb.as_dict(),
+        }, EXIT_OK
+    return [
+        (f"analogy via {schema}:", "green"),
+        ("  " + ", ".join(f"{r}={e}" for r, e in ba.roles), None),
+        ("  " + ", ".join(f"{r}={e}" for r, e in bb.roles), None),
+    ], EXIT_OK
 
 
 def _parse_grid(text: str) -> tuple[tuple[int, int], tuple[int, int], Fraction]:
@@ -406,6 +404,7 @@ def _check_steps(value: Optional[int]) -> None:
 @click.option("--epsilon", default=None)
 @click.option("--tau", default=None)
 @click.option("--json", "json_output", is_flag=True)
+@_runs
 def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
                   count_only, epsilon, tau, json_output):
     """Enumerate grid placements of the free entities that satisfy the theory.
@@ -416,8 +415,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     """
     theory = _load(theory_file, dsl.parse_theory)
     scenario = _load(scenario_file, dsl.parse_scenario)
-    eps = _epsilon_option(epsilon)
-    tau_v = _rational_option(tau, "--tau") if tau else DEFAULT_TAU
+    eps, tau_v = _tolerances(epsilon, tau)
     _check_steps(steps)
     _check_at_least_one("--cap", cap)
     x_range, y_range, step = _parse_grid(grid)
@@ -436,7 +434,11 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
             _fail_usage(f"--free names {eid!r} twice")
 
     binding = _parse_bindings(binds)
-    unbound = [role for role, _ in theory.roles if role not in binding]
+    roles = [role for role, _ in theory.roles]
+    for role in binding:
+        if role not in roles:
+            _fail_usage(f"theory {theory.name} has no role {role!r}")
+    unbound = [role for role in roles if role not in binding]
     if unbound:
         full = next(library.candidate_bindings(theory, scenario, fixed=binding), None)
         if full is None:
@@ -451,32 +453,19 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
         horizon=steps,
         cap=cap,
     )
-    try:
-        if count_only:
-            count = enumeration.count_models(theory, scenario, spec, binding, eps, tau_v)
-            models = None
-        else:
-            models = enumeration.enumerate_models(theory, scenario, spec, binding, eps, tau_v)
-            count = len(models)
-        if json_output:
-            doc = {"command": "enumerate", "count": count}
-            if models is not None:
-                shared: dict = {}
-                doc["models"] = [dsl.trace_to_json(m, scenario.entities, shared) for m in models]
-        else:
-            lines = [f"models: {count}"] + ["  " + _placements(m, free_ids) for m in models or ()]
-    except SearchSpaceTooLarge as exc:
-        click.echo(f"error: {exc}", file=_stream(err=True))
-        sys.exit(EXIT_SEARCH_SPACE)
-    except IschemaError as exc:
-        _fail_usage(str(exc))
-
-    if json_output:
-        _print_json(doc)
+    if count_only:
+        count = enumeration.count_models(theory, scenario, spec, binding, eps, tau_v)
+        models = ()
     else:
-        for line in lines:
-            _echo(line)
-    sys.exit(EXIT_OK)
+        models = enumeration.enumerate_models(theory, scenario, spec, binding, eps, tau_v)
+        count = len(models)
+    if json_output:
+        doc = {"command": "enumerate", "count": count}
+        if not count_only:
+            shared: dict = {}
+            doc["models"] = [dsl.trace_to_json(m, scenario.entities, shared) for m in models]
+        return doc, EXIT_OK
+    return f"models: {count}\n" + "".join(f"  {_placements(m, free_ids)}\n" for m in models), EXIT_OK
 
 
 def _placements(model, free_ids: Sequence[str]) -> str:

@@ -65,10 +65,6 @@ SHIPPED_SCHEMAS = (
     "SUPPORT",
 )
 
-# The composite image schemas; the rest are primitive-level theories that the
-# classifier also understands.
-COMPOSITE_SCHEMAS = ("SOURCE_PATH_GOAL", "OBJECT_INTO_CONTAINER", "SUPPORT", "LINK", "REVOLUTION")
-
 
 def _data_text(name: str) -> str:
     return resources.files("ischema.data").joinpath(name).read_text(encoding="utf-8")

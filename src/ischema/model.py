@@ -85,8 +85,7 @@ BUILTIN_SORTS: tuple[Sort, ...] = (
 )
 
 # Which shapes an entity may take at each built-in sort, the only sorts an
-# entity may have. User-declared sorts inherit the admissible set of their
-# nearest built-in ancestor.
+# entity may have.
 ADMISSIBLE_SHAPES: dict[str, frozenset[ShapeKind]] = {
     "Entity": frozenset(ShapeKind),
     "Object": frozenset({ShapeKind.POINT}),
@@ -146,15 +145,6 @@ class SortHierarchy:
         if t not in self._parent:
             raise UnknownSort(f"unknown sort {t!r}")
         return t in self._walk_to_root(s)
-
-    def builtin_ancestor(self, name: str) -> str:
-        for anc in self._walk_to_root(name):
-            if anc in ADMISSIBLE_SHAPES:
-                return anc
-        return "Entity"
-
-    def admissible(self, sort: str, shape: ShapeKind) -> bool:
-        return shape in ADMISSIBLE_SHAPES[self.builtin_ancestor(sort)]
 
     def sort_names(self) -> tuple[str, ...]:
         return tuple(self._parent)

@@ -59,8 +59,12 @@ def test_a_traced_run_per_side_lands_in_the_document(tmp_path, monkeypatch):
                        cwd=repo, check=True, capture_output=True)
 
     git("init", "-q")
+    (repo / "src").mkdir()
+    sources = {"base": {"m.py": "a\nb\nc\n"}, "head": {"m.py": "a\nB\n", "n.py": "x\ny\n"}}
     for side in ("base", "head"):
         (repo / "SIDE").write_text(side, encoding="utf-8")
+        for name, text in sources[side].items():
+            (repo / "src" / name).write_text(text, encoding="utf-8")
         git("add", "-A")
         git("commit", "-q", "-m", side)
     monkeypatch.setattr(bench_compare, "ROOT", repo)
@@ -73,3 +77,9 @@ def test_a_traced_run_per_side_lands_in_the_document(tmp_path, monkeypatch):
     assert entry["summary"]["throughput_cmd_s"]["wins"] == 2
     traced = {side: run["metrics"] for side, run in entry["traced"].items()}
     assert traced == {"base": {"library.bindings.generated": 9}, "head": {"library.bindings.generated": 7}}
+    assert doc["src_lines"] == {
+        "files": {"src/m.py": {"added": 1, "deleted": 2}, "src/n.py": {"added": 2, "deleted": 0}},
+        "added": 3,
+        "deleted": 2,
+        "net": 1,
+    }

@@ -12,6 +12,7 @@ from conftest import mutate
 
 from ischema.cli import main
 from ischema import dsl, enumeration
+from ischema.errors import ConflictingEffects, SearchSpaceTooLarge, UnsupportedShapePair
 from ischema.library import SHIPPED_SCHEMAS, _data_text, shipped_scenario
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ischema" / "data"
@@ -290,14 +291,49 @@ def test_enumerate_cap_exits_four(runner):
         (["SUPPORT.ist", "stack.scn", "--free", "f"], "free entity 'f' must have a center"),
         # o would be placed twice, and every model listed once per placement
         (["CONTAINMENT.ist", "containment_grid.scn", "--free", "o,o"], "error: --free names 'o' twice"),
+        # a role the theory lacks is refused whether or not every real role is bound
+        (["CONTAINMENT.ist", "containment_grid.scn", "--bind", "object=o", "--bind", "container=c",
+          "--bind", "bogus=zz"], "error: theory CONTAINMENT has no role 'bogus'"),
+        (["CONTAINMENT.ist", "containment_grid.scn", "--bind", "object=o", "--bind", "bogus=zz"],
+         "error: theory CONTAINMENT has no role 'bogus'"),
     ],
-    ids=["cap-0", "cap-negative", "free-floor", "free-repeated"],
+    ids=["cap-0", "cap-negative", "free-floor", "free-repeated", "unknown-role", "unknown-role-unbound"],
 )
 def test_bad_enumerate_options_are_usage_errors(runner, args, message):
     theory, scenario, *options = args
     result = _run(runner, ["enumerate", _path(theory), _path(scenario), "--grid", "0:2,0:2"] + options)
     _assert_usage_error(result, message)
-    assert "models:" not in result.output
+    assert result.stdout == ""
+
+
+# Per command: the engine call it makes, its files and its options.
+_ENGINE_CALLS = {
+    "check": ("library.search_bindings", ["SUPPORT.ist", "stack.scn"], []),
+    "simulate": ("dynamics.simulate", ["drop.scn"], []),
+    "classify": ("library.classify", ["stack.scn"], []),
+    "analogy": ("library.analogy", ["solar.scn", "atom.scn"], ["--schema", "REVOLUTION"]),
+    "enumerate": ("enumeration.count_models", ["CONTAINMENT.ist", "containment_grid.scn"],
+                  ["--grid", "0:2,0:2", "--count-only"]),
+}
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(SearchSpaceTooLarge, 4), (ConflictingEffects, 3), (UnsupportedShapePair, 2)],
+    ids=["SearchSpaceTooLarge", "ConflictingEffects", "UnsupportedShapePair"],
+)
+@pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
+def test_engine_errors_exit_by_class_in_every_command(runner, monkeypatch, command, error, code):
+    target, files, options = _ENGINE_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error("the engine gave up")
+
+    monkeypatch.setattr(f"ischema.{target}", fail)
+    result = _run(runner, [command, *map(_path, files), *options])
+    assert result.exit_code == code, result.output
+    assert _stderr(result) == "error: the engine gave up\n"
+    assert result.stdout == ""
 
 
 def test_theory_template_overrides_step_relation(runner, tmp_path):

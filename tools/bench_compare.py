@@ -13,6 +13,8 @@ pair's metrics, and per workload and end-to-end metric each side's median
 with [q1, q3] and the number of pairs the change won. After the timed pairs
 it runs `perfbench/run.py --trace 1` once per side and workload, and stores
 those per-layer metrics (work counters and self times) under `traced`.
+Under `src_lines` it stores the lines added and deleted under `src/` from
+the base revision to HEAD, per file and in total, and the net change.
 
 A gain is shown when the change wins at least nine tenths of the pairs and
 its median is better than the base's by more than the distance between the
@@ -56,6 +58,18 @@ def run_bench(runner: Path, side: Path, workload: str, seed: int, seconds: float
     }
 
 
+def src_lines(base: str, head: str) -> dict:
+    """`git diff --numstat base head -- src/`: lines added and deleted per
+    file, their totals, and the net change."""
+    files = {}
+    for line in git("diff", "--numstat", base, head, "--", "src/").splitlines():
+        added, deleted, path = line.split("\t", 2)
+        files[path] = {"added": int(added), "deleted": int(deleted)}
+    added = sum(f["added"] for f in files.values())
+    deleted = sum(f["deleted"] for f in files.values())
+    return {"files": files, "added": added, "deleted": deleted, "net": added - deleted}
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median and [q1, q3], the change's wins (ties
     count for neither side), and whether a gain is shown."""
@@ -97,6 +111,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
+    lines = src_lines(shas["base"], shas["head"])
     workloads = args.workloads.split(",")
     results: dict[str, list[dict]] = {w: [] for w in workloads}
     traced: dict[str, dict] = {}
@@ -134,6 +149,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
+        "src_lines": lines,
         "workloads": {
             w: {
                 "correct": all(p[s]["correct"] for p in pairs + [traced[w]] for s in ("base", "head")),
@@ -150,6 +166,7 @@ def main(argv=None) -> int:
         for name, m in entry["summary"].items():
             print(f"{w} {name}: base {m['base']['median']:.4g} {m['base']['q1_q3']}, "
                   f"head {m['head']['median']:.4g}, wins {m['wins']}/{m['pairs']}, gain shown: {m['gain_shown']}")
+    print(f"src/ lines: +{lines['added']} -{lines['deleted']}, net {lines['net']:+d}")
     print(f"wrote {out.name}")
     return 0
 
