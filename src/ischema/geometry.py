@@ -1,16 +1,18 @@
 """Spatial relations as algebraic constraints over object parameters.
 
-All decisions that can be made in exact rational arithmetic are: containment,
-overlap and proximity compare squared distances as `Fraction`s; contact, `on`,
+All decisions that can be made in exact rational arithmetic are: the region
+relations (`inside`, `partOf`, `overlaps`, `disjoint`, `contact` and `on`),
 bottoms, tops, horizontal extents and boxes compare integers of the state's
-exact integer view (`IntView`). The tolerance epsilon (itself a rational) only
-enters coincidence-style relations (contact) and equality comparisons over the
-real-valued distance/angle functions.
+exact integer view (`IntView`); closeTo compares squared distances as
+`Fraction`s; distance, angle and measure are floats. The tolerance epsilon
+(itself a rational) only enters coincidence-style relations (contact, `on`)
+and equality comparisons over the real-valued distance/angle functions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -273,12 +275,7 @@ class IntView:
             out = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
         else:
             x, y = n[0], n[1]
-            if decl.shape is ShapeKind.CIRCLE:
-                hw = hh = abs(n[2])
-            elif decl.shape is ShapeKind.RECTANGLE:
-                hw, hh = abs(n[2]) // 2, abs(n[3]) // 2
-            else:
-                hw = hh = 0
+            hw, hh = abs(half_size(self.ints, decl, "x")), abs(half_size(self.ints, decl, "y"))
             out = (x - hw, x + hw), (y - hh, y + hh)
         self.boxes[decl.id] = decl.shape, out
         return out
@@ -293,43 +290,43 @@ def int_view(state: State) -> IntView:
     return view
 
 
+def half_size(n: Mapping[tuple[str, str], int], decl: EntityDecl, axis: str) -> int:
+    """How far a Point (0), Circle (r) or Rectangle (w/2 along x, h/2 along y)
+    reaches from its center along `axis`, "x" or "y", over the scale of the
+    view whose integers are `n`. Reads only that axis's size parameter; an
+    even integer halves exactly, since the scale doubles every denominator."""
+    if decl.shape is ShapeKind.POINT:
+        return 0
+    if decl.shape is ShapeKind.CIRCLE:
+        return n[decl.id, "r"]
+    return n[decl.id, "w" if axis == "x" else "h"] // 2
+
+
 def bottom(state: State, decl: EntityDecl) -> Optional[int]:
     """The lowest y of a Point, Circle or Rectangle over `int_view(state).scale`;
     None for the other shapes."""
-    n, e = int_view(state).ints, decl.id
-    if decl.shape is ShapeKind.POINT:
-        return n[e, "y"]
-    if decl.shape is ShapeKind.CIRCLE:
-        return n[e, "y"] - n[e, "r"]
-    if decl.shape is ShapeKind.RECTANGLE:
-        return n[e, "y"] - n[e, "h"] // 2
-    return None
+    if decl.shape not in CENTERED:
+        return None
+    n = int_view(state).ints
+    return n[decl.id, "y"] - half_size(n, decl, "y")
 
 
 def top(state: State, decl: EntityDecl) -> Optional[int]:
     """The highest y of every shape but a Segment over `int_view(state).scale`;
     None for a Segment."""
-    n, e = int_view(state).ints, decl.id
-    if decl.shape is ShapeKind.POINT or decl.shape is ShapeKind.FLOOR:
-        return n[e, "y"]
-    if decl.shape is ShapeKind.CIRCLE:
-        return n[e, "y"] + n[e, "r"]
-    if decl.shape is ShapeKind.RECTANGLE:
-        return n[e, "y"] + n[e, "h"] // 2
-    return None
+    n = int_view(state).ints
+    if decl.shape is ShapeKind.FLOOR:
+        return n[decl.id, "y"]
+    if decl.shape not in CENTERED:
+        return None
+    return n[decl.id, "y"] + half_size(n, decl, "y")
 
 
 def horizontal_interval(state: State, decl: EntityDecl) -> Optional[tuple[int, int]]:
     """Closed x-extent over `int_view(state).scale`; None means unbounded (Floor)."""
     n, e = int_view(state).ints, decl.id
-    if decl.shape is ShapeKind.POINT:
-        x = n[e, "x"]
-        return x, x
-    if decl.shape is ShapeKind.CIRCLE:
-        x, r = n[e, "x"], n[e, "r"]
-        return x - r, x + r
-    if decl.shape is ShapeKind.RECTANGLE:
-        x, hw = n[e, "x"], n[e, "w"] // 2
+    if decl.shape in CENTERED:
+        x, hw = n[e, "x"], half_size(n, decl, "x")
         return x - hw, x + hw
     if decl.shape is ShapeKind.SEGMENT:
         x1, x2 = n[e, "x1"], n[e, "x2"]
@@ -600,48 +597,39 @@ def eval_constraint(
 # --- relation catalog ---------------------------------------------------------
 
 
-def _sq(v: Fraction) -> Fraction:
-    return v * v
+def _gap(n: Mapping[tuple[str, str], int], a: EntityDecl, b: EntityDecl) -> tuple[int, int, int, int]:
+    """The x and y distances between the centers of two centered shapes, and
+    the sums of their half-sizes along x and along y."""
+    dx, dy = abs(n[a.id, "x"] - n[b.id, "x"]), abs(n[a.id, "y"] - n[b.id, "y"])
+    return dx, dy, half_size(n, a, "x") + half_size(n, b, "x"), half_size(n, a, "y") + half_size(n, b, "y")
 
 
 def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optional[bool]:
-    """a inside b; None when the shape pair is not supported.
+    """a inside b; None when the shape pair is not supported. Decided on
+    `int_view(state)`, with one rule per container shape.
 
     Strict containment turns every boundary comparison into a strict one; the
     non-strict variant realizes part-of.
     """
-    lt = (lambda u, v: u < v) if strict else (lambda u, v: u <= v)
-    sa, sb = a.shape, b.shape
-    if sb is ShapeKind.CIRCLE:
-        xc, yc, rc = (state.value(b.id, p) for p in ("x", "y", "r"))
-        if sa is ShapeKind.POINT:
-            d2 = _sq(state.value(a.id, "x") - xc) + _sq(state.value(a.id, "y") - yc)
-            return lt(d2, _sq(rc))
-        if sa is ShapeKind.CIRCLE:
-            ra = state.value(a.id, "r")
-            d2 = _sq(state.value(a.id, "x") - xc) + _sq(state.value(a.id, "y") - yc)
-            return lt(ra, rc) and d2 <= _sq(rc - ra)
-        if sa is ShapeKind.RECTANGLE:
-            dx = abs(state.value(a.id, "x") - xc) + state.value(a.id, "w") / 2
-            dy = abs(state.value(a.id, "y") - yc) + state.value(a.id, "h") / 2
-            return lt(_sq(dx) + _sq(dy), _sq(rc))
-    if sb is ShapeKind.RECTANGLE:
-        xr, yr = state.value(b.id, "x"), state.value(b.id, "y")
-        hw, hh = state.value(b.id, "w") / 2, state.value(b.id, "h") / 2
-        if sa is ShapeKind.POINT:
-            return lt(abs(state.value(a.id, "x") - xr), hw) and lt(
-                abs(state.value(a.id, "y") - yr), hh
-            )
-        if sa is ShapeKind.CIRCLE:
-            ra = state.value(a.id, "r")
-            return lt(abs(state.value(a.id, "x") - xr) + ra, hw) and lt(
-                abs(state.value(a.id, "y") - yr) + ra, hh
-            )
-        if sa is ShapeKind.RECTANGLE:
-            return lt(abs(state.value(a.id, "x") - xr) + state.value(a.id, "w") / 2, hw) and lt(
-                abs(state.value(a.id, "y") - yr) + state.value(a.id, "h") / 2, hh
-            )
-    return None
+    lt = operator.lt if strict else operator.le
+    if b.shape is not ShapeKind.CIRCLE and b.shape is not ShapeKind.RECTANGLE:
+        return None
+    n = int_view(state).ints
+    bx, by, hx, hy = n[b.id, "x"], n[b.id, "y"], half_size(n, b, "x"), half_size(n, b, "y")
+    if a.shape not in CENTERED:
+        return None
+
+    def reach(axis: str, c: int) -> int:  # how far a reaches from b's center along axis
+        return abs(n[a.id, axis] - c) + half_size(n, a, axis)
+
+    if b.shape is ShapeKind.RECTANGLE:  # a's reach within b's, along x and then along y
+        return lt(reach("x", bx), hx) and lt(reach("y", by), hy)
+    if a.shape is ShapeKind.CIRCLE:  # the centers no further apart than the radii differ
+        ra = n[a.id, "r"]
+        d2 = (n[a.id, "x"] - bx) ** 2 + (n[a.id, "y"] - by) ** 2
+        return lt(ra, hx) and d2 <= (hx - ra) ** 2
+    # a's corner farthest from b's center within b's radius
+    return lt(reach("x", bx) ** 2 + reach("y", by) ** 2, hx * hx)
 
 
 def touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
@@ -659,22 +647,11 @@ def touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Opt
         return None if ba is None else abs(ba - n[b.id, "y"]) <= view.floor(ctx.epsilon)
     if (sa is ShapeKind.CIRCLE or sb is ShapeKind.CIRCLE) and sa in _ROUND and sb in _ROUND:
         # circle-circle or point-circle: the centers lie the radii apart
-        ax, ay, bx, by = n[a.id, "x"], n[a.id, "y"], n[b.id, "x"], n[b.id, "y"]
-        if sa is sb:
-            radii = n[a.id, "r"] + n[b.id, "r"]
-        else:
-            radii = n[(a if sa is ShapeKind.CIRCLE else b).id, "r"]
-        return view.within((ax - bx) ** 2 + (ay - by) ** 2, radii, ctx.epsilon)
+        dx, dy, radii, _ = _gap(n, a, b)
+        return view.within(dx * dx + dy * dy, radii, ctx.epsilon)
     if (sa is ShapeKind.RECTANGLE or sb is ShapeKind.RECTANGLE) and sa in _BOXY and sb in _BOXY:
         # rectangle-rectangle or point-rectangle: an edge meets the other's
-        if sb is ShapeKind.POINT:
-            a, b, sa = b, a, sb
-        dx = abs(n[a.id, "x"] - n[b.id, "x"])
-        dy = abs(n[a.id, "y"] - n[b.id, "y"])
-        if sa is ShapeKind.RECTANGLE:
-            hw, hh = (n[a.id, "w"] + n[b.id, "w"]) // 2, (n[a.id, "h"] + n[b.id, "h"]) // 2
-        else:
-            hw, hh = n[b.id, "w"] // 2, n[b.id, "h"] // 2
+        dx, dy, hw, hh = _gap(n, a, b)
         eps = view.floor(ctx.epsilon)
         if dx - hw > eps or dy - hh > eps:
             return False
@@ -687,28 +664,20 @@ _BOXY = (ShapeKind.POINT, ShapeKind.RECTANGLE)
 
 
 def _interiors_overlap(state: State, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
-    sa, sb = a.shape, b.shape
-    if sa is ShapeKind.CIRCLE and sb is ShapeKind.CIRCLE:
-        d2 = distance_squared(state, a, b)
-        touching_or_apart = d2 >= _sq(state.value(a.id, "r") + state.value(b.id, "r"))
-        if touching_or_apart:
-            return False
-        return not _contains(state, a, b, True) and not _contains(state, b, a, True)
-    if sa is ShapeKind.RECTANGLE and sb is ShapeKind.RECTANGLE:
-        dx = abs(state.value(a.id, "x") - state.value(b.id, "x"))
-        dy = abs(state.value(a.id, "y") - state.value(b.id, "y"))
-        sumw = (state.value(a.id, "w") + state.value(b.id, "w")) / 2
-        sumh = (state.value(a.id, "h") + state.value(b.id, "h")) / 2
-        if dx >= sumw or dy >= sumh:
-            return False
-        return not _contains(state, a, b, True) and not _contains(state, b, a, True)
-    return None
+    """Two Circles or two Rectangles share interior points and neither holds
+    the other strictly; None for other pairs. Decided on `int_view(state)`."""
+    if a.shape is not b.shape or (a.shape is not ShapeKind.CIRCLE and a.shape is not ShapeKind.RECTANGLE):
+        return None
+    dx, dy, hw, hh = _gap(int_view(state).ints, a, b)
+    apart = dx * dx + dy * dy >= hw * hw if a.shape is ShapeKind.CIRCLE else dx >= hw or dy >= hh
+    return not apart and not _contains(state, a, b, True) and not _contains(state, b, a, True)
 
 
 def _same_geometry(state: State, a: EntityDecl, b: EntityDecl) -> bool:
     if a.shape is not b.shape:
         return False
-    return all(state.value(a.id, p) == state.value(b.id, p) for p in SHAPE_PARAMS[a.shape])
+    n = int_view(state).ints
+    return all(n[a.id, p] == n[b.id, p] for p in SHAPE_PARAMS[a.shape])
 
 
 def _defined(name: str, decls: Sequence[EntityDecl], result: Optional[bool]) -> bool:
@@ -759,7 +728,7 @@ def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, t
     tau = ctx.tau if threshold is None else threshold
     d2 = distance_squared(state, a, b)
     if isinstance(tau, Fraction):
-        return tau >= 0 and d2 <= _sq(tau)
+        return tau >= 0 and d2 <= tau * tau
     return math.sqrt(_real(d2, f"the squared distance between {a.id} and {b.id}")) <= tau
 
 

@@ -17,7 +17,6 @@ from .errors import (
     DuplicateEntity,
     InvalidScenario,
     NegativeExtent,
-    UnknownEntity,
     UnknownParameter,
     UnknownSort,
 )
@@ -320,12 +319,6 @@ class Scenario:
 
     def entity_map(self) -> dict[str, EntityDecl]:
         return {e.id: e for e in self.entities}
-
-    def entity(self, id: str) -> EntityDecl:
-        for e in self.entities:
-            if e.id == id:
-                return e
-        raise UnknownEntity(f"unknown entity {id!r}")
 
     @property
     def is_generative(self) -> bool:

@@ -2,8 +2,8 @@
 decided in `Fraction` arithmetic straight from the state's values: the
 oracle the view is tested against.
 
-Each function reads the parameters in the order its `geometry` counterpart
-does, so a missing one raises the same `UnknownParameter`.
+Each function reads, before it decides, the parameters its `geometry`
+counterpart reads, so a missing one raises the same `UnknownParameter`.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ischema.geometry import EvalContext, distance_squared
-from ischema.model import EntityDecl, ShapeKind, State
+from ischema.geometry import EvalContext, _defined, distance_squared
+from ischema.model import SHAPE_PARAMS, EntityDecl, ShapeKind, State
 
 
 def _within(value_sq: Fraction, bound: Fraction, eps: Fraction) -> bool:
@@ -143,3 +143,101 @@ def fall_drop(state: State, ctx: EvalContext, target: str, delta: Fraction) -> F
         if best_gap is None or gap < best_gap:
             best_gap = gap
     return delta if best_gap is None else min(delta, best_gap)
+
+
+def _sq(v: Fraction) -> Fraction:
+    return v * v
+
+
+def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optional[bool]:
+    """a inside b; None when the shape pair is not supported.
+
+    Strict containment turns every boundary comparison into a strict one; the
+    non-strict variant realizes part-of.
+    """
+    lt = (lambda u, v: u < v) if strict else (lambda u, v: u <= v)
+    sa, sb = a.shape, b.shape
+    if sb is ShapeKind.CIRCLE:
+        xc, yc, rc = (state.value(b.id, p) for p in ("x", "y", "r"))
+        if sa is ShapeKind.POINT:
+            d2 = _sq(state.value(a.id, "x") - xc) + _sq(state.value(a.id, "y") - yc)
+            return lt(d2, _sq(rc))
+        if sa is ShapeKind.CIRCLE:
+            ra = state.value(a.id, "r")
+            d2 = _sq(state.value(a.id, "x") - xc) + _sq(state.value(a.id, "y") - yc)
+            return lt(ra, rc) and d2 <= _sq(rc - ra)
+        if sa is ShapeKind.RECTANGLE:
+            dx = abs(state.value(a.id, "x") - xc) + state.value(a.id, "w") / 2
+            dy = abs(state.value(a.id, "y") - yc) + state.value(a.id, "h") / 2
+            return lt(_sq(dx) + _sq(dy), _sq(rc))
+    if sb is ShapeKind.RECTANGLE:
+        xr, yr = state.value(b.id, "x"), state.value(b.id, "y")
+        hw, hh = state.value(b.id, "w") / 2, state.value(b.id, "h") / 2
+        if sa is ShapeKind.POINT:
+            return lt(abs(state.value(a.id, "x") - xr), hw) and lt(
+                abs(state.value(a.id, "y") - yr), hh
+            )
+        if sa is ShapeKind.CIRCLE:
+            ra = state.value(a.id, "r")
+            return lt(abs(state.value(a.id, "x") - xr) + ra, hw) and lt(
+                abs(state.value(a.id, "y") - yr) + ra, hh
+            )
+        if sa is ShapeKind.RECTANGLE:
+            return lt(abs(state.value(a.id, "x") - xr) + state.value(a.id, "w") / 2, hw) and lt(
+                abs(state.value(a.id, "y") - yr) + state.value(a.id, "h") / 2, hh
+            )
+    return None
+
+
+def _interiors_overlap(state: State, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
+    sa, sb = a.shape, b.shape
+    if sa is ShapeKind.CIRCLE and sb is ShapeKind.CIRCLE:
+        d2 = distance_squared(state, a, b)
+        touching_or_apart = d2 >= _sq(state.value(a.id, "r") + state.value(b.id, "r"))
+        if touching_or_apart:
+            return False
+        return not _contains(state, a, b, True) and not _contains(state, b, a, True)
+    if sa is ShapeKind.RECTANGLE and sb is ShapeKind.RECTANGLE:
+        dx = abs(state.value(a.id, "x") - state.value(b.id, "x"))
+        dy = abs(state.value(a.id, "y") - state.value(b.id, "y"))
+        sumw = (state.value(a.id, "w") + state.value(b.id, "w")) / 2
+        sumh = (state.value(a.id, "h") + state.value(b.id, "h")) / 2
+        if dx >= sumw or dy >= sumh:
+            return False
+        return not _contains(state, a, b, True) and not _contains(state, b, a, True)
+    return None
+
+
+def _same_geometry(state: State, a: EntityDecl, b: EntityDecl) -> bool:
+    if a.shape is not b.shape:
+        return False
+    return all(state.value(a.id, p) == state.value(b.id, p) for p in SHAPE_PARAMS[a.shape])
+
+
+def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
+    """No containment either way, no contact, no overlap.
+
+    Component relations undefined for the pair count as not holding; two
+    entities with identical geometry are never disjoint (a is never disjoint
+    from itself).
+    """
+    if _same_geometry(state, a, b):
+        return False
+    for test in (
+        _contains(state, a, b, False),
+        _contains(state, b, a, False),
+        touches(state, ctx, a, b),
+        _interiors_overlap(state, a, b),
+    ):
+        if test:
+            return False
+    return True
+
+
+# `eval_relation` of the four region relations besides contact and on.
+REGION_RELATIONS = {
+    "inside": lambda st, ctx, a, b: _defined("inside", (a, b), _contains(st, a, b, True)),
+    "partOf": lambda st, ctx, a, b: _defined("inside", (a, b), _contains(st, a, b, False)),
+    "overlaps": lambda st, ctx, a, b: _defined("overlaps", (a, b), _interiors_overlap(st, a, b)),
+    "disjoint": rel_disjoint,
+}

@@ -26,6 +26,25 @@ def test_summary_counts_wins_by_direction_and_shows_a_gain_beyond_the_base_sprea
     assert not summary["t"]["gain_shown"]  # a median gain of 2 within a base spread of 5
 
 
+
+def _flags(direction, base, head, bound=0.05):
+    pairs = [{"base": {"metrics": {"m": b}}, "head": {"metrics": {"m": h}}} for b, h in zip(base, head)]
+    flags = bench_compare.judge(pairs, "m", direction, bound)
+    return flags["regressed"], flags["unresolved"]
+
+
+def test_judge_flags_a_median_beyond_the_bound_and_a_base_spread_wider_than_it():
+    steady, spread = [100] * 5, [90, 95, 100, 105, 110]  # quartiles 0 and 10 apart
+    for direction, worse in (("higher", -1), ("lower", 1)):
+        assert _flags(direction, steady, [100 + worse * 4] * 5) == (False, False)  # 4% worse: within
+        assert _flags(direction, steady, [100 + worse * 6] * 5) == (True, False)  # 6% worse: beyond
+        assert _flags(direction, steady, [100 - worse * 6] * 5) == (False, False)  # better
+        assert _flags(direction, spread, [100 - worse] * 5) == (False, True)  # within the base's runs
+        assert _flags(direction, spread, [100 - worse * 11] * 5) == (False, False)  # beyond every base run
+        assert _flags(direction, spread, [100 + worse * 6] * 5) == (True, True)
+    assert _flags("higher", spread, [100] * 5, bound=0.2) == (False, False)  # a spread of 10% within 20%
+
+
 _FAKE_RUNNER = '''\
 import argparse, json, pathlib
 parser = argparse.ArgumentParser()

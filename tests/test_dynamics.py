@@ -52,6 +52,7 @@ from ischema.logic import (
 )
 from ischema.model import (
     ForceFluent,
+    RelationSig,
     ShapeKind,
     declare_scenario,
     initial_state,
@@ -252,6 +253,21 @@ def test_gravity_with_sixteen_prime_denominators_matches_the_fraction_oracle():
             assert state == expected
     ys = [s.value("b15", "y") for s in trace.states]
     assert ys[-1] < ys[0]  # the bodies do fall
+
+
+def test_gravity_under_an_on_template_decides_with_the_generic_evaluator():
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, 3])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([o, f], rules=[gravity_rule(1)], horizon=4)
+    low = ConstraintAtom(ParamRef("arg1", "y"), "<=", Const(Fraction(2)))
+    templated = EvalContext.for_scenario(sc)
+    templated.relations = {"on": RelationSig("on", ("Entity", "Entity"), low)}
+    for ctx, expected in ((templated, [2, 2, 2]), (EvalContext.for_scenario(sc), [2, 1, 0])):
+        state, ys = initial_state(sc.entities), []
+        for _ in range(3):
+            state = step(state, list(sc.rules), ctx)
+            ys.append(state.value("o", "y"))
+        assert ys == expected
 
 
 def test_gravity_rejects_nonpositive_delta():

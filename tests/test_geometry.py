@@ -399,6 +399,9 @@ def test_integer_view_matches_the_fraction_oracle(scene, epsilon):
             assert horizontal_overlap(state, a, b) == oracle.horizontal_overlap(state, a, b)
             assert touches(state, ctx, a, b) == oracle.touches(state, ctx, a, b), (a, b)
             assert rel_on(state, ctx, a, b) == oracle.rel_on(state, ctx, a, b), (a, b)
+            for name, theirs in oracle.REGION_RELATIONS.items():
+                ours = _outcome(eval_relation, name, [a.id, b.id], state, ctx)
+                assert ours == _outcome(theirs, state, ctx, a, b), (name, a, b)
     got = {k: sorted(v) for k, v in x_neighbours(state, entities).items()}
     assert got == {k: sorted(v) for k, v in oracle.x_neighbours(state, entities).items()}
 
@@ -406,8 +409,8 @@ def test_integer_view_matches_the_fraction_oracle(scene, epsilon):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except UnknownParameter as exc:
-        return str(exc)
+    except (UnknownParameter, UnsupportedShapePair) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @given(_view_scene(), st.data())
@@ -427,6 +430,9 @@ def test_integer_view_reports_a_missing_parameter_as_the_oracle_does(scene, data
                 ours, theirs = globals()[name], getattr(oracle, name)
                 args = (state, ctx, a, b) if name != "horizontal_overlap" else (state, a, b)
                 assert _outcome(ours, *args) == _outcome(theirs, *args), name
+            for name, theirs in oracle.REGION_RELATIONS.items():
+                ours = _outcome(eval_relation, name, [a.id, b.id], state, ctx)
+                assert ours == _outcome(theirs, state, ctx, a, b), name
 
 
 def test_x_neighbours_corner_cases():

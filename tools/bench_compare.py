@@ -18,7 +18,11 @@ the base revision to HEAD, per file and in total, and the net change.
 
 A gain is shown when the change wins at least nine tenths of the pairs and
 its median is better than the base's by more than the distance between the
-base's quartiles.
+base's quartiles. Against each end-to-end metric's `bound` in BENCHMARK.json,
+a fraction of the base's median, a metric is `regressed` when the head's
+median is worse than the base's by more than the bound, and `unresolved`
+when the base's quartiles lie further apart than the bound and not every
+head run is better than every base run.
 """
 
 from __future__ import annotations
@@ -95,6 +99,21 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def judge(pairs: list[dict], name: str, direction: str, bound: float) -> dict:
+    """Whether metric `name`, better when `direction`, is `regressed` or
+    `unresolved` under `bound`, a fraction of the base's median."""
+    base = [p["base"]["metrics"][name] for p in pairs]
+    head = [p["head"]["metrics"][name] for p in pairs]
+    sign = 1 if direction == "higher" else -1
+    median = statistics.median(base)
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    all_better = all(sign * (h - b) > 0 for h in head for b in base)
+    return {
+        "regressed": sign * (median - statistics.median(head)) > bound * abs(median),
+        "unresolved": q3 - q1 > bound * abs(median) and not all_better,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare HEAD against")
@@ -110,6 +129,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     lines = src_lines(shas["base"], shas["head"])
     workloads = args.workloads.split(",")
@@ -153,7 +173,10 @@ def main(argv=None) -> int:
         "workloads": {
             w: {
                 "correct": all(p[s]["correct"] for p in pairs + [traced[w]] for s in ("base", "head")),
-                "summary": summarize(pairs, better),
+                "summary": {
+                    name: {**m, **(judge(pairs, name, better[name], bounds[name]) if name in bounds else {})}
+                    for name, m in summarize(pairs, better).items()
+                },
                 "runs": pairs,
                 "traced": traced[w],
             }
@@ -165,7 +188,8 @@ def main(argv=None) -> int:
     for w, entry in doc["workloads"].items():
         for name, m in entry["summary"].items():
             print(f"{w} {name}: base {m['base']['median']:.4g} {m['base']['q1_q3']}, "
-                  f"head {m['head']['median']:.4g}, wins {m['wins']}/{m['pairs']}, gain shown: {m['gain_shown']}")
+                  f"head {m['head']['median']:.4g}, wins {m['wins']}/{m['pairs']}, gain shown: {m['gain_shown']}, "
+                  f"regressed: {m.get('regressed')}, unresolved: {m.get('unresolved')}")
     print(f"src/ lines: +{lines['added']} -{lines['deleted']}, net {lines['net']:+d}")
     print(f"wrote {out.name}")
     return 0
