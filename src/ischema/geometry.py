@@ -290,16 +290,19 @@ def int_view(state: State) -> IntView:
     return view
 
 
+# A centered shape's size parameters along x and along y, and their divisor.
+_HALF_SIZES = {ShapeKind.POINT: None, ShapeKind.CIRCLE: ("r", "r", 1), ShapeKind.RECTANGLE: ("w", "h", 2)}
+
+
 def half_size(n: Mapping[tuple[str, str], int], decl: EntityDecl, axis: str) -> int:
     """How far a Point (0), Circle (r) or Rectangle (w/2 along x, h/2 along y)
     reaches from its center along `axis`, "x" or "y", over the scale of the
     view whose integers are `n`. Reads only that axis's size parameter; an
     even integer halves exactly, since the scale doubles every denominator."""
-    if decl.shape is ShapeKind.POINT:
+    sizes = _HALF_SIZES[decl.shape]
+    if sizes is None:
         return 0
-    if decl.shape is ShapeKind.CIRCLE:
-        return n[decl.id, "r"]
-    return n[decl.id, "w" if axis == "x" else "h"] // 2
+    return n[decl.id, sizes[0] if axis == "x" else sizes[1]] // sizes[2]
 
 
 def bottom(state: State, decl: EntityDecl) -> Optional[int]:
