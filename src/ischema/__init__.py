@@ -23,7 +23,6 @@ from .model import (
     translate_scenario,
 )
 from .geometry import (
-    ConstraintAtom,
     EvalContext,
     angular_position,
     distance,
@@ -31,7 +30,7 @@ from .geometry import (
     eval_relation,
     measure,
 )
-from .logic import CheckReport, Formula, check_theory, eval_formula, reference_eval
+from .logic import CheckReport, Compare, Formula, check_theory, eval_formula, reference_eval
 from .dynamics import Rule, gravity_rule, simulate, step, umph_rule
 from .dsl import (
     Diagnostic,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "ConstraintAtom",
+    "Compare",
     "Diagnostic",
     "DslError",
     "EntityDecl",

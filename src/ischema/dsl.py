@@ -53,7 +53,6 @@ from .geometry import (
     COMPARATORS,
     Add,
     Const,
-    ConstraintAtom,
     DeltaExpr,
     MeasureExpr,
     Mul,
@@ -79,9 +78,7 @@ from .logic import (
     Implies,
     Next,
     Not,
-    NumTerm,
     Or,
-    Sym,
     TrueF,
     Until,
 )
@@ -507,9 +504,8 @@ class _Parser:
     def _term(self):
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in _FUNCTIONS and self.peek(1).text in (",", ")"):
-            self.next()
-            return Sym(tok.text)
-        return NumTerm(self.num_expr())
+            return self.next().text
+        return self.num_expr()
 
     def _comparison(self, start: Token) -> Formula:
         """A comparison, or a parenthesized formula at a "(" that opens no
@@ -519,12 +515,12 @@ class _Parser:
         fails to parse as a comparison is read as a formula, whose error
         is the one reported."""
         if start.text != "(":
-            return Compare(self._constraint(), span=start.span)
+            return self._compare(start.span)
         after = self.closer.get(self.pos)
         if after is not None and self.tokens[after + 1].text in _NUMERIC_FOLLOWERS:
             saved = self.pos
             try:
-                return Compare(self._constraint(), span=start.span)
+                return self._compare(start.span)
             except DslError:
                 self.pos = saved
         self.expect("(")
@@ -532,14 +528,14 @@ class _Parser:
         self.expect(")")
         return inner
 
-    def _constraint(self, check=lambda side: side) -> ConstraintAtom:
+    def _compare(self, span=None, check=lambda side: side) -> Compare:
         """`lhs CMP rhs`, passing each side through `check` once both parse."""
         lhs = self.num_expr()
         if self.peek().text not in COMPARATORS:
             self.fail("expected a comparison operator")
         cmp = self.next().text
         rhs = self.num_expr()
-        return ConstraintAtom(check(lhs), cmp, check(rhs))
+        return Compare(check(lhs), cmp, check(rhs), span=span)
 
     # -- numeric expressions
 
@@ -606,7 +602,7 @@ class _Parser:
                 self.expect(")")
                 definition = None
                 if self.accept(":="):
-                    definition = self._constraint(lambda side: self._shallow(side, rel))
+                    definition = self._compare(check=lambda side: self._shallow(side, rel))
                 relations.append(RelationSig(
                     rel.text,
                     tuple(s.text for s in arg_sorts),
@@ -856,22 +852,16 @@ class _SortChecker:
         entity_terms: list[tuple[str, Optional[str]]] = []
         numeric_count = 0
         for term in atom.args:
-            if isinstance(term, Sym):
-                sort = self.term_sort(term.name, scope)
-                if sort is None:
-                    if term.name in self.numeric_params:
-                        numeric_count += 1
-                        continue
-                    self.error(
-                        "unbound-symbol",
-                        f"symbol {term.name!r} is not a declared role, variable, or entity",
-                        atom.span,
-                    )
-                    continue
-                entity_terms.append((term.name, sort))
-            else:
-                self.check(term.expr, scope, atom.span)
+            if type(term) is not str:
+                self.check(term, scope, atom.span)
                 numeric_count += 1
+            elif (sort := self.term_sort(term, scope)) is not None:
+                entity_terms.append((term, sort))
+            elif term in self.numeric_params:
+                numeric_count += 1
+            else:
+                message = f"symbol {term!r} is not a declared role, variable, or entity"
+                self.error("unbound-symbol", message, atom.span)
         if sig is not None:
             if len(entity_terms) != len(sig.arg_sorts):
                 self.error(
@@ -897,12 +887,12 @@ class _SortChecker:
                 self.error("arity", geometry.arity_message(atom.relation), atom.span)
 
 
-def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -> list[Diagnostic]:
+def sort_check(obj: Theory | Scenario) -> list[Diagnostic]:
     """Empty result iff every relation application matches its signature up to
     subsorting and every symbol reference is declared."""
     if isinstance(obj, Theory):
         try:
-            hierarchy = hierarchy or obj.hierarchy()
+            hierarchy = obj.hierarchy()
         except UnknownSort as exc:
             return [Diagnostic("error", "unknown-sort", str(exc), exc.span or _NO_SPAN)]
         relations = {sig.name: sig for sig in obj.relations}
@@ -922,14 +912,13 @@ def sort_check(obj: Theory | Scenario, hierarchy: SortHierarchy | None = None) -
                 if not hierarchy.known(s):
                     checker.error("unknown-sort", f"unknown sort {s!r} in relation {sig.name}", span)
             if sig.definition is not None:
-                checker.check(sig.definition.lhs, template_scope)
-                checker.check(sig.definition.rhs, template_scope)
+                checker.check(sig.definition, template_scope)
         for axiom in obj.axioms:
             checker.check(axiom, scope)
         return checker.diagnostics
 
     if isinstance(obj, Scenario):
-        hierarchy = hierarchy or SortHierarchy()
+        hierarchy = SortHierarchy()
         decls = {e.id: e for e in obj.entities}
         checker = _SortChecker(hierarchy, {}, set(), {e.id: e.sort for e in obj.entities})
         for rule in obj.rules or ():
@@ -990,10 +979,10 @@ def _leaf_text(node: Node) -> str:
     if keyword is not None:  # true, false, final, delta(a, b), theta(a, b), measure(e)
         return keyword + (f"({', '.join(node.symbols)})" if node.symbols else "")
     if isinstance(node, Atom):
-        args = (t.name if isinstance(t, Sym) else formula_to_text(t.expr) for t in node.args)
+        args = (t if type(t) is str else formula_to_text(t) for t in node.args)
         return f"{node.relation}({', '.join(args)})"
     if isinstance(node, Compare):
-        return _constraint_text(node.constraint)
+        return f"{formula_to_text(node.lhs)} {node.cmp} {formula_to_text(node.rhs)}"
     if isinstance(node, Const):
         return rational_to_text(node.value)
     if isinstance(node, ParamRef):
@@ -1001,10 +990,6 @@ def _leaf_text(node: Node) -> str:
     if isinstance(node, NameRef):
         return node.name
     raise TypeError(f"cannot print {node!r}")
-
-
-def _constraint_text(c: ConstraintAtom) -> str:
-    return f"{formula_to_text(c.lhs)} {c.cmp} {formula_to_text(c.rhs)}"
 
 
 def serialize_theory(theory: Theory) -> str:
@@ -1016,7 +1001,7 @@ def serialize_theory(theory: Theory) -> str:
     for sig in theory.relations:
         decl = f"  relation {sig.name}({', '.join(sig.arg_sorts)})"
         if sig.definition is not None:
-            decl += " := " + _constraint_text(sig.definition)
+            decl += " := " + formula_to_text(sig.definition)
         lines.append(decl)
     for name, value in theory.numeric_params:
         lines.append(f"  param {name} = {rational_to_text(value)}")

@@ -29,7 +29,6 @@ from .logic import (
     Formula,
     Implies,
     Not,
-    Sym,
     TrueF,
     _domain,
     eval_formula,
@@ -127,7 +126,7 @@ def gravity_rule(delta: Fraction | int = 1) -> Rule:
     delta = Fraction(delta)
     if delta <= 0:
         raise NonPositiveDelta(f"gravity step must be positive, got {delta}")
-    condition = Not(Exists("y", "Entity", Atom("on", (Sym("x"), Sym("y")))))
+    condition = Not(Exists("y", "Entity", Atom("on", ("x", "y"))))
     return Rule(
         name="gravity",
         condition=condition,
@@ -498,7 +497,6 @@ def step(
 def simulate(
     scenario: Scenario,
     epsilon: Fraction = geometry.DEFAULT_EPSILON,
-    tau: Fraction = geometry.DEFAULT_TAU,
     horizon: Optional[int] = None,
     initial_forces: frozenset[ForceFluent] = frozenset(),
 ) -> Trace:
@@ -509,7 +507,7 @@ def simulate(
     T = horizon if horizon is not None else scenario.horizon
     if T is None or T < 1:
         raise ConflictingEffects("simulation horizon must be at least 1")
-    ctx = EvalContext.for_scenario(scenario, epsilon=epsilon, tau=tau)
+    ctx = EvalContext.for_scenario(scenario, epsilon=epsilon)
     rules = list(scenario.rules or ())
     plan = StepPlan.build(stratify(rules, ctx), ctx)
     states = [initial_state(scenario.entities, forces=initial_forces)]

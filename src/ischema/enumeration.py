@@ -282,7 +282,7 @@ class _Tables:
     def _decide(self, phi, scope: Mapping[str, str], state: State) -> bool:
         ctx = self.ground.ctx
         if isinstance(phi, logic.Compare):
-            return geometry.eval_constraint(phi.constraint, state, ctx, scope)
+            return geometry.eval_constraint(phi, state, ctx, scope)
         entity_args, num_args = logic._resolve_atom_args(phi, state, scope, ctx)
         return geometry.eval_relation(phi.relation, entity_args, state, ctx, num_args)
 

@@ -125,19 +125,7 @@ class MeasureExpr(NumExpr):
     SYMBOLS = ("entity",)
 
 
-@dataclass(frozen=True)
-class ConstraintAtom:
-    """lhs CMP rhs with CMP in {<, <=, =, !=, >=, >}.
-
-    Equality and disequality over expressions containing distance or angle
-    terms hold within the configured tolerance.
-    """
-
-    lhs: NumExpr
-    cmp: str
-    rhs: NumExpr
-
-
+# The comparators of a `logic.Compare`.
 COMPARATORS = ("<", "<=", "=", "!=", ">=", ">")
 
 
@@ -571,12 +559,8 @@ def _contains_real_terms(e: NumExpr) -> bool:
     return real or any(map(_contains_real_terms, e.children))
 
 
-def eval_constraint(
-    c: ConstraintAtom,
-    state: State,
-    ctx: EvalContext,
-    binding: Mapping[str, str] | None = None,
-) -> bool:
+def eval_constraint(c, state: State, ctx: EvalContext, binding: Mapping[str, str] | None = None) -> bool:
+    """`c.lhs c.cmp c.rhs` of a `logic.Compare` in `state`."""
     lhs = eval_num_expr(c.lhs, state, ctx, binding)
     rhs = eval_num_expr(c.rhs, state, ctx, binding)
     if c.cmp in ("=", "!="):
@@ -769,7 +753,7 @@ def _theta_step(state: State, ctx: EvalContext, decls, nums, after: Optional[Sta
 RelationTest = Callable[[State, EvalContext, Sequence[EntityDecl], Sequence, Optional[State]], bool]
 BUILTIN_RELATIONS: dict[str, tuple[int, int, RelationTest]] = {
     "inside": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, True))),
-    "partOf": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, False))),
+    "partOf": (2, 0, lambda st, ctx, d, n, after: _defined("partOf", d, _contains(st, *d, False))),
     "contact": (2, 0, lambda st, ctx, d, n, after: _defined("contact", d, touches(st, ctx, *d))),
     "on": (2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d)),
     "overlaps": (2, 0, lambda st, ctx, d, n, after: _defined("overlaps", d, _interiors_overlap(st, *d))),

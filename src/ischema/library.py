@@ -44,9 +44,7 @@ from .logic import (
     Implies,
     Next,
     Not,
-    NumTerm,
     Or,
-    Sym,
     TrueF,
     Until,
     check_theory,
@@ -133,11 +131,11 @@ def primitive(name: str) -> PrimitiveDef:
 
 def empty_formula(container: str) -> Formula:
     """No declared object is inside the container."""
-    return Forall("o", "Object", Not(Atom("inside", (Sym("o"), Sym(container)))))
+    return Forall("o", "Object", Not(Atom("inside", ("o", container))))
 
 
 def occupied_formula(container: str) -> Formula:
-    return Exists("o", "Object", Atom("inside", (Sym("o"), Sym(container))))
+    return Exists("o", "Object", Atom("inside", ("o", container)))
 
 
 def full_formula(container: str) -> Formula:
@@ -145,38 +143,38 @@ def full_formula(container: str) -> Formula:
     that could still go in (objects are points, so any remaining one would fit)."""
     return And(
         occupied_formula(container),
-        Forall("o", "Object", Atom("inside", (Sym("o"), Sym(container)))),
+        Forall("o", "Object", Atom("inside", ("o", container))),
     )
 
 
 def open_formula(container: str) -> Formula:
-    return Compare(geometry.ConstraintAtom(ParamRef(container, "open"), "=", Const(Fraction(1))))
+    return Compare(ParamRef(container, "open"), "=", Const(Fraction(1)))
 
 
 def closed_formula(container: str) -> Formula:
-    return Compare(geometry.ConstraintAtom(ParamRef(container, "open"), "=", Const(Fraction(0))))
+    return Compare(ParamRef(container, "open"), "=", Const(Fraction(0)))
 
 
 def motion_formula(entity: str) -> Formula:
-    return Atom("motion", (Sym(entity),))
+    return Atom("motion", (entity,))
 
 
 def at_rest_formula(entity: str) -> Formula:
-    return Not(Atom("motion", (Sym(entity),)))
+    return Not(Atom("motion", (entity,)))
 
 
 def link_formula(a: str, b: str, threshold: Fraction | int) -> Formula:
-    return Atom("closeTo", (Sym(a), Sym(b), NumTerm(Const(Fraction(threshold)))))
+    return Atom("closeTo", (a, b, Const(Fraction(threshold))))
 
 
 def ccw_step_formula(orbiter: str, center: str) -> Formula:
-    return Atom("ccwStep", (Sym(orbiter), Sym(center)))
+    return Atom("ccwStep", (orbiter, center))
 
 
 def theta_increase_formula(orbiter: str, center: str) -> Formula:
     """The literal angular reading: theta grows across the step. Agrees with
     ccwStep whenever a step turns less than a half-circle and does not wrap."""
-    return Atom("thetaStep", (Sym(orbiter), Sym(center)))
+    return Atom("thetaStep", (orbiter, center))
 
 
 def path_start(path: str) -> tuple[ParamRef, ParamRef]:
@@ -203,17 +201,17 @@ MACROS = {
 }
 
 
-def make_source_path_goal(n: int = 3, tau: Fraction = Fraction(1, 2)) -> Theory:
+def make_source_path_goal(n: int = 3) -> Theory:
     """The journey schema with a configurable number of waypoints."""
     if n < 2:
         raise UnknownSchema("a path needs at least two waypoints")
     shipped = schema_theory("SOURCE_PATH_GOAL")
-    if n == 3 and tau == Fraction(1, 2):
+    if n == 3:
         return shipped
     roles = [("traveler", "Object")] + [(f"w{i}", "Region") for i in range(1, n + 1)]
 
     def at(i: int) -> Formula:
-        return Atom("at", (Sym("traveler"), Sym(f"w{i}")))
+        return Atom("at", ("traveler", f"w{i}"))
 
     visit: Formula = at(n)
     for i in range(n - 1, 0, -1):
@@ -227,7 +225,7 @@ def make_source_path_goal(n: int = 3, tau: Fraction = Fraction(1, 2)) -> Theory:
         roles=tuple(roles),
         relations=shipped.relations,
         axioms=(visit, Always(forward)),
-        numeric_params=(("tau", tau),),
+        numeric_params=shipped.numeric_params,
     )
 
 
@@ -383,8 +381,8 @@ def _gap_only_formula(phi: Formula, scope: set[str], ctx: EvalContext) -> bool:
     if kind is Atom:
         return _gap_only_atom(phi, scope, ctx)
     if kind is Compare:
-        c = phi.constraint
-        return c.cmp in geometry.COMPARATORS and _rational(c.lhs, scope, ctx) and _rational(c.rhs, scope, ctx)
+        sides = _rational(phi.lhs, scope, ctx) and _rational(phi.rhs, scope, ctx)
+        return phi.cmp in geometry.COMPARATORS and sides
     if kind is Forall or kind is Exists:
         if not ctx.hierarchy.known(phi.sort):
             return False
@@ -400,11 +398,11 @@ def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext) -> bool:
         return False
     n_entities = n_numeric = 0
     for term in atom.args:
-        if type(term) is NumTerm and _rational(term.expr, scope, ctx):
+        if type(term) is not str and _rational(term, scope, ctx):
             n_numeric += 1
-        elif type(term) is Sym and (term.name in scope or term.name in ctx.entities):
+        elif type(term) is str and (term in scope or term in ctx.entities):
             n_entities += 1
-        elif type(term) is Sym and type(ctx.numeric_params.get(term.name)) is Fraction:
+        elif type(term) is str and type(ctx.numeric_params.get(term)) is Fraction:
             n_numeric += 1
         else:
             return False
@@ -529,9 +527,7 @@ def _tester(
     """
     atom = cond.atom
     roles = [names[i] for i in cond.roles]
-    entity_args = [
-        t.name for t in atom.args if isinstance(t, Sym) and (t.name in roles or t.name in ctx.entities)
-    ]
+    entity_args = [t for t in atom.args if type(t) is str and (t in roles or t in ctx.entities)]
     margin = _box_margin(atom, entity_args, trace, ctx)
     # an entity argument is a position in the tuple or an entity id
     slots = [roles.index(s) if s in roles else s for s in entity_args]
@@ -564,12 +560,12 @@ def _box_margin(atom: Atom, entity_args: Sequence[str], trace: Trace, ctx: EvalC
     an entity's parameters, so differs between tuples or instants."""
     threshold = None
     for term in atom.args:
-        if isinstance(term, NumTerm):
-            if all_symbols(term.expr):
+        if type(term) is not str:
+            if all_symbols(term):
                 return None
-            threshold = eval_num_expr(term.expr, trace.states[0], ctx)
-        elif term.name not in entity_args:
-            threshold = ctx.numeric_params[term.name]
+            threshold = eval_num_expr(term, trace.states[0], ctx)
+        elif term not in entity_args:
+            threshold = ctx.numeric_params[term]
     return geometry.box_margin(atom.relation, ctx, threshold)
 
 

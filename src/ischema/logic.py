@@ -27,32 +27,14 @@ from .errors import (
     TimeOutOfRange,
     UnboundSymbol,
 )
-from .geometry import ConstraintAtom, EvalContext, eval_constraint, eval_num_expr
+from .geometry import EvalContext, NumExpr, eval_constraint, eval_num_expr
 from .model import Scenario, State, Theory, Trace
 from .tree import Node
 
 Binding = Mapping[str, str]
 
 
-# --- terms and formula AST ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sym:
-    """A symbolic term: entity id, theory role, bound variable, or numeric
-    parameter name (disambiguated at evaluation time)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class NumTerm:
-    """A numeric argument, e.g. the threshold of closeTo."""
-
-    expr: geometry.NumExpr
-
-
-Term = object  # Sym | NumTerm
+# --- formula AST ----------------------------------------------------------
 
 
 class Formula(Node):
@@ -61,36 +43,39 @@ class Formula(Node):
 
 @dataclass(frozen=True)
 class Atom(Formula):
+    """A relation applied to its arguments, each a name (an entity id, role,
+    bound variable or numeric parameter, told apart at evaluation) or a
+    numeric expression, e.g. the threshold of closeTo."""
+
     relation: str
-    args: tuple[Term, ...]
+    args: tuple
     span: Optional[object] = field(default=None, compare=False, repr=False)
 
     @property
     def children(self) -> tuple:
-        return tuple([t.expr for t in self.args if isinstance(t, NumTerm)])
+        return tuple([t for t in self.args if type(t) is not str])
 
     @property
-    def symbols(self) -> tuple[str, ...]:  # a Sym may also name a numeric parameter
-        return tuple([t.name for t in self.args if isinstance(t, Sym)])
+    def symbols(self) -> tuple[str, ...]:  # a name may also be a numeric parameter
+        return tuple([t for t in self.args if type(t) is str])
 
     def rebuild(self, children, symbols=None) -> "Atom":
         exprs, names = iter(children), iter(self.symbols if symbols is None else symbols)
-        args = (Sym(next(names)) if isinstance(t, Sym) else NumTerm(next(exprs)) for t in self.args)
+        args = (next(names) if type(t) is str else next(exprs) for t in self.args)
         return Atom(self.relation, tuple(args), span=self.span)
 
 
 @dataclass(frozen=True)
 class Compare(Formula):
-    constraint: ConstraintAtom
+    """lhs CMP rhs with CMP in geometry.COMPARATORS; also the body of a
+    relation template. Equality and disequality over expressions containing
+    distance or angle terms hold within the configured tolerance."""
+
+    lhs: NumExpr
+    cmp: str
+    rhs: NumExpr
     span: Optional[object] = field(default=None, compare=False, repr=False)
-
-    @property
-    def children(self) -> tuple:
-        return self.constraint.lhs, self.constraint.rhs
-
-    def rebuild(self, children, symbols=None) -> "Compare":
-        lhs, rhs = children
-        return Compare(ConstraintAtom(lhs, self.constraint.cmp, rhs), span=self.span)
+    CHILDREN = ("lhs", "rhs")
 
 
 @dataclass(frozen=True)
@@ -199,20 +184,16 @@ def _resolve_atom_args(
     entity_args: list[str] = []
     num_args: list = []
     for term in atom.args:
-        if isinstance(term, NumTerm):
-            num_args.append(eval_num_expr(term.expr, state, ctx, binding))
-        elif isinstance(term, Sym):
-            name = term.name
-            if name in binding:
-                entity_args.append(binding[name])
-            elif name in ctx.entities:
-                entity_args.append(name)
-            elif name in ctx.numeric_params:
-                num_args.append(ctx.numeric_params[name])
-            else:
-                raise UnboundSymbol(f"symbol {name!r} is not bound and names no entity")
+        if type(term) is not str:
+            num_args.append(eval_num_expr(term, state, ctx, binding))
+        elif term in binding:
+            entity_args.append(binding[term])
+        elif term in ctx.entities:
+            entity_args.append(term)
+        elif term in ctx.numeric_params:
+            num_args.append(ctx.numeric_params[term])
         else:
-            raise TypeError(f"bad term {term!r}")
+            raise UnboundSymbol(f"symbol {term!r} is not bound and names no entity")
     return entity_args, num_args
 
 
@@ -269,7 +250,7 @@ def _eval_node(
     if isinstance(phi, Atom):
         return eval_atom(phi, trace, t, binding, ctx)
     if isinstance(phi, Compare):
-        return eval_constraint(phi.constraint, trace.states[t], ctx, binding)
+        return eval_constraint(phi, trace.states[t], ctx, binding)
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):
@@ -343,7 +324,7 @@ def _ref(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext) ->
     if isinstance(phi, Atom):
         return eval_atom(phi, trace, t, binding, ctx)
     if isinstance(phi, Compare):
-        return eval_constraint(phi.constraint, trace.states[t], ctx, binding)
+        return eval_constraint(phi, trace.states[t], ctx, binding)
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):

@@ -283,7 +283,7 @@ class RelationSig:
 
     name: str
     arg_sorts: tuple[str, ...]
-    definition: object = None  # None (builtin/abstract) or geometry.ConstraintAtom
+    definition: object = None  # None (builtin/abstract) or a logic.Compare over arg1, arg2, ...
     sort_spans: tuple = field(default=(), compare=False, repr=False)  # of the arg sorts' names
 
 

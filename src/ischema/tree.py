@@ -17,8 +17,9 @@ class Node:
     `children` are the sub-formulas and sub-expressions in field order,
     `symbols` the entity symbols (entity ids, roles, bound variables) the
     node names itself, and `rebuild` the same node over new ones. Subclasses
-    list the fields holding them in CHILDREN and SYMBOLS, or override the
-    three members when they sit inside other values.
+    list the fields holding them in CHILDREN and SYMBOLS. Only `logic.Atom`
+    overrides the three members, as its names and expressions share one
+    `args` tuple.
     """
 
     __slots__ = ()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ischema import logic
-from ischema.geometry import Const, ConstraintAtom, DeltaExpr, ParamRef
+from ischema.geometry import Const, DeltaExpr, ParamRef
 from ischema.model import (
     EXTENT_PARAMS,
     SHAPE_PARAMS,
@@ -145,10 +145,10 @@ def _leaf(rng: random.Random, syms: list[tuple[str, ShapeKind]]) -> logic.Formul
         else:
             other, _ = rng.choice(syms)
             lhs = DeltaExpr(name, other)
-        return logic.Compare(ConstraintAtom(lhs, cmp_op, Const(rational(rng))))
+        return logic.Compare(lhs, cmp_op, Const(rational(rng)))
     if roll < 0.40:
         name, _ = rng.choice(syms)
-        return logic.Atom("motion", (logic.Sym(name),))
+        return logic.Atom("motion", (name,))
     (na, sa) = rng.choice(syms)
     (nb, sb) = rng.choice(syms)
     candidates = list(_ANY_PAIR)
@@ -156,9 +156,9 @@ def _leaf(rng: random.Random, syms: list[tuple[str, ShapeKind]]) -> logic.Formul
         if (sa, sb) in pairs:
             candidates.append(rel)
     rel = rng.choice(candidates)
-    args: tuple = (logic.Sym(na), logic.Sym(nb))
+    args: tuple = (na, nb)
     if rel == "closeTo" and rng.random() < 0.5:
-        args = args + (logic.NumTerm(Const(rational(rng, 0, 6))),)
+        args = args + (Const(rational(rng, 0, 6)),)
     return logic.Atom(rel, args)
 
 

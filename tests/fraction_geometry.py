@@ -237,7 +237,7 @@ def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -
 # `eval_relation` of the four region relations besides contact and on.
 REGION_RELATIONS = {
     "inside": lambda st, ctx, a, b: _defined("inside", (a, b), _contains(st, a, b, True)),
-    "partOf": lambda st, ctx, a, b: _defined("inside", (a, b), _contains(st, a, b, False)),
+    "partOf": lambda st, ctx, a, b: _defined("partOf", (a, b), _contains(st, a, b, False)),
     "overlaps": lambda st, ctx, a, b: _defined("overlaps", (a, b), _interiors_overlap(st, a, b)),
     "disjoint": rel_disjoint,
 }

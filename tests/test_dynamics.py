@@ -32,7 +32,6 @@ from ischema.errors import (
 from ischema.geometry import (
     DEFAULT_EPSILON,
     Const,
-    ConstraintAtom,
     EvalContext,
     ParamRef,
     eval_relation,
@@ -46,8 +45,6 @@ from ischema.logic import (
     Eventually,
     Next,
     Not,
-    NumTerm,
-    Sym,
     TrueF,
 )
 from ischema.model import (
@@ -200,7 +197,7 @@ def test_gravity_sweep_matches_generic_evaluator(seed, epsilon, delta):
     "condition",
     # the second reads `on`, so the first stratum builds its state's integer
     # view before its effect moves the crate
-    [TrueF(), Not(Atom("on", (Sym("crate"), Sym("pillar"))))],
+    [TrueF(), Not(Atom("on", ("crate", "pillar")))],
 )
 def test_gravity_reads_what_an_earlier_stratum_wrote(condition):
     o = make_entity("o", "Object", ShapeKind.POINT, [0, 10])
@@ -259,7 +256,7 @@ def test_gravity_under_an_on_template_decides_with_the_generic_evaluator():
     o = make_entity("o", "Object", ShapeKind.POINT, [0, 3])
     f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
     sc = declare_scenario([o, f], rules=[gravity_rule(1)], horizon=4)
-    low = ConstraintAtom(ParamRef("arg1", "y"), "<=", Const(Fraction(2)))
+    low = Compare(ParamRef("arg1", "y"), "<=", Const(Fraction(2)))
     templated = EvalContext.for_scenario(sc)
     templated.relations = {"on": RelationSig("on", ("Entity", "Entity"), low)}
     for ctx, expected in ((templated, [2, 2, 2]), (EvalContext.for_scenario(sc), [2, 1, 0])):
@@ -278,7 +275,7 @@ def test_gravity_rejects_nonpositive_delta():
 def test_umph_until_goal():
     o = make_entity("o", "Object", ShapeKind.POINT, [0, 0])
     goal = make_entity("goal", "Region", ShapeKind.POINT, [3, 0])
-    until = Atom("closeTo", (Sym("o"), Sym("goal"), NumTerm(Const(Fraction(0)))))
+    until = Atom("closeTo", ("o", "goal", Const(Fraction(0))))
     sc = declare_scenario(
         [o, goal], rules=[umph_rule("push", "o", 1, 0, until=until)], horizon=6
     )
@@ -300,12 +297,10 @@ def test_force_fluents_superpose_to_rest():
 def test_add_and_remove_force_effects():
     o = make_entity("o", "Object", ShapeKind.POINT, [0, 0])
     fl = ForceFluent("wind", "o", Fraction(1), Fraction(0))
-    arm = Rule("arm", TrueF(), (AddForce(fl),), until=Compare(
-        ConstraintAtom(ParamRef("o", "x"), ">=", Const(Fraction(1)))
-    ))
+    arm = Rule("arm", TrueF(), (AddForce(fl),), until=Compare(ParamRef("o", "x"), ">=", Const(Fraction(1))))
     disarm = Rule(
         "disarm",
-        Compare(ConstraintAtom(ParamRef("o", "x"), ">=", Const(Fraction(2)))),
+        Compare(ParamRef("o", "x"), ">=", Const(Fraction(2))),
         (RemoveForce("wind", "o"),),
     )
     sc = declare_scenario([o], rules=[arm, disarm], horizon=5)
@@ -391,7 +386,7 @@ def test_unstratifiable_rule_set_rejected(wrap):
     # a negated read counts under every temporal operator
     a = make_entity("a", "Object", ShapeKind.POINT, [0, 0])
     b = make_entity("b", "Object", ShapeKind.POINT, [5, 5])
-    near = lambda x, y: Atom("closeTo", (Sym(x), Sym(y), NumTerm(Const(Fraction(1)))))
+    near = lambda x, y: Atom("closeTo", (x, y, Const(Fraction(1))))
     r1 = Rule("u1", wrap(Not(near("a", "b"))), (DeltaParam("b", "x", Const(Fraction(1))),))
     r2 = Rule("u2", wrap(Not(near("b", "a"))), (DeltaParam("a", "x", Const(Fraction(1))),))
     sc = declare_scenario([a, b], rules=[r1, r2], horizon=3)
@@ -414,7 +409,7 @@ def test_later_stratum_sees_earlier_effects():
     mover = Rule("mover", TrueF(), (SetParam("a", "x", Const(Fraction(7))),))
     reader = Rule(
         "reader",
-        Compare(ConstraintAtom(ParamRef("a", "x"), "=", Const(Fraction(7)))),
+        Compare(ParamRef("a", "x"), "=", Const(Fraction(7))),
         (SetParam("flag", "y", Const(Fraction(1))),),
     )
     sc = declare_scenario([a, flag], rules=[mover, reader], horizon=2)
@@ -425,7 +420,7 @@ def test_later_stratum_sees_earlier_effects():
 
 
 def _gt(entity):
-    return Compare(ConstraintAtom(ParamRef(entity, "x"), ">", Const(Fraction(0))))
+    return Compare(ParamRef(entity, "x"), ">", Const(Fraction(0)))
 
 
 def test_rules_without_a_dependency_run_later_declared_first():

@@ -17,7 +17,6 @@ from ischema.enumeration import (
 from ischema.errors import IschemaError, SearchSpaceTooLarge, UnknownEntity, UnsupportedShapePair
 from ischema.geometry import (
     Add,
-    ConstraintAtom,
     Const,
     DeltaExpr,
     MeasureExpr,
@@ -42,9 +41,7 @@ from ischema.logic import (
     Implies,
     Next,
     Not,
-    NumTerm,
     Or,
-    Sym,
     TrueF,
     Until,
     check_theory,
@@ -248,14 +245,14 @@ def _random_axiom(rng, free, names, depth):
             return rng.choice((TrueF(), FalseF(), Final()))
         if roll < 0.45:
             cmp = rng.choice(("<", "<=", "=", "!=", ">=", ">"))
-            return Compare(ConstraintAtom(num(scope), cmp, Const(Fraction(rng.randint(0, 2), 2))))
+            return Compare(num(scope), cmp, Const(Fraction(rng.randint(0, 2), 2)))
         if roll < 0.6:
             rel = rng.choice(_STEPS)
-            return Atom(rel, tuple(map(Sym, (entity(scope),) if rel == "motion" else pair(scope))))
+            return Atom(rel, tuple((entity(scope),) if rel == "motion" else pair(scope)))
         rel = rng.choice(_RELATIONS)
-        args = tuple(map(Sym, pair(scope)))
+        args = tuple(pair(scope))
         if rel == "closeTo" and rng.random() < 0.5:
-            args += (NumTerm(num(scope)),)
+            args += (num(scope),)
         return Atom(rel, args)
 
     def build(d, scope):
@@ -299,10 +296,10 @@ def test_tables_equal_the_brute_force(seed):
     roles = (("a", "Entity"), ("b", "Entity"))
     binding = {"a": rng.choice(ids), "b": rng.choice(ids)}
     relations = [RelationSig("near", ("Entity", "Entity"),
-                             ConstraintAtom(ParamRef("arg1", "x"), "<=", Add(ParamRef("arg2", "x"), Const(Fraction(1)))))]
+                             Compare(ParamRef("arg1", "x"), "<=", Add(ParamRef("arg2", "x"), Const(Fraction(1)))))]
     if rng.random() < 0.2:
         relations.append(RelationSig("motion", ("Entity",),
-                                     ConstraintAtom(ParamRef("arg1", "y"), ">=", Const(Fraction(1, 2)))))
+                                     Compare(ParamRef("arg1", "y"), ">=", Const(Fraction(1, 2)))))
     names = list(free) + ["a", "b"] + ids[n_free:]
     theory = Theory(
         name="R", roles=roles, relations=tuple(relations),

@@ -262,6 +262,15 @@ def test_unknown_relation_and_unsupported_pair():
         eval_relation("inside", ["p", "s"], state, ctx)
 
 
+@pytest.mark.parametrize("name", ["inside", "partOf", "contact", "overlaps"])
+def test_an_unsupported_pair_names_its_relation(name):
+    s = make_entity("s", "Path", ShapeKind.SEGMENT, [0, 0, 1, 1])
+    state, ctx = _ctx(s, _circle("c", 0, 0, 1))
+    with pytest.raises(UnsupportedShapePair) as info:
+        eval_relation(name, ["s", "c"], state, ctx)
+    assert str(info.value) == f"{name}(Segment, Circle) is not defined"
+
+
 # --- catalog-wide properties ---------------------------------------------------
 
 _frac = st.fractions(min_value=-6, max_value=6, max_denominator=4)

@@ -32,7 +32,7 @@ from ischema.library import (
     search_bindings,
     shipped_scenario,
 )
-from ischema.logic import Atom, Forall, Not, NumTerm, Sym, check_theory, reference_eval
+from ischema.logic import Atom, Forall, Not, check_theory, reference_eval
 from ischema.model import (
     RelationSig,
     Scenario,
@@ -77,7 +77,7 @@ def test_catalog_realizations_resolve():
 
 def test_empty_lookup_shape():
     phi = library.empty_formula("cup")
-    assert phi == Forall("o", "Object", Not(Atom("inside", (Sym("o"), Sym("cup")))))
+    assert phi == Forall("o", "Object", Not(Atom("inside", ("o", "cup"))))
     assert library.primitive("EMPTY").realization_map()["macro"] == "empty_formula"
     assert library.primitive("CONTACT").realization_map()["type"] == "builtin-relation"
 
@@ -423,7 +423,7 @@ def _random_theory(rng, sc, gappy):
     if not gappy:
         spoiler = rng.choice(("delta(a, a) < 2", "smaller(a, a)", "ghost.x > 0", "template"))
         if spoiler == "template":
-            relations = (RelationSig("contact", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y").constraint),)
+            relations = (RelationSig("contact", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y")),)
             spoiler = "contact(a, a)"
         axioms[0] = f"({axioms[0]}) and {spoiler}"
     return Theory(
@@ -473,7 +473,7 @@ def test_gap_only_classifier():
 
     assert gap(theory("closeTo(a, b, 3/2) and eventually on(a, f)"))
     # a template overriding a built-in the axioms apply; one they do not apply is never evaluated
-    override = RelationSig("on", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y").constraint)
+    override = RelationSig("on", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y"))
     assert not gap(theory("contact(a, b) or not on(b, a)", relations=(override,)))
     assert gap(theory("contact(a, b)", relations=(override,)))
     # a signature without a template keeps the built-in
@@ -482,7 +482,7 @@ def test_gap_only_classifier():
     assert not gap(theory("always (theta(a, b) > 0)"))
     assert not gap(theory("not measure(a) > 1"))
     # a float threshold, as a constant or as a parameter, takes closeTo off exact arithmetic
-    assert not gap(theory(Atom("closeTo", (Sym("a"), Sym("b"), NumTerm(Const(1.5))))))
+    assert not gap(theory(Atom("closeTo", ("a", "b", Const(1.5)))))
     assert not gap(theory("closeTo(a, b, k)", params=(("k", 1.5),)))
     assert gap(theory("closeTo(a, b, k)", params=(("k", Fraction(3, 2)),)))
     # symbols, parameters, sorts and arities that do not resolve raise more than gaps

@@ -14,12 +14,13 @@ from ischema.errors import (
     UnboundSymbol,
     UnknownRelation,
 )
-from ischema.geometry import Const, ConstraintAtom, EvalContext, ParamRef
+from ischema.geometry import Const, EvalContext, ParamRef
 from ischema.logic import (
     Always,
     And,
     Atom,
     Before,
+    Compare,
     Eventually,
     Exists,
     Final,
@@ -27,8 +28,6 @@ from ischema.logic import (
     Implies,
     Next,
     Not,
-    NumTerm,
-    Sym,
     TrueF,
     Until,
     check_theory,
@@ -71,7 +70,7 @@ def _ctx(sc, theory=None):
 
 def test_atom_on_figure_state(fig1_scenario):
     ctx = _ctx(fig1_scenario)
-    phi = Atom("inside", (Sym("a"), Sym("c")))
+    phi = Atom("inside", ("a", "c"))
     assert eval_formula(phi, fig1_scenario.trace, 0, {}, ctx) is True
     assert reference_eval(phi, fig1_scenario.trace, 0, {}, ctx) is True
 
@@ -85,7 +84,7 @@ def test_strong_next_false_at_last_state(fig1_scenario):
 
 def test_eventually_over_path(ball_cup):
     ctx = _ctx(ball_cup)
-    inside = Atom("inside", (Sym("o"), Sym("cup")))
+    inside = Atom("inside", ("o", "cup"))
     assert eval_formula(inside, ball_cup.trace, 0, {}, ctx) is False
     assert eval_formula(Eventually(inside), ball_cup.trace, 0, {}, ctx) is True
     assert eval_formula(Eventually(inside), ball_cup.trace, 2, {}, ctx) is True
@@ -96,7 +95,7 @@ def test_before_supports_forward_movement_reading():
     w2 = make_entity("w2", "Region", ShapeKind.POINT, [4, 0])
     sc = _line_trace([0, 2, 4], extra=[w1, w2])
     ctx = _ctx(sc)
-    at = lambda w: Atom("closeTo", (Sym("o"), Sym(w)))
+    at = lambda w: Atom("closeTo", ("o", w))
     phi = Always(Implies(at("w2"), Before(at("w1"))))
     assert eval_formula(phi, sc.trace, 0, {}, ctx) is True
     # starting at w2 instead breaks the constraint
@@ -105,16 +104,15 @@ def test_before_supports_forward_movement_reading():
 
 
 def test_until_semantics():
-    from ischema.geometry import Const, ConstraintAtom, ParamRef
-    from ischema.logic import Compare
+    from ischema.geometry import Const, ParamRef
 
     sc = _line_trace([0, 1, 2, 5])
     ctx = _ctx(sc)
 
-    below3 = Compare(ConstraintAtom(ParamRef("o", "x"), "<", Const(Fraction(3))))
-    at5 = Compare(ConstraintAtom(ParamRef("o", "x"), "=", Const(Fraction(5))))
+    below3 = Compare(ParamRef("o", "x"), "<", Const(Fraction(3)))
+    at5 = Compare(ParamRef("o", "x"), "=", Const(Fraction(5)))
     assert eval_formula(Until(below3, at5), sc.trace, 0, {}, ctx) is True
-    at9 = Compare(ConstraintAtom(ParamRef("o", "x"), "=", Const(Fraction(9))))
+    at9 = Compare(ParamRef("o", "x"), "=", Const(Fraction(9)))
     assert eval_formula(Until(below3, at9), sc.trace, 0, {}, ctx) is False
 
 
@@ -128,17 +126,17 @@ def test_final_holds_exactly_once():
 def test_quantifier_domain_respects_sorts(ball_cup):
     ctx = _ctx(ball_cup)
     # every Object is o, and o is eventually inside the cup
-    phi = Forall("x", "Object", Eventually(Atom("inside", (Sym("x"), Sym("cup")))))
+    phi = Forall("x", "Object", Eventually(Atom("inside", ("x", "cup"))))
     assert eval_formula(phi, ball_cup.trace, 0, {}, ctx) is True
     # over all entities it fails: the cup is not inside itself
-    phi2 = Forall("x", "Entity", Eventually(Atom("inside", (Sym("x"), Sym("cup")))))
+    phi2 = Forall("x", "Entity", Eventually(Atom("inside", ("x", "cup"))))
     assert eval_formula(phi2, ball_cup.trace, 0, {}, ctx) is False
 
 
 def test_unbound_symbol_and_time_bounds(fig1_scenario):
     ctx = _ctx(fig1_scenario)
     with pytest.raises(UnboundSymbol):
-        eval_formula(Atom("inside", (Sym("nobody"), Sym("c"))), fig1_scenario.trace, 0, {}, ctx)
+        eval_formula(Atom("inside", ("nobody", "c")), fig1_scenario.trace, 0, {}, ctx)
     with pytest.raises(TimeOutOfRange):
         eval_formula(TrueF(), fig1_scenario.trace, 3, {}, ctx)
 
@@ -146,7 +144,7 @@ def test_unbound_symbol_and_time_bounds(fig1_scenario):
 def test_motion_atom():
     sc = _line_trace([0, 1, 1])
     ctx = _ctx(sc)
-    motion = Atom("motion", (Sym("o"),))
+    motion = Atom("motion", ("o",))
     assert [eval_formula(motion, sc.trace, t, {}, ctx) for t in range(3)] == [True, False, False]
 
 
@@ -162,19 +160,19 @@ def test_ccw_step_atom():
         states.append(State(time=t, values=values))
     sc = declare_scenario([o, center], trace=Trace(tuple(states)))
     ctx = _ctx(sc)
-    ccw = Atom("ccwStep", (Sym("o"), Sym("c")))
+    ccw = Atom("ccwStep", ("o", "c"))
     assert eval_formula(ccw, sc.trace, 0, {}, ctx) is True
     assert eval_formula(ccw, sc.trace, 2, {}, ctx) is False  # nothing after the last state
-    theta = Atom("thetaStep", (Sym("o"), Sym("c")))
+    theta = Atom("thetaStep", ("o", "c"))
     assert eval_formula(theta, sc.trace, 0, {}, ctx) is True
 
 
 @pytest.mark.parametrize(
     "atom,message",
     [
-        (Atom("motion", (Sym("o"), Sym("cup"))), "motion takes 1 entity argument(s)"),
-        (Atom("ccwStep", (Sym("o"),)), "ccwStep takes 2 entity argument(s)"),
-        (Atom("motion", (Sym("o"), NumTerm(Const(Fraction(3))))), "motion takes 1 entity argument(s)"),
+        (Atom("motion", ("o", "cup")), "motion takes 1 entity argument(s)"),
+        (Atom("ccwStep", ("o",)), "ccwStep takes 2 entity argument(s)"),
+        (Atom("motion", ("o", Const(Fraction(3)))), "motion takes 1 entity argument(s)"),
     ],
     ids=["motion-two-entities", "ccwStep-one-entity", "motion-numeric"],
 )
@@ -190,11 +188,11 @@ def test_step_relation_arity_checked_at_every_instant(ball_cup, atom, message):
 def test_template_overrides_step_relation(ball_cup, name):
     # o runs straight at cup's center, so the built-ins give motion [True, True,
     # False] and ccwStep, thetaStep all False; the template reads o.x only
-    template = ConstraintAtom(ParamRef("arg1", "x"), ">", Const(Fraction(4)))
+    template = Compare(ParamRef("arg1", "x"), ">", Const(Fraction(4)))
     arg_sorts = ("Object",) if name == "motion" else ("Object", "Container")
     theory = Theory(name="T", relations=(RelationSig(name, arg_sorts, template),))
     ctx = _ctx(ball_cup, theory)
-    atom = Atom(name, tuple(Sym(e) for e in ("o", "cup")[: len(arg_sorts)]))
+    atom = Atom(name, ("o", "cup")[: len(arg_sorts)])
     assert [eval_formula(atom, ball_cup.trace, t, {}, ctx) for t in range(3)] == [True, False, False]
 
 
@@ -238,8 +236,8 @@ def _containment_theory():
         name="CONTAINMENT_T",
         roles=(("object", "Object"), ("container", "Container")),
         axioms=(
-            Not(Atom("inside", (Sym("object"), Sym("container")))),
-            Eventually(Atom("inside", (Sym("object"), Sym("container")))),
+            Not(Atom("inside", ("object", "container"))),
+            Eventually(Atom("inside", ("object", "container"))),
         ),
     )
 
@@ -266,19 +264,18 @@ def test_check_theory_witness_names_failing_part():
     witness = failing[0].witness
     assert witness is not None
     assert witness.time == 0
-    assert witness.formula == Atom("inside", (Sym("object"), Sym("container")))
+    assert witness.formula == Atom("inside", ("object", "container"))
 
 
 def test_check_theory_earliest_failure_time():
     # always(x < 2) breaks first at t = 2
-    from ischema.geometry import Const, ConstraintAtom, ParamRef
-    from ischema.logic import Compare
+    from ischema.geometry import Const, ParamRef
 
     sc = _line_trace([0, 1, 5, 7])
     theory = Theory(
         name="BOUNDED",
         roles=(("thing", "Object"),),
-        axioms=(Always(Compare(ConstraintAtom(ParamRef("thing", "x"), "<", Const(Fraction(2))))),),
+        axioms=(Always(Compare(ParamRef("thing", "x"), "<", Const(Fraction(2)))),),
     )
     report = check_theory(theory, sc, {"thing": "o"})
     assert report.axioms[0].witness.time == 2
@@ -293,15 +290,15 @@ def test_check_theory_binding_validation(ball_cup):
 
 
 def test_theory_defined_relation_template(ball_cup):
-    from ischema.geometry import ConstraintAtom, DeltaExpr, NameRef
+    from ischema.geometry import DeltaExpr, NameRef
 
     theory = Theory(
         name="NEARNESS",
         roles=(("object", "Object"), ("container", "Container")),
         relations=(
-            RelationSig("near", ("Object", "Container"), ConstraintAtom(DeltaExpr("arg1", "arg2"), "<=", NameRef("bound"))),
+            RelationSig("near", ("Object", "Container"), Compare(DeltaExpr("arg1", "arg2"), "<=", NameRef("bound"))),
         ),
-        axioms=(Eventually(Atom("near", (Sym("object"), Sym("container")))),),
+        axioms=(Eventually(Atom("near", ("object", "container"))),),
         numeric_params=(("bound", Fraction(1)),),
     )
     report = check_theory(theory, ball_cup, {"object": "o", "container": "cup"})
@@ -310,18 +307,18 @@ def test_theory_defined_relation_template(ball_cup):
 
 def test_substitute_symbols_respects_shadowing():
     phi = And(
-        Atom("inside", (Sym("object"), Sym("container"))),
-        Exists("object", "Object", Atom("inside", (Sym("object"), Sym("container")))),
+        Atom("inside", ("object", "container")),
+        Exists("object", "Object", Atom("inside", ("object", "container"))),
     )
     out = substitute_symbols(phi, {"object": "o", "container": "cup"})
-    assert out.left == Atom("inside", (Sym("o"), Sym("cup")))
-    assert out.right == Exists("object", "Object", Atom("inside", (Sym("object"), Sym("cup"))))
+    assert out.left == Atom("inside", ("o", "cup"))
+    assert out.right == Exists("object", "Object", Atom("inside", ("object", "cup")))
 
 
 def test_substitute_symbols_leaves_nothing_for_the_cyclic_collector():
     phi = Forall("x", "Object", And(
-        Atom("inside", (Sym("x"), Sym("container"))),
-        Exists("y", "Object", Atom("on", (Sym("y"), Sym("object")))),
+        Atom("inside", ("x", "container")),
+        Exists("y", "Object", Atom("on", ("y", "object"))),
     ))
     gc.collect()
     gc.disable()

@@ -40,6 +40,18 @@ def test_printed_formula_parses_back_to_the_same_text(seed, all_sorts):
     assert formula_to_text(parse_formula(text)) == text
 
 
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_a_parsed_formula_prints_and_parses_back_to_itself(seed, all_sorts):
+    # names and expressions as atom arguments, and comparisons, come back as
+    # the same nodes once the text has normalized the constants
+    _, phi = _random_formula(seed, all_sorts)
+    parsed = parse_formula(formula_to_text(phi))
+    text = formula_to_text(parsed)
+    assert parse_formula(text) == parsed
+    assert text == formula_to_text(phi)
+
+
 def test_every_class_prints_and_parses_back():
     text = formula_to_text(EVERY_CLASS)
     assert text == (
