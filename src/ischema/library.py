@@ -381,8 +381,7 @@ def _gap_only_formula(phi: Formula, scope: set[str], ctx: EvalContext) -> bool:
     if kind is Atom:
         return _gap_only_atom(phi, scope, ctx)
     if kind is Compare:
-        sides = _rational(phi.lhs, scope, ctx) and _rational(phi.rhs, scope, ctx)
-        return phi.cmp in geometry.COMPARATORS and sides
+        return phi.cmp in geometry.COMPARATORS and all(_rational(side, scope, ctx) for side in phi.children)
     if kind is Forall or kind is Exists:
         if not ctx.hierarchy.known(phi.sort):
             return False

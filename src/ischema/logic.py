@@ -34,7 +34,7 @@ from .tree import Node
 Binding = Mapping[str, str]
 
 
-# --- formula AST ----------------------------------------------------------
+# --- formula AST --------------------------------------------------------------------
 
 
 class Formula(Node):
