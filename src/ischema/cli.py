@@ -37,7 +37,7 @@ from .errors import (
     SearchSpaceTooLarge,
     UnstratifiableRuleSet,
 )
-from .geometry import DEFAULT_EPSILON, DEFAULT_TAU
+from .geometry import DEFAULT_EPSILON, DEFAULT_TAU, EvalContext
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -423,10 +423,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     if free:
         free_ids = tuple(s.strip() for s in free.split(","))
     else:
-        hierarchy = theory.hierarchy()
-        free_ids = tuple(
-            e.id for e in scenario.entities if hierarchy.subsort_of(e.sort, "Object")
-        )
+        free_ids = EvalContext.for_scenario(scenario, theory).domain("Object")
     if not free_ids:
         _fail_usage("no free entities: pass --free or declare Object entities")
     for i, eid in enumerate(free_ids):

@@ -504,7 +504,7 @@ class _Parser:
     def _term(self):
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in _FUNCTIONS and self.peek(1).text in (",", ")"):
-            return self.next().text
+            return self.expect_ident().text
         return self.num_expr()
 
     def _comparison(self, start: Token) -> Formula:
@@ -528,7 +528,7 @@ class _Parser:
         self.expect(")")
         return inner
 
-    def _compare(self, span=None, check=lambda side: side) -> Compare:
+    def _compare(self, span, check=lambda side: side) -> Compare:
         """`lhs CMP rhs`, passing each side through `check` once both parse."""
         lhs = self.num_expr()
         if self.peek().text not in COMPARATORS:
@@ -602,7 +602,7 @@ class _Parser:
                 self.expect(")")
                 definition = None
                 if self.accept(":="):
-                    definition = self._compare(check=lambda side: self._shallow(side, rel))
+                    definition = self._compare(self.peek().span, lambda side: self._shallow(side, rel))
                 relations.append(RelationSig(
                     rel.text,
                     tuple(s.text for s in arg_sorts),

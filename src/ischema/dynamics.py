@@ -30,7 +30,6 @@ from .logic import (
     Implies,
     Not,
     TrueF,
-    _domain,
     eval_formula,
 )
 from .model import (
@@ -169,15 +168,8 @@ def umph_rule(
 def _scope_targets(rule: Rule, ctx: EvalContext) -> list[str]:
     if rule.scope is None:
         return []
-    _, sort = rule.scope
-    out = []
-    for e in ctx.entities.values():
-        if not ctx.hierarchy.subsort_of(e.sort, sort):
-            continue
-        if rule.shapes is not None and e.shape not in rule.shapes:
-            continue
-        out.append(e.id)
-    return out
+    shapes = rule.shapes
+    return [e for e in ctx.domain(rule.scope[1]) if shapes is None or ctx.entities[e].shape in shapes]
 
 
 def _written(rule: Rule, ctx: EvalContext) -> set[str]:
@@ -201,7 +193,7 @@ def _condition_reads(
     of `->` flip the parity."""
     for name in phi.symbols:
         if name in locals_:
-            out.update((negated, e) for e in _domain(ctx, locals_[name]))
+            out.update((negated, e) for e in ctx.domain(locals_[name]))
         elif name in ctx.entities:
             out.add((negated, name))
     if isinstance(phi, (Forall, Exists)):
@@ -299,10 +291,10 @@ def _fall_drop(state: State, ctx: EvalContext, target: str, delta: Fraction) -> 
 
 
 def _gravity_effects(
-    rule: Rule, state: State, ctx: EvalContext, targets: Sequence[str], domain: frozenset[str]
+    rule: Rule, state: State, ctx: EvalContext, targets: Sequence[str]
 ) -> list[tuple]:
     """The built-in gravity rule's effects on its scope `targets`, from one
-    horizontal sweep of `state`; `domain` is the sort Entity's. `on(x, y)`
+    horizontal sweep of `state`. `on(x, y)`
     implies that x's and y's extents meet, so a target is supported iff it
     rests on one of its sweep neighbours, and only those can stop its fall."""
     (fall,) = rule.effects
@@ -320,8 +312,7 @@ def _gravity_effects(
         # rel_on(x, y) is contact, top(y) - bottom(x) <= epsilon, and the
         # horizontal overlap that the sweep found
         if any(
-            y in domain
-            and tops[y] is not None
+            tops[y] is not None
             and tops[y] - base <= eps
             and geometry.touches(state, ctx, decl, ctx.entities[y])
             for y in near
@@ -404,18 +395,13 @@ _ASSIGNED_AND_INCREMENTED = "{}.{} is both assigned and incremented in one step"
 @dataclass
 class StepPlan:
     """What every step of one simulation shares: the strata, each rule with
-    its scope targets ([None] for an unscoped rule), and the domain of the
-    sort Entity, which the built-in gravity rule quantifies over."""
+    its scope targets ([None] for an unscoped rule)."""
 
     strata: list[list[tuple[Rule, list]]]
-    entity_domain: frozenset[str]
 
     @classmethod
     def build(cls, strata: list[list[Rule]], ctx: EvalContext) -> "StepPlan":
-        return cls(
-            [[(rule, _scope_targets(rule, ctx) if rule.scope else [None]) for rule in s] for s in strata],
-            frozenset(_domain(ctx, "Entity")),
-        )
+        return cls([[(rule, _scope_targets(rule, ctx) if rule.scope else [None]) for rule in s] for s in strata])
 
 
 def step(
@@ -453,7 +439,7 @@ def step(
         stratum_effects: list[tuple] = []
         for rule, targets in stratum:
             if rule.kind == "gravity" and builtin_on:
-                stratum_effects.extend(_gravity_effects(rule, working, ctx, targets, plan.entity_domain))
+                stratum_effects.extend(_gravity_effects(rule, working, ctx, targets))
                 continue
             for target in targets:
                 binding = {rule.scope[0]: target} if rule.scope else {}

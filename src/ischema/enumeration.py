@@ -195,8 +195,7 @@ class _Ground:
         if kind is None:
             raise TypeError(f"not a formula: {phi!r}")
         if isinstance(phi, (logic.Forall, logic.Exists)):
-            domain = logic._domain(self.ctx, phi.sort)
-            children = [self._ground(phi.body, {**scope, phi.var: e}) for e in domain]
+            children = [self._ground(phi.body, {**scope, phi.var: e}) for e in self.ctx.domain(phi.sort)]
         else:
             children = [self._ground(child, scope) for child in phi.children]
         return self._add((kind, *children))
@@ -393,8 +392,9 @@ def _prepare(theory, scenario, spec, binding, epsilon, tau) -> tuple[list, EvalC
     """The grid points and the evaluation context, once the search is known
     to be within the cap and the binding to be sound."""
     points = _check_spec(theory, scenario, spec)
-    logic.validate_binding(theory, scenario, binding)
-    return points, EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    logic.validate_binding(theory, binding, ctx)
+    return points, ctx
 
 
 def _has_before(node) -> bool:

@@ -142,6 +142,7 @@ class EvalContext:
     numeric_params: Mapping[str, Fraction] = field(default_factory=dict)
     epsilon: Fraction = DEFAULT_EPSILON
     tau: Fraction = DEFAULT_TAU
+    _domains: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def for_scenario(
@@ -168,6 +169,16 @@ class EvalContext:
             return self.entities[entity]
         except KeyError:
             raise UnknownEntity(f"unknown entity {entity!r}") from None
+
+    def domain(self, sort: str) -> tuple[str, ...]:
+        """The ids of the entities whose sort is a subsort of `sort`, in
+        declaration order; computed on first use."""
+        ids = self._domains.get(sort)
+        if ids is None:
+            ids = self._domains[sort] = tuple(
+                [e.id for e in self.entities.values() if self.hierarchy.subsort_of(e.sort, sort)]
+            )
+        return ids
 
     def resolve(self, symbol: str, binding: Mapping[str, str]) -> str:
         """Map a term symbol to an entity id through the binding."""

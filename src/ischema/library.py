@@ -49,7 +49,7 @@ from .logic import (
     Until,
     check_theory,
 )
-from .model import Scenario, SortHierarchy, Theory, Trace
+from .model import Scenario, Theory, Trace
 from .tree import all_symbols
 
 SHIPPED_SCHEMAS = (
@@ -244,24 +244,17 @@ class SchemaBinding:
 
 
 def _role_pools(
-    theory: Theory,
-    scenario: Scenario,
-    fixed: Optional[Mapping[str, str]],
-    hierarchy: Optional[SortHierarchy] = None,
+    theory: Theory, ctx: EvalContext, fixed: Optional[Mapping[str, str]]
 ) -> Optional[list[list[str]]]:
     """Each role's sort-compatible entities, sorted by id, in role
     declaration order; a role named in `fixed` keeps only the entity given
-    there. None when `fixed` names a role the theory lacks. `hierarchy`
-    defaults to the theory's."""
+    there. None when `fixed` names a role the theory lacks."""
     fixed = fixed or {}
     if not set(fixed) <= {role for role, _ in theory.roles}:
         return None
-    hierarchy = hierarchy or theory.hierarchy()
-    ids = sorted(e.id for e in scenario.entities)
-    sorts = {e.id: e.sort for e in scenario.entities}
     pools = []
     for role, sort in theory.roles:
-        pool = [i for i in ids if hierarchy.subsort_of(sorts[i], sort)]
+        pool = sorted(ctx.domain(sort))
         pools.append([i for i in pool if i == fixed[role]] if role in fixed else pool)
     return pools
 
@@ -275,7 +268,7 @@ def candidate_bindings(
     declaration order; roles bind distinct entities. Roles named in
     `fixed` keep the entity given there; naming a role the theory lacks
     leaves no candidate."""
-    pools = _role_pools(theory, scenario, fixed)
+    pools = _role_pools(theory, EvalContext.for_scenario(scenario, theory), fixed)
     for combo in itertools.product(*pools) if pools is not None else ():
         if len(set(combo)) != len(combo):
             continue
@@ -294,7 +287,7 @@ def count_candidates(
     entities among the ones seen so far; each entity binds at most one more
     role. Linear in the entities, exponential only in the roles.
     """
-    pools = _role_pools(theory, scenario, fixed)
+    pools = _role_pools(theory, EvalContext.for_scenario(scenario, theory), fixed)
     if pools is None:
         return 0
     members = [set(pool) for pool in pools]
@@ -399,7 +392,7 @@ def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext) -> bool:
     for term in atom.args:
         if type(term) is not str and _rational(term, scope, ctx):
             n_numeric += 1
-        elif type(term) is str and (term in scope or term in ctx.entities):
+        elif type(term) is str and (term in scope or term not in ctx.numeric_params and term in ctx.entities):
             n_entities += 1
         elif type(term) is str and type(ctx.numeric_params.get(term)) is Fraction:
             n_numeric += 1
@@ -482,7 +475,7 @@ def joined_bindings(
     EVALUATION_GAP_ERRORS, which the search skips, so dropping a binding
     that fails a condition changes neither the results nor the errors.
     """
-    pools = _role_pools(theory, scenario, fixed, ctx.hierarchy)
+    pools = _role_pools(theory, ctx, fixed)
     if pools is None:
         return
     names = [role for role, _ in theory.roles]
@@ -526,7 +519,10 @@ def _tester(
     """
     atom = cond.atom
     roles = [names[i] for i in cond.roles]
-    entity_args = [t for t in atom.args if type(t) is str and (t in roles or t in ctx.entities)]
+    entity_args = [
+        t for t in atom.args
+        if type(t) is str and (t in roles or t not in ctx.numeric_params and t in ctx.entities)
+    ]
     margin = _box_margin(atom, entity_args, trace, ctx)
     # an entity argument is a position in the tuple or an entity id
     slots = [roles.index(s) if s in roles else s for s in entity_args]

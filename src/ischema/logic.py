@@ -43,9 +43,9 @@ class Formula(Node):
 
 @dataclass(frozen=True)
 class Atom(Formula):
-    """A relation applied to its arguments, each a name (an entity id, role,
-    bound variable or numeric parameter, told apart at evaluation) or a
-    numeric expression, e.g. the threshold of closeTo."""
+    """A relation applied to its arguments, each a name (a role or bound
+    variable of the binding, else a numeric parameter of the theory, else an
+    entity id) or a numeric expression, e.g. the threshold of closeTo."""
 
     relation: str
     args: tuple
@@ -172,11 +172,6 @@ class Before(Formula):
 # --- shared atom semantics ------------------------------------------------------
 
 
-def _domain(ctx: EvalContext, sort: str) -> list[str]:
-    """Declared entities whose sort is a subsort of `sort`, in declaration order."""
-    return [e.id for e in ctx.entities.values() if ctx.hierarchy.subsort_of(e.sort, sort)]
-
-
 def _resolve_atom_args(
     atom: Atom, state: State, binding: Binding, ctx: EvalContext
 ) -> tuple[list[str], list]:
@@ -188,10 +183,10 @@ def _resolve_atom_args(
             num_args.append(eval_num_expr(term, state, ctx, binding))
         elif term in binding:
             entity_args.append(binding[term])
-        elif term in ctx.entities:
-            entity_args.append(term)
         elif term in ctx.numeric_params:
             num_args.append(ctx.numeric_params[term])
+        elif term in ctx.entities:
+            entity_args.append(term)
         else:
             raise UnboundSymbol(f"symbol {term!r} is not bound and names no entity")
     return entity_args, num_args
@@ -212,13 +207,11 @@ def eval_formula(
     phi: Formula,
     trace: Trace,
     t: int,
-    binding: Binding | None = None,
-    ctx: EvalContext | None = None,
+    binding: Binding,
+    ctx: EvalContext,
     _memo: dict | None = None,
 ) -> bool:
     """Truth of `phi` at instant `t`, with short-circuiting and memoization."""
-    if ctx is None:
-        raise TypeError("eval_formula needs an EvalContext")
     if not 0 <= t < trace.length:
         raise TimeOutOfRange(f"instant {t} outside trace of length {trace.length}")
     binding = dict(binding) if binding else {}
@@ -274,12 +267,12 @@ def _eval_node(
     if isinstance(phi, Forall):
         return all(
             _eval_scoped(phi.body, trace, t, {**binding, phi.var: e}, ctx, memo)
-            for e in _domain(ctx, phi.sort)
+            for e in ctx.domain(phi.sort)
         )
     if isinstance(phi, Exists):
         return any(
             _eval_scoped(phi.body, trace, t, {**binding, phi.var: e}, ctx, memo)
-            for e in _domain(ctx, phi.sort)
+            for e in ctx.domain(phi.sort)
         )
     if isinstance(phi, Next):
         return t + 1 < T and _eval(phi.operand, trace, t + 1, binding, bkey, ctx, memo)
@@ -305,15 +298,13 @@ def reference_eval(
     phi: Formula,
     trace: Trace,
     t: int,
-    binding: Binding | None = None,
-    ctx: EvalContext | None = None,
+    binding: Binding,
+    ctx: EvalContext,
 ) -> bool:
     """Naive recursive expansion with no sharing, memoization, or early exit.
 
     Same contract as eval_formula; exists to cross-check it.
     """
-    if ctx is None:
-        raise TypeError("reference_eval needs an EvalContext")
     if not 0 <= t < trace.length:
         raise TimeOutOfRange(f"instant {t} outside trace of length {trace.length}")
     return _ref(phi, trace, t, dict(binding) if binding else {}, ctx)
@@ -345,13 +336,13 @@ def _ref(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext) ->
     if isinstance(phi, Forall):
         results = [
             _ref(phi.body, trace, t, {**binding, phi.var: e}, ctx)
-            for e in _domain(ctx, phi.sort)
+            for e in ctx.domain(phi.sort)
         ]
         return all(results)
     if isinstance(phi, Exists):
         results = [
             _ref(phi.body, trace, t, {**binding, phi.var: e}, ctx)
-            for e in _domain(ctx, phi.sort)
+            for e in ctx.domain(phi.sort)
         ]
         return any(results)
     if isinstance(phi, Next):
@@ -437,12 +428,12 @@ def _find_witness(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalCo
     if isinstance(phi, Implies):
         return _find_witness(phi.right, trace, t, binding, ctx, memo)
     if isinstance(phi, Forall):
-        for e in _domain(ctx, phi.sort):
+        for e in ctx.domain(phi.sort):
             b = {**binding, phi.var: e}
             if not holds(phi.body, t, b):
                 return _find_witness(phi.body, trace, t, b, ctx, memo)
     if isinstance(phi, Exists):
-        domain = _domain(ctx, phi.sort)
+        domain = ctx.domain(phi.sort)
         if domain:
             b = {**binding, phi.var: domain[0]}
             return _find_witness(phi.body, trace, t, b, ctx, memo)
@@ -467,23 +458,18 @@ def _find_witness(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalCo
     return Witness(time=t, formula=phi)
 
 
-def validate_binding(
-    theory: Theory, scenario: Scenario, binding: Binding, ctx: EvalContext | None = None
-) -> None:
-    """Every role bound to a declared entity of a compatible sort. `ctx`, the
-    scenario's context for this theory, saves rebuilding the sort hierarchy."""
-    hierarchy = ctx.hierarchy if ctx is not None else theory.hierarchy()
-    entities = ctx.entities if ctx is not None else scenario.entity_map()
+def validate_binding(theory: Theory, binding: Binding, ctx: EvalContext) -> None:
+    """Every role bound to a declared entity of a compatible sort; `ctx` is
+    the scenario's context for this theory."""
     for role, sort in theory.roles:
         if role not in binding:
             raise MissingRole(f"role {role!r} of theory {theory.name} is unbound")
         entity = binding[role]
-        if entity not in entities:
+        if entity not in ctx.entities:
             raise MissingRole(f"role {role!r} bound to unknown entity {entity!r}")
-        entity_sort = entities[entity].sort
-        if not hierarchy.subsort_of(entity_sort, sort):
+        if entity not in ctx.domain(sort):
             raise SortMismatchInBinding(
-                f"role {role}:{sort} cannot be bound to {entity}:{entity_sort}"
+                f"role {role}:{sort} cannot be bound to {entity}:{ctx.entities[entity].sort}"
             )
 
 
@@ -512,7 +498,7 @@ def check_theory(
         raise TimeOutOfRange("checking needs a concrete trace; simulate first")
     if ctx is None:
         ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
-    validate_binding(theory, scenario, binding, ctx)
+    validate_binding(theory, binding, ctx)
     trace = scenario.trace
     results = []
     for i, axiom in enumerate(theory.axioms):

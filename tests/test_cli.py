@@ -220,6 +220,22 @@ def test_classify_json(runner):
     assert {"schema": "OBJECT_INTO_CONTAINER", "binding": {"object": "ball", "container": "cup"}} in doc["results"]
 
 
+def test_a_theory_parameter_comes_before_a_same_named_entity(runner, tmp_path):
+    # LINK's `param tau` stays its threshold next to an entity named tau
+    scn = tmp_path / "pair.scn"
+    scn.write_text(
+        """scenario pair
+          entity a : Object = Point(0, 0)
+          entity tau : Object = Point(1, 0)
+          trace length 1
+        end""",
+        encoding="utf-8",
+    )
+    result = _run(runner, ["classify", str(scn), "--schemas", "LINK"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "LINK: a=a, b=tau\nLINK: a=tau, b=a\n"
+
+
 def test_analogy_solar_atom(runner):
     result = _run(
         runner, ["analogy", _path("solar.scn"), _path("atom.scn"), "--schema", "REVOLUTION", "--json"]

@@ -264,6 +264,8 @@ GOLDEN_DIAGNOSTICS = [
      "g:4:25: error[syntax]: expected entity id or variable"),
     (parse_theory, "theory axiom end",
      "g:1:8: error[syntax]: 'axiom' is a reserved word"),
+    (parse_theory, "theory T\n  role a : Object\n  axiom closeTo(a, true)\nend",
+     "g:3:20: error[syntax]: 'true' is a reserved word"),
     (parse_scenario, _ENTITY + "  trace length x\nend",
      "g:3:16: error[syntax]: expected a natural number"),
     (parse_scenario, "scenario s\n  entity o : Object = Point(0, x)\nend",
@@ -322,6 +324,10 @@ GOLDEN_DIAGNOSTICS = [
      "g:3:13: error[unknown-sort]: role 'w2' has unknown sort 'Regio'"),
     (parse_theory, "theory T\n  relation near(Object, Blob)\nend",
      "g:2:25: error[unknown-sort]: unknown sort 'Blob' in relation near"),
+    (parse_theory, "theory T\n  role a : Object\n  param k = 1\n  relation near(Object, Region) := delta(arg1, zz) <= k\nend",
+     "g:4:36: error[unbound-symbol]: unknown entity or role 'zz'"),
+    (parse_theory, "theory T\n  role a : Object\n  param k = 1\n  relation near(Object, Region) := delta(arg1, arg2) <= bound\nend",
+     "g:4:36: error[unbound-symbol]: 'bound' is not a declared numeric parameter"),
     (parse_theory, "theory T\n  sort Cup < Contaner\nend",
      "g:2:14: error[unknown-sort]: unknown sort 'Contaner'"),
     (parse_theory, "theory T\n  sort Mug < Cup\n  sort Cup < Contaner\nend",
@@ -372,6 +378,8 @@ def test_reserved_words_rejected_as_names():
         parse_theory("theory axiom end")
     with pytest.raises(DslError):
         parse_scenario("scenario s entity not : Object = Point(0, 0) trace length 1 end")
+    with pytest.raises(DslError, match="'not' is a reserved word"):
+        parse_formula("closeTo(a, not)")
 
 
 def test_negative_extent_diagnostic():

@@ -442,6 +442,11 @@ def test_joined_search_equals_the_unfiltered_loop(seed):
     sc = random_shape_trace(rng, max_entities=7, max_len=5)
     gappy = rng.random() < 0.8
     theory = _random_theory(rng, sc, gappy)
+    if rng.random() < 0.2:  # an entity that roles may bind, named like the parameter k
+        k = make_entity("k", "Object", ShapeKind.POINT, [rng.randint(-3, 3), 0])
+        extra = initial_state([k]).values
+        states = tuple(State(time=s.time, values={**s.values, **extra}) for s in sc.trace.states)
+        sc = declare_scenario((*sc.entities, k), trace=Trace(states))
     epsilon = rng.choice((DEFAULT_EPSILON, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 2)))
     tau = rng.choice((Fraction(1, 2), Fraction(2)))
     fixed = {}

@@ -283,10 +283,15 @@ def test_check_theory_earliest_failure_time():
 
 def test_check_theory_binding_validation(ball_cup):
     theory = _containment_theory()
-    with pytest.raises(MissingRole):
+    with pytest.raises(MissingRole) as info:
         check_theory(theory, ball_cup, {"object": "o"})
-    with pytest.raises(SortMismatchInBinding):
+    assert str(info.value) == "role 'container' of theory CONTAINMENT_T is unbound"
+    with pytest.raises(MissingRole) as info:
+        check_theory(theory, ball_cup, {"object": "o", "container": "zz"})
+    assert str(info.value) == "role 'container' bound to unknown entity 'zz'"
+    with pytest.raises(SortMismatchInBinding) as info:
         check_theory(theory, ball_cup, {"object": "cup", "container": "o"})
+    assert str(info.value) == "role object:Object cannot be bound to cup:Container"
 
 
 def test_theory_defined_relation_template(ball_cup):

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_shape_scene
 
 from ischema.errors import (
     BadShapeForSort,
@@ -10,12 +13,14 @@ from ischema.errors import (
     NegativeExtent,
     UnknownSort,
 )
+from ischema.geometry import EvalContext
 from ischema.model import (
     BUILTIN_HIERARCHY,
     ShapeKind,
     Sort,
     SortHierarchy,
     State,
+    Theory,
     Trace,
     declare_scenario,
     initial_state,
@@ -146,3 +151,19 @@ def test_subsort_partial_order(parent_picks, data):
         assert s == t  # antisymmetric
     if h.subsort_of(s, t) and h.subsort_of(t, u):
         assert h.subsort_of(s, u)  # transitive
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_a_sort_domain_is_the_subsort_filter_in_declaration_order(seed):
+    entities, _ = random_shape_scene(random.Random(seed))
+    theory = Theory("T", sorts=(Sort("Cup", "Container"), Sort("Mug", "Cup"), Sort("Spot", "Region")))
+    ctx = EvalContext.for_scenario(declare_scenario(entities, trace=Trace((initial_state(entities),))), theory)
+    hierarchy = theory.hierarchy()
+    for sort in hierarchy.sort_names():
+        assert ctx.domain(sort) == tuple(e.id for e in entities if hierarchy.subsort_of(e.sort, sort))
+        assert ctx.domain(sort) is ctx.domain(sort)
+    for _ in range(2):  # an unknown sort raises on every call
+        with pytest.raises(UnknownSort) as info:
+            ctx.domain("X")
+        assert str(info.value) == "unknown sort 'X'"
