@@ -1,12 +1,15 @@
 """Spatial relations as algebraic constraints over object parameters.
 
-All decisions that can be made in exact rational arithmetic are: the region
-relations (`inside`, `partOf`, `overlaps`, `disjoint`, `contact` and `on`),
-bottoms, tops, horizontal extents and boxes compare integers of the state's
-exact integer view (`IntView`); closeTo compares squared distances as
-`Fraction`s; distance, angle and measure are floats. The tolerance epsilon
+Decided exactly, on the integers of the state's exact integer view
+(`IntView`): the region relations (`inside`, `partOf`, `overlaps`,
+`disjoint`, `contact` and `on`), bottoms, tops, horizontal extents and
+boxes; and `closeTo` with a rational threshold and every comparison of a
+lone `delta(a, b)` with a rational or with another lone `delta`, whose
+squared distance is a ratio of integers on the view (`delta_squared`).
+`delta` under arithmetic, `theta`, `measure`, and `smaller` or `larger`
+between a Circle and another shape are floats. The tolerance epsilon
 (itself a rational) only enters coincidence-style relations (contact, `on`)
-and equality comparisons over the real-valued distance/angle functions.
+and equality comparisons over the distance, angle and measure functions.
 """
 
 from __future__ import annotations
@@ -405,47 +408,60 @@ def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None
     closeTo; None when `name` sets no such bound. Containment and overlap
     keep the boxes meeting, contact and `on` keep them within epsilon, and
     closeTo keeps the anchors, which lie in the boxes, within its threshold.
-    Absolute values keep the bound sound under a negative tolerance, where
-    a negative size can still make the relation hold."""
+    For `name` "delta", the bound is that of a comparison `delta(a, b) <= k`
+    or `< k` with k the threshold: the same anchors within k. Absolute
+    values keep the bound sound under a negative tolerance, where a negative
+    size can still make the relation hold, and under a negative k."""
     if name in ("inside", "partOf", "overlaps"):
         return Fraction(0)
     if name in ("contact", "on"):
         return abs(ctx.epsilon)
-    if name == "closeTo":
+    if name == "closeTo" or name == "delta":
         return abs(ctx.tau if threshold is None else threshold)
     return None
 
 
-def distance_squared(state: State, a: EntityDecl, b: EntityDecl) -> Fraction:
-    """Exact squared distance; anchors are centers, with Segment/Floor taking
-    the nearest point to the other entity's center."""
-    ca, cb = center(state, a), center(state, b)
+def delta_squared(state: State, a: EntityDecl, b: EntityDecl) -> tuple[int, int]:
+    """The squared distance behind `delta(a, b)`, exactly, as an integer
+    numerator and a positive integer denominator over `int_view(state)`.
+    The anchors are the centers, with a Segment or a Floor taking its point
+    nearest to the other entity's center."""
+    view = int_view(state)
+    n = view.ints
+    ca = (n[a.id, "x"], n[a.id, "y"]) if a.shape in CENTERED else None
+    cb = (n[b.id, "x"], n[b.id, "y"]) if b.shape in CENTERED else None
     if ca is not None and cb is not None:
-        return (ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2
+        dx, dy = ca[0] - cb[0], ca[1] - cb[1]
+        return dx * dx + dy * dy, view.scale * view.scale
     if ca is None and cb is not None:
-        return _nearest_point_sq(state, a, cb)
+        return _nearest_point_sq(view, a, cb)
     if cb is None and ca is not None:
-        return _nearest_point_sq(state, b, ca)
+        return _nearest_point_sq(view, b, ca)
     raise UnsupportedShapePair(
         f"distance between {a.shape.value} and {b.shape.value} needs a center on one side"
     )
 
 
-def _nearest_point_sq(state: State, decl: EntityDecl, point: tuple[Fraction, Fraction]) -> Fraction:
-    px, py = point
+def _nearest_point_sq(view: IntView, decl: EntityDecl, point: tuple[int, int]) -> tuple[int, int]:
+    """`delta_squared` from a Floor or a Segment to `point`. The Segment's
+    parameter t of the nearest point is clamped to [0, 1] by comparing its
+    numerator with its denominator; inside, the squared distance to the
+    line is cross^2 / |AB|^2."""
+    n, (px, py), l2 = view.ints, point, view.scale * view.scale
     if decl.shape is ShapeKind.FLOOR:
-        return (py - state.value(decl.id, "y")) ** 2
+        dy = py - n[decl.id, "y"]
+        return dy * dy, l2
     if decl.shape is ShapeKind.SEGMENT:
-        x1, y1 = state.value(decl.id, "x1"), state.value(decl.id, "y1")
-        x2, y2 = state.value(decl.id, "x2"), state.value(decl.id, "y2")
-        dx, dy = x2 - x1, y2 - y1
-        dd = dx * dx + dy * dy
-        if dd == 0:
-            return (px - x1) ** 2 + (py - y1) ** 2
-        t = ((px - x1) * dx + (py - y1) * dy) / dd
-        t = min(Fraction(1), max(Fraction(0), t))
-        qx, qy = x1 + t * dx, y1 + t * dy
-        return (px - qx) ** 2 + (py - qy) ** 2
+        x1, y1, x2, y2 = (n[decl.id, p] for p in ("x1", "y1", "x2", "y2"))
+        dx, dy, ex, ey = x2 - x1, y2 - y1, px - x1, py - y1
+        dd, dot = dx * dx + dy * dy, ex * dx + ey * dy
+        if dot <= 0:  # also where A = B, so dd = 0
+            return ex * ex + ey * ey, l2
+        if dot >= dd:
+            fx, fy = px - x2, py - y2
+            return fx * fx + fy * fy, l2
+        cross = ex * dy - ey * dx
+        return cross * cross, dd * l2
     raise UnsupportedShapePair(f"no nearest-point rule for {decl.shape.value}")
 
 
@@ -463,9 +479,9 @@ def _real(value: Fraction, what: str, factor: float = 1.0) -> float:
 
 
 def distance(state: State, a: str, b: str, ctx: EvalContext) -> float:
-    """Euclidean distance as a real number."""
-    d2 = distance_squared(state, ctx.decl(a), ctx.decl(b))
-    return math.sqrt(_real(d2, f"the squared distance between {a} and {b}"))
+    """Euclidean distance as a float: the value of `delta` under arithmetic."""
+    return math.sqrt(_real(Fraction(*delta_squared(state, ctx.decl(a), ctx.decl(b))),
+                           f"the squared distance between {a} and {b}"))
 
 
 def _offset(state: State, a: EntityDecl, b: EntityDecl, what: str) -> tuple[Fraction, Fraction]:
@@ -566,30 +582,123 @@ def _alike(left, right) -> tuple:
 
 
 def _contains_real_terms(e: NumExpr) -> bool:
-    real = isinstance(e, (DeltaExpr, ThetaExpr, MeasureExpr))
-    return real or any(map(_contains_real_terms, e.children))
+    """Whether `e` holds delta, theta or measure. Iterative, since a
+    comparison is classified before the parser measures its depth."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (DeltaExpr, ThetaExpr, MeasureExpr)):
+            return True
+        stack.extend(node.children)
+    return False
+
+
+def comparison_form(lhs: NumExpr, rhs: NumExpr) -> str:
+    """How `eval_constraint` decides a comparison of `lhs` and `rhs`:
+    "rational" when neither side holds delta, theta or measure; "delta" when
+    each side is a lone delta or holds none of them; "real" otherwise.
+    `logic.Compare` keeps it, classified once per node."""
+    real = _contains_real_terms(lhs), _contains_real_terms(rhs)
+    if not any(real):
+        return "rational"
+    lone = type(lhs) is DeltaExpr, type(rhs) is DeltaExpr
+    return "delta" if all(d or not r for d, r in zip(lone, real)) else "real"
+
+
+_ORDERS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# The comparator that holds of (b, a) where `cmp` holds of (a, b).
+_MIRRORED = {"<": ">", "<=": ">=", "=": "=", "!=": "!=", ">=": "<=", ">": "<"}
 
 
 def eval_constraint(c, state: State, ctx: EvalContext, binding: Mapping[str, str] | None = None) -> bool:
-    """`c.lhs c.cmp c.rhs` of a `logic.Compare` in `state`."""
+    """`c.lhs c.cmp c.rhs` of a `logic.Compare` in `state`.
+
+    A comparison of the "delta" `comparison_form` is decided exactly (see
+    `_distance_against`) wherever every number it reads is rational; the
+    rest fold to Fractions, or to floats once delta, theta or measure is
+    under arithmetic, where = and != hold within epsilon."""
+    if c.form == "delta":
+        return _compare_distance(c, state, ctx, binding or {})
     lhs = eval_num_expr(c.lhs, state, ctx, binding)
     rhs = eval_num_expr(c.rhs, state, ctx, binding)
-    if c.cmp in ("=", "!="):
-        if _contains_real_terms(c.lhs) or _contains_real_terms(c.rhs):
+    return _compare_values(lhs, c.cmp, rhs, c.form == "real", ctx.epsilon)
+
+
+def _compare_values(lhs, cmp: str, rhs, real: bool, eps) -> bool:
+    if cmp == "=" or cmp == "!=":
+        if real:
             lhs, rhs = _alike(lhs, rhs)
-            equal = abs(lhs - rhs) <= ctx.epsilon
+            equal = abs(lhs - rhs) <= eps
         else:
             equal = lhs == rhs
-        return equal if c.cmp == "=" else not equal
-    if c.cmp == "<":
-        return lhs < rhs
-    if c.cmp == "<=":
-        return lhs <= rhs
-    if c.cmp == ">":
-        return lhs > rhs
-    if c.cmp == ">=":
-        return lhs >= rhs
-    raise UnknownRelation(f"unknown comparator {c.cmp!r}")
+        return equal if cmp == "=" else not equal
+    order = _ORDERS.get(cmp)
+    if order is None:
+        raise UnknownRelation(f"unknown comparator {cmp!r}")
+    return order(lhs, rhs)
+
+
+def _compare_distance(c, state: State, ctx: EvalContext, binding: Mapping[str, str]) -> bool:
+    """A comparison of the "delta" form: each lone delta side becomes its
+    exact `delta_squared`, the other side its value, left side first."""
+    lhs, rhs = (
+        _delta_squared_of(side, state, ctx, binding) if type(side) is DeltaExpr
+        else eval_num_expr(side, state, ctx, binding)
+        for side in (c.lhs, c.rhs)
+    )
+    eps, cmp = ctx.epsilon, c.cmp
+    if isinstance(eps, Fraction) or not (cmp == "=" or cmp == "!="):
+        if type(lhs) is tuple:
+            if type(rhs) is tuple:
+                return _compare_squares(lhs, cmp, rhs, eps)
+            if isinstance(rhs, Fraction):
+                return _distance_against(lhs, cmp, rhs, eps)
+        elif isinstance(lhs, Fraction):
+            return _distance_against(rhs, _MIRRORED.get(cmp, cmp), lhs, eps)
+    # a float beside the delta, or as the tolerance: decided in floats, as under arithmetic
+    lhs = eval_num_expr(c.lhs, state, ctx, binding)
+    rhs = eval_num_expr(c.rhs, state, ctx, binding)
+    return _compare_values(lhs, cmp, rhs, True, eps)
+
+
+def _delta_squared_of(e: DeltaExpr, state: State, ctx: EvalContext, binding: Mapping[str, str]) -> tuple[int, int]:
+    a, b = ctx.resolve(e.a, binding), ctx.resolve(e.b, binding)
+    return delta_squared(state, ctx.decl(a), ctx.decl(b))
+
+
+def _distance_against(sq: tuple[int, int], cmp: str, k: Fraction, eps: Fraction = Fraction(0)) -> bool:
+    """sqrt(num / den) `cmp` k for sq = (num, den), exactly (Yap, Towards
+    exact geometric computation, CGTA 1997): a distance exceeds a negative
+    k, and against k >= 0 it compares as its square does with k^2, by
+    cross-multiplying with k's denominator. = and != hold within eps:
+    |d - k| <= eps exactly when k - eps <= d <= k + eps."""
+    if cmp == "=" or cmp == "!=":
+        near = _distance_against(sq, "<=", k + eps) and _distance_against(sq, ">=", k - eps)
+        return near if cmp == "=" else not near
+    order = _ORDERS.get(cmp)
+    if order is None:
+        raise UnknownRelation(f"unknown comparator {cmp!r}")
+    p, q = k.numerator, k.denominator
+    if p < 0:
+        return cmp == ">" or cmp == ">="
+    num, den = sq
+    return order(num * q * q, p * p * den)
+
+
+def _compare_squares(a: tuple[int, int], cmp: str, b: tuple[int, int], eps: Fraction) -> bool:
+    """sqrt(A) `cmp` sqrt(B) for the `delta_squared` pairs a and b, exactly:
+    the order of the roots is that of the squares. = and != hold within
+    eps: for A >= B, sqrt(A) - sqrt(B) <= eps exactly when eps >= 0 and
+    A - B - eps^2 <= 2 eps sqrt(B), squared where both sides are positive."""
+    if cmp == "=" or cmp == "!=":
+        low, high = sorted((Fraction(*a), Fraction(*b)))
+        gap = high - low - eps * eps
+        near = eps >= 0 and (gap <= 0 or gap * gap <= 4 * eps * eps * low)
+        return near if cmp == "=" else not near
+    order = _ORDERS.get(cmp)
+    if order is None:
+        raise UnknownRelation(f"unknown comparator {cmp!r}")
+    return order(a[0] * b[1], b[0] * a[1])
 
 
 # --- relation catalog ---------------------------------------------------------
@@ -723,11 +832,12 @@ def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -
 
 
 def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, threshold=None) -> bool:
+    """delta(a, b) <= threshold (tau when None): exact for a rational threshold."""
     tau = ctx.tau if threshold is None else threshold
-    d2 = distance_squared(state, a, b)
+    sq = delta_squared(state, a, b)
     if isinstance(tau, Fraction):
-        return tau >= 0 and d2 <= tau * tau
-    return math.sqrt(_real(d2, f"the squared distance between {a.id} and {b.id}")) <= tau
+        return _distance_against(sq, "<=", tau)
+    return math.sqrt(_real(Fraction(*sq), f"the squared distance between {a.id} and {b.id}")) <= tau
 
 
 def _position(state: State, e: EntityDecl) -> tuple:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import dsl, geometry, logic
 from .errors import EVALUATION_GAP_ERRORS, UnknownSchema
-from .geometry import Const, EvalContext, NameRef, NumExpr, ParamRef, eval_num_expr
+from .geometry import Const, DeltaExpr, EvalContext, NameRef, NumExpr, ParamRef, eval_num_expr
 from .logic import (
     Always,
     And,
@@ -351,7 +351,7 @@ GAP_ONLY_RELATIONS = frozenset(
 _CONNECTIVES = frozenset(
     {TrueF, FalseF, Final, Not, And, Or, Implies, Next, Always, Eventually, Until, Before}
 )
-# delta, theta and measure are computed in floats
+# theta and measure are computed in floats, and so is delta under arithmetic
 _RATIONAL_EXPRESSIONS = frozenset(
     {Const, ParamRef, NameRef, geometry.Add, geometry.Sub, geometry.Mul, geometry.Neg}
 )
@@ -360,33 +360,53 @@ _RATIONAL_EXPRESSIONS = frozenset(
 def gap_only(theory: Theory, ctx: EvalContext) -> bool:
     """Whether evaluating the theory's axioms under any candidate binding can
     raise nothing but EVALUATION_GAP_ERRORS, decided from the text alone:
-    every atom applies a built-in of GAP_ONLY_RELATIONS that no template
-    overrides, with the right arity and rational numeric arguments; no
-    expression holds delta, theta or measure; every symbol, parameter and
-    quantifier sort resolves; and epsilon and tau are rationals."""
+    every atom applies, with the right arity and rational numeric arguments,
+    a built-in of GAP_ONLY_RELATIONS that no template overrides or a template
+    whose body is gap-only; each side of a comparison is a lone delta or
+    rational, so the comparison is exact; no other expression holds delta,
+    theta or measure; every symbol, parameter and quantifier sort resolves;
+    and epsilon and tau are rationals."""
+    if type(ctx.epsilon) is not Fraction or type(ctx.tau) is not Fraction:
+        return False
+    # each template body read in place, once: its argN is the N-th entity
+    # argument of an atom of the right arity, always bound
+    bodies = {
+        name: type(sig.definition) is Compare
+        and _gap_only_compare(sig.definition, {f"arg{i + 1}" for i in range(len(sig.arg_sorts))}, ctx)
+        for name, sig in ctx.relations.items()
+        if sig.definition is not None
+    }
     roles = {role for role, _ in theory.roles}
-    exact = type(ctx.epsilon) is Fraction and type(ctx.tau) is Fraction
-    return exact and all(_gap_only_formula(axiom, roles, ctx) for axiom in theory.axioms)
+    return all(_gap_only_formula(axiom, roles, ctx, bodies) for axiom in theory.axioms)
 
 
-def _gap_only_formula(phi: Formula, scope: set[str], ctx: EvalContext) -> bool:
+def _gap_only_formula(phi: Formula, scope: set[str], ctx: EvalContext, bodies: Mapping[str, bool]) -> bool:
     kind = type(phi)
     if kind is Atom:
-        return _gap_only_atom(phi, scope, ctx)
+        return _gap_only_atom(phi, scope, ctx, bodies)
     if kind is Compare:
-        return phi.cmp in geometry.COMPARATORS and all(_rational(side, scope, ctx) for side in phi.children)
+        return _gap_only_compare(phi, scope, ctx)
     if kind is Forall or kind is Exists:
         if not ctx.hierarchy.known(phi.sort):
             return False
         scope = scope | {phi.var}
     elif kind not in _CONNECTIVES:
         return False
-    return all(_gap_only_formula(child, scope, ctx) for child in phi.children)
+    return all(_gap_only_formula(child, scope, ctx, bodies) for child in phi.children)
 
 
-def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext) -> bool:
-    sig = ctx.relations.get(atom.relation)
-    if atom.relation not in GAP_ONLY_RELATIONS or getattr(sig, "definition", None) is not None:
+def _gap_only_compare(c: Compare, scope: set[str], ctx: EvalContext) -> bool:
+    """Each side rational, or a lone delta, which `geometry.eval_constraint`
+    then decides exactly."""
+    return c.form != "real" and c.cmp in geometry.COMPARATORS and all(
+        type(side) is DeltaExpr and _resolves(side, scope, ctx) or _rational(side, scope, ctx)
+        for side in (c.lhs, c.rhs)
+    )
+
+
+def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext, bodies: Mapping[str, bool]) -> bool:
+    body_ok = bodies.get(atom.relation)  # None where no template overrides
+    if body_ok is None and atom.relation not in GAP_ONLY_RELATIONS:
         return False
     n_entities = n_numeric = 0
     for term in atom.args:
@@ -398,8 +418,14 @@ def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext) -> bool:
             n_numeric += 1
         else:
             return False
+    if body_ok is not None:
+        return body_ok and n_entities == len(ctx.relations[atom.relation].arg_sorts)
     arity, most_numeric, _ = geometry.BUILTIN_RELATIONS[atom.relation]
     return n_entities == arity and n_numeric <= most_numeric
+
+
+def _resolves(e: NumExpr, scope: set[str], ctx: EvalContext) -> bool:
+    return all(s in scope or s in ctx.entities for s in e.symbols)
 
 
 def _rational(e: NumExpr, scope: set[str], ctx: EvalContext) -> bool:
@@ -410,27 +436,25 @@ def _rational(e: NumExpr, scope: set[str], ctx: EvalContext) -> bool:
         return False
     if kind is NameRef and type(ctx.numeric_params.get(e.name)) is not Fraction:
         return False
-    return all(s in scope or s in ctx.entities for s in e.symbols) and all(
-        _rational(child, scope, ctx) for child in e.children
-    )
+    return _resolves(e, scope, ctx) and all(_rational(child, scope, ctx) for child in e.children)
 
 
 class Condition(NamedTuple):
-    """A positive atom that holds at instant 0, or at some instant when
-    `later`, under every binding that satisfies the theory. `roles` are the
-    indices of the roles it names, ascending."""
+    """A positive atom or comparison that holds at instant 0, or at some
+    instant when `later`, under every binding that satisfies the theory.
+    `roles` are the indices of the roles it names, ascending."""
 
-    atom: Atom
+    atom: Formula
     later: bool
     roles: tuple[int, ...]
 
 
 def necessary_conditions(theory: Theory) -> list[Condition]:
-    """The conditions read off each axiom's positive skeleton: an atom keeps
-    the current mode; `and` contributes both sides; `always f` at 0 implies f
-    at 0, so keeps it; `eventually f`, strong `next f` and the right side of
-    `until` switch to "at some instant". Every other node contributes
-    nothing. Atoms naming more than two roles are left out."""
+    """The conditions read off each axiom's positive skeleton: an atom or a
+    comparison keeps the current mode; `and` contributes both sides; `always
+    f` at 0 implies f at 0, so keeps it; `eventually f`, strong `next f` and
+    the right side of `until` switch to "at some instant". Every other node
+    contributes nothing. Conditions naming more than two roles are left out."""
     index = {role: i for i, (role, _) in enumerate(theory.roles)}
     out: list[Condition] = []
     for axiom in theory.axioms:
@@ -440,7 +464,7 @@ def necessary_conditions(theory: Theory) -> list[Condition]:
 
 def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out: list[Condition]) -> None:
     kind = type(phi)
-    if kind is Atom:
+    if kind is Atom or kind is Compare:
         roles = sorted({index[n] for n in all_symbols(phi) if n in index})
         if len(roles) <= 2:
             out.append(Condition(phi, later, tuple(roles)))
@@ -509,34 +533,34 @@ def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequenc
 def _tester(
     cond: Condition, names: Sequence[str], trace: Trace, ctx: EvalContext
 ) -> Callable[[tuple[str, ...]], bool]:
-    """Whether the condition's atom holds, at instant 0 or at some instant
-    when `later`, for a tuple of entities bound to its roles; memoized.
+    """Whether the condition holds, at instant 0 or at some instant when
+    `later`, for a tuple of entities bound to its roles; memoized.
 
-    Filter: for a built-in with a `geometry.box_margin`, an instant counts
-    only where the two entities' boxes are not `geometry.boxes_apart` by
-    that margin. Refine: the atom itself, where a gap error counts as not
-    holding.
+    Filter: where `_filter` finds a margin, an instant counts only where the
+    boxes of the two entities it names are not `geometry.boxes_apart` by
+    that margin. Refine: the atom or comparison itself, where a gap error
+    counts as not holding.
     """
-    atom = cond.atom
+    phi = cond.atom
     roles = [names[i] for i in cond.roles]
-    entity_args = [
-        t for t in atom.args
-        if type(t) is str and (t in roles or t not in ctx.numeric_params and t in ctx.entities)
-    ]
-    margin = _box_margin(atom, entity_args, trace, ctx)
-    # an entity argument is a position in the tuple or an entity id
-    slots = [roles.index(s) if s in roles else s for s in entity_args]
+    margin, slots = _filter(phi, roles, trace, ctx)
+    states = trace.states
     memo: dict[tuple[str, ...], bool] = {}
+
+    def decide(t: int, binding: dict[str, str]) -> bool:
+        if type(phi) is Compare:
+            return geometry.eval_constraint(phi, states[t], ctx, binding)
+        return logic.eval_atom(phi, trace, t, binding, ctx)
 
     def holds(combo: tuple[str, ...]) -> bool:
         binding = dict(zip(roles, combo))
         if margin is not None:
             a, b = (ctx.entities[combo[x] if type(x) is int else x] for x in slots)
         for t in range(trace.length) if cond.later else (0,):
-            if margin is not None and geometry.boxes_apart(trace.states[t], a, b, margin):
+            if margin is not None and geometry.boxes_apart(states[t], a, b, margin):
                 continue
             try:
-                if logic.eval_atom(atom, trace, t, binding, ctx):
+                if decide(t, binding):
                     return True
             except EVALUATION_GAP_ERRORS:
                 pass
@@ -548,6 +572,46 @@ def _tester(
         return memo[combo]
 
     return test
+
+
+def _filter(phi: Formula, roles: Sequence[str], trace: Trace, ctx: EvalContext) -> tuple[Optional[Fraction], list]:
+    """The margin of a condition's box filter, None for a condition decided
+    by refining alone, and the two entities whose boxes it reads, each a
+    position in the tuple of entities bound to `roles` or an entity id.
+
+    A built-in atom filters at its `geometry.box_margin`. A comparison
+    `delta(a, b) <= k` or `< k`, in either orientation and with k free of
+    entity symbols, filters at the margin of `delta`; so does an atom whose
+    template body is one, with its `argN` read as the atom's N-th entity
+    argument.
+    """
+    def slot(symbol: str):  # a role's position, or an entity id
+        return roles.index(symbol) if symbol in roles else symbol
+
+    if type(phi) is Compare:
+        margin, pair = _distance_margin(phi, trace, ctx)
+        return margin, [slot(s) for s in pair]
+    entity_args = [
+        t for t in phi.args
+        if type(t) is str and (t in roles or t not in ctx.numeric_params and t in ctx.entities)
+    ]
+    template = getattr(ctx.relations.get(phi.relation), "definition", None)
+    if template is None:
+        return _box_margin(phi, entity_args, trace, ctx), [slot(s) for s in entity_args]
+    margin, pair = _distance_margin(template, trace, ctx)
+    args = {f"arg{i + 1}": slot(e) for i, e in enumerate(entity_args)}
+    return margin, [args.get(s, s) for s in pair]
+
+
+def _distance_margin(c: Compare, trace: Trace, ctx: EvalContext) -> tuple[Optional[Fraction], list]:
+    """`geometry.box_margin` of delta for a comparison `delta(a, b) <= k` or
+    `< k` in either orientation, with the symbols a and b; None and [] for
+    any other comparison."""
+    cmp = c.cmp
+    near, bound = (c.lhs, c.rhs) if cmp in ("<", "<=") else (c.rhs, c.lhs) if cmp in (">", ">=") else (None, None)
+    if type(near) is not DeltaExpr or all_symbols(bound):
+        return None, []
+    return geometry.box_margin("delta", ctx, eval_num_expr(bound, trace.states[0], ctx)), [near.a, near.b]
 
 
 def _box_margin(atom: Atom, entity_args: Sequence[str], trace: Trace, ctx: EvalContext) -> Optional[Fraction]:

@@ -69,13 +69,18 @@ class Atom(Formula):
 class Compare(Formula):
     """lhs CMP rhs with CMP in geometry.COMPARATORS; also the body of a
     relation template. Equality and disequality over expressions containing
-    distance or angle terms hold within the configured tolerance."""
+    distance, angle or measure terms hold within the configured tolerance.
+    `form` is the node's `geometry.comparison_form`, classified once."""
 
     lhs: NumExpr
     cmp: str
     rhs: NumExpr
     span: Optional[object] = field(default=None, compare=False, repr=False)
+    form: str = field(init=False, compare=False, repr=False)
     CHILDREN = ("lhs", "rhs")
+
+    def __post_init__(self):
+        object.__setattr__(self, "form", geometry.comparison_form(self.lhs, self.rhs))
 
 
 @dataclass(frozen=True)

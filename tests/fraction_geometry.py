@@ -11,8 +11,48 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ischema.geometry import EvalContext, _defined, distance_squared
+from ischema.errors import UnsupportedShapePair
+from ischema.geometry import EvalContext, _defined, center
 from ischema.model import SHAPE_PARAMS, EntityDecl, ShapeKind, State
+
+
+def distance_squared(state: State, a: EntityDecl, b: EntityDecl) -> Fraction:
+    """Exact squared distance; anchors are centers, with Segment/Floor taking
+    the nearest point to the other entity's center."""
+    ca, cb = center(state, a), center(state, b)
+    if ca is not None and cb is not None:
+        return (ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2
+    if ca is None and cb is not None:
+        return _nearest_point_sq(state, a, cb)
+    if cb is None and ca is not None:
+        return _nearest_point_sq(state, b, ca)
+    raise UnsupportedShapePair(
+        f"distance between {a.shape.value} and {b.shape.value} needs a center on one side"
+    )
+
+
+def _nearest_point_sq(state: State, decl: EntityDecl, point: tuple[Fraction, Fraction]) -> Fraction:
+    px, py = point
+    if decl.shape is ShapeKind.FLOOR:
+        return (py - state.value(decl.id, "y")) ** 2
+    if decl.shape is ShapeKind.SEGMENT:
+        x1, y1 = state.value(decl.id, "x1"), state.value(decl.id, "y1")
+        x2, y2 = state.value(decl.id, "x2"), state.value(decl.id, "y2")
+        dx, dy = x2 - x1, y2 - y1
+        dd = dx * dx + dy * dy
+        if dd == 0:
+            return (px - x1) ** 2 + (py - y1) ** 2
+        t = ((px - x1) * dx + (py - y1) * dy) / dd
+        t = min(Fraction(1), max(Fraction(0), t))
+        qx, qy = x1 + t * dx, y1 + t * dy
+        return (px - qx) ** 2 + (py - qy) ** 2
+    raise UnsupportedShapePair(f"no nearest-point rule for {decl.shape.value}")
+
+
+def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, threshold=None) -> bool:
+    tau = ctx.tau if threshold is None else threshold
+    d2 = distance_squared(state, a, b)
+    return tau >= 0 and d2 <= tau * tau
 
 
 def _within(value_sq: Fraction, bound: Fraction, eps: Fraction) -> bool:

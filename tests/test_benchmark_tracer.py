@@ -49,9 +49,9 @@ def test_every_wrapped_site_is_an_engine_function(tracer_module):
 @pytest.mark.parametrize(
     "axiom, generated, checked",
     [
-        # delta keeps the theory off the join: every ordered pair of the 4
-        # distinct entities is generated and checked
-        ("always (on(upper, lower) and delta(upper, lower) >= 0)", 12, 12),
+        # delta under arithmetic keeps the theory off the join: every ordered
+        # pair of the 4 distinct entities is generated and checked
+        ("always (on(upper, lower) and delta(upper, lower) * 1 >= 0)", 12, 12),
         # SUPPORT itself is joined: only the pairs `on` holds for at t=0 are checked
         ("always on(upper, lower)", 0, 3),
     ],

@@ -617,13 +617,14 @@ _MIXED = "error: a rational number combined with a distance, angle or measure is
 @pytest.mark.parametrize(
     "axiom, entities, message",
     [
-        ("delta(p, q) > 1", _FAR, "error: the squared distance between a and b is beyond the floating-point range"),
+        # a lone delta against a rational is decided exactly, so it needs no float
+        ("delta(p, q) > 1", _FAR, "result: satisfied"),
         ("theta(q, p) > 1", _FAR, "error: the offset of b from a is beyond the floating-point range"),
         ("measure(p) > 1", _WIDE, "error: the measure of a is beyond the floating-point range"),
         ("measure(p) > 1", _WIDE.replace(_HUGE, "1" + "0" * 154),  # pi * 10^308 is no float
          "error: the measure of a is beyond the floating-point range"),
         ("smaller(q, p)", _WIDE, "error: the measure of a is beyond the floating-point range"),
-        (f"delta(p, q) = {_HUGE}", _APART, _MIXED),
+        (f"delta(p, q) = {_HUGE}", _APART, "result: violated"),
         (f"delta(p, q) * {_HUGE} > 1", _APART, _MIXED),
     ],
     ids=["delta", "theta", "measure", "measure-times-pi", "smaller-mixed-pi", "mixed-equality", "mixed-product"],
@@ -634,7 +635,24 @@ def test_values_beyond_float_range_are_usage_errors(runner, tmp_path, axiom, ent
     scn = tmp_path / "s.scn"
     scn.write_text(f"scenario s\n  {entities}\n  trace length 1\nend\n")
     result = _run(runner, ["check", str(ist), str(scn), "--bind", "p=a", "--bind", "q=b"])
-    _assert_usage_error(result, message)
+    if message.startswith("result: "):
+        assert result.exit_code == (0 if message == "result: satisfied" else 1), _stderr(result)
+        assert result.output.endswith(message + "\n")
+    else:
+        _assert_usage_error(result, message)
+
+
+def test_delta_below_the_rational_value_of_float_sqrt2_is_satisfied(runner, tmp_path):
+    """c = 6369051672525773 / 2^52 is the float nearest sqrt(2), and 2 < c^2,
+    so delta((0, 0), (1, 1)) < c holds; a float delta rounds to c itself."""
+    ist = tmp_path / "T.ist"
+    ist.write_text("theory T\n  role x : Entity\n  role y : Entity\n"
+                   "  axiom always delta(x, y) < 6369051672525773/4503599627370496\nend\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"scenario s\n  {_APART.replace('3, 4', '1, 1')}\n  trace length 1\nend\n")
+    result = _run(runner, ["check", str(ist), str(scn), "--bind", "x=a", "--bind", "y=b"])
+    assert result.exit_code == 0, _stderr(result)
+    assert result.output.endswith("result: satisfied\n")
 
 
 def test_effect_beyond_float_range_is_a_usage_error(runner, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 from fractions import Fraction
@@ -539,3 +540,18 @@ def test_simulation_is_deterministic(seed):
     t1 = simulate(sc)
     t2 = simulate(sc)
     assert t1 == t2
+
+
+def test_an_effect_of_delta_keeps_the_rational_value_of_its_float():
+    """A comparison of a lone delta is exact, but a value written by an
+    effect is the Fraction of the float distance: sqrt(2) rounds to the
+    float whose rational value is 6369051672525773 / 2^52."""
+    from ischema.dsl import parse_scenario
+
+    sc = parse_scenario(
+        "scenario s\n  entity a : Object = Point(0, 0)\n  entity b : Object = Point(1, 1)\n"
+        "  rules\n    rule r when true do a.x := delta(a, b)\n  horizon 2\nend\n"
+    )
+    written = simulate(sc).states[1].values[("a", "x")]
+    assert written == Fraction(6369051672525773, 2**52) == Fraction(math.sqrt(2))
+    assert written * written != 2

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ischema.errors import (
 )
 from ischema.geometry import (
     BUILTIN_RELATIONS,
+    COMPARATORS,
     Const,
     DeltaExpr,
     EvalContext,
@@ -28,6 +30,8 @@ from ischema.geometry import (
     angular_position,
     box_margin,
     bottom,
+    delta_squared,
+    eval_constraint,
     distance,
     eval_num_expr,
     eval_relation,
@@ -41,6 +45,7 @@ from ischema.geometry import (
     touches,
     x_neighbours,
 )
+from ischema.logic import Compare
 from ischema.model import (
     SHAPE_PARAMS,
     ShapeKind,
@@ -411,6 +416,7 @@ def test_integer_view_matches_the_fraction_oracle(scene, epsilon):
             for name, theirs in oracle.REGION_RELATIONS.items():
                 ours = _outcome(eval_relation, name, [a.id, b.id], state, ctx)
                 assert ours == _outcome(theirs, state, ctx, a, b), (name, a, b)
+            _assert_distances_match_the_oracle(state, ctx, a, b)
     got = {k: sorted(v) for k, v in x_neighbours(state, entities).items()}
     assert got == {k: sorted(v) for k, v in oracle.x_neighbours(state, entities).items()}
 
@@ -420,6 +426,17 @@ def _outcome(fn, *args):
         return fn(*args)
     except (UnknownParameter, UnsupportedShapePair) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_distances_match_the_oracle(state, ctx, a, b):
+    """delta's squared distance on the view, and closeTo at several
+    thresholds, as the Fraction oracle has them."""
+    ours = _outcome(delta_squared, state, a, b)
+    assert (ours if isinstance(ours, str) else Fraction(*ours)) == _outcome(oracle.distance_squared, state, a, b)
+    for threshold in (None, Fraction(0), Fraction(3, 7), Fraction(2), Fraction(-1, 2)):
+        nums = () if threshold is None else (threshold,)
+        ours = _outcome(eval_relation, "closeTo", [a.id, b.id], state, ctx, nums)
+        assert ours == _outcome(oracle.rel_close_to, state, ctx, a, b, threshold), (threshold, a, b)
 
 
 @given(_view_scene(), st.data())
@@ -442,6 +459,7 @@ def test_integer_view_reports_a_missing_parameter_as_the_oracle_does(scene, data
             for name, theirs in oracle.REGION_RELATIONS.items():
                 ours = _outcome(eval_relation, name, [a.id, b.id], state, ctx)
                 assert ours == _outcome(theirs, state, ctx, a, b), name
+            _assert_distances_match_the_oracle(state, ctx, a, b)
 
 
 def test_x_neighbours_corner_cases():
@@ -529,3 +547,84 @@ def test_box_filter_boundary_cases():
     assert eval_relation("inside", ["p", "c"], flipped, ctx)
     assert _within(entities, flipped, ctx, "inside", "p", "c")
     assert not _within(entities, state, ctx, "closeTo", "l", "c", Fraction(1, 4))
+
+
+# --- exact delta comparisons ---------------------------------------------------
+
+_MIRROR = {"<": ">", "<=": ">=", "=": "=", "!=": "!=", ">=": "<=", ">": "<"}
+_coordinate = st.one_of(
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+)
+
+
+def _by_squares(d2, cmp, k, eps):
+    """sqrt(d2) `cmp` k in Fractions, by comparing squares."""
+    if cmp in ("=", "!="):
+        near = k + eps >= 0 and d2 <= (k + eps) ** 2 and (k - eps <= 0 or d2 >= (k - eps) ** 2)
+        return near == (cmp == "=")
+    below, equal = k > 0 and d2 < k * k, k >= 0 and d2 == k * k
+    return {"<": below, "<=": below or equal, ">": not (below or equal), ">=": not below}[cmp]
+
+
+def _pair_by_squares(d2, e2, cmp, eps):
+    """sqrt(d2) `cmp` sqrt(e2) in Fractions: (d - e)^2 <= eps^2 reads
+    d2 + e2 - eps^2 <= 2 sqrt(d2 e2)."""
+    if cmp in ("=", "!="):
+        x = d2 + e2 - eps * eps
+        near = eps >= 0 and (x <= 0 or x * x <= 4 * d2 * e2)
+        return near == (cmp == "=")
+    return {"<": d2 < e2, "<=": d2 <= e2, ">": d2 > e2, ">=": d2 >= e2}[cmp]
+
+
+def _by_decimals(d, k, cmp, eps):
+    """d `cmp` k from 200-digit decimals, or None where they lie too close
+    to decide."""
+    if cmp in ("=", "!="):
+        slack = eps - abs(d - k)
+        return None if abs(slack) < Decimal(10) ** -150 else (slack >= 0) == (cmp == "=")
+    if abs(d - k) < Decimal(10) ** -150:
+        return None
+    return {"<": d < k, "<=": d < k, ">": d > k, ">=": d > k}[cmp]
+
+
+def _root_near(d2, digits, offset):
+    """A rational within about 10^-digits of sqrt(d2), moved by `offset`
+    units of that size: the boundary of a comparison with delta."""
+    scale = 10**digits
+    return Fraction(math.isqrt(d2.numerator * scale * scale // d2.denominator), scale) + Fraction(offset, scale)
+
+
+@given(st.data(), st.sampled_from(_VIEW_EPSILONS))
+@settings(max_examples=300, deadline=None)
+def test_delta_comparisons_are_exact(data, epsilon):
+    xs = data.draw(st.lists(_coordinate, min_size=8, max_size=8))
+    a = _point("a", xs[0], xs[1])
+    if data.draw(st.booleans()):
+        b = _point("b", xs[2], xs[3], sort="Region")
+    else:
+        b = make_entity("b", "Path", ShapeKind.SEGMENT, [xs[2], xs[3], xs[4], xs[5]])
+    c = _point("c", xs[6], xs[7], sort="Region")
+    # e lies as far from c as a from b, or anywhere
+    e = _point("e", xs[6] + xs[1] - xs[3], xs[7] + xs[2] - xs[0], sort="Region") if data.draw(st.booleans()) \
+        else _point("e", *data.draw(st.lists(_coordinate, min_size=2, max_size=2)), sort="Region")
+    state, ctx = _ctx(a, b, c, e, epsilon=epsilon)
+    d2, e2 = oracle.distance_squared(state, a, b), oracle.distance_squared(state, c, e)
+    k = data.draw(st.one_of(
+        st.builds(_root_near, st.just(d2), st.integers(0, 40), st.integers(-2, 2)),
+        st.builds(lambda k, eps: k + eps, st.builds(_root_near, st.just(d2), st.just(0), st.just(0)),
+                  st.sampled_from([epsilon, -epsilon])),
+        st.fractions(min_value=-3, max_value=30, max_denominator=50),
+    ))
+    with localcontext() as dec:
+        dec.prec = 200
+        d, dk, de = (Decimal(q.numerator) / Decimal(q.denominator) for q in (d2, k, epsilon))
+        d, other = d.sqrt(), (Decimal(e2.numerator) / Decimal(e2.denominator)).sqrt()
+        for cmp in COMPARATORS:
+            got = eval_constraint(Compare(DeltaExpr("a", "b"), cmp, Const(k)), state, ctx)
+            assert got == eval_constraint(Compare(Const(k), _MIRROR[cmp], DeltaExpr("a", "b")), state, ctx)
+            assert got == _by_squares(d2, cmp, k, epsilon), (cmp, k)
+            assert _by_decimals(d, dk, cmp, de) in (None, got), (cmp, k)
+            pair = eval_constraint(Compare(DeltaExpr("a", "b"), cmp, DeltaExpr("e", "c")), state, ctx)
+            assert pair == _pair_by_squares(d2, e2, cmp, epsilon), cmp
+            assert _by_decimals(d, other, cmp, de) in (None, pair), cmp

@@ -384,22 +384,41 @@ def _outcome(results):
 
 # closeTo twice: with a threshold of 3/2 or 5 it often holds, so bindings survive
 _JOIN_RELATIONS = ("inside", "partOf", "contact", "on", "overlaps", "disjoint", "closeTo", "closeTo", "ccwStep")
+# Gap-only templates: a distance bound the join filters on, one it only
+# refines, one of delta against delta, and one overriding a built-in.
+_JOIN_TEMPLATES = {
+    "near": "delta(arg1, arg2) <= 3/2",
+    "apart": "k < delta(arg2, arg1)",
+    "closer": "delta(arg1, arg2) < delta(arg2, arg1)",
+    "contact": "arg1.y <= arg2.y",
+}
 
 
 def _random_theory(rng, sc, gappy):
-    """A theory over 1 to 3 roles whose axioms combine atoms under and,
-    always, eventually, next and until, with now and then a node that gives
-    no condition. Unless `gappy`, one atom somewhere leaves the gap-only
+    """A theory over 1 to 3 roles whose axioms combine atoms and lone-delta
+    comparisons under and, always, eventually, next and until, with now and
+    then a node that gives no condition; it may define templates from
+    _JOIN_TEMPLATES. Unless `gappy`, one atom somewhere leaves the gap-only
     fragment."""
     sorts = ("Entity",) * 5 + ("Object", "Container", "Path", "Floor")
     roles = [(name, rng.choice(sorts))
              for name in ("a", "b", "c")[: rng.randint(1, min(3, len(sc.entities)))]]
     names = [r for r, _ in roles] + [rng.choice(sc.entities).id]
+    templates = [name for name in _JOIN_TEMPLATES if rng.random() < 0.3]
+
+    def comparison():
+        delta = f"delta({rng.choice(names)}, {rng.choice(names)})"
+        other = rng.choice(("3/2", "0", "5", "k", "-1", "-k", f"{rng.choice(names)}.y + 1",
+                            f"delta({rng.choice(names)}, {rng.choice(names)})"))
+        sides = (delta, other) if rng.random() < 0.5 else (other, delta)
+        return f"{sides[0]} {rng.choice(geometry.COMPARATORS)} {sides[1]}"
 
     def atom():
         if rng.random() < 0.15:
             return f"motion({rng.choice(names)})"
-        rel = rng.choice(_JOIN_RELATIONS)
+        if rng.random() < 0.25:
+            return comparison()
+        rel = rng.choice(_JOIN_RELATIONS + tuple(templates))
         x, y = rng.choice(names), rng.choice(names)
         if rel == "closeTo":
             threshold = rng.choice(("", ", 0", ", 3/2", ", 5", ", k", f", {x}.y + 1"))
@@ -419,17 +438,19 @@ def _random_theory(rng, sc, gappy):
     axioms = [formula(rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
     if rng.random() < 0.3:
         axioms.append(f"{rng.choice(('eventually', 'next'))} {atom()}")
-    relations = ()
+    relations = [RelationSig(name, ("Entity", "Entity"), dsl.parse_formula(_JOIN_TEMPLATES[name]))
+                 for name in templates]
     if not gappy:
-        spoiler = rng.choice(("delta(a, a) < 2", "smaller(a, a)", "ghost.x > 0", "template"))
+        spoiler = rng.choice(("delta(a, a) * 2 < 3", "smaller(a, a)", "ghost.x > 0", "template"))
         if spoiler == "template":
-            relations = (RelationSig("contact", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y")),)
+            relations = [r for r in relations if r.name != "contact"]
+            relations.append(RelationSig("contact", ("Entity", "Entity"), dsl.parse_formula("theta(arg1, arg2) < 1")))
             spoiler = "contact(a, a)"
         axioms[0] = f"({axioms[0]}) and {spoiler}"
     return Theory(
         name="J",
         roles=tuple(roles),
-        relations=relations,
+        relations=tuple(relations),
         axioms=tuple(parse_formula(a) for a in axioms),
         numeric_params=(("k", Fraction(1)),),
     )
@@ -466,10 +487,7 @@ def test_gap_only_classifier():
     def gap(theory):
         return gap_only(theory, EvalContext.for_scenario(sc, theory))
 
-    assert [n for n in SHIPPED_SCHEMAS if not gap(schema_theory(n))] == [
-        "REVOLUTION",
-        "SOURCE_PATH_GOAL",  # its `at` is a template
-    ]
+    assert [n for n in SHIPPED_SCHEMAS if not gap(schema_theory(n))] == []
     roles = (("a", "Entity"), ("b", "Entity"))
 
     def theory(axiom, relations=(), params=()):
@@ -478,12 +496,24 @@ def test_gap_only_classifier():
 
     assert gap(theory("closeTo(a, b, 3/2) and eventually on(a, f)"))
     # a template overriding a built-in the axioms apply; one they do not apply is never evaluated
-    override = RelationSig("on", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y"))
+    override = RelationSig("on", ("Entity", "Entity"), dsl.parse_formula("theta(arg1, arg2) > 0"))
     assert not gap(theory("contact(a, b) or not on(b, a)", relations=(override,)))
     assert gap(theory("contact(a, b)", relations=(override,)))
+    # a template whose body is gap-only, read with argN as the atom's N-th entity argument
+    rational = RelationSig("on", ("Entity", "Entity"), dsl.parse_formula("arg1.y <= arg2.y"))
+    assert gap(theory("contact(a, b) or not on(b, a)", relations=(rational,)))
+    near = RelationSig("near", ("Entity", "Entity"), dsl.parse_formula("delta(arg1, arg2) <= k"))
+    assert gap(theory("near(a, b)", relations=(near,), params=(("k", Fraction(1)),)))
+    assert not gap(theory("near(a, b, a)", relations=(near,), params=(("k", Fraction(1)),)))
+    assert not gap(theory("near(a, b)", relations=(near,)))  # k does not resolve
+    stray = RelationSig("near", ("Entity", "Entity"), dsl.parse_formula("delta(arg1, arg3) <= 1"))
+    assert not gap(theory("near(a, b)", relations=(stray,)))
     # a signature without a template keeps the built-in
     assert gap(theory("on(a, b)", relations=(RelationSig("on", ("Entity", "Entity")),)))
-    assert not gap(theory("inside(a, b) and delta(a, b) < 2"))
+    assert gap(theory("inside(a, b) and delta(a, b) < 2"))
+    assert gap(theory("always (delta(a, b) != delta(b, f) or 2 >= delta(f, a))"))
+    assert not gap(theory("delta(a, b) * 2 < 3"))  # delta under arithmetic is a float
+    assert not gap(theory("delta(a, ghost) < 2"))
     assert not gap(theory("always (theta(a, b) > 0)"))
     assert not gap(theory("not measure(a) > 1"))
     # a float threshold, as a constant or as a parameter, takes closeTo off exact arithmetic
@@ -513,6 +543,10 @@ def test_necessary_conditions_follow_the_positive_skeleton():
                 "disjoint(a, b) until (overlaps(b, a) and always partOf(c, c))",
                 "forall v : Entity . on(v, a)",
                 "closeTo(a, b, c.r)",
+                "always (1 <= delta(a, b) and delta(c, f) < 2)",
+                "not delta(a, b) < 1 and eventually a.x < b.x",
+                "a.x + b.x < c.x or next delta(a, c) = 0",
+                "next (a.x + b.x < c.x and 0 < 1)",
             )
         ),
     )
@@ -523,6 +557,10 @@ def test_necessary_conditions_follow_the_positive_skeleton():
         ("inside(c, f)", True, (2,)),
         ("overlaps(b, a)", True, (0, 1)),
         ("partOf(c, c)", True, (2,)),
+        ("1 <= delta(a, b)", False, (0, 1)),
+        ("delta(c, f) < 2", False, (2,)),
+        ("a.x < b.x", True, (0, 1)),
+        ("0 < 1", True, ()),
     ]
 
 
