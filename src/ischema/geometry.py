@@ -106,7 +106,9 @@ class Neg(NumExpr):
 
 @dataclass(frozen=True)
 class DeltaExpr(NumExpr):
-    """Euclidean distance between two entities (see `distance`)."""
+    """Euclidean distance between two entities: exact in a comparison of
+    the "delta" `comparison_form` (see `delta_squared`), else a float (see
+    `distance`)."""
 
     a: str
     b: str
