@@ -588,6 +588,12 @@ def _by_decimals(d, k, cmp, eps):
     return {"<": d < k, "<=": d < k, ">": d > k, ">=": d > k}[cmp]
 
 
+def _rational_root(q):
+    """sqrt(q) where it is rational, else None."""
+    n, m = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, m) if n * n == q.numerator and m * m == q.denominator else None
+
+
 def _root_near(d2, digits, offset):
     """A rational within about 10^-digits of sqrt(d2), moved by `offset`
     units of that size: the boundary of a comparison with delta."""
@@ -605,9 +611,17 @@ def test_delta_comparisons_are_exact(data, epsilon):
     else:
         b = make_entity("b", "Path", ShapeKind.SEGMENT, [xs[2], xs[3], xs[4], xs[5]])
     c = _point("c", xs[6], xs[7], sort="Region")
-    # e lies as far from c as a from b, or anywhere
-    e = _point("e", xs[6] + xs[1] - xs[3], xs[7] + xs[2] - xs[0], sort="Region") if data.draw(st.booleans()) \
-        else _point("e", *data.draw(st.lists(_coordinate, min_size=2, max_size=2)), sort="Region")
+    # e lies as far from c as a from b; or, where that distance d is
+    # rational, exactly epsilon farther; or anywhere
+    dx, dy = xs[2] - xs[0], xs[3] - xs[1]
+    d = _rational_root(dx * dx + dy * dy)
+    where = data.draw(st.sampled_from(("turned", "stretched", "anywhere")))
+    if where == "stretched" and b.shape is ShapeKind.POINT and d:
+        e = _point("e", xs[6] + dx * (d + epsilon) / d, xs[7] + dy * (d + epsilon) / d, sort="Region")
+    elif where != "anywhere":
+        e = _point("e", xs[6] - dy, xs[7] + dx, sort="Region")
+    else:
+        e = _point("e", *data.draw(st.lists(_coordinate, min_size=2, max_size=2)), sort="Region")
     state, ctx = _ctx(a, b, c, e, epsilon=epsilon)
     d2, e2 = oracle.distance_squared(state, a, b), oracle.distance_squared(state, c, e)
     k = data.draw(st.one_of(
