@@ -611,13 +611,14 @@ def test_delta_comparisons_are_exact(data, epsilon):
     else:
         b = make_entity("b", "Path", ShapeKind.SEGMENT, [xs[2], xs[3], xs[4], xs[5]])
     c = _point("c", xs[6], xs[7], sort="Region")
-    # e lies as far from c as a from b; or, where that distance d is
+    # e lies as far from c as a from b; or, where that distance is
     # rational, exactly epsilon farther; or anywhere
     dx, dy = xs[2] - xs[0], xs[3] - xs[1]
-    d = _rational_root(dx * dx + dy * dy)
+    root = _rational_root(dx * dx + dy * dy)
     where = data.draw(st.sampled_from(("turned", "stretched", "anywhere")))
-    if where == "stretched" and b.shape is ShapeKind.POINT and d:
-        e = _point("e", xs[6] + dx * (d + epsilon) / d, xs[7] + dy * (d + epsilon) / d, sort="Region")
+    if where == "stretched" and b.shape is ShapeKind.POINT and root:
+        stretch = (root + epsilon) / root
+        e = _point("e", xs[6] + dx * stretch, xs[7] + dy * stretch, sort="Region")
     elif where != "anywhere":
         e = _point("e", xs[6] - dy, xs[7] + dx, sort="Region")
     else:
