@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -226,26 +227,23 @@ def rational_to_text(q: Fraction) -> str:
     converts to text."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
+    n, d = q.numerator, q.denominator
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        d = q.denominator
-        twos = fives = 0
-        while d % 2 == 0:
-            d //= 2
-            twos += 1
-        while d % 5 == 0:
-            d //= 5
+        if d == 1:
+            return str(n)
+        twos = (d & -d).bit_length() - 1  # the trailing zero bits
+        odd, fives = d >> twos, 0
+        while odd % 5 == 0:
+            odd //= 5
             fives += 1
-        if d != 1:
-            return f"{q.numerator}/{q.denominator}"
+        if odd != 1:
+            return f"{n}/{d}"
         k = max(twos, fives)
-        scaled = abs(q.numerator) * 10**k // q.denominator
-        digits = str(scaled).rjust(k + 1, "0")
+        digits = str(abs(n) * 10**k // d).rjust(k + 1, "0")
     except ValueError:  # beyond the interpreter's limit on digits converted
         limit = sys.get_int_max_str_digits()
         raise ValueOutOfRange(f"a value of more than {limit} digits is too long to print") from None
-    sign = "-" if q.numerator < 0 else ""
+    sign = "-" if n < 0 else ""
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
@@ -1103,28 +1101,78 @@ def _force_to_json(f: ForceFluent) -> dict:
     }
 
 
+class _Values(dict):
+    """A state's `values` object, "<id>.<param>" to rational text, with
+    `lines`: its members as `json_text` writes them, `"<id>.<param>": "<text>"`,
+    in sorted key order."""
+
+    __slots__ = ("lines",)
+
+
+class _KeySet:
+    """The text that the documents of states with one key set share: the keys
+    in sorted JSON order, each one's `"<id>.<param>": ` head, and the values,
+    `values` object and forces of the state written last."""
+
+    __slots__ = ("keys", "names", "heads", "last", "values_obj", "forces", "force_list")
+
+    def __init__(self, keys):
+        by_name = {f"{eid}.{pname}": (eid, pname) for eid, pname in keys}
+        self.names = sorted(by_name)
+        self.keys = [by_name[name] for name in self.names]
+        self.heads = [_json_string(name) + ": " for name in self.names]
+        self.last = [None] * len(self.keys)  # no value is None: the first state converts them all
+        self.values_obj = _Values.fromkeys(self.names)
+        self.values_obj.lines = [None] * len(self.keys)
+        self.forces, self.force_list = frozenset(), []
+
+    def values(self, values) -> _Values:
+        """The `values` object of a state's `values`: the one written last
+        while every value is the same object (`is`) as there, else a copy of
+        it in which only the values that are not are converted again."""
+        current = list(map(values.__getitem__, self.keys))
+        changed = list(itertools.compress(itertools.count(), map(operator.is_not, current, self.last)))
+        if changed:
+            obj, lines = _Values(self.values_obj), self.values_obj.lines.copy()
+            for i in changed:
+                obj[self.names[i]] = text = rational_to_text(current[i])
+                lines[i] = self.heads[i] + _json_string(text)
+            obj.lines = lines
+            self.last, self.values_obj = current, obj
+        return self.values_obj
+
+    def forces_of(self, forces: frozenset) -> list:
+        """The `forces` list of `forces`, the same list object while they
+        equal the forces of the state written last."""
+        if forces != self.forces:
+            self.forces = forces
+            self.force_list = [_force_to_json(f) for f in sorted(forces, key=lambda f: (f.label, f.target))]
+        return self.force_list
+
+
 def trace_to_json(trace: Trace, entities: Sequence[EntityDecl], shared: Optional[dict] = None) -> dict:
     """The JSON document of a trace, with exact rational strings. The
     documents of several traces built with one `shared` dict share one entity
-    list and one document per State object, which `json_text` writes once."""
+    list and one document per State object, which `json_text` writes once.
+
+    `shared` also keeps, per key set, the text of the state written last. A
+    state's `values` object reuses its `"<id>.<param>": "<text>"` line for
+    each value that is the same object (`is`) as there, so only a value a
+    step rewrote is converted again, and it is that same object when every
+    value is; its `forces` list is that same list while the forces are equal.
+    `json_text` writes an object that recurs at one level once."""
     if shared is None:
         shared = {}
     if "entities" not in shared:
         shared["entities"] = [_entity_to_json(e) for e in entities]
+    key_set = frozenset(trace.states[0].values)
+    kept = shared.get(key_set)
+    if kept is None:
+        kept = shared[key_set] = _KeySet(key_set)
     states = []
     for s in trace.states:
         if id(s) not in shared:  # the state is kept with its document, so its id stays its own
-            shared[id(s)] = s, {
-                "t": s.time,
-                "values": {
-                    f"{eid}.{pname}": rational_to_text(v)
-                    for (eid, pname), v in s.values.items()
-                },
-                "forces": [
-                    _force_to_json(f)
-                    for f in sorted(s.forces, key=lambda f: (f.label, f.target))
-                ],
-            }
+            shared[id(s)] = s, {"t": s.time, "values": kept.values(s.values), "forces": kept.forces_of(s.forces)}
         states.append(shared[id(s)][1])
     return {"length": trace.length, "entities": shared["entities"], "states": states}
 
@@ -1135,19 +1183,25 @@ _json_string = json.encoder.encode_basestring_ascii
 def json_text(doc) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)` for a document of dicts
     with string keys, lists and JSON scalars, writing a dict or list that
-    occurs in it more than once, as one object, once."""
+    occurs in it more than once at one level, as one object, once. A state's
+    `values` object (`_Values`) is written from its ready `lines`."""
     written: dict[tuple[int, int], str] = {}
 
     def write(obj, level: int) -> str:
         if isinstance(obj, str):
             return _json_string(obj)
-        if not obj or not isinstance(obj, (dict, list)):
-            return json.dumps(obj)
         key = (id(obj), level)  # ids are unique while `doc` holds the objects
-        if key not in written:
+        if key in written:
+            return written[key]
+        if not obj or not isinstance(obj, (dict, list)):
+            written[key] = json.dumps(obj)
+        else:
             pad = "\n" + "  " * (level + 1)
             if isinstance(obj, dict):
-                items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
+                if type(obj) is _Values:
+                    items = obj.lines
+                else:
+                    items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
                 written[key] = "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
             else:
                 items = [write(v, level + 1) for v in obj]

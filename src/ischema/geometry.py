@@ -249,12 +249,13 @@ class IntView:
         return q.numerator * self.scale // q.denominator
 
     def within(self, d2: int, bound: int, eps: Fraction) -> bool:
-        """|sqrt(d2) - bound| <= eps, for d2 over L^2 and bound over L: d2
+        """|sqrt(d2) - bound| <= eps, for d2 over L^2 and bound over L: never
+        where bound + eps < 0, since a distance is not negative; else d2
         lies between (bound - eps)^2, or 0 where bound - eps <= 0, and
         (bound + eps)^2, all multiplied by (L q)^2 for eps = p/q."""
         p, q = eps.numerator * self.scale, eps.denominator
         qd2, qb = q * q * d2, q * bound
-        if qd2 > (qb + p) ** 2:
+        if qb + p < 0 or qd2 > (qb + p) ** 2:
             return False
         return qb - p <= 0 or (qb - p) ** 2 <= qd2
 

@@ -57,6 +57,8 @@ def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, t
 
 def _within(value_sq: Fraction, bound: Fraction, eps: Fraction) -> bool:
     """|sqrt(value_sq) - bound| <= eps, decided in rational arithmetic."""
+    if bound + eps < 0:
+        return False
     hi = (bound + eps) ** 2
     lo = (bound - eps) ** 2 if bound - eps > 0 else Fraction(0)
     return lo <= value_sq <= hi

@@ -288,6 +288,24 @@ def test_enumerate_json_listing_is_the_brute_force_listing(runner):
     assert result.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+def test_enumerate_json_is_json_dumps_of_its_document(runner):
+    # models on a 3x3 grid over three instants share State objects, and so
+    # the text their documents keep in `shared`
+    theory = dsl.parse_theory(_data_text("CONTAINMENT.ist"))
+    scenario = shipped_scenario("containment_grid")
+    spec = enumeration.GridSpec(x_range=(0, 2), y_range=(0, 2), free_entities=("o",), horizon=3)
+    models = enumeration.enumerate_models(theory, scenario, spec, {"object": "o", "container": "c"})
+    states = [s for m in models for s in m.states]
+    assert len({id(s) for s in states}) < len(states)
+    shared: dict = {}
+    doc = {"command": "enumerate", "count": len(models),
+           "models": [dsl.trace_to_json(m, scenario.entities, shared) for m in models]}
+    result = _run(runner, ["enumerate", _path("CONTAINMENT.ist"), _path("containment_grid.scn"),
+                           "--grid", "0:2,0:2", "--steps", "3", "--json"])
+    assert result.exit_code == 0
+    assert result.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_enumerate_cap_exits_four(runner):
     result = _run(
         runner,
@@ -816,13 +834,14 @@ def test_literal_beyond_the_digit_limit_is_a_syntax_error(runner, tmp_path, name
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("command", ["simulate", "check"])
-def test_value_too_long_to_print_is_a_usage_error(runner, tmp_path, json_flag, command):
-    if command == "simulate":  # 10 squared 14 times has 16,385 digits
+@pytest.mark.parametrize("command, horizon", [("simulate", 14), ("check", None), ("simulate", 17)],
+                         ids=["simulate", "check", "simulate-mid-trace"])
+def test_value_too_long_to_print_is_a_usage_error(runner, tmp_path, json_flag, command, horizon):
+    if command == "simulate":  # state k holds 10^(2^k); state 13's 8,193 digits are the first too many
         scenario = tmp_path / "sq.scn"
         scenario.write_text(
             "scenario sq\n  entity o : Object = Point(10, 0)\n  rules\n"
-            "    rule sq when true do o.x := o.x * o.x\n  horizon 14\nend\n",
+            f"    rule sq when true do o.x := o.x * o.x\n  horizon {horizon}\nend\n",
             encoding="utf-8",
         )
         args = [str(scenario)]

@@ -27,6 +27,7 @@ from ischema.dsl import (
     tokenize,
     trace_to_json,
 )
+from ischema.dynamics import simulate
 from ischema.errors import UnknownRelation
 from ischema.geometry import BUILTIN_RELATIONS, EvalContext
 from ischema.library import SHIPPED_SCHEMAS, schema_theory, _data_text
@@ -605,6 +606,79 @@ def test_trace_json_document_is_what_serialize_trace_prints(fig1_scenario):
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == serialize_trace(
         fig1_scenario.trace, fig1_scenario.entities
     )
+
+
+def _plain_trace_document(trace, entities) -> dict:
+    """The trace document as plain dicts and lists, one text per value."""
+    def force(f):
+        return {"label": f.label, "target": f.target, "dx": rational_to_text(f.dx),
+                "dy": rational_to_text(f.dy), "mode": f.mode}
+
+    return {
+        "length": trace.length,
+        "entities": [{"id": e.id, "sort": e.sort, "shape": e.shape.value,
+                      "params": [[n, rational_to_text(v)] for n, v in e.params]} for e in entities],
+        "states": [{"t": s.time,
+                    "values": {f"{eid}.{p}": rational_to_text(v) for (eid, p), v in s.values.items()},
+                    "forces": [force(f) for f in sorted(s.forces, key=lambda f: (f.label, f.target))]}
+                   for s in trace.states],
+    }
+
+
+_body_offset = st.fractions(min_value=0, max_value=2, max_denominator=4)
+_body_size = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4)
+
+
+@st.composite
+def _falling_scenario(draw):
+    """A generative scenario of no bodies, or of 10 to 13 (so "b10.x" sorts
+    before "b2.x") above a floor, under gravity and sideways pushes. With
+    bodies, b0.x is rewritten each step with an equal new Fraction, and a
+    force on b2 is added while b1, pushed 1/2 a step, is 1 to 2 from where
+    it started, and removed after that."""
+    n = draw(st.sampled_from([0, 10, 11, 12, 13]))
+    lines = ["scenario falling"]
+    if n:
+        lines.append("  entity f : Floor = Floor(0)")
+    starts = []
+    for k in range(n):
+        x, y = 3 * k + draw(_body_offset), 1 + draw(_body_offset) * 3
+        starts.append(x)
+        shape = draw(st.sampled_from(["Point", "Circle", "Rectangle"]))
+        if shape == "Point":
+            lines.append(f"  entity b{k} : Object = Point({x}, {y})")
+        elif shape == "Circle":
+            lines.append(f"  entity b{k} : Container = Circle({x}, {y + 2}, {draw(_body_size)})")
+        else:
+            lines.append(f"  entity b{k} : Container = Rectangle({x}, {y + 2}, {draw(_body_size)}, {draw(_body_size)})")
+    lines += ["  rules", "    gravity(1)"]
+    if n:
+        lines.append("    umph shove on b1 (1/2, 0)")
+        for k in draw(st.lists(st.integers(3, n - 1), max_size=3, unique=True)):
+            lines.append(f"    umph push{k} on b{k} ({draw(st.sampled_from(['1', '1/3']))}, 0)")
+        lines += [
+            "    rule same when true do b0.x := b0.x + 0",
+            f"    rule gusty when b1.x >= {starts[1] + 1} and b1.x < {starts[1] + 2}"
+            " do addforce gust on b2 (0, 1/2)",
+            f"    rule calm when b1.x >= {starts[1] + 2} do removeforce gust on b2",
+        ]
+    lines += [f"  horizon {draw(st.integers(1, 8))}", "end"]
+    return "\n".join(lines) + "\n"
+
+
+@given(_falling_scenario())
+@settings(max_examples=60, deadline=None)
+def test_serialize_trace_is_json_dumps_of_a_simulated_trace(text):
+    sc = parse_scenario(text)
+    trace = simulate(sc)
+    expected = json.dumps(_plain_trace_document(trace, sc.entities), sort_keys=True, indent=2) + "\n"
+    assert serialize_trace(trace, sc.entities) == expected
+    assert json.dumps(trace_to_json(trace, sc.entities), sort_keys=True, indent=2) + "\n" == expected
+    if sc.entities and trace.length > 1:  # the scenario does what its docstring says
+        b0x = [s.values["b0", "x"] for s in trace.states]
+        assert b0x[0] == b0x[1] and b0x[0] is not b0x[1]
+    if sc.entities and trace.length > 5:
+        assert [bool(s.forces) for s in trace.states[2:6]] == [True, True, False, False]
 
 
 _JSON_VALUES = st.recursive(

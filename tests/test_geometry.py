@@ -205,6 +205,22 @@ def test_contact_circles_exact():
     assert eval_relation("disjoint", ["c1", "c2"], state, ctx) is False
 
 
+@pytest.mark.parametrize("other", [_circle("b", 1, 0, 2), _point("b", 1, 0)])
+def test_no_contact_where_the_radii_sum_below_zero(other):
+    # A rule can make a radius negative. With centers 1 apart, |1 - (-4)|
+    # and |1 - (-2)| both exceed epsilon.
+    a = _circle("a", 0, 0, 2)
+    state, ctx = _ctx(a, other, epsilon=Fraction(1, 4))
+    values = {**state.values, ("a", "r"): Fraction(-2)}
+    if other.shape is ShapeKind.CIRCLE:
+        values["b", "r"] = Fraction(-2)
+    state = State(0, values)
+    for x, y in ((a, other), (other, a)):
+        assert touches(state, ctx, x, y) is False
+        assert oracle.touches(state, ctx, x, y) is False
+    assert eval_relation("contact", ["a", "b"], state, ctx) is False
+
+
 def test_contact_with_floor():
     f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
     p = _point("p", 4, 0)
