@@ -830,9 +830,8 @@ class _SortChecker:
                 return self.error("unknown-sort", f"unknown sort {node.sort!r}", node.span)
             scope = {**scope, node.var: node.sort}
         elif isinstance(node, NameRef):
-            if node.name not in self.numeric_params and self.term_sort(node.name, scope) is None:
-                message = f"{node.name!r} is not a declared numeric parameter"
-                self.error("unbound-symbol", message, span)
+            if node.name not in self.numeric_params:
+                self.error("unbound-symbol", f"{node.name!r} is not a declared numeric parameter", span)
         elif isinstance(node, Compare):
             span = node.span
         for name in node.symbols:

@@ -416,7 +416,7 @@ def step(
     Rules fire by stratum against the current state with earlier strata's
     effects visible; all effects then apply atomically (same-parameter deltas
     sum, disagreeing assignments are an error); everything unwritten persists;
-    active forces displace their targets and persist.
+    every force, active or passive, displaces its target and persists.
     """
     if plan is None:
         plan = StepPlan.build(stratify(rules, ctx), ctx)
@@ -484,7 +484,6 @@ def simulate(
     scenario: Scenario,
     epsilon: Fraction = geometry.DEFAULT_EPSILON,
     horizon: Optional[int] = None,
-    initial_forces: frozenset[ForceFluent] = frozenset(),
 ) -> Trace:
     """Run a generative scenario for its horizon; state 0 comes from the
     declared initial values."""
@@ -496,7 +495,7 @@ def simulate(
     ctx = EvalContext.for_scenario(scenario, epsilon=epsilon)
     rules = list(scenario.rules or ())
     plan = StepPlan.build(stratify(rules, ctx), ctx)
-    states = [initial_state(scenario.entities, forces=initial_forces)]
+    states = [initial_state(scenario.entities)]
     for _ in range(T - 1):
         states.append(step(states[-1], rules, ctx, plan=plan))
     return Trace(tuple(states))

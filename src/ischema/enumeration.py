@@ -8,9 +8,9 @@ assignments, entity by entity.
 The free entities' points at one instant form a *frame*: k free entities on a
 grid of |G| points have |G|^k frames. The search grounds the bound axioms
 once, expanding quantifiers over their domains. It decides each ground atom
-and comparison once per frame, and each built-in step relation (`motion`,
-`ccwStep`, `thetaStep`) once per pair of frames, through the same
-`geometry.eval_relation` and `eval_constraint` the evaluators call. It then
+and comparison once per frame by `logic.decide`, as the evaluators do, and
+each built-in step relation (`motion`, `ccwStep`, `thetaStep`) once per pair
+of frames, on the arguments `logic.resolve_args` reads in the first. It then
 counts by one backward pass over the instants. The state of that pass at
 instant t is the frame at t plus the truth values at t that instant t-1
 reads: the operand of each `next`, and each `always`, `eventually` and
@@ -180,7 +180,7 @@ class _Ground:
         return self._ids[node]
 
     def _ground(self, phi: logic.Formula, scope: dict) -> int:
-        if isinstance(phi, (logic.Atom, logic.Compare)):
+        if type(phi) in logic.LEAVES:
             pair = isinstance(phi, logic.Atom) and geometry.reads_next_state(phi.relation, self.ctx)
             table = self.steps if pair else self.local
             # the binding matters to an atom only at the symbols it names
@@ -259,12 +259,14 @@ class _Tables:
         self._memo: dict[tuple[int, int, int], tuple[int, bool]] = {}
         self.local: list[int] = []
         self.end: list[int] = []
+        ctx = ground.ctx
         pairs = bool(ground.steps) and self.horizon > 1
         states, steps = [], []
         for f in range(self.n_frames):
             state = State(time=0, values=self._values(f))
-            self.local.append(self._intern(tuple(self._decide(phi, env, state) for phi, env in ground.local)))
-            args = [logic._resolve_atom_args(atom, state, env, ground.ctx) for atom, env in ground.steps]
+            local = [logic.decide(phi, (state,), 0, env, ctx) for phi, env in ground.local]
+            self.local.append(self._intern(tuple(local)))
+            args = [logic.resolve_args(atom, state, env, ctx) for atom, env in ground.steps]
             self.end.append(self._intern(self._step_atoms(state, args, None)))
             if pairs:
                 states.append(state)
@@ -277,13 +279,6 @@ class _Tables:
         self.layers: list[list[Counter]] = [[] for _ in range(self.horizon - 1)]
         for t in range(self.horizon - 2, -1, -1):
             self.layers[t] = self._backward(t)
-
-    def _decide(self, phi, scope: Mapping[str, str], state: State) -> bool:
-        ctx = self.ground.ctx
-        if isinstance(phi, logic.Compare):
-            return geometry.eval_constraint(phi, state, ctx, scope)
-        entity_args, num_args = logic._resolve_atom_args(phi, state, scope, ctx)
-        return geometry.eval_relation(phi.relation, entity_args, state, ctx, num_args)
 
     def _step_atoms(self, state: State, args: list, after: Optional[State]) -> tuple:
         ctx = self.ground.ctx

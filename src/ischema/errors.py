@@ -56,8 +56,8 @@ class CoincidentCenters(IschemaError):
 
 
 class ValueOutOfRange(IschemaError):
-    """An exact value that a distance, angle or measure, computed in
-    floats, needs as a float is beyond the range of a float."""
+    """An exact value that a distance, angle or measure, computed in floats,
+    needs as a float is beyond the range of a float; or a tolerance is not finite."""
 
 
 # --- formula evaluation ---------------------------------------------------

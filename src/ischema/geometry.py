@@ -149,6 +149,13 @@ class EvalContext:
     tau: Fraction = DEFAULT_TAU
     _domains: dict[str, tuple[str, ...]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self):  # a float tolerance becomes the Fraction of exactly its value
+        for name in ("epsilon", "tau"):
+            try:
+                setattr(self, name, Fraction(getattr(self, name)))
+            except (OverflowError, ValueError):
+                raise ValueOutOfRange(f"{name} {getattr(self, name)!r} is not a finite number") from None
+
     @classmethod
     def for_scenario(
         cls,
@@ -650,15 +657,14 @@ def _compare_distance(c, state: State, ctx: EvalContext, binding: Mapping[str, s
         for side in (c.lhs, c.rhs)
     )
     eps, cmp = ctx.epsilon, c.cmp
-    if isinstance(eps, Fraction) or not (cmp == "=" or cmp == "!="):
-        if type(lhs) is tuple:
-            if type(rhs) is tuple:
-                return _compare_squares(lhs, cmp, rhs, eps)
-            if isinstance(rhs, Fraction):
-                return _distance_against(lhs, cmp, rhs, eps)
-        elif isinstance(lhs, Fraction):
-            return _distance_against(rhs, _MIRRORED.get(cmp, cmp), lhs, eps)
-    # a float beside the delta, or as the tolerance: decided in floats, as under arithmetic
+    if type(lhs) is tuple:
+        if type(rhs) is tuple:
+            return _compare_squares(lhs, cmp, rhs, eps)
+        if isinstance(rhs, Fraction):
+            return _distance_against(lhs, cmp, rhs, eps)
+    elif isinstance(lhs, Fraction):
+        return _distance_against(rhs, _MIRRORED.get(cmp, cmp), lhs, eps)
+    # a float beside the delta: decided in floats, as under arithmetic
     lhs = eval_num_expr(c.lhs, state, ctx, binding)
     rhs = eval_num_expr(c.rhs, state, ctx, binding)
     return _compare_values(lhs, cmp, rhs, True, eps)

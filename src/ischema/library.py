@@ -364,10 +364,8 @@ def gap_only(theory: Theory, ctx: EvalContext) -> bool:
     a built-in of GAP_ONLY_RELATIONS that no template overrides or a template
     whose body is gap-only; each side of a comparison is a lone delta or
     rational, so the comparison is exact; no other expression holds delta,
-    theta or measure; every symbol, parameter and quantifier sort resolves;
-    and epsilon and tau are rationals."""
-    if type(ctx.epsilon) is not Fraction or type(ctx.tau) is not Fraction:
-        return False
+    theta or measure; and every symbol, parameter and quantifier sort
+    resolves."""
     # each template body read in place, once: its argN is the N-th entity
     # argument of an atom of the right arity, always bound
     bodies = {
@@ -464,7 +462,7 @@ def necessary_conditions(theory: Theory) -> list[Condition]:
 
 def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out: list[Condition]) -> None:
     kind = type(phi)
-    if kind is Atom or kind is Compare:
+    if kind in logic.LEAVES:
         roles = sorted({index[n] for n in all_symbols(phi) if n in index})
         if len(roles) <= 2:
             out.append(Condition(phi, later, tuple(roles)))
@@ -547,11 +545,6 @@ def _tester(
     states = trace.states
     memo: dict[tuple[str, ...], bool] = {}
 
-    def decide(t: int, binding: dict[str, str]) -> bool:
-        if type(phi) is Compare:
-            return geometry.eval_constraint(phi, states[t], ctx, binding)
-        return logic.eval_atom(phi, trace, t, binding, ctx)
-
     def holds(combo: tuple[str, ...]) -> bool:
         binding = dict(zip(roles, combo))
         if margin is not None:
@@ -560,7 +553,7 @@ def _tester(
             if margin is not None and geometry.boxes_apart(states[t], a, b, margin):
                 continue
             try:
-                if decide(t, binding):
+                if logic.decide(phi, states, t, binding, ctx):
                     return True
             except EVALUATION_GAP_ERRORS:
                 pass
@@ -591,13 +584,12 @@ def _filter(phi: Formula, roles: Sequence[str], trace: Trace, ctx: EvalContext) 
     if type(phi) is Compare:
         margin, pair = _distance_margin(phi, trace, ctx)
         return margin, [slot(s) for s in pair]
-    entity_args = [
-        t for t in phi.args
-        if type(t) is str and (t in roles or t not in ctx.numeric_params and t in ctx.entities)
-    ]
+    if any(type(t) is not str and all_symbols(t) for t in phi.args):
+        return None, []  # the threshold reads an entity's parameters
+    entity_args, num_args = logic.resolve_args(phi, trace.states[0], {role: role for role in roles}, ctx)
     template = getattr(ctx.relations.get(phi.relation), "definition", None)
-    if template is None:
-        return _box_margin(phi, entity_args, trace, ctx), [slot(s) for s in entity_args]
+    if template is None:  # a built-in takes at most one numeric argument, closeTo's threshold
+        return geometry.box_margin(phi.relation, ctx, *num_args), [slot(s) for s in entity_args]
     margin, pair = _distance_margin(template, trace, ctx)
     args = {f"arg{i + 1}": slot(e) for i, e in enumerate(entity_args)}
     return margin, [args.get(s, s) for s in pair]
@@ -612,20 +604,6 @@ def _distance_margin(c: Compare, trace: Trace, ctx: EvalContext) -> tuple[Option
     if type(near) is not DeltaExpr or all_symbols(bound):
         return None, []
     return geometry.box_margin("delta", ctx, eval_num_expr(bound, trace.states[0], ctx)), [near.a, near.b]
-
-
-def _box_margin(atom: Atom, entity_args: Sequence[str], trace: Trace, ctx: EvalContext) -> Optional[Fraction]:
-    """`geometry.box_margin` of the atom, or None where its threshold reads
-    an entity's parameters, so differs between tuples or instants."""
-    threshold = None
-    for term in atom.args:
-        if type(term) is not str:
-            if all_symbols(term):
-                return None
-            threshold = eval_num_expr(term, trace.states[0], ctx)
-        elif term not in entity_args:
-            threshold = ctx.numeric_params[term]
-    return geometry.box_margin(atom.relation, ctx, threshold)
 
 
 def classify(

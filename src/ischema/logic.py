@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import geometry
 from .errors import (
@@ -177,7 +177,7 @@ class Before(Formula):
 # --- shared atom semantics ------------------------------------------------------
 
 
-def _resolve_atom_args(
+def resolve_args(
     atom: Atom, state: State, binding: Binding, ctx: EvalContext
 ) -> tuple[list[str], list]:
     """The atom's entity arguments and its numeric ones, these read in `state`."""
@@ -197,12 +197,18 @@ def _resolve_atom_args(
     return entity_args, num_args
 
 
-def eval_atom(atom: Atom, trace: Trace, t: int, binding: Binding, ctx: EvalContext) -> bool:
-    """The atom at instant t; the step relations also read state t+1."""
-    states = trace.states
-    entity_args, num_args = _resolve_atom_args(atom, states[t], binding, ctx)
+def decide(phi: Formula, states: Sequence[State], t: int, binding: Binding, ctx: EvalContext) -> bool:
+    """The atom or comparison `phi` at instant t of `states`; the step
+    relations also read state t+1, where there is one."""
+    if type(phi) is Compare:
+        return eval_constraint(phi, states[t], ctx, binding)
+    entity_args, num_args = resolve_args(phi, states[t], binding, ctx)
     after = states[t + 1] if t + 1 < len(states) else None
-    return geometry.eval_relation(atom.relation, entity_args, states[t], ctx, num_args, after)
+    return geometry.eval_relation(phi.relation, entity_args, states[t], ctx, num_args, after)
+
+
+# The formula nodes `decide` decides.
+LEAVES = frozenset({Atom, Compare})
 
 
 # --- production evaluator ------------------------------------------------------
@@ -245,10 +251,8 @@ def _eval_node(
     phi: Formula, trace: Trace, t: int, binding: dict, bkey: tuple, ctx: EvalContext, memo: dict
 ) -> bool:
     T = trace.length
-    if isinstance(phi, Atom):
-        return eval_atom(phi, trace, t, binding, ctx)
-    if isinstance(phi, Compare):
-        return eval_constraint(phi, trace.states[t], ctx, binding)
+    if type(phi) in LEAVES:
+        return decide(phi, trace.states, t, binding, ctx)
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):
@@ -317,10 +321,8 @@ def reference_eval(
 
 def _ref(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext) -> bool:
     T = trace.length
-    if isinstance(phi, Atom):
-        return eval_atom(phi, trace, t, binding, ctx)
-    if isinstance(phi, Compare):
-        return eval_constraint(phi, trace.states[t], ctx, binding)
+    if type(phi) in LEAVES:
+        return decide(phi, trace.states, t, binding, ctx)
     if isinstance(phi, TrueF):
         return True
     if isinstance(phi, FalseF):

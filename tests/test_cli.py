@@ -182,6 +182,22 @@ def test_simulate_rejects_conflicting_effects(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_simulate_rejects_one_rule_assigning_and_incrementing(runner, tmp_path):
+    scn = tmp_path / "both.scn"
+    scn.write_text(
+        """scenario both
+          entity o : Object = Point(0, 0)
+          rules
+            rule r when true do o.x := 1, o.x += 1
+          horizon 2
+        end""",
+        encoding="utf-8",
+    )
+    result = _run(runner, ["simulate", str(scn)])
+    assert result.exit_code == 3
+    assert _stderr(result) == "error: o.x is both assigned and incremented in one step\n"
+
+
 @pytest.mark.parametrize("effect", ["v.r += 1", "v.r := 2"], ids=["delta", "set"])
 def test_simulate_scoped_write_to_a_missing_parameter_exits_two(runner, tmp_path, effect):
     scn = tmp_path / "grow.scn"

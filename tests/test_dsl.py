@@ -329,6 +329,11 @@ GOLDEN_DIAGNOSTICS = [
      "g:4:36: error[unbound-symbol]: unknown entity or role 'zz'"),
     (parse_theory, "theory T\n  role a : Object\n  param k = 1\n  relation near(Object, Region) := delta(arg1, arg2) <= bound\nend",
      "g:4:36: error[unbound-symbol]: 'bound' is not a declared numeric parameter"),
+    # a role, variable or entity is no number
+    (parse_theory, "theory T\n  role a : Object\n  axiom a > 0\nend",
+     "g:3:9: error[unbound-symbol]: 'a' is not a declared numeric parameter"),
+    (parse_scenario, _RULES + "rule r when true do o.x := o\n  horizon 1\nend",
+     "g:4:25: error[unbound-symbol]: 'o' is not a declared numeric parameter"),
     (parse_theory, "theory T\n  sort Cup < Contaner\nend",
      "g:2:14: error[unknown-sort]: unknown sort 'Contaner'"),
     (parse_theory, "theory T\n  sort Mug < Cup\n  sort Cup < Contaner\nend",
@@ -711,6 +716,26 @@ def test_trace_json_validates_against_schema(fig1_scenario):
     schema = json.loads(_data_text("trace.schema.json"))
     doc = json.loads(serialize_trace(fig1_scenario.trace, fig1_scenario.entities))
     jsonschema.validate(doc, schema)
+
+
+def test_umphs_and_generic_rules_round_trip():
+    sc = parse_scenario(
+        """scenario push
+          entity o : Object = Point(0, 0)
+          entity goal : Region = Point(-3, 1)
+          rules
+            umph shove on o (-1/2, 3/4) passive until closeTo(o, goal, 1)
+            rule r forall x : Object when x.x < 5 do x.x := x.x * 2, x.y += -1/3, addforce wind on o (1, -2) passive, removeforce gust on goal until x.y < -1
+          horizon 3
+        end"""
+    )
+    text = serialize_scenario(sc)
+    assert text.splitlines()[4:6] == [
+        "  umph shove on o (-0.5, 0.75) passive until closeTo(o, goal, 1)",
+        "  rule r forall x : Object when x.x < 5 do x.x := x.x * 2, x.y += -1/3, "
+        "addforce wind on o (1, -2) passive, removeforce gust on goal until x.y < -1",
+    ]
+    assert parse_scenario(text) == sc
 
 
 def test_scenario_with_attributes_round_trips():

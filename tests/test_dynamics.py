@@ -290,9 +290,12 @@ def test_force_fluents_superpose_to_rest():
     forces = frozenset(
         {ForceFluent("l", "o", Fraction(1), Fraction(0)), ForceFluent("r", "o", Fraction(-1), Fraction(0))}
     )
-    trace = simulate(sc, initial_forces=forces)
-    assert [s.value("o", "x") for s in trace.states] == [0, 0, 0, 0]
-    assert all(s.forces == forces for s in trace.states)
+    ctx = EvalContext.for_scenario(sc)
+    states = [initial_state(sc.entities, forces)]
+    for _ in range(3):
+        states.append(step(states[-1], [], ctx))
+    assert [s.value("o", "x") for s in states] == [0, 0, 0, 0]
+    assert all(s.forces == forces for s in states)
 
 
 def test_add_and_remove_force_effects():

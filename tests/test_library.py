@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -14,6 +15,7 @@ from ischema.errors import (
     UnboundSymbol,
     UnknownSchema,
     UnsupportedShapePair,
+    ValueOutOfRange,
 )
 from ischema.geometry import DEFAULT_EPSILON, Const, EvalContext
 from ischema.library import (
@@ -175,6 +177,30 @@ def test_classify_output_is_sorted():
     results = classify(shipped_scenario("stack"))
     keys = [(r.binding.schema, r.binding.roles) for r in results]
     assert keys == sorted(keys)
+
+
+def test_float_tolerances_give_the_results_of_their_fractions():
+    fig1 = shipped_scenario("fig1")
+    assert classify(fig1, ["SUPPORT"], epsilon=0.001) == classify(fig1, ["SUPPORT"], epsilon=Fraction(0.001))
+    # m hovers 1/10 above the floor; the float 0.1 is a little more than 1/10
+    hover = dsl.parse_scenario(
+        "scenario s\n  entity f : Floor = Floor(0)\n  entity m : Object = Point(0, 0.1)\n  trace length 1\nend"
+    )
+    near = Theory("NEAR", roles=(("a", "Object"), ("b", "Floor")), axioms=(parse_formula("closeTo(a, b)"),))
+    schemas = ["SUPPORT", near]
+    found = {}
+    for eps, tau in ((0.1, 0.1), (0.09, 0.09)):
+        got = classify(hover, schemas, epsilon=eps, tau=tau)
+        assert got == classify(hover, schemas, epsilon=Fraction(eps), tau=Fraction(tau))
+        found[eps] = [r.binding.schema for r in got]
+    assert found == {0.1: ["NEAR", "SUPPORT"], 0.09: []}
+    ctx = EvalContext.for_scenario(hover, epsilon=0.25, tau=2.0)
+    assert (type(ctx.epsilon), ctx.epsilon, type(ctx.tau), ctx.tau) == (Fraction, Fraction(1, 4), Fraction, 2)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueOutOfRange, match="epsilon .* is not a finite number"):
+            EvalContext.for_scenario(hover, epsilon=bad)
+        with pytest.raises(ValueOutOfRange, match="tau .* is not a finite number"):
+            EvalContext.for_scenario(hover, tau=bad)
 
 
 def test_candidate_bindings_distinct_and_sorted():
@@ -613,13 +639,13 @@ def test_an_entity_lacking_a_parameter_unfilters_only_its_own_pairs(monkeypatch)
                     axioms=(parse_formula("eventually contact(a, b)"),))
     ctx = EvalContext.for_scenario(sc, theory)
     refined = []
-    real_eval_atom = logic.eval_atom
+    real_decide = logic.decide
 
-    def counting(atom, trace, t, binding, ctx):
+    def counting(phi, states, t, binding, ctx):
         refined.append((t, binding["a"], binding["b"]))
-        return real_eval_atom(atom, trace, t, binding, ctx)
+        return real_decide(phi, states, t, binding, ctx)
 
-    monkeypatch.setattr(logic, "eval_atom", counting)
+    monkeypatch.setattr(logic, "decide", counting)
     joined = list(joined_bindings(theory, sc, ctx, necessary_conditions(theory)))
     monkeypatch.undo()
     # q's pairs are refined at both instants, and of the others only the pair in contact

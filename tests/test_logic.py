@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_formula, random_trace_scenario
 
+from ischema.dsl import formula_to_text, parse_formula
 from ischema.errors import (
     MissingRole,
     SortMismatchInBinding,
@@ -279,6 +280,28 @@ def test_check_theory_earliest_failure_time():
     )
     report = check_theory(theory, sc, {"thing": "o"})
     assert report.axioms[0].witness.time == 2
+
+
+@pytest.mark.parametrize("axiom, time, text", [
+    # the first element of the domain that fails: p, not o
+    ("forall y : Object . y.x < 2", 0, "y.x < 2"),
+    # the first element of the domain
+    ("exists y : Object . y.x > 10", 0, "y.x > 10"),
+    ("next thing.x > 3", 1, "thing.x > 3"),
+    # the first instant before the first hit of the right side where the left fails
+    ("thing.x < 1 until thing.x > 6", 1, "thing.x < 1"),
+    # no hit: the right side at the start
+    ("true until thing.x > 9", 0, "thing.x > 9"),
+    # the past from instant 0
+    ("next next before thing.x > 6", 0, "thing.x > 6"),
+    ("thing.x > 1 or thing.x < 0", 0, "thing.x > 1"),
+])
+def test_check_theory_witness_of_each_operator(axiom, time, text):
+    p = make_entity("p", "Object", ShapeKind.POINT, [3, 0])
+    sc = _line_trace([0, 1, 5, 7], extra=[p])
+    theory = Theory(name="W", roles=(("thing", "Object"),), axioms=(parse_formula(axiom),))
+    witness = check_theory(theory, sc, {"thing": "o"}).axioms[0].witness
+    assert (witness.time, formula_to_text(witness.formula)) == (time, text)
 
 
 def test_check_theory_binding_validation(ball_cup):
