@@ -46,7 +46,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import dynamics, geometry
 from .errors import IschemaError, UnknownSort, ValueOutOfRange
@@ -848,14 +848,16 @@ class _SortChecker:
             return
         entity_terms: list[tuple[str, Optional[str]]] = []
         numeric_count = 0
-        for term in atom.args:
+        for term in atom.args:  # read in `logic.resolve_args`'s order
             if type(term) is not str:
                 self.check(term, scope, atom.span)
                 numeric_count += 1
-            elif (sort := self.term_sort(term, scope)) is not None:
-                entity_terms.append((term, sort))
+            elif term in scope:
+                entity_terms.append((term, scope[term]))
             elif term in self.numeric_params:
                 numeric_count += 1
+            elif term in self.entity_sorts:
+                entity_terms.append((term, self.entity_sorts[term]))
             else:
                 message = f"symbol {term!r} is not a declared role, variable, or entity"
                 self.error("unbound-symbol", message, atom.span)
@@ -884,9 +886,11 @@ class _SortChecker:
                 self.error("arity", geometry.arity_message(atom.relation), atom.span)
 
 
-def sort_check(obj: Theory | Scenario) -> list[Diagnostic]:
+def sort_check(obj: Theory | Scenario, entities: Iterable[EntityDecl] = ()) -> list[Diagnostic]:
     """Empty result iff every relation application matches its signature up to
-    subsorting and every symbol reference is declared."""
+    subsorting and every symbol reference is declared. A theory's axioms and
+    templates may also name `entities`, those of a scenario it is checked
+    against."""
     if isinstance(obj, Theory):
         try:
             hierarchy = obj.hierarchy()
@@ -897,7 +901,7 @@ def sort_check(obj: Theory | Scenario) -> list[Diagnostic]:
             hierarchy,
             relations,
             {n for n, _ in obj.numeric_params},
-            entity_sorts={},
+            entity_sorts={e.id: e.sort for e in entities},
         )
         scope = dict(obj.roles)
         for (role, sort), span in itertools.zip_longest(obj.roles, obj.role_spans):

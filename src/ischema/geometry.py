@@ -418,15 +418,14 @@ def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None
     closeTo; None when `name` sets no such bound. Containment and overlap
     keep the boxes meeting, contact and `on` keep them within epsilon, and
     closeTo keeps the anchors, which lie in the boxes, within its threshold.
-    For `name` "delta", the bound is that of a comparison `delta(a, b) <= k`
-    or `< k` with k the threshold: the same anchors within k. Absolute
-    values keep the bound sound under a negative tolerance, where a negative
-    size can still make the relation hold, and under a negative k."""
+    Absolute values keep the bound sound under a negative tolerance, where a
+    negative size can still make the relation hold, and under a negative
+    threshold."""
     if name in ("inside", "partOf", "overlaps"):
         return Fraction(0)
     if name in ("contact", "on"):
         return abs(ctx.epsilon)
-    if name == "closeTo" or name == "delta":
+    if name == "closeTo":
         return abs(ctx.tau if threshold is None else threshold)
     return None
 

@@ -7,13 +7,18 @@ sort-compatible role bindings (distinct entities per binding) and reports the
 satisfied ones in canonical order.
 
 The search (`search_bindings`) checks every candidate of `candidate_bindings`
-unless the theory is gap-only (`gap_only`): evaluating it can raise nothing
-but EVALUATION_GAP_ERRORS, which the search skips. Then it checks only the
-candidates that meet the positive atoms every satisfying binding must make
-true (`necessary_conditions`), each decided by filter and refine as the
-canonical order reaches it (`joined_bindings`). The results, their order and
-the errors raised are those of the full search. `candidate_bindings` stays the
-unfiltered oracle; `count_candidates` counts it without listing it.
+unless the theory is gap-only (`gap_only`): it sort-checks against the
+scenario's entities and is exact. Exact means that every atom applies a
+built-in of GAP_ONLY_RELATIONS or a template whose body is an exact
+comparison, that each side of a comparison is a lone delta or a rational
+expression, and that delta, theta and measure appear nowhere else. Then
+evaluating it can raise nothing but EVALUATION_GAP_ERRORS, which the search
+skips, and the search checks only the candidates that meet the positive
+atoms every satisfying binding must make true (`necessary_conditions`), each
+decided by filter and refine as the canonical order reaches it
+(`joined_bindings`). The results, their order and the errors raised are
+those of the full search. `candidate_bindings` stays the unfiltered oracle;
+`count_candidates` counts it without listing it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import dsl, geometry, logic
 from .errors import EVALUATION_GAP_ERRORS, UnknownSchema
-from .geometry import Const, DeltaExpr, EvalContext, NameRef, NumExpr, ParamRef, eval_num_expr
+from .geometry import Const, DeltaExpr, EvalContext, MeasureExpr, ParamRef, ThetaExpr, eval_num_expr
 from .logic import (
     Always,
     And,
@@ -37,20 +42,16 @@ from .logic import (
     Compare,
     Eventually,
     Exists,
-    FalseF,
-    Final,
     Forall,
     Formula,
     Implies,
     Next,
     Not,
-    Or,
-    TrueF,
     Until,
     check_theory,
 )
 from .model import Scenario, Theory, Trace
-from .tree import all_symbols
+from .tree import Node, all_symbols
 
 SHIPPED_SCHEMAS = (
     "AT_REST",
@@ -348,93 +349,43 @@ def search_bindings(
 GAP_ONLY_RELATIONS = frozenset(
     {"inside", "partOf", "contact", "on", "overlaps", "disjoint", "motion", "ccwStep", "closeTo"}
 )
-_CONNECTIVES = frozenset(
-    {TrueF, FalseF, Final, Not, And, Or, Implies, Next, Always, Eventually, Until, Before}
-)
-# theta and measure are computed in floats, and so is delta under arithmetic
-_RATIONAL_EXPRESSIONS = frozenset(
-    {Const, ParamRef, NameRef, geometry.Add, geometry.Sub, geometry.Mul, geometry.Neg}
-)
 
 
 def gap_only(theory: Theory, ctx: EvalContext) -> bool:
     """Whether evaluating the theory's axioms under any candidate binding can
     raise nothing but EVALUATION_GAP_ERRORS, decided from the text alone:
-    every atom applies, with the right arity and rational numeric arguments,
-    a built-in of GAP_ONLY_RELATIONS that no template overrides or a template
-    whose body is gap-only; each side of a comparison is a lone delta or
-    rational, so the comparison is exact; no other expression holds delta,
-    theta or measure; and every symbol, parameter and quantifier sort
-    resolves."""
-    # each template body read in place, once: its argN is the N-th entity
-    # argument of an atom of the right arity, always bound
-    bodies = {
-        name: type(sig.definition) is Compare
-        and _gap_only_compare(sig.definition, {f"arg{i + 1}" for i in range(len(sig.arg_sorts))}, ctx)
-        for name, sig in ctx.relations.items()
-        if sig.definition is not None
-    }
-    roles = {role for role, _ in theory.roles}
-    return all(_gap_only_formula(axiom, roles, ctx, bodies) for axiom in theory.axioms)
-
-
-def _gap_only_formula(phi: Formula, scope: set[str], ctx: EvalContext, bodies: Mapping[str, bool]) -> bool:
-    kind = type(phi)
-    if kind is Atom:
-        return _gap_only_atom(phi, scope, ctx, bodies)
-    if kind is Compare:
-        return _gap_only_compare(phi, scope, ctx)
-    if kind is Forall or kind is Exists:
-        if not ctx.hierarchy.known(phi.sort):
-            return False
-        scope = scope | {phi.var}
-    elif kind not in _CONNECTIVES:
-        return False
-    return all(_gap_only_formula(child, scope, ctx, bodies) for child in phi.children)
-
-
-def _gap_only_compare(c: Compare, scope: set[str], ctx: EvalContext) -> bool:
-    """Each side rational, or a lone delta, which `geometry.eval_constraint`
-    then decides exactly."""
-    return c.form != "real" and c.cmp in geometry.COMPARATORS and all(
-        type(side) is DeltaExpr and _resolves(side, scope, ctx) or _rational(side, scope, ctx)
-        for side in (c.lhs, c.rhs)
+    the theory is exact (`_exact`), its numeric parameters are rationals,
+    and `dsl.sort_check` against the scenario's entities reports nothing, so
+    every symbol, parameter, sort and arity resolves."""
+    return (
+        all(_exact(axiom, ctx) for axiom in theory.axioms)
+        and all(type(v) is Fraction for v in ctx.numeric_params.values())
+        and not dsl.sort_check(theory, ctx.entities.values())
     )
 
 
-def _gap_only_atom(atom: Atom, scope: set[str], ctx: EvalContext, bodies: Mapping[str, bool]) -> bool:
-    body_ok = bodies.get(atom.relation)  # None where no template overrides
-    if body_ok is None and atom.relation not in GAP_ONLY_RELATIONS:
-        return False
-    n_entities = n_numeric = 0
-    for term in atom.args:
-        if type(term) is not str and _rational(term, scope, ctx):
-            n_numeric += 1
-        elif type(term) is str and (term in scope or term not in ctx.numeric_params and term in ctx.entities):
-            n_entities += 1
-        elif type(term) is str and type(ctx.numeric_params.get(term)) is Fraction:
-            n_numeric += 1
-        else:
+def _exact(node: Node, ctx: EvalContext) -> bool:
+    """Whether every atom below `node` applies a built-in of
+    GAP_ONLY_RELATIONS that no template overrides, or a template whose body
+    is an exact comparison; every comparison, of a form other than "real",
+    decides each side in rationals or as a lone delta; and every other
+    number is a rational constant, a parameter or arithmetic on them."""
+    kind = type(node)
+    if kind is Atom:
+        body = getattr(ctx.relations.get(node.relation), "definition", None)
+        if body is None and node.relation not in GAP_ONLY_RELATIONS:
             return False
-    if body_ok is not None:
-        return body_ok and n_entities == len(ctx.relations[atom.relation].arg_sorts)
-    arity, most_numeric, _ = geometry.BUILTIN_RELATIONS[atom.relation]
-    return n_entities == arity and n_numeric <= most_numeric
-
-
-def _resolves(e: NumExpr, scope: set[str], ctx: EvalContext) -> bool:
-    return all(s in scope or s in ctx.entities for s in e.symbols)
-
-
-def _rational(e: NumExpr, scope: set[str], ctx: EvalContext) -> bool:
-    kind = type(e)
-    if kind not in _RATIONAL_EXPRESSIONS:
+        if body is not None and not (type(body) is Compare and _exact(body, ctx)):
+            return False
+    elif kind is Compare:
+        if node.form == "real" or node.cmp not in geometry.COMPARATORS:
+            return False
+        return all(type(side) is DeltaExpr or _exact(side, ctx) for side in (node.lhs, node.rhs))
+    elif kind is Const:
+        return type(node.value) is Fraction
+    elif kind is DeltaExpr or kind is ThetaExpr or kind is MeasureExpr:
         return False
-    if kind is Const and type(e.value) is not Fraction:
-        return False
-    if kind is NameRef and type(ctx.numeric_params.get(e.name)) is not Fraction:
-        return False
-    return _resolves(e, scope, ctx) and all(_rational(child, scope, ctx) for child in e.children)
+    return all(_exact(child, ctx) for child in node.children)
 
 
 class Condition(NamedTuple):
@@ -574,7 +525,7 @@ def _filter(phi: Formula, roles: Sequence[str], trace: Trace, ctx: EvalContext) 
 
     A built-in atom filters at its `geometry.box_margin`. A comparison
     `delta(a, b) <= k` or `< k`, in either orientation and with k free of
-    entity symbols, filters at the margin of `delta`; so does an atom whose
+    entity symbols, filters at |k| (`_distance_margin`); so does an atom whose
     template body is one, with its `argN` read as the atom's N-th entity
     argument.
     """
@@ -596,14 +547,15 @@ def _filter(phi: Formula, roles: Sequence[str], trace: Trace, ctx: EvalContext) 
 
 
 def _distance_margin(c: Compare, trace: Trace, ctx: EvalContext) -> tuple[Optional[Fraction], list]:
-    """`geometry.box_margin` of delta for a comparison `delta(a, b) <= k` or
-    `< k` in either orientation, with the symbols a and b; None and [] for
-    any other comparison."""
+    """|k| for a comparison `delta(a, b) <= k` or `< k` in either
+    orientation, with the symbols a and b: the anchors, which lie in the
+    boxes, are within |k| of each other. None and [] for any other
+    comparison."""
     cmp = c.cmp
     near, bound = (c.lhs, c.rhs) if cmp in ("<", "<=") else (c.rhs, c.lhs) if cmp in (">", ">=") else (None, None)
     if type(near) is not DeltaExpr or all_symbols(bound):
         return None, []
-    return geometry.box_margin("delta", ctx, eval_num_expr(bound, trace.states[0], ctx)), [near.a, near.b]
+    return abs(eval_num_expr(bound, trace.states[0], ctx)), [near.a, near.b]
 
 
 def classify(

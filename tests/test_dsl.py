@@ -503,6 +503,30 @@ def test_builtin_arity_diagnostic_matches_run_time_error(name):
     assert str(info.value) == diag.message
 
 
+def test_sort_check_reads_a_name_as_evaluation_does():
+    # a role or bound variable first, then a numeric parameter, then an entity
+    scenario = parse_scenario(
+        "scenario s\n  entity a : Object = Point(0, 0)\n  entity b : Object = Point(1, 0)\n"
+        "  entity k : Object = Point(2, 0)\n  trace length 2\nend"
+    )
+
+    def theory(roles):
+        declared = "".join(f"  role {r} : Object\n" for r in roles)
+        return parse_theory(f"theory T\n{declared}  param k = 3/2\n  axiom closeTo(a, b, k)\nend")
+
+    parameter = theory("ab")
+    assert sort_check(parameter, scenario.entities) == []
+    ctx = EvalContext.for_scenario(scenario, parameter)
+    assert eval_formula(parameter.axioms[0], scenario.trace, 0, {"a": "a", "b": "b"}, ctx)
+    role = theory("abk")
+    (diag,) = sort_check(role, scenario.entities)
+    assert diag.code == "arity"
+    ctx = EvalContext.for_scenario(scenario, role)
+    with pytest.raises(UnknownRelation) as info:
+        eval_formula(role.axioms[0], scenario.trace, 0, {"a": "a", "b": "b", "k": "k"}, ctx)
+    assert str(info.value) == diag.message
+
+
 def test_sort_check_scenario_rules():
     sc = parse_scenario(
         """scenario s

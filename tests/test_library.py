@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from ischema.errors import (
 )
 from ischema.geometry import DEFAULT_EPSILON, Const, EvalContext
 from ischema.library import (
+    GAP_ONLY_RELATIONS,
     SHIPPED_SCHEMAS,
     SchemaBinding,
     analogy,
@@ -425,7 +427,9 @@ def _random_theory(rng, sc, gappy):
     comparisons under and, always, eventually, next and until, with now and
     then a node that gives no condition; it may define templates from
     _JOIN_TEMPLATES. Unless `gappy`, one atom somewhere leaves the gap-only
-    fragment."""
+    fragment, or a template fails the sort check: one applied to a role of a
+    sort it does not take, or one no axiom applies that names an unknown
+    symbol."""
     sorts = ("Entity",) * 5 + ("Object", "Container", "Path", "Floor")
     roles = [(name, rng.choice(sorts))
              for name in ("a", "b", "c")[: rng.randint(1, min(3, len(sc.entities)))]]
@@ -467,11 +471,18 @@ def _random_theory(rng, sc, gappy):
     relations = [RelationSig(name, ("Entity", "Entity"), dsl.parse_formula(_JOIN_TEMPLATES[name]))
                  for name in templates]
     if not gappy:
-        spoiler = rng.choice(("delta(a, a) * 2 < 3", "smaller(a, a)", "ghost.x > 0", "template"))
+        spoiler = rng.choice(("delta(a, a) * 2 < 3", "smaller(a, a)", "ghost.x > 0", "template", "sort", "unused"))
         if spoiler == "template":
             relations = [r for r in relations if r.name != "contact"]
             relations.append(RelationSig("contact", ("Entity", "Entity"), dsl.parse_formula("theta(arg1, arg2) < 1")))
             spoiler = "contact(a, a)"
+        elif spoiler == "sort":  # an exact body, applied to a role that is no Container
+            roles[0] = ("a", rng.choice(("Entity", "Object", "Path", "Floor")))
+            relations.append(RelationSig("held", ("Container", "Container"), dsl.parse_formula("delta(arg1, arg2) <= 5")))
+            spoiler = "held(a, a)"
+        elif spoiler == "unused":  # never evaluated, but the sort check reads every template
+            relations.append(RelationSig("stray", ("Entity", "Entity"), dsl.parse_formula("delta(arg1, ghost) <= 1")))
+            spoiler = "true"
         axioms[0] = f"({axioms[0]}) and {spoiler}"
     return Theory(
         name="J",
@@ -554,6 +565,13 @@ def test_gap_only_classifier():
     assert not gap(theory("motion(a, b)"))
     assert not gap(theory("smaller(a, b)"))
     assert gap(theory("exists v : Entity . on(v, a) and v.x < b.x"))
+
+
+
+def test_readme_names_every_gap_only_relation():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("**Pre-filtered theories.**"):readme.index("The necessary conditions are")]
+    assert {name for name in geometry.BUILTIN_RELATIONS if f"`{name}`" in section} == GAP_ONLY_RELATIONS
 
 
 def test_necessary_conditions_follow_the_positive_skeleton():
