@@ -567,7 +567,6 @@ def test_gap_only_classifier():
     assert gap(theory("exists v : Entity . on(v, a) and v.x < b.x"))
 
 
-
 def test_readme_names_every_gap_only_relation():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("**Pre-filtered theories.**"):readme.index("The necessary conditions are")]
