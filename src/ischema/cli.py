@@ -420,10 +420,11 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     _check_at_least_one("--cap", cap)
     x_range, y_range, step = _parse_grid(grid)
 
+    ctx = EvalContext.for_scenario(scenario, theory)
     if free:
         free_ids = tuple(s.strip() for s in free.split(","))
     else:
-        free_ids = EvalContext.for_scenario(scenario, theory).domain("Object")
+        free_ids = ctx.domain("Object")
     if not free_ids:
         _fail_usage("no free entities: pass --free or declare Object entities")
     for i, eid in enumerate(free_ids):
@@ -437,7 +438,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
             _fail_usage(f"theory {theory.name} has no role {role!r}")
     unbound = [role for role in roles if role not in binding]
     if unbound:
-        full = next(library.candidate_bindings(theory, scenario, fixed=binding), None)
+        full = next(library.candidate_bindings(theory, scenario, ctx, binding), None)
         if full is None:
             _fail_usage(f"no sort-compatible binding for roles {', '.join(unbound)}")
         binding = full

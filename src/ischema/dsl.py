@@ -46,7 +46,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import dynamics, geometry
 from .errors import IschemaError, UnknownSort, ValueOutOfRange
@@ -55,6 +55,7 @@ from .geometry import (
     Add,
     Const,
     DeltaExpr,
+    EvalContext,
     MeasureExpr,
     Mul,
     NameRef,
@@ -870,6 +871,9 @@ class _SortChecker:
                     atom.span,
                 )
                 return
+            if sig.definition is not None and numeric_count:
+                message = f"{atom.relation} expects no numeric arguments, got {numeric_count}"
+                self.error("arity", message, atom.span)
             for (name, sort), expected in zip(entity_terms, sig.arg_sorts):
                 if not self.hierarchy.known(expected):
                     self.error("unknown-sort", f"unknown sort {expected!r}", atom.span)
@@ -886,14 +890,15 @@ class _SortChecker:
                 self.error("arity", geometry.arity_message(atom.relation), atom.span)
 
 
-def sort_check(obj: Theory | Scenario, entities: Iterable[EntityDecl] = ()) -> list[Diagnostic]:
+def sort_check(obj: Theory | Scenario, ctx: Optional[EvalContext] = None) -> list[Diagnostic]:
     """Empty result iff every relation application matches its signature up to
-    subsorting and every symbol reference is declared. A theory's axioms and
-    templates may also name `entities`, those of a scenario it is checked
-    against."""
+    subsorting and every symbol reference is declared. A theory may be
+    checked against `ctx`, a context built for it and a scenario: its
+    axioms and templates may then also name the scenario's entities, and
+    the check reads the context's sort hierarchy."""
     if isinstance(obj, Theory):
         try:
-            hierarchy = obj.hierarchy()
+            hierarchy = obj.hierarchy() if ctx is None else ctx.hierarchy
         except UnknownSort as exc:
             return [Diagnostic("error", "unknown-sort", str(exc), exc.span or _NO_SPAN)]
         relations = {sig.name: sig for sig in obj.relations}
@@ -901,7 +906,7 @@ def sort_check(obj: Theory | Scenario, entities: Iterable[EntityDecl] = ()) -> l
             hierarchy,
             relations,
             {n for n, _ in obj.numeric_params},
-            entity_sorts={e.id: e.sort for e in entities},
+            entity_sorts={e.id: e.sort for e in ctx.entities.values()} if ctx else {},
         )
         scope = dict(obj.roles)
         for (role, sort), span in itertools.zip_longest(obj.roles, obj.role_spans):

@@ -930,6 +930,8 @@ def eval_relation(
     if sig is not None and sig.definition is not None:
         if len(entity_args) != len(sig.arg_sorts):
             raise UnknownRelation(f"{name} expects {len(sig.arg_sorts)} arguments")
+        if num_args:
+            raise UnknownRelation(f"{name} expects no numeric arguments, got {len(num_args)}")
         template_binding = {f"arg{i + 1}": e for i, e in enumerate(entity_args)}
         return eval_constraint(sig.definition, state, ctx, template_binding)
     builtin = BUILTIN_RELATIONS.get(name)

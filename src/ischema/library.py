@@ -6,24 +6,23 @@ primitive catalog is data too (primitives.json). Classification searches all
 sort-compatible role bindings (distinct entities per binding) and reports the
 satisfied ones in canonical order.
 
-The search (`search_bindings`) checks every candidate of `candidate_bindings`
-unless the theory is gap-only (`gap_only`): it sort-checks against the
-scenario's entities and is exact. Exact means that every atom applies a
-built-in of GAP_ONLY_RELATIONS or a template whose body is an exact
-comparison, that each side of a comparison is a lone delta or a rational
-expression, and that delta, theta and measure appear nowhere else. Then
-evaluating it can raise nothing but EVALUATION_GAP_ERRORS, which the search
-skips, and the search checks only the candidates that meet the positive
-atoms every satisfying binding must make true (`necessary_conditions`), each
-decided by filter and refine as the canonical order reaches it
-(`joined_bindings`). The results, their order and the errors raised are
-those of the full search. `candidate_bindings` stays the unfiltered oracle;
-`count_candidates` counts it without listing it.
+The search (`search_bindings`) builds one evaluation context and checks
+each candidate that `candidate_bindings` yields. When the theory is gap-only
+(`gap_only`), it sort-checks against the scenario's entities and is exact.
+Exact means that every atom applies a built-in of GAP_ONLY_RELATIONS or a
+template whose body is an exact comparison, that each side of a comparison
+is a lone delta or a rational expression, and that delta, theta and measure
+appear nowhere else. Then evaluating it can raise nothing but
+EVALUATION_GAP_ERRORS, which the search skips, so the candidates need only
+meet the positive atoms every satisfying binding must make true
+(`necessary_conditions`), each decided by filter and refine as the canonical
+order reaches it. Any other theory has no conditions, and every candidate is
+checked. The results, their order and the errors raised are those of the
+full search. `count_candidates` counts the candidates without listing them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,17 +262,55 @@ def _role_pools(
 def candidate_bindings(
     theory: Theory,
     scenario: Scenario,
+    ctx: EvalContext,
     fixed: Optional[Mapping[str, str]] = None,
+    conditions: Sequence[Condition] = (),
 ) -> Iterator[dict[str, str]]:
-    """All sort-compatible role bindings, entities sorted by id, roles in
-    declaration order; roles bind distinct entities. Roles named in
-    `fixed` keep the entity given there; naming a role the theory lacks
-    leaves no candidate."""
-    pools = _role_pools(theory, EvalContext.for_scenario(scenario, theory), fixed)
-    for combo in itertools.product(*pools) if pools is not None else ():
-        if len(set(combo)) != len(combo):
+    """The sort-compatible role bindings that meet every one of `conditions`,
+    in canonical order: entities sorted by id, roles in declaration order;
+    roles bind distinct entities. Roles named in `fixed` keep the entity
+    given there; naming a role the theory lacks leaves no candidate. With no
+    conditions, every candidate.
+
+    `conditions` are the `necessary_conditions` of a gap-only theory over a
+    concrete trace. Backtracking over the roles in declaration order, each
+    pool in id order, tests a condition as soon as its last role is bound:
+    forward checking (Haralick and Elliott, AIJ 1980) over a filter-and-refine
+    spatial join (Brinkhoff, Kriegel and Seeger, SIGMOD 1993; see `_tester`).
+    A tuple is decided when first reached, so a search that stops at its
+    first binding decides only what it reaches. A gap-only theory raises
+    nothing but EVALUATION_GAP_ERRORS, which the search skips, so dropping a
+    binding that fails a condition changes neither the results nor the errors.
+    """
+    pools = _role_pools(theory, ctx, fixed)
+    if pools is None:
+        return
+    names = [role for role, _ in theory.roles]
+    tests: list[list[tuple[tuple[int, ...], Callable]]] = [[] for _ in names]
+    for cond in conditions:
+        test = _tester(cond, names, scenario.trace, ctx)
+        if not cond.roles:
+            if not test(()):
+                return
+        else:
+            tests[cond.roles[-1]].append((cond.roles, test))
+    yield from _extend(names, pools, tests, [])
+
+
+def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequence[list], chosen: list[str]):
+    """The bindings that extend `chosen`, the entities of the first roles,
+    by backtracking; a condition is tested once its last role is bound."""
+    depth = len(chosen)
+    if depth == len(names):
+        yield dict(zip(names, chosen))
+        return
+    for entity in pools[depth]:
+        if entity in chosen:
             continue
-        yield {role: entity for (role, _), entity in zip(theory.roles, combo)}
+        chosen.append(entity)
+        if all(test(tuple([chosen[i] for i in roles])) for roles, test in tests[depth]):
+            yield from _extend(names, pools, tests, chosen)
+        chosen.pop()
 
 
 def count_candidates(
@@ -281,7 +318,8 @@ def count_candidates(
     scenario: Scenario,
     fixed: Optional[Mapping[str, str]] = None,
 ) -> int:
-    """How many bindings `candidate_bindings` yields, without listing them.
+    """How many bindings `candidate_bindings` yields without conditions,
+    without listing them.
 
     A dynamic program over the entities: `ways` maps each set of roles (a
     bitmask) to the number of ways to bind exactly those roles to distinct
@@ -319,20 +357,19 @@ def search_bindings(
     roles: every satisfying binding of `theory`, lazily, in the canonical
     order of `candidate_bindings`.
 
-    The evaluation context is built once. Each candidate's axioms are
+    The evaluation context, with its sort hierarchy, is built once, and so
+    are the conditions: the `necessary_conditions` of a gap-only theory over
+    a concrete trace, none for any other. Each candidate's axioms are
     evaluated in order up to the first false one, and a candidate whose
     evaluation raises one of EVALUATION_GAP_ERRORS (a relation undefined for
     the shapes bound) is skipped; any other error propagates. A satisfying
-    binding's report lists every axiom as satisfied. For a gap-only theory
-    with necessary conditions the candidates are those of `joined_bindings`.
+    binding's report lists every axiom as satisfied.
     """
     ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
-    conditions = necessary_conditions(theory) if scenario.trace is not None else []
-    if conditions and gap_only(theory, ctx):
-        candidates = joined_bindings(theory, scenario, ctx, conditions, fixed)
-    else:
-        candidates = candidate_bindings(theory, scenario, fixed=fixed)
-    for binding in candidates:
+    conditions = necessary_conditions(theory) if scenario.trace is not None else ()
+    if conditions and not gap_only(theory, ctx):
+        conditions = ()
+    for binding in candidate_bindings(theory, scenario, ctx, fixed, conditions):
         try:
             report = check_theory(theory, scenario, binding, ctx=ctx, stop_at_first_false=True)
         except EVALUATION_GAP_ERRORS:
@@ -355,12 +392,13 @@ def gap_only(theory: Theory, ctx: EvalContext) -> bool:
     """Whether evaluating the theory's axioms under any candidate binding can
     raise nothing but EVALUATION_GAP_ERRORS, decided from the text alone:
     the theory is exact (`_exact`), its numeric parameters are rationals,
-    and `dsl.sort_check` against the scenario's entities reports nothing, so
-    every symbol, parameter, sort and arity resolves."""
+    and `dsl.sort_check` against `ctx`, a context built for the theory and
+    a scenario, reports nothing, so every symbol, parameter, sort and arity
+    resolves."""
     return (
         all(_exact(axiom, ctx) for axiom in theory.axioms)
         and all(type(v) is Fraction for v in ctx.numeric_params.values())
-        and not dsl.sort_check(theory, ctx.entities.values())
+        and not dsl.sort_check(theory, ctx)
     )
 
 
@@ -426,57 +464,6 @@ def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out
         _collect_conditions(phi.operand, True, index, out)
     elif kind is Until:
         _collect_conditions(phi.right, True, index, out)
-
-
-def joined_bindings(
-    theory: Theory,
-    scenario: Scenario,
-    ctx: EvalContext,
-    conditions: Sequence[Condition],
-    fixed: Optional[Mapping[str, str]] = None,
-) -> Iterator[dict[str, str]]:
-    """The subsequence of `candidate_bindings` that meets every one of
-    `conditions`, the `necessary_conditions` of a gap-only theory over a
-    concrete trace.
-
-    Backtracking over the roles in declaration order, each pool in id order,
-    tests a condition as soon as its last role is bound: forward checking
-    (Haralick and Elliott, AIJ 1980) over a filter-and-refine spatial join
-    (Brinkhoff, Kriegel and Seeger, SIGMOD 1993; see `_tester`). A tuple is
-    decided when first reached, so a search that stops at its first binding
-    decides only what it reaches. A gap-only theory raises nothing but
-    EVALUATION_GAP_ERRORS, which the search skips, so dropping a binding
-    that fails a condition changes neither the results nor the errors.
-    """
-    pools = _role_pools(theory, ctx, fixed)
-    if pools is None:
-        return
-    names = [role for role, _ in theory.roles]
-    tests: list[list[tuple[tuple[int, ...], Callable]]] = [[] for _ in names]
-    for cond in conditions:
-        test = _tester(cond, names, scenario.trace, ctx)
-        if not cond.roles:
-            if not test(()):
-                return
-        else:
-            tests[cond.roles[-1]].append((cond.roles, test))
-    yield from _extend(names, pools, tests, [])
-
-
-def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequence[list], chosen: list[str]):
-    """The bindings that extend `chosen`, the entities of the first roles,
-    by backtracking; a condition is tested once its last role is bound."""
-    depth = len(chosen)
-    if depth == len(names):
-        yield dict(zip(names, chosen))
-        return
-    for entity in pools[depth]:
-        if entity in chosen:
-            continue
-        chosen.append(entity)
-        if all(test(tuple([chosen[i] for i in roles])) for roles, test in tests[depth]):
-            yield from _extend(names, pools, tests, chosen)
-        chosen.pop()
 
 
 def _tester(

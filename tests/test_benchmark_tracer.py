@@ -52,8 +52,9 @@ def test_every_wrapped_site_is_an_engine_function(tracer_module):
         # delta under arithmetic keeps the theory off the join: every ordered
         # pair of the 4 distinct entities is generated and checked
         ("always (on(upper, lower) and delta(upper, lower) * 1 >= 0)", 12, 12),
-        # SUPPORT itself is joined: only the pairs `on` holds for at t=0 are checked
-        ("always on(upper, lower)", 0, 3),
+        # SUPPORT itself is joined: only the pairs `on` holds for at t=0 are
+        # generated and checked
+        ("always on(upper, lower)", 3, 3),
     ],
 )
 def test_traced_classify_counts_bindings(tracer_module, axiom, generated, checked):

@@ -13,7 +13,9 @@ from conftest import mutate
 from ischema.cli import main
 from ischema import dsl, enumeration
 from ischema.errors import ConflictingEffects, SearchSpaceTooLarge, UnsupportedShapePair
+from ischema.geometry import EvalContext
 from ischema.library import SHIPPED_SCHEMAS, _data_text, shipped_scenario
+from ischema.model import Theory
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ischema" / "data"
 
@@ -424,6 +426,22 @@ def test_relation_without_template_is_sort_checked(runner, tmp_path, relation, a
     _assert_usage_error(result, message)
 
 
+def test_template_given_a_numeric_argument_is_an_arity_error(runner, tmp_path):
+    # a template takes entity arguments only; the 100 is not read as a bound
+    theory = tmp_path / "T.ist"
+    theory.write_text(
+        "theory T\n  role a : Object\n  role b : Object\n"
+        "  relation near(Object, Object) := delta(arg1, arg2) <= 1\n  axiom near(a, b, 100)\nend\n"
+    )
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(
+        "scenario s\n  entity p : Object = Point(0, 0)\n  entity q : Object = Point(3, 4)\n"
+        "  trace length 1\nend\n"
+    )
+    result = _run(runner, ["check", str(theory), str(scenario), "--bind", "a=p", "--bind", "b=q"])
+    _assert_usage_error(result, "T.ist:5:9: error[arity]: near expects no numeric arguments, got 1")
+
+
 def test_usage_error_exits_two(runner):
     result = _run(runner, ["analogy", _path("solar.scn"), _path("atom.scn")])
     assert result.exit_code == 2
@@ -499,10 +517,26 @@ def test_enumerate_cap_decided_without_the_power(runner):
     assert "Traceback" not in result.output
 
 
-def test_check_unbound_search_keeps_bound_roles(runner):
+def test_check_unbound_search_keeps_bound_roles(runner, monkeypatch):
+    built = []
+    real_for_scenario = EvalContext.for_scenario.__func__
+    real_hierarchy = Theory.hierarchy
+
+    def for_scenario(cls, *args, **kwargs):
+        built.append("context")
+        return real_for_scenario(cls, *args, **kwargs)
+
+    def hierarchy(theory):
+        built.append("hierarchy")
+        return real_hierarchy(theory)
+
+    monkeypatch.setattr(EvalContext, "for_scenario", classmethod(for_scenario))
+    monkeypatch.setattr(Theory, "hierarchy", hierarchy)
     result = _run(runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), "--bind", "lower=box"])
     assert result.exit_code == 0
     assert "theory SUPPORT with lower=box, upper=marble" in result.output
+    # one hierarchy for the sort check of the file, and one context, with its hierarchy, for the search
+    assert built == ["hierarchy", "context", "hierarchy"]
 
 
 def test_check_unbound_search_unknown_role_has_no_candidates(runner):

@@ -334,6 +334,10 @@ GOLDEN_DIAGNOSTICS = [
      "g:3:9: error[unbound-symbol]: 'a' is not a declared numeric parameter"),
     (parse_scenario, _RULES + "rule r when true do o.x := o\n  horizon 1\nend",
      "g:4:25: error[unbound-symbol]: 'o' is not a declared numeric parameter"),
+    # a template takes entity arguments only
+    (parse_theory, "theory T\n  role a : Object\n  relation near(Object, Object) := delta(arg1, arg2) <= 1\n"
+     "  axiom near(a, a, 100)\nend",
+     "g:4:9: error[arity]: near expects no numeric arguments, got 1"),
     (parse_theory, "theory T\n  sort Cup < Contaner\nend",
      "g:2:14: error[unknown-sort]: unknown sort 'Contaner'"),
     (parse_theory, "theory T\n  sort Mug < Cup\n  sort Cup < Contaner\nend",
@@ -503,6 +507,20 @@ def test_builtin_arity_diagnostic_matches_run_time_error(name):
     assert str(info.value) == diag.message
 
 
+def test_template_arity_diagnostic_matches_run_time_error():
+    theory = parse_theory(
+        "theory T\n  role a : Object\n  relation near(Object, Object) := delta(arg1, arg2) <= 1\n"
+        "  axiom near(a, a, 1, 2)\nend"
+    )
+    scenario = parse_scenario("scenario s\n  entity a : Object = Point(0, 0)\n  trace length 1\nend")
+    (diag,) = sort_check(theory)
+    assert diag.code == "arity"
+    ctx = EvalContext.for_scenario(scenario, theory)
+    with pytest.raises(UnknownRelation) as info:
+        eval_formula(theory.axioms[0], scenario.trace, 0, {"a": "a"}, ctx)
+    assert str(info.value) == diag.message == "near expects no numeric arguments, got 2"
+
+
 def test_sort_check_reads_a_name_as_evaluation_does():
     # a role or bound variable first, then a numeric parameter, then an entity
     scenario = parse_scenario(
@@ -515,13 +533,13 @@ def test_sort_check_reads_a_name_as_evaluation_does():
         return parse_theory(f"theory T\n{declared}  param k = 3/2\n  axiom closeTo(a, b, k)\nend")
 
     parameter = theory("ab")
-    assert sort_check(parameter, scenario.entities) == []
     ctx = EvalContext.for_scenario(scenario, parameter)
+    assert sort_check(parameter, ctx) == []
     assert eval_formula(parameter.axioms[0], scenario.trace, 0, {"a": "a", "b": "b"}, ctx)
     role = theory("abk")
-    (diag,) = sort_check(role, scenario.entities)
-    assert diag.code == "arity"
     ctx = EvalContext.for_scenario(scenario, role)
+    (diag,) = sort_check(role, ctx)
+    assert diag.code == "arity"
     with pytest.raises(UnknownRelation) as info:
         eval_formula(role.axioms[0], scenario.trace, 0, {"a": "a", "b": "b", "k": "k"}, ctx)
     assert str(info.value) == diag.message

@@ -1,7 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,6 @@ from ischema.library import (
     classify,
     count_candidates,
     gap_only,
-    joined_bindings,
     make_source_path_goal,
     necessary_conditions,
     primitive_catalog,
@@ -205,11 +205,30 @@ def test_float_tolerances_give_the_results_of_their_fractions():
             EvalContext.for_scenario(hover, tau=bad)
 
 
+def _product_bindings(theory, sc, fixed=None):
+    """Every candidate binding, listed by `itertools.product` over each
+    role's sort-compatible entities sorted by id, without repeats: the
+    unfiltered reference for `library.candidate_bindings`."""
+    fixed = fixed or {}
+    names = [role for role, _ in theory.roles]
+    if not set(fixed) <= set(names):
+        return
+    hierarchy = theory.hierarchy()
+    pools = [
+        sorted(e.id for e in sc.entities if hierarchy.subsort_of(e.sort, sort) and fixed.get(role, e.id) == e.id)
+        for role, sort in theory.roles
+    ]
+    for combo in product(*pools):
+        if len(set(combo)) == len(combo):
+            yield dict(zip(names, combo))
+
+
 def test_candidate_bindings_distinct_and_sorted():
     sc = shipped_scenario("stack")
     theory = schema_theory("SUPPORT")
-    combos = list(candidate_bindings(theory, sc))
-    assert all(b["upper"] != b["lower"] for b in combos)
+    combos = list(candidate_bindings(theory, sc, EvalContext.for_scenario(sc, theory)))
+    assert combos == list(_product_bindings(theory, sc))
+    assert len(combos) == 12 and all(b["upper"] != b["lower"] for b in combos)
     assert combos == sorted(combos, key=lambda b: (b["upper"], b["lower"]))
 
 
@@ -218,7 +237,7 @@ def test_candidate_bindings_distinct_and_sorted():
 
 def _reference_bindings(theory, sc):
     """Satisfying bindings by the naive evaluator, every axiom evaluated."""
-    for binding in candidate_bindings(theory, sc):
+    for binding in _product_bindings(theory, sc):
         try:
             report = check_theory(theory, sc, binding, evaluator=reference_eval)
         except EVALUATION_GAP_ERRORS:
@@ -305,8 +324,9 @@ def test_search_with_fixed_roles():
     theory = schema_theory("SUPPORT")
     found = [r.binding.as_dict() for r in search_bindings(theory, sc, fixed={"lower": "box"})]
     assert found == [{"upper": "marble", "lower": "box"}]
-    assert list(candidate_bindings(theory, sc, fixed={"nothing": "box"})) == []
-    assert list(candidate_bindings(theory, sc, fixed={"lower": "nobody"})) == []
+    ctx = EvalContext.for_scenario(sc, theory)
+    assert list(candidate_bindings(theory, sc, ctx, fixed={"nothing": "box"})) == []
+    assert list(candidate_bindings(theory, sc, ctx, fixed={"lower": "nobody"})) == []
 
 
 @given(st.integers(0, 10**6))
@@ -387,10 +407,10 @@ def test_ccw_step_agrees_with_literal_theta_away_from_wrap():
 
 
 def _unfiltered(theory, sc, epsilon, tau, fixed):
-    """The search as it runs for a theory that is not gap-only: every
-    candidate of `candidate_bindings` checked."""
+    """The search as it runs for a theory with no conditions: every
+    candidate binding checked."""
     ctx = EvalContext.for_scenario(sc, theory, epsilon=epsilon, tau=tau)
-    for binding in candidate_bindings(theory, sc, fixed=fixed):
+    for binding in _product_bindings(theory, sc, fixed):
         try:
             report = check_theory(theory, sc, binding, ctx=ctx, stop_at_first_false=True)
         except EVALUATION_GAP_ERRORS:
@@ -624,6 +644,27 @@ def test_join_checks_only_candidates_that_meet_the_conditions(monkeypatch):
     ]
 
 
+def test_each_search_builds_one_context(monkeypatch):
+    sc = shipped_scenario("stack")
+    theories = [schema_theory(name) for name in SHIPPED_SCHEMAS]
+    built = Counter()
+    real_hierarchy = Theory.hierarchy
+    real_for_scenario = EvalContext.for_scenario.__func__
+
+    def hierarchy(theory):
+        built["hierarchy"] += 1
+        return real_hierarchy(theory)
+
+    def for_scenario(cls, *args, **kwargs):
+        built["context"] += 1
+        return real_for_scenario(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Theory, "hierarchy", hierarchy)
+    monkeypatch.setattr(EvalContext, "for_scenario", classmethod(for_scenario))
+    assert classify(sc, theories)
+    assert built == {"hierarchy": 8, "context": 8}
+
+
 def test_classify_builds_each_box_once(monkeypatch):
     sc = shipped_scenario("ball_cup")
     served: dict[tuple, list] = {}  # (view, entity) -> every box handed out
@@ -663,7 +704,7 @@ def test_an_entity_lacking_a_parameter_unfilters_only_its_own_pairs(monkeypatch)
         return real_decide(phi, states, t, binding, ctx)
 
     monkeypatch.setattr(logic, "decide", counting)
-    joined = list(joined_bindings(theory, sc, ctx, necessary_conditions(theory)))
+    joined = list(candidate_bindings(theory, sc, ctx, conditions=necessary_conditions(theory)))
     monkeypatch.undo()
     # q's pairs are refined at both instants, and of the others only the pair in contact
     ids = [e.id for e in entities]
@@ -675,21 +716,39 @@ def test_an_entity_lacking_a_parameter_unfilters_only_its_own_pairs(monkeypatch)
     assert got == [(("a", "c0"), ("b", "c1")), (("a", "c1"), ("b", "c0"))]
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=200, deadline=None)
-def test_count_candidates_equals_the_enumerated_count(seed):
-    rng = random.Random(seed)
+def _random_roles(rng):
+    """A random scene, a theory of 0 to 5 roles over it, and roles fixed to
+    an entity, which may be of a sort the role does not take, to an unknown
+    entity, or now and then a role the theory lacks."""
     sc = random_shape_trace(rng, max_entities=7, max_len=1)
     sorts = ("Entity", "Entity", "Object", "Container", "Circle", "Path", "Floor")
     roles = tuple((f"r{i}", rng.choice(sorts)) for i in range(rng.randint(0, 5)))
-    theory = Theory("T", roles=roles)
     fixed = {}
     for role, _ in roles:
         if rng.random() < 0.2:
             fixed[role] = rng.choice(sc.entities).id
+        elif rng.random() < 0.05:
+            fixed[role] = "nobody"
     if rng.random() < 0.05:
         fixed["zz"] = sc.entities[0].id
-    expected = sum(1 for _ in candidate_bindings(theory, sc, fixed=fixed))
+    return sc, Theory("T", roles=roles), fixed
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_candidate_bindings_without_conditions_are_the_product(seed):
+    sc, theory, fixed = _random_roles(random.Random(seed))
+    ctx = EvalContext.for_scenario(sc, theory)
+    got = list(candidate_bindings(theory, sc, ctx, fixed))
+    assert got == list(_product_bindings(theory, sc, fixed))
+    assert got == list(candidate_bindings(theory, sc, ctx, fixed, conditions=()))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_count_candidates_equals_the_enumerated_count(seed):
+    sc, theory, fixed = _random_roles(random.Random(seed))
+    expected = sum(1 for _ in _product_bindings(theory, sc, fixed))
     assert count_candidates(theory, sc, fixed=fixed) == expected
 
 
