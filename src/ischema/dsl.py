@@ -906,7 +906,7 @@ def sort_check(obj: Theory | Scenario, ctx: Optional[EvalContext] = None) -> lis
             hierarchy,
             relations,
             {n for n, _ in obj.numeric_params},
-            entity_sorts={e.id: e.sort for e in ctx.entities.values()} if ctx else {},
+            entity_sorts={e.id: e.sort for e in ctx.entities.values()} if ctx is not None else {},
         )
         scope = dict(obj.roles)
         for (role, sort), span in itertools.zip_longest(obj.roles, obj.role_spans):

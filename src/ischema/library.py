@@ -259,60 +259,6 @@ def _role_pools(
     return pools
 
 
-def candidate_bindings(
-    theory: Theory,
-    scenario: Scenario,
-    ctx: EvalContext,
-    fixed: Optional[Mapping[str, str]] = None,
-    conditions: Sequence[Condition] = (),
-) -> Iterator[dict[str, str]]:
-    """The sort-compatible role bindings that meet every one of `conditions`,
-    in canonical order: entities sorted by id, roles in declaration order;
-    roles bind distinct entities. Roles named in `fixed` keep the entity
-    given there; naming a role the theory lacks leaves no candidate. With no
-    conditions, every candidate.
-
-    `conditions` are the `necessary_conditions` of a gap-only theory over a
-    concrete trace. Backtracking over the roles in declaration order, each
-    pool in id order, tests a condition as soon as its last role is bound:
-    forward checking (Haralick and Elliott, AIJ 1980) over a filter-and-refine
-    spatial join (Brinkhoff, Kriegel and Seeger, SIGMOD 1993; see `_tester`).
-    A tuple is decided when first reached, so a search that stops at its
-    first binding decides only what it reaches. A gap-only theory raises
-    nothing but EVALUATION_GAP_ERRORS, which the search skips, so dropping a
-    binding that fails a condition changes neither the results nor the errors.
-    """
-    pools = _role_pools(theory, ctx, fixed)
-    if pools is None:
-        return
-    names = [role for role, _ in theory.roles]
-    tests: list[list[tuple[tuple[int, ...], Callable]]] = [[] for _ in names]
-    for cond in conditions:
-        test = _tester(cond, names, scenario.trace, ctx)
-        if not cond.roles:
-            if not test(()):
-                return
-        else:
-            tests[cond.roles[-1]].append((cond.roles, test))
-    yield from _extend(names, pools, tests, [])
-
-
-def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequence[list], chosen: list[str]):
-    """The bindings that extend `chosen`, the entities of the first roles,
-    by backtracking; a condition is tested once its last role is bound."""
-    depth = len(chosen)
-    if depth == len(names):
-        yield dict(zip(names, chosen))
-        return
-    for entity in pools[depth]:
-        if entity in chosen:
-            continue
-        chosen.append(entity)
-        if all(test(tuple([chosen[i] for i in roles])) for roles, test in tests[depth]):
-            yield from _extend(names, pools, tests, chosen)
-        chosen.pop()
-
-
 def count_candidates(
     theory: Theory,
     scenario: Scenario,
@@ -464,6 +410,60 @@ def _collect_conditions(phi: Formula, later: bool, index: Mapping[str, int], out
         _collect_conditions(phi.operand, True, index, out)
     elif kind is Until:
         _collect_conditions(phi.right, True, index, out)
+
+
+def candidate_bindings(
+    theory: Theory,
+    scenario: Scenario,
+    ctx: EvalContext,
+    fixed: Optional[Mapping[str, str]] = None,
+    conditions: Sequence[Condition] = (),
+) -> Iterator[dict[str, str]]:
+    """The sort-compatible role bindings that meet every one of `conditions`
+    (all of them, without conditions): entities sorted by id, roles in
+    declaration order; roles bind distinct entities. Roles named in `fixed`
+    keep the entity given there; naming a role the theory lacks leaves no
+    candidate. `conditions` are the `necessary_conditions` of a gap-only
+    theory over a concrete trace.
+
+    Backtracking over the roles in declaration order, each pool in id order,
+    tests a condition as soon as its last role is bound: forward checking
+    (Haralick and Elliott, AIJ 1980) over a filter-and-refine spatial join
+    (Brinkhoff, Kriegel and Seeger, SIGMOD 1993; see `_tester`). A tuple is
+    decided when first reached, so a search that stops at its first binding
+    decides only what it reaches. A gap-only theory raises nothing but
+    EVALUATION_GAP_ERRORS, which the search skips, so dropping a binding
+    that fails a condition changes neither the results nor the errors.
+    """
+    pools = _role_pools(theory, ctx, fixed)
+    if pools is None:
+        return
+    names = [role for role, _ in theory.roles]
+    tests: list[list[tuple[tuple[int, ...], Callable]]] = [[] for _ in names]
+    for cond in conditions:
+        test = _tester(cond, names, scenario.trace, ctx)
+        if not cond.roles:
+            if not test(()):
+                return
+        else:
+            tests[cond.roles[-1]].append((cond.roles, test))
+    yield from _extend(names, pools, tests, [])
+
+
+def _extend(names: Sequence[str], pools: Sequence[Sequence[str]], tests: Sequence[list], chosen: list[str]):
+    """The bindings that extend `chosen`, the entities of the first roles,
+    by backtracking; a condition is tested once its last role is bound."""
+    depth = len(chosen)
+    if depth == len(names):
+        yield dict(zip(names, chosen))
+        return
+    for entity in pools[depth]:
+        if entity in chosen:
+            continue
+        chosen.append(entity)
+        if all(test(tuple([chosen[i] for i in roles])) for roles, test in tests[depth]):
+            yield from _extend(names, pools, tests, chosen)
+        chosen.pop()
 
 
 def _tester(

@@ -739,9 +739,8 @@ def _random_roles(rng):
 def test_candidate_bindings_without_conditions_are_the_product(seed):
     sc, theory, fixed = _random_roles(random.Random(seed))
     ctx = EvalContext.for_scenario(sc, theory)
-    got = list(candidate_bindings(theory, sc, ctx, fixed))
+    got = list(candidate_bindings(theory, sc, ctx, fixed, conditions=()))
     assert got == list(_product_bindings(theory, sc, fixed))
-    assert got == list(candidate_bindings(theory, sc, ctx, fixed, conditions=()))
 
 
 @given(st.integers(0, 10**6))
