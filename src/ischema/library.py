@@ -7,8 +7,8 @@ sort-compatible role bindings (distinct entities per binding) and reports the
 satisfied ones in canonical order.
 
 The search (`search_bindings`) builds one evaluation context and checks
-each candidate that `candidate_bindings` yields. When the theory is gap-only
-(`gap_only`), it sort-checks against the scenario's entities and is exact.
+each candidate that `candidate_bindings` yields. A theory is gap-only
+(`gap_only`) when it sort-checks against the scenario's entities and is exact.
 Exact means that every atom applies a built-in of GAP_ONLY_RELATIONS or a
 template whose body is an exact comparison, that each side of a comparison
 is a lone delta or a rational expression, and that delta, theta and measure
