@@ -235,9 +235,10 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     if binding.keys() == {role for role, _ in theory.roles}:
         report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
     else:
-        found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding), None)
+        ctx = EvalContext.for_scenario(scenario, theory, epsilon=eps, tau=tau_v)
+        found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding, ctx=ctx), None)
         if found is None:
-            searched = library.count_candidates(theory, scenario, fixed=binding)
+            searched = library.count_candidates(theory, scenario, fixed=binding, ctx=ctx)
             if json_output:
                 return {
                     "command": "check",
@@ -420,7 +421,7 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
     _check_at_least_one("--cap", cap)
     x_range, y_range, step = _parse_grid(grid)
 
-    ctx = EvalContext.for_scenario(scenario, theory)
+    ctx = EvalContext.for_scenario(scenario, theory, epsilon=eps, tau=tau_v)
     if free:
         free_ids = tuple(s.strip() for s in free.split(","))
     else:
@@ -452,10 +453,10 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
         cap=cap,
     )
     if count_only:
-        count = enumeration.count_models(theory, scenario, spec, binding, eps, tau_v)
+        count = enumeration.count_models(theory, scenario, spec, binding, eps, tau_v, ctx=ctx)
         models = ()
     else:
-        models = enumeration.enumerate_models(theory, scenario, spec, binding, eps, tau_v)
+        models = enumeration.enumerate_models(theory, scenario, spec, binding, eps, tau_v, ctx=ctx)
         count = len(models)
     if json_output:
         doc = {"command": "enumerate", "count": count}

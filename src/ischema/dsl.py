@@ -1090,13 +1090,31 @@ def serialize_scenario(sc: Scenario) -> str:
 # --- trace JSON -----------------------------------------------------------------
 
 
+class _Entity(dict):
+    """An entity's JSON object, with `pairs`: its parameters' names and
+    values as JSON strings, from which `json_text` writes the object."""
+
+    __slots__ = ("pairs",)
+
+
 def _entity_to_json(e: EntityDecl) -> dict:
-    return {
-        "id": e.id,
-        "sort": e.sort,
-        "shape": e.shape.value,
-        "params": [[n, rational_to_text(v)] for n, v in e.params],
-    }
+    obj = _Entity(id=e.id, sort=e.sort, shape=e.shape.value, params=[[n, rational_to_text(v)] for n, v in e.params])
+    obj.pairs = [(_json_string(n), _json_string(v)) for n, v in obj["params"]]
+    return obj
+
+
+def _entity_lines(obj: _Entity, level: int) -> list[str]:
+    """The members of an entity's object at `level`, as `json_text` writes
+    them: "id", "params" (a list of [name, value] lists), "shape", "sort"."""
+    pad = "\n" + "  " * (level + 2)
+    inner = "," + pad + "  "
+    params = ("," + pad).join(f"[{pad}  {n}{inner}{v}{pad}]" for n, v in obj.pairs)
+    return [
+        f'"id": {_json_string(obj["id"])}',
+        f'"params": [{pad}{params}{pad[:-2]}]' if obj.pairs else '"params": []',
+        f'"shape": {_json_string(obj["shape"])}',
+        f'"sort": {_json_string(obj["sort"])}',
+    ]
 
 
 def _force_to_json(f: ForceFluent) -> dict:
@@ -1192,7 +1210,8 @@ def json_text(doc) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)` for a document of dicts
     with string keys, lists and JSON scalars, writing a dict or list that
     occurs in it more than once at one level, as one object, once. A state's
-    `values` object (`_Values`) is written from its ready `lines`."""
+    `values` object (`_Values`) is written from its ready `lines`, and an
+    entity's object (`_Entity`) from its ready `pairs`."""
     written: dict[tuple[int, int], str] = {}
 
     def write(obj, level: int) -> str:
@@ -1208,6 +1227,8 @@ def json_text(doc) -> str:
             if isinstance(obj, dict):
                 if type(obj) is _Values:
                     items = obj.lines
+                elif type(obj) is _Entity:
+                    items = _entity_lines(obj, level)
                 else:
                     items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
                 written[key] = "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"

@@ -33,6 +33,8 @@ from .logic import (
     eval_formula,
 )
 from .model import (
+    POSITION_X,
+    POSITION_Y,
     ForceFluent,
     Scenario,
     ShapeKind,
@@ -298,29 +300,34 @@ def _gravity_effects(
     implies that x's and y's extents meet, so a target is supported iff it
     rests on one of its sweep neighbours, and only those can stop its fall."""
     (fall,) = rule.effects
-    neighbours = geometry.x_neighbours(state, ctx.entities.values())
-    tops = {eid: geometry.top(state, decl) for eid, decl in ctx.entities.items()}
+    entities = ctx.entities
+    neighbours = geometry.x_neighbours(state, entities.values())
+    tops = {eid: geometry.top(state, decl) for eid, decl in entities.items()}
     view = geometry.int_view(state)
     eps = view.floor(ctx.epsilon)
     out: list[tuple] = []
     for target in targets:
-        decl = ctx.entities[target]
+        decl = entities[target]
         base = geometry.bottom(state, decl)
         if base is None:
             continue
-        near = neighbours[target]
-        # rel_on(x, y) is contact, top(y) - bottom(x) <= epsilon, and the
-        # horizontal overlap that the sweep found
-        if any(
-            tops[y] is not None
-            and tops[y] - base <= eps
-            and geometry.touches(state, ctx, decl, ctx.entities[y])
-            for y in near
-        ):
-            continue
-        drop = _clamped_drop(view.scale, base, (tops[y] for y in near if y != target), fall.delta)
-        if drop != 0:
-            out.append(("delta", target, "y", -drop))
+        below = []  # the tops of the other neighbours at or below `base`
+        for y in neighbours[target]:
+            surface = tops[y]
+            if surface is None:
+                continue
+            # rel_on(x, y) is contact, top(y) - bottom(x) <= epsilon, and the
+            # horizontal overlap that the sweep found; contact of every pair
+            # `touches` decides implies bottom(x) - top(y) <= epsilon, since
+            # it bounds |y(x) - y(y)| less the half-heights
+            if abs(surface - base) <= eps and geometry.touches(state, ctx, decl, entities[y]):
+                break
+            if surface <= base and y != target:
+                below.append(surface)
+        else:
+            drop = _clamped_drop(view.scale, base, below, fall.delta)
+            if drop != 0:
+                out.append(("delta", target, "y", -drop))
     return out
 
 
@@ -339,6 +346,8 @@ def _concrete_effects(
 
     def value(eff: SetParam | DeltaParam) -> Fraction:
         result = eval_num_expr(eff.expr, working, ctx, binding)
+        if result.__class__ is Fraction:
+            return result
         if isinstance(result, float) and not math.isfinite(result):
             what = f"the effect on {resolve(eff.target)}.{eff.param}"
             raise ValueOutOfRange(f"{what} is beyond the floating-point range")
@@ -372,13 +381,13 @@ def _stratum_slots(values: dict, effects: Iterable[tuple]) -> dict[tuple[str, st
         if eff[0] not in ("set", "delta"):
             continue
         _, entity, param, value = eff
-        slot = by_key.setdefault((entity, param), [None, Fraction(0), False])
+        slot = by_key.setdefault((entity, param), [None, 0, False])
         if eff[0] == "set":
             if slot[0] is not None and slot[0] != value:
                 raise ConflictingEffects(_CONFLICTING.format(entity, param, slot[0], value))
             slot[0] = value
         else:
-            slot[1] += value
+            slot[1] = slot[1] + value if slot[2] else value
             slot[2] = True
     for (entity, param), (assigned, _, has_delta) in by_key.items():
         if assigned is not None and has_delta:
@@ -417,6 +426,13 @@ def step(
     effects visible; all effects then apply atomically (same-parameter deltas
     sum, disagreeing assignments are an error); everything unwritten persists;
     every force, active or passive, displaces its target and persists.
+
+    Each stratum reads a working state of its own. A rule whose condition is
+    `true` and that has no `until` fires without the formula evaluator. The
+    integer view is derived only when a rule reads it, by `IntView.updated`
+    from the last view built in this step, or carried by `state`, and the
+    keys written since; the successor carries the last view and the keys
+    written after it the same way, so the next step starts from them.
     """
     if plan is None:
         plan = StepPlan.build(stratify(rules, ctx), ctx)
@@ -427,6 +443,10 @@ def step(
     # have read them, so each stratum reads a state of its own, whose
     # integer view sees its values.
     values = dict(state.values)
+    # the last view built and the keys of `values` written since
+    view, changed = state.view, set()
+    if view is not None and view.__class__ is not geometry.IntView:
+        view, changed = view[0], set(view[1])
     # Across strata: (entity, param) -> [first assigned value, any delta], in
     # the order keys first appear, and the first assignment that disagrees
     # with an earlier stratum's. Both are reported once every stratum ran.
@@ -435,12 +455,20 @@ def step(
     force_effects: list[tuple] = []
     for stratum in plan.strata:
         working = State(time=0, values=values, forces=state.forces)
-        trace_view = Trace((working,))
+        if view is not None:
+            object.__setattr__(working, "view", (view, changed) if changed else view)
+        trace_view = None
         stratum_effects: list[tuple] = []
         for rule, targets in stratum:
             if rule.kind == "gravity" and builtin_on:
                 stratum_effects.extend(_gravity_effects(rule, working, ctx, targets))
                 continue
+            if rule.until is None and rule.condition.__class__ is TrueF:
+                for target in targets:
+                    stratum_effects.extend(_concrete_effects(rule, target, working, ctx))
+                continue
+            if trace_view is None:
+                trace_view = Trace((working,))
             for target in targets:
                 binding = {rule.scope[0]: target} if rule.scope else {}
                 if rule.until is not None and eval_formula(
@@ -450,9 +478,13 @@ def step(
                 if not eval_formula(rule.condition, trace_view, 0, binding, ctx):
                     continue
                 stratum_effects.extend(_concrete_effects(rule, target, working, ctx))
+        if working.view.__class__ is geometry.IntView:
+            view, changed = working.view, set()
         force_effects.extend(e for e in stratum_effects if e[0] in ("addforce", "rmforce"))
         for key, (assigned, delta, has_delta) in _stratum_slots(values, stratum_effects).items():
-            values[key] = assigned if assigned is not None else values[key] + delta
+            if assigned is not None or delta:  # a zero sum keeps the value, the same object
+                values[key] = assigned if assigned is not None else values[key] + delta
+                changed.add(key)
             first = written.setdefault(key, [None, False])
             if assigned is not None:
                 if first[0] is None:
@@ -474,10 +506,15 @@ def step(
             forces = {f for f in forces if not (f.label == eff[1] and f.target == eff[2])}
 
     for f in state.forces:
-        if f.target in ctx.entities:
-            displace(values, ctx.entities[f.target], f.dx, f.dy)
+        decl = ctx.entities.get(f.target)
+        if decl is not None:
+            displace(values, decl, f.dx, f.dy)
+            changed.update((decl.id, p) for p in POSITION_X[decl.shape] + POSITION_Y[decl.shape])
 
-    return State(time=state.time + 1, values=values, forces=frozenset(forces))
+    after = State(time=state.time + 1, values=values, forces=frozenset(forces))
+    if view is not None:
+        object.__setattr__(after, "view", (view, changed) if changed else view)
+    return after
 
 
 def simulate(

@@ -383,11 +383,12 @@ class _Tables:
             yield Trace(tuple(trace))
 
 
-def _prepare(theory, scenario, spec, binding, epsilon, tau) -> tuple[list, EvalContext]:
-    """The grid points and the evaluation context, once the search is known
-    to be within the cap and the binding to be sound."""
+def _prepare(theory, scenario, spec, binding, epsilon, tau, ctx=None) -> tuple[list, EvalContext]:
+    """The grid points and the evaluation context, `ctx` when given, once
+    the search is known to be within the cap and the binding to be sound."""
     points = _check_spec(theory, scenario, spec)
-    ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    if ctx is None:
+        ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
     logic.validate_binding(theory, binding, ctx)
     return points, ctx
 
@@ -403,10 +404,11 @@ def _search(
     binding: Mapping[str, str],
     epsilon: Fraction,
     tau: Fraction,
+    ctx: Optional[EvalContext],
 ) -> "_Tables | Iterator[Trace]":
     """The tables of the search or, for a theory with `before` and for a
     tabulation that raises, the brute force's models."""
-    points, ctx = _prepare(theory, scenario, spec, binding, epsilon, tau)
+    points, ctx = _prepare(theory, scenario, spec, binding, epsilon, tau, ctx)
     if not any(map(_has_before, theory.axioms)):
         try:
             return _Tables(_Ground(theory, binding, ctx), scenario, spec, points)
@@ -422,8 +424,9 @@ def _models(
     binding: Mapping[str, str],
     epsilon: Fraction,
     tau: Fraction,
+    ctx: Optional[EvalContext] = None,
 ) -> Iterator[Trace]:
-    found = _search(theory, scenario, spec, binding, epsilon, tau)
+    found = _search(theory, scenario, spec, binding, epsilon, tau, ctx)
     yield from found.traces() if isinstance(found, _Tables) else found
 
 
@@ -434,9 +437,12 @@ def enumerate_models(
     binding: Mapping[str, str],
     epsilon: Fraction = geometry.DEFAULT_EPSILON,
     tau: Fraction = geometry.DEFAULT_TAU,
+    ctx: Optional[EvalContext] = None,
 ) -> list[Trace]:
-    """All grid traces satisfying every axiom at instant 0, in enumeration order."""
-    return list(_models(theory, scenario, spec, binding, epsilon, tau))
+    """All grid traces satisfying every axiom at instant 0, in enumeration
+    order; `ctx`, a context for the theory, the scenario and the
+    tolerances, is built when not given."""
+    return list(_models(theory, scenario, spec, binding, epsilon, tau, ctx))
 
 
 def count_models(
@@ -446,9 +452,10 @@ def count_models(
     binding: Mapping[str, str],
     epsilon: Fraction = geometry.DEFAULT_EPSILON,
     tau: Fraction = geometry.DEFAULT_TAU,
+    ctx: Optional[EvalContext] = None,
 ) -> int:
     """len(enumerate_models(...)), counted from the tables without listing."""
-    found = _search(theory, scenario, spec, binding, epsilon, tau)
+    found = _search(theory, scenario, spec, binding, epsilon, tau, ctx)
     return found.count() if isinstance(found, _Tables) else sum(1 for _ in found)
 
 

@@ -48,6 +48,12 @@ from .tree import Node
 DEFAULT_EPSILON = Fraction(1, 10**9)
 DEFAULT_TAU = Fraction(1, 2)
 
+# The shapes as module constants: reading one is a name lookup, where
+# `ShapeKind.POINT` is an attribute lookup on the enum class, ten times slower.
+_POINT, _CIRCLE, _RECTANGLE, _SEGMENT, _FLOOR = (
+    ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE, ShapeKind.SEGMENT, ShapeKind.FLOOR
+)
+
 
 # --- numeric expressions ----------------------------------------------------
 
@@ -203,7 +209,7 @@ class EvalContext:
 
 # --- shape helpers ----------------------------------------------------------
 
-CENTERED = (ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE)
+CENTERED = (_POINT, _CIRCLE, _RECTANGLE)
 
 
 def center(state: State, decl: EntityDecl) -> Optional[tuple[Fraction, Fraction]]:
@@ -239,10 +245,17 @@ class IntView:
     and Van Wyk, ACM TOG 1996). A rational tolerance e enters exactly: an
     integer difference d is at most e*L when d <= floor(e*L), and a squared
     distance is compared by cross-multiplying with e's denominator. The
-    view also keeps each entity's box (`box`) once built.
+    view also keeps each entity's box (`box`) and extents (`extent`) once
+    built.
+
+    A view may also be derived from the view of other values by `updated`,
+    from the keys whose values changed: its scale is then a common multiple
+    of the doubled denominators, not always the least, which no exact test
+    can tell apart. Only the changed keys make a derived view valid; a view
+    is never reused because a values object is the same.
     """
 
-    __slots__ = ("scale", "ints", "boxes")
+    __slots__ = ("scale", "ints", "boxes", "extents")
 
     def __init__(self, values: Mapping[tuple[str, str], Fraction]):
         geometric = [(key, v) for key, v in values.items() if key[1] in GEOMETRIC_PARAMS]
@@ -250,6 +263,32 @@ class IntView:
         self.ints = _Ints((key, v.numerator * (scale // v.denominator)) for key, v in geometric)
         # entity -> (the shape its box was built for, the box)
         self.boxes: dict[str, tuple[ShapeKind, Box]] = {}
+        # entity -> (the shape its record was built for, x-extent, bottom, top)
+        self.extents: dict[str, tuple] = {}
+
+    def updated(self, values: Mapping[tuple[str, str], Fraction], keys: Iterable[tuple[str, str]]) -> "IntView":
+        """The view of `values`, which differ from this view's values at most
+        at `keys`. It keeps this view's scale when the doubled denominator of
+        every changed geometric value divides it: the integers are copied,
+        only the changed keys are converted again, and every entity none of
+        them belongs to keeps its box and extents. Otherwise the view of
+        `values` is built anew; with no changed geometric value it is this
+        view."""
+        scale = self.scale
+        changed = [(key, values[key]) for key in keys if key[1] in GEOMETRIC_PARAMS]
+        if not changed:
+            return self
+        if any(scale % (2 * v.denominator) for _, v in changed):
+            return IntView(values)
+        view = IntView.__new__(IntView)
+        view.scale = scale
+        view.ints = ints = _Ints(self.ints)
+        for key, v in changed:
+            ints[key] = v.numerator * (scale // v.denominator)
+        moved = {key[0] for key, _ in changed}
+        view.boxes = {e: kept for e, kept in self.boxes.items() if e not in moved}
+        view.extents = {e: kept for e, kept in self.extents.items() if e not in moved}
+        return view
 
     def floor(self, q: Fraction) -> int:
         """floor(q * L): an integer d over L is at most q exactly when d <= this."""
@@ -280,9 +319,9 @@ class IntView:
         if kept is not None and kept[0] is decl.shape:
             return kept[1]
         n = [self.ints[decl.id, p] for p in SHAPE_PARAMS[decl.shape]]
-        if decl.shape is ShapeKind.FLOOR:
+        if decl.shape is _FLOOR:
             out = None, (n[0], n[0])
-        elif decl.shape is ShapeKind.SEGMENT:
+        elif decl.shape is _SEGMENT:
             x1, y1, x2, y2 = n
             out = (min(x1, x2), max(x1, x2)), (min(y1, y2), max(y1, y2))
         else:
@@ -292,18 +331,38 @@ class IntView:
         self.boxes[decl.id] = decl.shape, out
         return out
 
+    def extent(self, decl: EntityDecl) -> Optional[tuple]:
+        """The entity's (shape, `horizontal_interval`, `bottom`, `top`) over
+        this view's scale, built on first use and kept; a declaration of
+        another shape for the same id builds it anew. None, and nothing
+        kept, when the view lacks one of the entity's parameters: each of
+        the three then reads only its own."""
+        kept = self.extents.get(decl.id)
+        if kept is not None and kept[0] is decl.shape:
+            return kept
+        n = self.ints
+        try:
+            out = decl.shape, _interval(n, decl), _bottom(n, decl), _top(n, decl)
+        except UnknownParameter:
+            return None
+        self.extents[decl.id] = out
+        return out
+
 
 def int_view(state: State) -> IntView:
-    """The state's `IntView`, built on first use and kept on the state."""
+    """The state's `IntView`, built on first use and kept on the state. The
+    state may hold instead a (view, keys) pair: the view of values that
+    differ from the state's at most at `keys`, which `IntView.updated`
+    derives the state's own view from."""
     view = state.view
-    if view is None:
-        view = IntView(state.values)
+    if view.__class__ is not IntView:
+        view = IntView(state.values) if view is None else view[0].updated(state.values, view[1])
         object.__setattr__(state, "view", view)
     return view
 
 
 # A centered shape's size parameters along x and along y, and their divisor.
-_HALF_SIZES = {ShapeKind.POINT: None, ShapeKind.CIRCLE: ("r", "r", 1), ShapeKind.RECTANGLE: ("w", "h", 2)}
+_HALF_SIZES = {_POINT: None, _CIRCLE: ("r", "r", 1), _RECTANGLE: ("w", "h", 2)}
 
 
 def half_size(n: Mapping[tuple[str, str], int], decl: EntityDecl, axis: str) -> int:
@@ -317,36 +376,53 @@ def half_size(n: Mapping[tuple[str, str], int], decl: EntityDecl, axis: str) -> 
     return n[decl.id, sizes[0] if axis == "x" else sizes[1]] // sizes[2]
 
 
-def bottom(state: State, decl: EntityDecl) -> Optional[int]:
-    """The lowest y of a Point, Circle or Rectangle over `int_view(state).scale`;
-    None for the other shapes."""
+def _bottom(n: Mapping[tuple[str, str], int], decl: EntityDecl) -> Optional[int]:
     if decl.shape not in CENTERED:
         return None
-    n = int_view(state).ints
     return n[decl.id, "y"] - half_size(n, decl, "y")
 
 
-def top(state: State, decl: EntityDecl) -> Optional[int]:
-    """The highest y of every shape but a Segment over `int_view(state).scale`;
-    None for a Segment."""
-    n = int_view(state).ints
-    if decl.shape is ShapeKind.FLOOR:
+def _top(n: Mapping[tuple[str, str], int], decl: EntityDecl) -> Optional[int]:
+    if decl.shape is _FLOOR:
         return n[decl.id, "y"]
     if decl.shape not in CENTERED:
         return None
     return n[decl.id, "y"] + half_size(n, decl, "y")
 
 
-def horizontal_interval(state: State, decl: EntityDecl) -> Optional[tuple[int, int]]:
-    """Closed x-extent over `int_view(state).scale`; None means unbounded (Floor)."""
-    n, e = int_view(state).ints, decl.id
+def _interval(n: Mapping[tuple[str, str], int], decl: EntityDecl) -> Optional[tuple[int, int]]:
+    e = decl.id
     if decl.shape in CENTERED:
         x, hw = n[e, "x"], half_size(n, decl, "x")
         return x - hw, x + hw
-    if decl.shape is ShapeKind.SEGMENT:
+    if decl.shape is _SEGMENT:
         x1, x2 = n[e, "x1"], n[e, "x2"]
         return min(x1, x2), max(x1, x2)
     return None  # Floor spans everything
+
+
+def bottom(state: State, decl: EntityDecl) -> Optional[int]:
+    """The lowest y of a Point, Circle or Rectangle over `int_view(state).scale`;
+    None for the other shapes."""
+    view = int_view(state)
+    kept = view.extent(decl)
+    return kept[2] if kept is not None else _bottom(view.ints, decl)
+
+
+def top(state: State, decl: EntityDecl) -> Optional[int]:
+    """The highest y of every shape but a Segment over `int_view(state).scale`;
+    None for a Segment."""
+    view = int_view(state)
+    kept = view.extent(decl)
+    return kept[3] if kept is not None else _top(view.ints, decl)
+
+
+def horizontal_interval(state: State, decl: EntityDecl) -> Optional[tuple[int, int]]:
+    """Closed x-extent over `int_view(state).scale`, signed: a negative size
+    turns it inside out; None means unbounded (Floor)."""
+    view = int_view(state)
+    kept = view.extent(decl)
+    return kept[1] if kept is not None else _interval(view.ints, decl)
 
 
 def horizontal_overlap(state: State, a: EntityDecl, b: EntityDecl) -> bool:
@@ -367,12 +443,14 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
     extent meets the earlier-starting extents that have not ended before its
     left end.
     """
+    view = int_view(state)
     out: dict[str, list[str]] = {}
     unbounded: list[str] = []
     extents: list[tuple[int, int, str]] = []
     for decl in decls:
         out[decl.id] = []
-        extent = horizontal_interval(state, decl)
+        kept = view.extent(decl)
+        extent = kept[1] if kept is not None else _interval(view.ints, decl)
         if extent is None:
             unbounded.append(decl.id)
         else:
@@ -457,10 +535,10 @@ def _nearest_point_sq(view: IntView, decl: EntityDecl, point: tuple[int, int]) -
     numerator with its denominator; inside, the squared distance to the
     line is cross^2 / |AB|^2."""
     n, (px, py), l2 = view.ints, point, view.scale * view.scale
-    if decl.shape is ShapeKind.FLOOR:
+    if decl.shape is _FLOOR:
         dy = py - n[decl.id, "y"]
         return dy * dy, l2
-    if decl.shape is ShapeKind.SEGMENT:
+    if decl.shape is _SEGMENT:
         x1, y1, x2, y2 = (n[decl.id, p] for p in ("x1", "y1", "x2", "y2"))
         dx, dy, ex, ey = x2 - x1, y2 - y1, px - x1, py - y1
         dd, dot = dx * dx + dy * dy, ex * dx + ey * dy
@@ -517,11 +595,11 @@ def angular_position(state: State, x: str, y: str, ctx: EvalContext) -> float:
 
 def exact_measure(state: State, decl: EntityDecl) -> tuple[Fraction, bool]:
     """Area as (rational coefficient, multiplied-by-pi flag)."""
-    if decl.shape is ShapeKind.POINT or decl.shape is ShapeKind.SEGMENT:
+    if decl.shape is _POINT or decl.shape is _SEGMENT:
         return Fraction(0), False
-    if decl.shape is ShapeKind.CIRCLE:
+    if decl.shape is _CIRCLE:
         return state.value(decl.id, "r") ** 2, True
-    if decl.shape is ShapeKind.RECTANGLE:
+    if decl.shape is _RECTANGLE:
         return state.value(decl.id, "w") * state.value(decl.id, "h"), False
     raise NotMeasurable(f"{decl.id} ({decl.shape.value}) has no measure")
 
@@ -727,7 +805,7 @@ def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optio
     non-strict variant realizes part-of.
     """
     lt = operator.lt if strict else operator.le
-    if b.shape is not ShapeKind.CIRCLE and b.shape is not ShapeKind.RECTANGLE:
+    if b.shape is not _CIRCLE and b.shape is not _RECTANGLE:
         return None
     n = int_view(state).ints
     bx, by, hx, hy = n[b.id, "x"], n[b.id, "y"], half_size(n, b, "x"), half_size(n, b, "y")
@@ -737,9 +815,9 @@ def _contains(state: State, a: EntityDecl, b: EntityDecl, strict: bool) -> Optio
     def reach(axis: str, c: int) -> int:  # how far a reaches from b's center along axis
         return abs(n[a.id, axis] - c) + half_size(n, a, axis)
 
-    if b.shape is ShapeKind.RECTANGLE:  # a's reach within b's, along x and then along y
+    if b.shape is _RECTANGLE:  # a's reach within b's, along x and then along y
         return lt(reach("x", bx), hx) and lt(reach("y", by), hy)
-    if a.shape is ShapeKind.CIRCLE:  # the centers no further apart than the radii differ
+    if a.shape is _CIRCLE:  # the centers no further apart than the radii differ
         ra = n[a.id, "r"]
         d2 = (n[a.id, "x"] - bx) ** 2 + (n[a.id, "y"] - by) ** 2
         return lt(ra, hx) and d2 <= (hx - ra) ** 2
@@ -751,20 +829,20 @@ def touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Opt
     """Boundary contact; symmetric; None when the pair is not supported.
     Decided on `int_view(state)`."""
     sa, sb = a.shape, b.shape
-    if sa is ShapeKind.FLOOR and sb is ShapeKind.FLOOR:
+    if sa is _FLOOR and sb is _FLOOR:
         return None
-    if sa is ShapeKind.FLOOR:
+    if sa is _FLOOR:
         a, b, sa, sb = b, a, sb, sa
     view = int_view(state)
     n = view.ints
-    if sb is ShapeKind.FLOOR:
+    if sb is _FLOOR:
         ba = bottom(state, a)
         return None if ba is None else abs(ba - n[b.id, "y"]) <= view.floor(ctx.epsilon)
-    if (sa is ShapeKind.CIRCLE or sb is ShapeKind.CIRCLE) and sa in _ROUND and sb in _ROUND:
+    if (sa is _CIRCLE or sb is _CIRCLE) and sa in _ROUND and sb in _ROUND:
         # circle-circle or point-circle: the centers lie the radii apart
         dx, dy, radii, _ = _gap(n, a, b)
         return view.within(dx * dx + dy * dy, radii, ctx.epsilon)
-    if (sa is ShapeKind.RECTANGLE or sb is ShapeKind.RECTANGLE) and sa in _BOXY and sb in _BOXY:
+    if (sa is _RECTANGLE or sb is _RECTANGLE) and sa in _BOXY and sb in _BOXY:
         # rectangle-rectangle or point-rectangle: an edge meets the other's
         dx, dy, hw, hh = _gap(n, a, b)
         eps = view.floor(ctx.epsilon)
@@ -774,17 +852,17 @@ def touches(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> Opt
     return None
 
 
-_ROUND = (ShapeKind.POINT, ShapeKind.CIRCLE)
-_BOXY = (ShapeKind.POINT, ShapeKind.RECTANGLE)
+_ROUND = (_POINT, _CIRCLE)
+_BOXY = (_POINT, _RECTANGLE)
 
 
 def _interiors_overlap(state: State, a: EntityDecl, b: EntityDecl) -> Optional[bool]:
     """Two Circles or two Rectangles share interior points and neither holds
     the other strictly; None for other pairs. Decided on `int_view(state)`."""
-    if a.shape is not b.shape or (a.shape is not ShapeKind.CIRCLE and a.shape is not ShapeKind.RECTANGLE):
+    if a.shape is not b.shape or (a.shape is not _CIRCLE and a.shape is not _RECTANGLE):
         return None
     dx, dy, hw, hh = _gap(int_view(state).ints, a, b)
-    apart = dx * dx + dy * dy >= hw * hw if a.shape is ShapeKind.CIRCLE else dx >= hw or dy >= hh
+    apart = dx * dx + dy * dy >= hw * hw if a.shape is _CIRCLE else dx >= hw or dy >= hh
     return not apart and not _contains(state, a, b, True) and not _contains(state, b, a, True)
 
 

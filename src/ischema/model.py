@@ -232,7 +232,10 @@ class State:
     values: Mapping[tuple[str, str], Fraction]
     forces: frozenset[ForceFluent] = frozenset()
     # geometry.int_view's cache: built on first use, never copied by
-    # `dataclasses.replace`. Values must not change once it is built.
+    # `dataclasses.replace`. Values must not change once it is built. It may
+    # hold a (view, keys) pair instead: the view of values that differ from
+    # these at most at `keys`, from which the state's own view is derived by
+    # the changed keys, never by the identity of a values object.
     view: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
     def value(self, entity: str, param: str) -> Fraction:

@@ -539,6 +539,36 @@ def test_check_unbound_search_keeps_bound_roles(runner, monkeypatch):
     assert built == ["hierarchy", "context", "hierarchy"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a search that finds no binding counts the candidates with its context
+        ["check", "SUPPORT.ist", "stack.scn", "--bind", "lower=marble"],
+        ["enumerate", "CONTAINMENT.ist", "containment_grid.scn", "--grid", "0:2,0:2"],
+        ["enumerate", "CONTAINMENT.ist", "containment_grid.scn", "--grid", "0:2,0:2", "--count-only"],
+    ],
+)
+def test_a_command_builds_one_context(runner, monkeypatch, args):
+    built = []
+    real_for_scenario = EvalContext.for_scenario.__func__
+    real_hierarchy = Theory.hierarchy
+
+    def for_scenario(cls, *args, **kwargs):
+        built.append("context")
+        return real_for_scenario(cls, *args, **kwargs)
+
+    def hierarchy(theory):
+        built.append("hierarchy")
+        return real_hierarchy(theory)
+
+    monkeypatch.setattr(EvalContext, "for_scenario", classmethod(for_scenario))
+    monkeypatch.setattr(Theory, "hierarchy", hierarchy)
+    result = _run(runner, [args[0], _path(args[1]), _path(args[2]), *args[3:]])
+    assert result.exit_code == (1 if args[0] == "check" else 0), result.output
+    # one hierarchy for the sort check of the file, and one context, with its hierarchy
+    assert built == ["hierarchy", "context", "hierarchy"]
+
+
 def test_check_unbound_search_unknown_role_has_no_candidates(runner):
     result = _run(
         runner, ["check", _path("SUPPORT.ist"), _path("stack.scn"), "--bind", "ghost=box", "--json"]

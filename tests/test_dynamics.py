@@ -32,6 +32,7 @@ from ischema.errors import (
 )
 from ischema.geometry import (
     DEFAULT_EPSILON,
+    Add,
     Const,
     EvalContext,
     ParamRef,
@@ -49,6 +50,7 @@ from ischema.logic import (
     TrueF,
 )
 from ischema.model import (
+    SHAPE_PARAMS,
     ForceFluent,
     RelationSig,
     ShapeKind,
@@ -238,7 +240,8 @@ def prime_denominator_scene() -> str:
 def test_gravity_with_sixteen_prime_denominators_matches_the_fraction_oracle():
     from ischema.dsl import parse_scenario
 
-    sc = parse_scenario(prime_denominator_scene())
+    text = prime_denominator_scene().replace("gravity(1/2)", "gravity(1)")
+    sc = parse_scenario(re.sub(r"\((-?1)/\d+, 0\)", r"(\1/2, 0)", text))
     trace = simulate(sc)
     assert len(str(geometry.int_view(trace.states[0]).scale)) == 22
     generic = [dataclasses.replace(r, kind="generic") if r.kind == "gravity" else r for r in sc.rules]
@@ -512,6 +515,123 @@ def test_stratify_matches_reachability_oracle(graph):
 
 def test_motion_kind_tags():
     assert umph_rule("p", "o", 1, 0, mode="passive").mode == "passive"
+
+
+# --- views carried across strata and steps -----------------------------------------
+
+
+def _rule_heavy_scenario(rng: random.Random):
+    """`random_shape_scene`'s entities under a random rule set that
+    stratifies. With gravity: pushes without `until`, rules that add a
+    force while an entity is not on another and remove it once it is, a
+    size that shrinks past 0, and an
+    effect by a third, a denominator the view's scale may lack. Without
+    gravity: pushes that stop at a goal, and rules that move an entity
+    while it does not rest on another."""
+    entities, _ = random_shape_scene(rng)
+    ids = [e.id for e in entities]
+    centered = [e.id for e in entities if e.shape in geometry.CENTERED]
+    rng.shuffle(centered)
+    pushed, others = centered[:2], centered[2:]
+    gravity = rng.random() < 0.6
+    rules = [gravity_rule(rng.choice((Fraction(1, 2), 1, 3)))] if gravity else []
+    for k, eid in enumerate(pushed):
+        until = None if gravity else Compare(ParamRef(eid, "x"), ">", Const(rational(rng, -4, 4)))
+        rules.append(umph_rule(f"p{k}", eid, rational(rng, -2, 2), rational(rng, -2, 2), until=until))
+    if others:
+        a, b = others[0], rng.choice(ids)
+        on = Atom("on", (a, b))
+        if gravity:
+            wind = ForceFluent("wind", a, rational(rng, -1, 1), Fraction(0), rng.choice(("active", "passive")))
+            rules.append(Rule("wind", Not(on), (AddForce(wind),)))
+            rules.append(Rule("calm", on, (RemoveForce("wind", a),)))
+            c = others[-1]  # a itself when it is the only one
+            third = Add(ParamRef(c, "x"), Const(Fraction(1, 3)))
+            rules.append(Rule("third", TrueF(), (SetParam(c, "x", third),)))
+        else:
+            rules.append(Rule("slide", Not(on), (DeltaParam(a, "y", Const(Fraction(-1, 3))),)))
+    sized = [e for e in entities if e.shape in (ShapeKind.CIRCLE, ShapeKind.RECTANGLE)]
+    if sized:
+        e = rng.choice(sized)
+        shrink = DeltaParam(e.id, SHAPE_PARAMS[e.shape][2], Const(Fraction(-1, 2)))
+        rules.append(Rule("shrink", TrueF(), (shrink,)))
+    return declare_scenario(entities, rules=rules, horizon=rng.randint(2, 8))
+
+
+def _simulated(sc):
+    try:
+        return simulate(sc)
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_carried_views_simulate_as_fresh_views(seed):
+    sc = _rule_heavy_scenario(random.Random(seed))
+    carried = _simulated(sc)
+    with mock.patch.object(geometry.IntView, "updated", lambda self, values, keys: geometry.IntView(values)):
+        fresh = _simulated(sc)
+    assert carried == fresh
+
+
+def test_simulate_builds_one_view_while_the_scale_holds(monkeypatch):
+    """In the sixteen-prime scene under gravity(1) and pushes by half units,
+    every value stays on the first view's scale, so each later view is
+    derived from it; an effect by 1/61 needs a new scale."""
+    from ischema.dsl import parse_scenario
+
+    built = []
+    real_init = geometry.IntView.__init__
+
+    def init(view, values):
+        built.append(view)
+        real_init(view, values)
+
+    monkeypatch.setattr(geometry.IntView, "__init__", init)
+    text = prime_denominator_scene().replace("gravity(1/2)", "gravity(1)")
+    sc = parse_scenario(re.sub(r"\((-?1)/\d+, 0\)", r"(\1/2, 0)", text))
+    trace = simulate(sc)
+    assert len(built) == 1
+    assert trace.states[-1].value("b15", "y") < trace.states[0].value("b15", "y")
+
+    # the last state carries its view, derived on demand
+    last = trace.states[-1]
+    scale = geometry.int_view(last).scale
+    assert len(built) == 1
+    # 61 is the next prime after _PRIMES
+    nudge = Rule("nudge", TrueF(), (SetParam("b1", "x", Add(ParamRef("b1", "x"), Const(Fraction(1, 61)))),))
+    step(last, list(sc.rules) + [nudge], EvalContext.for_scenario(sc))
+    assert len(built) == 2 and built[1].scale % 61 == 0 and scale % 61 != 0
+
+
+def _scaled(piece, scale):
+    """An extent or box piece (an integer, None, or a tuple of them) times `scale`."""
+    if isinstance(piece, tuple):
+        return tuple(_scaled(p, scale) for p in piece)
+    return None if piece is None or isinstance(piece, ShapeKind) else piece * scale
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_an_updated_view_agrees_with_a_fresh_view_up_to_scale(seed):
+    rng = random.Random(seed)
+    entities, state = random_shape_scene(rng)
+    view = geometry.IntView(state.values)
+    for e in entities[: rng.randint(0, len(entities))]:  # boxes and extents the update may keep
+        view.box(e), view.extent(e)
+    values = dict(state.values)
+    keys = rng.sample(sorted(values), rng.randint(0, len(values)))
+    for key in keys:
+        values[key] += rational(rng, -3, 3) / rng.choice((1, 1, 1, 3))
+    updated = view.updated(values, keys)
+    fresh = geometry.IntView(values)
+    assert updated.ints.keys() == fresh.ints.keys()
+    for k in fresh.ints:
+        assert updated.ints[k] * fresh.scale == fresh.ints[k] * updated.scale
+    for e in entities:
+        assert _scaled(updated.box(e), fresh.scale) == _scaled(fresh.box(e), updated.scale)
+        assert _scaled(updated.extent(e), fresh.scale) == _scaled(fresh.extent(e), updated.scale)
 
 
 # --- frame property and determinism ---------------------------------------------

@@ -7,7 +7,11 @@ out into temporary `git worktree`s, so only committed files are compared.
 For every perfbench workload and seed it writes the inputs with
 `perfbench/workloads.build` once per side, from that side's shipped data,
 and runs the commands of one pass in order in a new process per side, in
-process through the CLI as the benchmark does. A command's output is the
+process through the CLI as the benchmark does. A last set, `simulate_rules`,
+runs `simulate --json` and `--trace-out` on the shipped `drop.scn` and on
+generated scenes whose rules the benchmark does not cover: generic rules
+with geometric conditions, forces, `umph ... until` without gravity, and
+values over mixed denominators. A command's output is the
 sha256 of its exit code, stdout, stderr and the file it writes. Commands are
 compared by their place in the pass, since a pass may repeat a command. It
 prints the commands whose outputs differ and exits 1 if there are any, else 0.
@@ -18,9 +22,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
+import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -29,6 +36,70 @@ sys.path[:0] = [str(TOOLS), str(PERFBENCH)]
 
 import bench_compare  # noqa: E402
 import workloads  # noqa: E402
+
+
+SIMULATE_RULES = "simulate_rules"
+
+
+def _q(rng: random.Random, lo: int, hi: int) -> str:
+    """A rational in [lo, hi] over a denominator of 1, 2, 3, 5 or 7, as the DSL reads it."""
+    d = rng.choice((1, 2, 3, 5, 7))
+    v = Fraction(rng.randint(lo * d, hi * d), d)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _rule_scene(rng: random.Random, name: str, gravity: bool) -> str:
+    """A point, a circle and a rectangle over a floor. With gravity: a push,
+    a rule that adds a passive force while the circle rests on the floor and
+    one that removes it, and a height that shrinks past 0. Without: a push
+    that stops at a goal, a generic rule that moves the circle while the
+    point is past a mark and the circle is not on the rectangle, a width
+    that grows, and a force on the rectangle once the point is not inside
+    the circle."""
+    lines = [
+        f"scenario {name}",
+        "  entity f : Floor = Floor(0)",
+        f"  entity a : Object = Point({_q(rng, -4, 4)}, {_q(rng, 1, 8)})",
+        f"  entity c : Container = Circle({_q(rng, -4, 4)}, {_q(rng, 2, 8)}, {_q(rng, 1, 2)})",
+        f"  entity r : Container = Rectangle({_q(rng, -4, 4)}, {_q(rng, 1, 6)}, {_q(rng, 1, 4)}, {_q(rng, 1, 3)})",
+        "  rules",
+    ]
+    if gravity:
+        lines += [
+            f"    gravity({rng.choice(('1', '1/2', '2/3'))})",
+            f"    umph push on a ({_q(rng, -1, 1)}, 0)",
+            f"    rule gust when on(c, f) do addforce wind on c ({_q(rng, -1, 1)}, 0) passive",
+            "    rule calm when not on(c, f) do removeforce wind on c",
+            "    rule shrink when true do r.h += -1/4",
+        ]
+    else:
+        lines += [
+            f"    umph shove on a ({_q(rng, -1, 1)}, {_q(rng, -1, 1)}) until a.x > {_q(rng, 0, 4)}",
+            f"    rule drift when a.x > {_q(rng, -2, 2)} and not on(c, r) do c.x += 1/5",
+            "    rule grow when true do r.w += 1/6",
+            f"    rule gust when not inside(a, c) do addforce wind on r ({_q(rng, -1, 1)}, 0)",
+        ]
+    return "\n".join(lines + [f"  horizon {rng.randint(4, 12)}", "end", ""])
+
+
+def simulate_rules(seed: int, workdir: Path, data: Path, toy: bool = False) -> list:
+    """Write the `simulate_rules` inputs into `workdir`; return their commands."""
+    shutil.copyfile(data / "drop.scn", workdir / "drop.scn")
+    commands = [workloads.Command(["simulate", "drop.scn", "--json"], "simulate")]
+    for i in range(2 if toy else 6):
+        name = f"rules{i}"
+        text = _rule_scene(random.Random(f"{SIMULATE_RULES}/{seed}/{i}"), name, gravity=i % 2 == 0)
+        (workdir / f"{name}.scn").write_text(text, encoding="utf-8")
+        commands.append(workloads.Command(["simulate", f"{name}.scn", "--json"], "simulate"))
+        commands.append(workloads.Command(["simulate", f"{name}.scn", "--trace-out", f"{name}.trace.json"],
+                                          "simulate", out_file=f"{name}.trace.json"))
+    return commands
+
+
+def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> list:
+    if workload == SIMULATE_RULES:
+        return simulate_rules(seed, workdir, data, toy)
+    return workloads.build(workload, seed, workdir, data, toy=toy)
 
 
 def run_side(src: Path, workdir: Path, commands: list) -> list[str]:
@@ -75,14 +146,14 @@ def main(argv=None, toy: bool = False) -> int:
         try:
             for name, path in sides.items():
                 bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in workloads.WORKLOADS:
+            for workload in (*workloads.WORKLOADS, SIMULATE_RULES):
                 for seed in seeds:
                     digests = {}
                     for name, path in sides.items():
                         workdir = Path(tmp) / f"{name}-{workload}-{seed}"
                         workdir.mkdir()
                         src = path / "src"
-                        commands = workloads.build(workload, seed, workdir, src / "ischema" / "data", toy=toy)
+                        commands = build(workload, seed, workdir, src / "ischema" / "data", toy)
                         digests[name] = run_side(src, workdir, commands)
                     differ = [i for i, (b, h) in enumerate(zip(digests["base"], digests["head"])) if b != h]
                     print(f"{workload} seed {seed}: {len(commands)} commands, {len(differ)} differ")
