@@ -1106,12 +1106,13 @@ def _entity_to_json(e: EntityDecl) -> dict:
 def _entity_lines(obj: _Entity, level: int) -> list[str]:
     """The members of an entity's object at `level`, as `json_text` writes
     them: "id", "params" (a list of [name, value] lists), "shape", "sort"."""
-    pad = "\n" + "  " * (level + 2)
-    inner = "," + pad + "  "
-    params = ("," + pad).join(f"[{pad}  {n}{inner}{v}{pad}]" for n, v in obj.pairs)
+    close = "\n" + "  " * (level + 1)  # before the params list's "]"
+    pair = close + "  "  # before each [name, value] list and its "]"
+    inner = pair + "  "  # before a name or a value
+    params = ("," + pair).join(f"[{inner}{n},{inner}{v}{pair}]" for n, v in obj.pairs)
     return [
         f'"id": {_json_string(obj["id"])}',
-        f'"params": [{pad}{params}{pad[:-2]}]' if obj.pairs else '"params": []',
+        f'"params": [{pair}{params}{close}]' if obj.pairs else '"params": []',
         f'"shape": {_json_string(obj["shape"])}',
         f'"sort": {_json_string(obj["sort"])}',
     ]

@@ -317,9 +317,10 @@ def _gravity_effects(
             if surface is None:
                 continue
             # rel_on(x, y) is contact, top(y) - bottom(x) <= epsilon, and the
-            # horizontal overlap that the sweep found; contact of every pair
-            # `touches` decides implies bottom(x) - top(y) <= epsilon, since
-            # it bounds |y(x) - y(y)| less the half-heights
+            # horizontal overlap that the sweep found. Contact implies
+            # bottom(x) - top(y) <= epsilon too: for every pair `touches`
+            # decides, it bounds the centers' vertical distance less the
+            # half-heights by epsilon
             if abs(surface - base) <= eps and geometry.touches(state, ctx, decl, entities[y]):
                 break
             if surface <= base and y != target:

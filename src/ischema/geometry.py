@@ -443,14 +443,12 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
     extent meets the earlier-starting extents that have not ended before its
     left end.
     """
-    view = int_view(state)
     out: dict[str, list[str]] = {}
     unbounded: list[str] = []
     extents: list[tuple[int, int, str]] = []
     for decl in decls:
         out[decl.id] = []
-        kept = view.extent(decl)
-        extent = kept[1] if kept is not None else _interval(view.ints, decl)
+        extent = horizontal_interval(state, decl)
         if extent is None:
             unbounded.append(decl.id)
         else:

@@ -26,6 +26,7 @@ from ischema.dynamics import (
 )
 from ischema.errors import (
     ConflictingEffects,
+    IschemaError,
     NonPositiveDelta,
     UnknownParameter,
     UnstratifiableRuleSet,
@@ -561,7 +562,7 @@ def _rule_heavy_scenario(rng: random.Random):
 def _simulated(sc):
     try:
         return simulate(sc)
-    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+    except IschemaError as exc:  # both sides must fail alike
         return f"{type(exc).__name__}: {exc}"
 
 
