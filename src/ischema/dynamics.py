@@ -536,4 +536,6 @@ def simulate(
     states = [initial_state(scenario.entities)]
     for _ in range(T - 1):
         states.append(step(states[-1], rules, ctx, plan=plan))
+        # the view a state carries serves the next step only, so a trace keeps none
+        object.__setattr__(states[-2], "view", None)
     return Trace(tuple(states))

@@ -241,8 +241,7 @@ def prime_denominator_scene() -> str:
 def test_gravity_with_sixteen_prime_denominators_matches_the_fraction_oracle():
     from ischema.dsl import parse_scenario
 
-    text = prime_denominator_scene().replace("gravity(1/2)", "gravity(1)")
-    sc = parse_scenario(re.sub(r"\((-?1)/\d+, 0\)", r"(\1/2, 0)", text))
+    sc = parse_scenario(prime_denominator_scene())
     trace = simulate(sc)
     assert len(str(geometry.int_view(trace.states[0]).scale)) == 22
     generic = [dataclasses.replace(r, kind="generic") if r.kind == "gravity" else r for r in sc.rules]
@@ -523,12 +522,12 @@ def test_motion_kind_tags():
 
 def _rule_heavy_scenario(rng: random.Random):
     """`random_shape_scene`'s entities under a random rule set that
-    stratifies. With gravity: pushes without `until`, rules that add a
-    force while an entity is not on another and remove it once it is, a
-    size that shrinks past 0, and an
-    effect by a third, a denominator the view's scale may lack. Without
-    gravity: pushes that stop at a goal, and rules that move an entity
-    while it does not rest on another."""
+    stratifies, with a size that shrinks past 0. With gravity: pushes
+    without `until`, rules that add a force while an entity is not on
+    another and remove it once it is, and an effect by a third, a
+    denominator the view's scale may lack. Without gravity: pushes that
+    stop at a goal, and a rule that moves an entity while it does not rest
+    on another."""
     entities, _ = random_shape_scene(rng)
     ids = [e.id for e in entities]
     centered = [e.id for e in entities if e.shape in geometry.CENTERED]
@@ -596,7 +595,8 @@ def test_simulate_builds_one_view_while_the_scale_holds(monkeypatch):
     assert len(built) == 1
     assert trace.states[-1].value("b15", "y") < trace.states[0].value("b15", "y")
 
-    # the last state carries its view, derived on demand
+    # the last state carries its view, derived on demand, and the others keep none
+    assert all(s.view is None for s in trace.states[:-1])
     last = trace.states[-1]
     scale = geometry.int_view(last).scale
     assert len(built) == 1
@@ -610,7 +610,7 @@ def _scaled(piece, scale):
     """An extent or box piece (an integer, None, or a tuple of them) times `scale`."""
     if isinstance(piece, tuple):
         return tuple(_scaled(p, scale) for p in piece)
-    return None if piece is None or isinstance(piece, ShapeKind) else piece * scale
+    return None if piece is None else piece * scale
 
 
 @given(st.integers(0, 10**6))
@@ -632,7 +632,7 @@ def test_an_updated_view_agrees_with_a_fresh_view_up_to_scale(seed):
         assert updated.ints[k] * fresh.scale == fresh.ints[k] * updated.scale
     for e in entities:
         assert _scaled(updated.box(e), fresh.scale) == _scaled(fresh.box(e), updated.scale)
-        assert _scaled(updated.extent(e), fresh.scale) == _scaled(fresh.extent(e), updated.scale)
+        assert _scaled(updated.extent(e)[1:], fresh.scale) == _scaled(fresh.extent(e)[1:], updated.scale)
 
 
 # --- frame property and determinism ---------------------------------------------
