@@ -236,9 +236,9 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
         report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
     else:
         ctx = EvalContext.for_scenario(scenario, theory, epsilon=eps, tau=tau_v)
-        found = next(library.search_bindings(theory, scenario, eps, tau_v, fixed=binding, ctx=ctx), None)
+        found = next(library.search_bindings(theory, scenario, fixed=binding, ctx=ctx), None)
         if found is None:
-            searched = library.count_candidates(theory, scenario, fixed=binding, ctx=ctx)
+            searched = library.count_candidates(theory, ctx, binding)
             if json_output:
                 return {
                     "command": "check",
@@ -453,10 +453,10 @@ def cmd_enumerate(theory_file, scenario_file, grid, steps, free, binds, cap,
         cap=cap,
     )
     if count_only:
-        count = enumeration.count_models(theory, scenario, spec, binding, eps, tau_v, ctx=ctx)
+        count = enumeration.count_models(theory, scenario, spec, binding, ctx=ctx)
         models = ()
     else:
-        models = enumeration.enumerate_models(theory, scenario, spec, binding, eps, tau_v, ctx=ctx)
+        models = enumeration.enumerate_models(theory, scenario, spec, binding, ctx=ctx)
         count = len(models)
     if json_output:
         doc = {"command": "enumerate", "count": count}

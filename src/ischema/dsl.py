@@ -1090,32 +1090,17 @@ def serialize_scenario(sc: Scenario) -> str:
 # --- trace JSON -----------------------------------------------------------------
 
 
-class _Entity(dict):
-    """An entity's JSON object, with `pairs`: its parameters' names and
-    values as JSON strings, from which `json_text` writes the object."""
+class _Params(list):
+    """An entity's `params` list of [name, value] lists, with `pairs`: each
+    name and value as a JSON string, from which `json_text` writes the list."""
 
     __slots__ = ("pairs",)
 
 
 def _entity_to_json(e: EntityDecl) -> dict:
-    obj = _Entity(id=e.id, sort=e.sort, shape=e.shape.value, params=[[n, rational_to_text(v)] for n, v in e.params])
-    obj.pairs = [(_json_string(n), _json_string(v)) for n, v in obj["params"]]
-    return obj
-
-
-def _entity_lines(obj: _Entity, level: int) -> list[str]:
-    """The members of an entity's object at `level`, as `json_text` writes
-    them: "id", "params" (a list of [name, value] lists), "shape", "sort"."""
-    close = "\n" + "  " * (level + 1)  # before the params list's "]"
-    pair = close + "  "  # before each [name, value] list and its "]"
-    inner = pair + "  "  # before a name or a value
-    params = ("," + pair).join(f"[{inner}{n},{inner}{v}{pair}]" for n, v in obj.pairs)
-    return [
-        f'"id": {_json_string(obj["id"])}',
-        f'"params": [{pair}{params}{close}]' if obj.pairs else '"params": []',
-        f'"shape": {_json_string(obj["shape"])}',
-        f'"sort": {_json_string(obj["sort"])}',
-    ]
+    params = _Params([n, rational_to_text(v)] for n, v in e.params)
+    params.pairs = [(_json_string(n), _json_string(v)) for n, v in params]
+    return {"id": e.id, "sort": e.sort, "shape": e.shape.value, "params": params}
 
 
 def _force_to_json(f: ForceFluent) -> dict:
@@ -1212,7 +1197,7 @@ def json_text(doc) -> str:
     with string keys, lists and JSON scalars, writing a dict or list that
     occurs in it more than once at one level, as one object, once. A state's
     `values` object (`_Values`) is written from its ready `lines`, and an
-    entity's object (`_Entity`) from its ready `pairs`."""
+    entity's `params` list (`_Params`) from its ready `pairs`."""
     written: dict[tuple[int, int], str] = {}
 
     def write(obj, level: int) -> str:
@@ -1228,13 +1213,15 @@ def json_text(doc) -> str:
             if isinstance(obj, dict):
                 if type(obj) is _Values:
                     items = obj.lines
-                elif type(obj) is _Entity:
-                    items = _entity_lines(obj, level)
                 else:
                     items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
                 written[key] = "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
             else:
-                items = [write(v, level + 1) for v in obj]
+                if type(obj) is _Params:  # each [name, value] list one level deeper
+                    inner = pad + "  "
+                    items = [f"[{inner}{n},{inner}{v}{pad}]" for n, v in obj.pairs]
+                else:
+                    items = [write(v, level + 1) for v in obj]
                 written[key] = "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
         return written[key]
 

@@ -384,11 +384,10 @@ class _Tables:
 
 
 def _prepare(theory, scenario, spec, binding, epsilon, tau, ctx=None) -> tuple[list, EvalContext]:
-    """The grid points and the evaluation context, `ctx` when given, once
-    the search is known to be within the cap and the binding to be sound."""
+    """The grid points and the evaluation context (`EvalContext.for_search`),
+    once the search is known to be within the cap and the binding to be sound."""
     points = _check_spec(theory, scenario, spec)
-    if ctx is None:
-        ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    ctx = EvalContext.for_search(scenario, theory, epsilon, tau, ctx)
     logic.validate_binding(theory, binding, ctx)
     return points, ctx
 
@@ -402,8 +401,8 @@ def _search(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Fraction,
-    tau: Fraction,
+    epsilon: Optional[Fraction],
+    tau: Optional[Fraction],
     ctx: Optional[EvalContext],
 ) -> "_Tables | Iterator[Trace]":
     """The tables of the search or, for a theory with `before` and for a
@@ -422,9 +421,9 @@ def _models(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Fraction,
-    tau: Fraction,
-    ctx: Optional[EvalContext] = None,
+    epsilon: Optional[Fraction],
+    tau: Optional[Fraction],
+    ctx: Optional[EvalContext],
 ) -> Iterator[Trace]:
     found = _search(theory, scenario, spec, binding, epsilon, tau, ctx)
     yield from found.traces() if isinstance(found, _Tables) else found
@@ -435,13 +434,14 @@ def enumerate_models(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Fraction = geometry.DEFAULT_EPSILON,
-    tau: Fraction = geometry.DEFAULT_TAU,
+    epsilon: Optional[Fraction] = None,
+    tau: Optional[Fraction] = None,
     ctx: Optional[EvalContext] = None,
 ) -> list[Trace]:
     """All grid traces satisfying every axiom at instant 0, in enumeration
-    order; `ctx`, a context for the theory, the scenario and the
-    tolerances, is built when not given."""
+    order. `ctx`, a context for the theory and the scenario, holds the
+    tolerances when given; else `epsilon` and `tau` do, the defaults when
+    None (`EvalContext.for_search`)."""
     return list(_models(theory, scenario, spec, binding, epsilon, tau, ctx))
 
 
@@ -450,8 +450,8 @@ def count_models(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Fraction = geometry.DEFAULT_EPSILON,
-    tau: Fraction = geometry.DEFAULT_TAU,
+    epsilon: Optional[Fraction] = None,
+    tau: Optional[Fraction] = None,
     ctx: Optional[EvalContext] = None,
 ) -> int:
     """len(enumerate_models(...)), counted from the tables without listing."""

@@ -182,6 +182,26 @@ class EvalContext:
             tau=tau,
         )
 
+    @classmethod
+    def for_search(
+        cls,
+        scenario: Scenario,
+        theory: Theory,
+        epsilon: Optional[Fraction],
+        tau: Optional[Fraction],
+        ctx: Optional["EvalContext"],
+    ) -> "EvalContext":
+        """`ctx`, whose tolerances a search then uses, or else the context for
+        the scenario and the theory with `epsilon` and `tau`, the defaults
+        when None. Tolerances given beside a context are an error: only one
+        of the two may say them."""
+        if ctx is None:
+            epsilon = DEFAULT_EPSILON if epsilon is None else epsilon
+            return cls.for_scenario(scenario, theory, epsilon, DEFAULT_TAU if tau is None else tau)
+        if epsilon is not None or tau is not None:
+            raise TypeError("give the tolerances in the context or as epsilon and tau, not both")
+        return ctx
+
     def decl(self, entity: str) -> EntityDecl:
         try:
             return self.entities[entity]

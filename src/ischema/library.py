@@ -261,21 +261,17 @@ def _role_pools(
 
 def count_candidates(
     theory: Theory,
-    scenario: Scenario,
+    ctx: EvalContext,
     fixed: Optional[Mapping[str, str]] = None,
-    ctx: Optional[EvalContext] = None,
 ) -> int:
     """How many bindings `candidate_bindings` yields without conditions,
-    without listing them; `ctx`, a context for the theory and the scenario,
-    is built when not given.
+    without listing them; `ctx` is a context for the theory and the scenario.
 
     A dynamic program over the entities: `ways` maps each set of roles (a
     bitmask) to the number of ways to bind exactly those roles to distinct
     entities among the ones seen so far; each entity binds at most one more
     role. Linear in the entities, exponential only in the roles.
     """
-    if ctx is None:
-        ctx = EvalContext.for_scenario(scenario, theory)
     pools = _role_pools(theory, ctx, fixed)
     if pools is None:
         return 0
@@ -299,8 +295,8 @@ class ClassifyResult:
 def search_bindings(
     theory: Theory,
     scenario: Scenario,
-    epsilon: Fraction = geometry.DEFAULT_EPSILON,
-    tau: Fraction = geometry.DEFAULT_TAU,
+    epsilon: Optional[Fraction] = None,
+    tau: Optional[Fraction] = None,
     fixed: Optional[Mapping[str, str]] = None,
     ctx: Optional[EvalContext] = None,
 ) -> Iterator[ClassifyResult]:
@@ -308,17 +304,17 @@ def search_bindings(
     roles: every satisfying binding of `theory`, lazily, in the canonical
     order of `candidate_bindings`.
 
-    The evaluation context, with its sort hierarchy, is built once, unless
-    `ctx` gives it, built for the theory, the scenario and the tolerances;
-    so are the conditions: the `necessary_conditions` of a gap-only theory over
+    The evaluation context, with its sort hierarchy, is `ctx`, a context for
+    the theory and the scenario that then holds the tolerances, or else built
+    once with `epsilon` and `tau` (see `EvalContext.for_search`); so are the
+    conditions: the `necessary_conditions` of a gap-only theory over
     a concrete trace, none for any other. Each candidate's axioms are
     evaluated in order up to the first false one, and a candidate whose
     evaluation raises one of EVALUATION_GAP_ERRORS (a relation undefined for
     the shapes bound) is skipped; any other error propagates. A satisfying
     binding's report lists every axiom as satisfied.
     """
-    if ctx is None:
-        ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+    ctx = EvalContext.for_search(scenario, theory, epsilon, tau, ctx)
     conditions = necessary_conditions(theory) if scenario.trace is not None else ()
     if conditions and not gap_only(theory, ctx):
         conditions = ()

@@ -748,13 +748,27 @@ def test_candidate_bindings_without_conditions_are_the_product(seed):
 def test_count_candidates_equals_the_enumerated_count(seed):
     sc, theory, fixed = _random_roles(random.Random(seed))
     expected = sum(1 for _ in _product_bindings(theory, sc, fixed))
-    assert count_candidates(theory, sc, fixed=fixed) == expected
+    assert count_candidates(theory, EvalContext.for_scenario(sc, theory), fixed) == expected
 
 
 def test_count_candidates_needs_no_listing():
     points = [make_entity(f"p{i:02d}", "Object", ShapeKind.POINT, [i, 0]) for i in range(60)]
     sc = declare_scenario(points, trace=Trace((initial_state(points),)))
     roles = tuple((r, "Object") for r in "abcdef")
-    assert count_candidates(Theory("T", roles=roles), sc) == 60 * 59 * 58 * 57 * 56 * 55
-    assert count_candidates(Theory("T", roles=roles), sc, fixed={"a": "p00", "b": "p00"}) == 0
+    theory = Theory("T", roles=roles)
+    ctx = EvalContext.for_scenario(sc, theory)
+    assert count_candidates(theory, ctx) == 60 * 59 * 58 * 57 * 56 * 55
+    assert count_candidates(theory, ctx, {"a": "p00", "b": "p00"}) == 0
+
+
+def test_a_search_takes_its_tolerances_from_one_place():
+    points = [make_entity(f"p{i}", "Object", ShapeKind.POINT, [i, 0]) for i in range(3)]
+    sc = declare_scenario(points, trace=Trace((initial_state(points),)))
+    theory = Theory("T", roles=(("a", "Object"), ("b", "Object")), axioms=(parse_formula("closeTo(a, b)"),))
+    ctx = EvalContext.for_scenario(sc, theory, tau=Fraction(1))
+    # points one apart are close within tau 1, and not within the default 1/2
+    assert len(list(search_bindings(theory, sc, ctx=ctx))) == 4
+    assert list(search_bindings(theory, sc)) == []
+    with pytest.raises(TypeError, match="not both"):
+        next(search_bindings(theory, sc, tau=Fraction(1), ctx=ctx))
 
