@@ -227,16 +227,15 @@ def cmd_check(theory_file, scenario_file, binds, epsilon, tau, json_output):
     scenario = _load(scenario_file, dsl.parse_scenario)
     if scenario.trace is None:
         _fail_usage("the scenario is generative; run `ischema simulate` first")
-    eps, tau_v = _tolerances(epsilon, tau)
+    ctx = EvalContext.for_scenario(scenario, theory, *_tolerances(epsilon, tau))
     binding = _parse_bindings(binds)
 
     # a binding that leaves a role unbound, or names one the theory
     # lacks, goes through the search, which finds no candidate for the latter
     if binding.keys() == {role for role, _ in theory.roles}:
-        report = logic.check_theory(theory, scenario, binding, epsilon=eps, tau=tau_v)
+        report = logic.check_theory(theory, scenario, binding, ctx)
     else:
-        ctx = EvalContext.for_scenario(scenario, theory, epsilon=eps, tau=tau_v)
-        found = next(library.search_bindings(theory, scenario, fixed=binding, ctx=ctx), None)
+        found = next(library.search_bindings(theory, scenario, ctx, binding), None)
         if found is None:
             searched = library.count_candidates(theory, ctx, binding)
             if json_output:

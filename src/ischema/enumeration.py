@@ -383,11 +383,13 @@ class _Tables:
             yield Trace(tuple(trace))
 
 
-def _prepare(theory, scenario, spec, binding, epsilon, tau, ctx=None) -> tuple[list, EvalContext]:
-    """The grid points and the evaluation context (`EvalContext.for_search`),
-    once the search is known to be within the cap and the binding to be sound."""
+def _prepare(theory, scenario, spec, binding, ctx) -> tuple[list, EvalContext]:
+    """The grid points and the evaluation context, `ctx` or else the default
+    one, once the search is known to be within the cap and the binding to be
+    sound."""
     points = _check_spec(theory, scenario, spec)
-    ctx = EvalContext.for_search(scenario, theory, epsilon, tau, ctx)
+    if ctx is None:
+        ctx = EvalContext.for_scenario(scenario, theory)
     logic.validate_binding(theory, binding, ctx)
     return points, ctx
 
@@ -397,17 +399,11 @@ def _has_before(node) -> bool:
 
 
 def _search(
-    theory: Theory,
-    scenario: Scenario,
-    spec: GridSpec,
-    binding: Mapping[str, str],
-    epsilon: Optional[Fraction],
-    tau: Optional[Fraction],
-    ctx: Optional[EvalContext],
+    theory: Theory, scenario: Scenario, spec: GridSpec, binding: Mapping[str, str], ctx: Optional[EvalContext]
 ) -> "_Tables | Iterator[Trace]":
     """The tables of the search or, for a theory with `before` and for a
     tabulation that raises, the brute force's models."""
-    points, ctx = _prepare(theory, scenario, spec, binding, epsilon, tau, ctx)
+    points, ctx = _prepare(theory, scenario, spec, binding, ctx)
     if not any(map(_has_before, theory.axioms)):
         try:
             return _Tables(_Ground(theory, binding, ctx), scenario, spec, points)
@@ -417,15 +413,9 @@ def _search(
 
 
 def _models(
-    theory: Theory,
-    scenario: Scenario,
-    spec: GridSpec,
-    binding: Mapping[str, str],
-    epsilon: Optional[Fraction],
-    tau: Optional[Fraction],
-    ctx: Optional[EvalContext],
+    theory: Theory, scenario: Scenario, spec: GridSpec, binding: Mapping[str, str], ctx: Optional[EvalContext]
 ) -> Iterator[Trace]:
-    found = _search(theory, scenario, spec, binding, epsilon, tau, ctx)
+    found = _search(theory, scenario, spec, binding, ctx)
     yield from found.traces() if isinstance(found, _Tables) else found
 
 
@@ -434,15 +424,13 @@ def enumerate_models(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Optional[Fraction] = None,
-    tau: Optional[Fraction] = None,
     ctx: Optional[EvalContext] = None,
 ) -> list[Trace]:
     """All grid traces satisfying every axiom at instant 0, in enumeration
     order. `ctx`, a context for the theory and the scenario, holds the
-    tolerances when given; else `epsilon` and `tau` do, the defaults when
-    None (`EvalContext.for_search`)."""
-    return list(_models(theory, scenario, spec, binding, epsilon, tau, ctx))
+    tolerances; None means `EvalContext.for_scenario(scenario, theory)`, with
+    the default ones."""
+    return list(_models(theory, scenario, spec, binding, ctx))
 
 
 def count_models(
@@ -450,12 +438,10 @@ def count_models(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Optional[Fraction] = None,
-    tau: Optional[Fraction] = None,
     ctx: Optional[EvalContext] = None,
 ) -> int:
     """len(enumerate_models(...)), counted from the tables without listing."""
-    found = _search(theory, scenario, spec, binding, epsilon, tau, ctx)
+    found = _search(theory, scenario, spec, binding, ctx)
     return found.count() if isinstance(found, _Tables) else sum(1 for _ in found)
 
 
@@ -464,10 +450,9 @@ def brute_force_models(
     scenario: Scenario,
     spec: GridSpec,
     binding: Mapping[str, str],
-    epsilon: Fraction = geometry.DEFAULT_EPSILON,
-    tau: Fraction = geometry.DEFAULT_TAU,
+    ctx: Optional[EvalContext] = None,
 ) -> list[Trace]:
     """`enumerate_models` by the oracle: every assignment's trace checked
     through `logic.reference_eval`."""
-    points, ctx = _prepare(theory, scenario, spec, binding, epsilon, tau)
+    points, ctx = _prepare(theory, scenario, spec, binding, ctx)
     return list(_brute_force(theory, scenario, spec, points, binding, ctx))

@@ -182,26 +182,6 @@ class EvalContext:
             tau=tau,
         )
 
-    @classmethod
-    def for_search(
-        cls,
-        scenario: Scenario,
-        theory: Theory,
-        epsilon: Optional[Fraction],
-        tau: Optional[Fraction],
-        ctx: Optional["EvalContext"],
-    ) -> "EvalContext":
-        """`ctx`, whose tolerances a search then uses, or else the context for
-        the scenario and the theory with `epsilon` and `tau`, the defaults
-        when None. Tolerances given beside a context are an error: only one
-        of the two may say them."""
-        if ctx is None:
-            epsilon = DEFAULT_EPSILON if epsilon is None else epsilon
-            return cls.for_scenario(scenario, theory, epsilon, DEFAULT_TAU if tau is None else tau)
-        if epsilon is not None or tau is not None:
-            raise TypeError("give the tolerances in the context or as epsilon and tau, not both")
-        return ctx
-
     def decl(self, entity: str) -> EntityDecl:
         try:
             return self.entities[entity]
@@ -242,6 +222,8 @@ def center(state: State, decl: EntityDecl) -> Optional[tuple[Fraction, Fraction]
 
 # Every parameter name some shape uses.
 GEOMETRIC_PARAMS = frozenset(p for names in SHAPE_PARAMS.values() for p in names)
+# The sizes that `half_size` halves: a Rectangle's width and height.
+HALVED_PARAMS = frozenset(("w", "h"))
 
 
 class _Ints(dict):
@@ -270,9 +252,10 @@ class IntView:
 
     A view may also be derived from the view of other values by `updated`,
     from the keys whose values changed: its scale is then a common multiple
-    of the doubled denominators, not always the least, which no exact test
-    can tell apart. Only the changed keys make a derived view valid; a view
-    is never reused because a values object is the same.
+    of the denominators, doubled only for a width or a height (`w`, `h`),
+    the sizes that are halved. That is not always the least, which no exact
+    test can tell apart. Only the changed keys make a derived view valid; a
+    view is never reused because a values object is the same.
     """
 
     __slots__ = ("scale", "ints", "boxes", "extents")
@@ -288,8 +271,9 @@ class IntView:
 
     def updated(self, values: Mapping[tuple[str, str], Fraction], keys: Iterable[tuple[str, str]]) -> "IntView":
         """The view of `values`, which differ from this view's values at most
-        at `keys`. It keeps this view's scale when the doubled denominator of
-        every changed geometric value divides it: the integers are copied,
+        at `keys`. It keeps this view's scale when it is a multiple of every
+        changed geometric value's denominator, doubled for a width or a
+        height: the integers are copied,
         only the changed keys are converted again, and every entity none of
         them belongs to keeps its box and extents. Otherwise the view of
         `values` is built anew; with no changed geometric value it is this
@@ -298,7 +282,7 @@ class IntView:
         changed = [(key, values[key]) for key in keys if key[1] in GEOMETRIC_PARAMS]
         if not changed:
             return self
-        if any(scale % (2 * v.denominator) for _, v in changed):
+        if any(scale % (2 * v.denominator if key[1] in HALVED_PARAMS else v.denominator) for key, v in changed):
             return IntView(values)
         view = IntView.__new__(IntView)
         view.scale = scale

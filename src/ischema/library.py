@@ -6,9 +6,11 @@ primitive catalog is data too (primitives.json). Classification searches all
 sort-compatible role bindings (distinct entities per binding) and reports the
 satisfied ones in canonical order.
 
-The search (`search_bindings`) builds one evaluation context and checks
-each candidate that `candidate_bindings` yields. A theory is gap-only
-(`gap_only`) when it sort-checks against the scenario's entities and is exact.
+The search (`search_bindings`) checks each candidate that
+`candidate_bindings` yields under one evaluation context, which holds the
+tolerances; `classify` and `analogy` build it once per theory and
+scenario. A theory is gap-only (`gap_only`) when it sort-checks against the
+scenario's entities and is exact.
 Exact means that every atom applies a built-in of GAP_ONLY_RELATIONS or a
 template whose body is an exact comparison, that each side of a comparison
 is a lone delta or a rational expression, and that delta, theta and measure
@@ -295,26 +297,22 @@ class ClassifyResult:
 def search_bindings(
     theory: Theory,
     scenario: Scenario,
-    epsilon: Optional[Fraction] = None,
-    tau: Optional[Fraction] = None,
+    ctx: EvalContext,
     fixed: Optional[Mapping[str, str]] = None,
-    ctx: Optional[EvalContext] = None,
 ) -> Iterator[ClassifyResult]:
     """The binding search behind classify, analogy and `check` with unbound
     roles: every satisfying binding of `theory`, lazily, in the canonical
     order of `candidate_bindings`.
 
-    The evaluation context, with its sort hierarchy, is `ctx`, a context for
-    the theory and the scenario that then holds the tolerances, or else built
-    once with `epsilon` and `tau` (see `EvalContext.for_search`); so are the
-    conditions: the `necessary_conditions` of a gap-only theory over
+    `ctx`, a context for the theory and the scenario, holds the sort
+    hierarchy and the tolerances. The conditions are built once: the
+    `necessary_conditions` of a gap-only theory over
     a concrete trace, none for any other. Each candidate's axioms are
     evaluated in order up to the first false one, and a candidate whose
     evaluation raises one of EVALUATION_GAP_ERRORS (a relation undefined for
     the shapes bound) is skipped; any other error propagates. A satisfying
     binding's report lists every axiom as satisfied.
     """
-    ctx = EvalContext.for_search(scenario, theory, epsilon, tau, ctx)
     conditions = necessary_conditions(theory) if scenario.trace is not None else ()
     if conditions and not gap_only(theory, ctx):
         conditions = ()
@@ -564,7 +562,11 @@ def classify(
     theories: list[Theory] = []
     for s in schemas if schemas is not None else SHIPPED_SCHEMAS:
         theories.append(s if isinstance(s, Theory) else schema_theory(s))
-    results = [r for theory in theories for r in search_bindings(theory, scenario, epsilon, tau)]
+    results = [
+        r
+        for theory in theories
+        for r in search_bindings(theory, scenario, EvalContext.for_scenario(scenario, theory, epsilon, tau))
+    ]
     results.sort(key=lambda r: (r.binding.schema, r.binding.roles))
     return results
 
@@ -576,7 +578,7 @@ def satisfying_bindings(
     tau: Fraction = geometry.DEFAULT_TAU,
 ) -> Iterator[SchemaBinding]:
     """Satisfying bindings of one theory, lazily, in canonical order."""
-    for result in search_bindings(theory, scenario, epsilon, tau):
+    for result in search_bindings(theory, scenario, EvalContext.for_scenario(scenario, theory, epsilon, tau)):
         yield result.binding
 
 

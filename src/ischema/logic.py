@@ -17,7 +17,6 @@ Temporal operators over a trace of length T, evaluated at instant t:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import geometry
@@ -484,10 +483,8 @@ def check_theory(
     theory: Theory,
     scenario: Scenario,
     binding: Binding,
-    epsilon: Fraction = geometry.DEFAULT_EPSILON,
-    tau: Fraction = geometry.DEFAULT_TAU,
-    evaluator: Callable = eval_formula,
     ctx: EvalContext | None = None,
+    evaluator: Callable = eval_formula,
     stop_at_first_false: bool = False,
 ) -> CheckReport:
     """Evaluate every axiom at instant 0 under the role binding.
@@ -495,16 +492,16 @@ def check_theory(
     Violated axioms carry a witness: the earliest failing instant and an
     innermost failing subformula, chosen leftmost depth-first.
 
-    `ctx` is `EvalContext.for_scenario(scenario, theory, epsilon, tau)` built
-    once by a caller that checks many bindings; epsilon and tau then come from
-    it. With `stop_at_first_false` the axioms after the first violated one are
-    not evaluated and no witness is built: the report ends at that axiom,
+    `ctx`, a context for the theory and the scenario, holds the tolerances;
+    None means `EvalContext.for_scenario(scenario, theory)`, with the default
+    ones. With `stop_at_first_false` the axioms after the first violated one
+    are not evaluated and no witness is built: the report ends at that axiom,
     which is enough to tell whether the binding satisfies the theory.
     """
     if scenario.trace is None:
         raise TimeOutOfRange("checking needs a concrete trace; simulate first")
     if ctx is None:
-        ctx = EvalContext.for_scenario(scenario, theory, epsilon=epsilon, tau=tau)
+        ctx = EvalContext.for_scenario(scenario, theory)
     validate_binding(theory, binding, ctx)
     trace = scenario.trace
     results = []

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -791,6 +792,91 @@ def test_check_counts_candidates_without_listing_them(runner, tmp_path):
 def test_negative_epsilon_is_a_usage_error(runner, args):
     _assert_usage_error(_run(runner, args + ["--epsilon", "-1"]), "error: --epsilon must not be negative, got -1")
     assert _run(runner, args + ["--epsilon", "0"]).exit_code in (0, 1)
+
+
+def _tolerance_files(tmp_path):
+    """T: a point a quarter above a floor, in contact only within epsilon
+    1/2. U: two points one apart, close only within tau 1, since `closeTo`
+    with no threshold reads tau."""
+    files = {
+        "T.ist": "theory T\n  role a : Object\n  role f : Floor\n  axiom contact(a, f)\nend\n",
+        "s.scn": "scenario s\n  entity p : Object = Point(0, 1/4)\n  entity g : Floor = Floor(0)\n"
+                 "  trace length 1\nend\n",
+        "U.ist": "theory U\n  role a, b : Object\n  axiom closeTo(a, b)\nend\n",
+        "pair.scn": "scenario pair\n  entity p : Object = Point(0, 0)\n  entity q : Object = Point(1, 0)\n"
+                    "  trace length 1\nend\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return lambda name: str(tmp_path / name)
+
+
+@pytest.mark.parametrize("bind", [["--bind", "a=p", "--bind", "f=g"], []], ids=["bound", "search"])
+def test_check_reads_the_epsilon_flag(runner, tmp_path, bind):
+    path = _tolerance_files(tmp_path)
+    args = ["check", path("T.ist"), path("s.scn"), *bind]
+    assert _run(runner, args).exit_code == 1
+    assert _run(runner, args + ["--epsilon", "1/2"]).exit_code == 0
+
+
+@pytest.mark.parametrize("bind", [["--bind", "a=p", "--bind", "b=q"], []], ids=["bound", "search"])
+def test_check_reads_the_tau_flag(runner, tmp_path, bind):
+    path = _tolerance_files(tmp_path)
+    args = ["check", path("U.ist"), path("pair.scn"), *bind]
+    assert _run(runner, args).exit_code == 1
+    assert _run(runner, args + ["--tau", "1"]).exit_code == 0
+
+
+@pytest.mark.parametrize("count_only", [["--count-only"], []], ids=["count", "list"])
+def test_enumerate_reads_the_tolerance_flags(runner, tmp_path, count_only):
+    path = _tolerance_files(tmp_path)
+    contact = ["enumerate", path("T.ist"), path("s.scn"), "--grid", "0:1,0:1,1/4", "--bind", "f=g", *count_only]
+    close = ["enumerate", path("U.ist"), path("pair.scn"), "--free", "p", "--grid", "0:2,0:0",
+             "--bind", "a=p", "--bind", "b=q", *count_only]
+    for args, flag, before, after in ((contact, "--epsilon", 5, 15), (close, "--tau", 1, 3)):
+        for extra, count in (([], before), ([flag, "1/2" if flag == "--epsilon" else "1"], after)):
+            result = _run(runner, args + extra)
+            assert result.exit_code == 0 and result.output.startswith(f"models: {count}\n"), result.output
+
+
+def test_classify_and_analogy_read_the_epsilon_flag(runner, tmp_path):
+    scn = _tolerance_files(tmp_path)("s.scn")
+    classify = ["classify", scn, "--schemas", "SUPPORT"]
+    assert _run(runner, classify).output == "no schema instantiations found\n"
+    assert _run(runner, classify + ["--epsilon", "1/2"]).output == "SUPPORT: upper=p, lower=g\n"
+    analogy = ["analogy", scn, scn, "--schema", "SUPPORT"]
+    assert _run(runner, analogy).exit_code == 1
+    assert _run(runner, analogy + ["--epsilon", "1/2"]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "SUPPORT.ist", "stack.scn", "--bind", "upper=marble", "--bind", "lower=box"],
+        ["check", "SUPPORT.ist", "stack.scn"],
+        ["classify", "stack.scn"],
+        ["analogy", "solar.scn", "atom.scn", "--schema", "REVOLUTION"],
+        ["enumerate", "CONTAINMENT.ist", "containment_grid.scn", "--grid", "0:2,0:2", "--count-only"],
+        ["enumerate", "CONTAINMENT.ist", "containment_grid.scn", "--grid", "0:2,0:2"],
+    ],
+    ids=["check-bound", "check-search", "classify", "analogy", "enumerate-count", "enumerate-list"],
+)
+def test_every_context_holds_the_tolerance_flags(runner, monkeypatch, args):
+    """No shipped schema reads --tau (LINK names its own), so the contexts
+    a command builds show that the flag reaches them."""
+    tolerances = []
+    real_for_scenario = EvalContext.for_scenario.__func__
+
+    def for_scenario(cls, *args, **kwargs):
+        ctx = real_for_scenario(cls, *args, **kwargs)
+        tolerances.append((ctx.epsilon, ctx.tau))
+        return ctx
+
+    monkeypatch.setattr(EvalContext, "for_scenario", classmethod(for_scenario))
+    files = [_path(a) if a.endswith((".ist", ".scn")) else a for a in args]
+    result = _run(runner, files + ["--epsilon", "1/3", "--tau", "7/2"])
+    assert result.exit_code in (0, 1), result.output
+    assert tolerances and set(tolerances) == {(Fraction(1, 3), Fraction(7, 2))}
 
 
 # --- fuzz: every command ends in a documented exit code -------------------------

@@ -606,6 +606,33 @@ def test_simulate_builds_one_view_while_the_scale_holds(monkeypatch):
     assert len(built) == 2 and built[1].scale % 61 == 0 and scale % 61 != 0
 
 
+def test_a_clamp_into_contact_keeps_the_scale(monkeypatch):
+    """In the sixteen-prime scene a clamp lands bodies exactly on what is
+    below them, writing a y over a denominator that divides the scale but
+    whose double does not; only a width or a height is halved, so the view
+    keeps its scale."""
+    from ischema.dsl import parse_scenario
+
+    built = []
+    real_init = geometry.IntView.__init__
+
+    def init(view, values):
+        built.append(view)
+        real_init(view, values)
+
+    monkeypatch.setattr(geometry.IntView, "__init__", init)
+    sc = parse_scenario(prime_denominator_scene())
+    trace = simulate(sc)
+    assert len(trace.states) == 24 and len(built) == 1
+
+    # a half added to b2's x stays on the scale, one added to its width does not
+    ctx = EvalContext.for_scenario(sc)
+    for param, views in (("x", 1), ("w", 2)):
+        half = Rule("half", TrueF(), (SetParam("b2", param, Add(ParamRef("b2", param), Const(Fraction(1, 2)))),))
+        geometry.int_view(step(trace.states[-1], list(sc.rules) + [half], ctx))
+        assert len(built) == views
+
+
 def _scaled(piece, scale):
     """An extent or box piece (an integer, None, or a tuple of them) times `scale`."""
     if isinstance(piece, tuple):

@@ -19,6 +19,7 @@ from ischema.geometry import (
     Add,
     Const,
     DeltaExpr,
+    EvalContext,
     MeasureExpr,
     Mul,
     NameRef,
@@ -308,9 +309,13 @@ def test_tables_equal_the_brute_force(seed):
     )
     eps = rng.choice((Fraction(0), Fraction(1, 10**9), Fraction(1, 4), Fraction(1)))
     tau = rng.choice((Fraction(1, 2), Fraction(2)))
-    expected = _outcome(lambda: brute_force_models(theory, sc, spec, binding, eps, tau))
-    assert _outcome(lambda: enumerate_models(theory, sc, spec, binding, eps, tau)) == expected
-    counted = _outcome(lambda: count_models(theory, sc, spec, binding, eps, tau))
+
+    def ctx():
+        return EvalContext.for_scenario(sc, theory, eps, tau)
+
+    expected = _outcome(lambda: brute_force_models(theory, sc, spec, binding, ctx()))
+    assert _outcome(lambda: enumerate_models(theory, sc, spec, binding, ctx())) == expected
+    counted = _outcome(lambda: count_models(theory, sc, spec, binding, ctx()))
     assert counted == (len(expected) if isinstance(expected, list) else expected)
 
 

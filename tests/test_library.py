@@ -294,7 +294,7 @@ def test_search_stops_at_first_false_axiom():
         axioms=(parse_formula("larger(b, a)"), parse_formula("inside(a, b)")),
     )
     sc = _two_points_and_circle()
-    found = list(search_bindings(theory, sc))
+    found = list(search_bindings(theory, sc, EvalContext.for_scenario(sc, theory)))
     assert [r.binding.as_dict() for r in found] == [{"a": "p", "b": "c"}, {"a": "q", "b": "c"}]
     assert all(len(r.report.axioms) == 2 and r.report.satisfied for r in found)
     dropped = {"a": "p", "b": "q"}
@@ -308,11 +308,11 @@ def test_search_skips_gap_errors_only():
     sc = _two_points_and_circle()
     gap = Theory(name="G", roles=(("a", "Object"), ("b", "Object")),
                  axioms=(parse_formula("inside(a, b)"),))
-    assert list(search_bindings(gap, sc)) == []
+    assert list(search_bindings(gap, sc, EvalContext.for_scenario(sc, gap))) == []
     unbound = Theory(name="U", roles=(("a", "Object"),),
                      axioms=(parse_formula("contact(a, nowhere)"),))
     with pytest.raises(UnboundSymbol):
-        list(search_bindings(unbound, sc))
+        list(search_bindings(unbound, sc, EvalContext.for_scenario(sc, unbound)))
     with pytest.raises(UnboundSymbol):
         classify(sc, [unbound])
     with pytest.raises(UnboundSymbol):
@@ -322,9 +322,9 @@ def test_search_skips_gap_errors_only():
 def test_search_with_fixed_roles():
     sc = shipped_scenario("stack")
     theory = schema_theory("SUPPORT")
-    found = [r.binding.as_dict() for r in search_bindings(theory, sc, fixed={"lower": "box"})]
-    assert found == [{"upper": "marble", "lower": "box"}]
     ctx = EvalContext.for_scenario(sc, theory)
+    found = [r.binding.as_dict() for r in search_bindings(theory, sc, ctx, fixed={"lower": "box"})]
+    assert found == [{"upper": "marble", "lower": "box"}]
     assert list(candidate_bindings(theory, sc, ctx, fixed={"nothing": "box"})) == []
     assert list(candidate_bindings(theory, sc, ctx, fixed={"lower": "nobody"})) == []
 
@@ -534,7 +534,7 @@ def test_joined_search_equals_the_unfiltered_loop(seed):
         fixed["zz"] = sc.entities[0].id
     ctx = EvalContext.for_scenario(sc, theory, epsilon=epsilon, tau=tau)
     assert gap_only(theory, ctx) is gappy
-    got = _outcome(r.binding.roles for r in search_bindings(theory, sc, epsilon, tau, fixed=fixed))
+    got = _outcome(r.binding.roles for r in search_bindings(theory, sc, ctx, fixed=fixed))
     assert got == _outcome(_unfiltered(theory, sc, epsilon, tau, fixed))
 
 
@@ -636,7 +636,8 @@ def test_join_checks_only_candidates_that_meet_the_conditions(monkeypatch):
         return check_theory(theory, scenario, binding, **kw)
 
     monkeypatch.setattr(library, "check_theory", counting)
-    found = [r.binding.as_dict() for r in search_bindings(schema_theory("SUPPORT"), sc)]
+    theory = schema_theory("SUPPORT")
+    found = [r.binding.as_dict() for r in search_bindings(theory, sc, EvalContext.for_scenario(sc, theory))]
     assert checked == found == [
         {"upper": "box", "lower": "crate"},
         {"upper": "crate", "lower": "f"},
@@ -767,8 +768,28 @@ def test_a_search_takes_its_tolerances_from_one_place():
     theory = Theory("T", roles=(("a", "Object"), ("b", "Object")), axioms=(parse_formula("closeTo(a, b)"),))
     ctx = EvalContext.for_scenario(sc, theory, tau=Fraction(1))
     # points one apart are close within tau 1, and not within the default 1/2
-    assert len(list(search_bindings(theory, sc, ctx=ctx))) == 4
-    assert list(search_bindings(theory, sc)) == []
-    with pytest.raises(TypeError, match="not both"):
-        next(search_bindings(theory, sc, tau=Fraction(1), ctx=ctx))
+    assert len(list(search_bindings(theory, sc, ctx))) == 4
+    assert list(search_bindings(theory, sc, EvalContext.for_scenario(sc, theory))) == []
+
+
+def test_no_function_takes_the_tolerances_beside_a_context():
+    """A context holds the tolerances, so a function that takes one takes
+    no `epsilon` or `tau` beside it."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import ischema
+
+    signatures = {}
+    for info in pkgutil.iter_modules(ischema.__path__):
+        module = importlib.import_module(f"ischema.{info.name}")
+        owners = [module] + [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
+        for owner in owners:
+            for fn in vars(owner).values():
+                fn = getattr(fn, "__func__", fn)  # a classmethod's or staticmethod's function
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    signatures[f"{module.__name__}.{fn.__qualname__}"] = set(inspect.signature(fn).parameters)
+    assert "ctx" in signatures["ischema.logic.check_theory"]
+    assert [name for name, params in signatures.items() if "ctx" in params and params & {"epsilon", "tau"}] == []
 

@@ -11,7 +11,10 @@ process through the CLI as the benchmark does. A last set, `simulate_rules`,
 runs `simulate --json` and `--trace-out` on the shipped `drop.scn` and on
 generated scenes whose rules the benchmark does not cover: generic rules
 with geometric conditions, forces, `umph ... until` without gravity, and
-values over mixed denominators. A command's output is the
+values over mixed denominators. The set after it, `tolerances`, runs
+`check` (bound and searched), `classify`, `analogy` and `enumerate`
+(listing and counting) on the shipped data at a seeded non-default
+`--epsilon` and `--tau`, which no benchmark command passes. A command's output is the
 sha256 of its exit code, stdout, stderr and the file it writes. Commands are
 compared by their place in the pass, since a pass may repeat a command. It
 prints the commands whose outputs differ and exits 1 if there are any, else 0.
@@ -39,6 +42,7 @@ import workloads  # noqa: E402
 
 
 SIMULATE_RULES = "simulate_rules"
+TOLERANCES = "tolerances"
 
 
 def _q(rng: random.Random, lo: int, hi: int) -> str:
@@ -96,9 +100,33 @@ def simulate_rules(seed: int, workdir: Path, data: Path, toy: bool = False) -> l
     return commands
 
 
+def tolerances(seed: int, workdir: Path, data: Path) -> list:
+    """Copy the shipped theories and scenarios into `workdir`; return the
+    `tolerances` commands."""
+    for f in data.iterdir():
+        if f.suffix in (".ist", ".scn"):
+            shutil.copyfile(f, workdir / f.name)
+    rng = random.Random(f"{TOLERANCES}/{seed}")
+    flags = ["--epsilon", rng.choice(("1/4", "1/2", "1")), "--tau", rng.choice(("1/3", "2", "3"))]
+    grid = ["enumerate", "SUPPORT.ist", "stack.scn", "--free", "marble", "--grid", "-1:1,0:3,1/2",
+            "--bind", "upper=marble", "--bind", "lower=box"]
+    args = [
+        ["check", "SUPPORT.ist", "stack.scn", "--bind", "upper=marble", "--bind", "lower=box"],
+        ["check", "SUPPORT.ist", "stack.scn", "--bind", "lower=crate", "--json"],
+        ["check", "OBJECT_INTO_CONTAINER.ist", "ball_cup.scn"],
+        *(["classify", scn, "--json"] for scn in ("fig1.scn", "ball_cup.scn", "stack.scn")),
+        ["analogy", "solar.scn", "atom.scn", "--schema", "REVOLUTION", "--json"],
+        grid,
+        [*grid, "--count-only"],
+    ]
+    return [workloads.Command(a + flags, a[0]) for a in args]
+
+
 def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> list:
     if workload == SIMULATE_RULES:
         return simulate_rules(seed, workdir, data, toy)
+    if workload == TOLERANCES:
+        return tolerances(seed, workdir, data)
     return workloads.build(workload, seed, workdir, data, toy=toy)
 
 
@@ -146,7 +174,7 @@ def main(argv=None, toy: bool = False) -> int:
         try:
             for name, path in sides.items():
                 bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in (*workloads.WORKLOADS, SIMULATE_RULES):
+            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, TOLERANCES):
                 for seed in seeds:
                     digests = {}
                     for name, path in sides.items():
