@@ -273,11 +273,10 @@ class IntView:
         """The view of `values`, which differ from this view's values at most
         at `keys`. It keeps this view's scale when it is a multiple of every
         changed geometric value's denominator, doubled for a width or a
-        height: the integers are copied,
-        only the changed keys are converted again, and every entity none of
-        them belongs to keeps its box and extents. Otherwise the view of
-        `values` is built anew; with no changed geometric value it is this
-        view."""
+        height: the integers are copied, only the changed keys are converted
+        again, and every entity none of them belongs to keeps its box and
+        extents. Otherwise the view of `values` is built anew; with no changed
+        geometric value it is this view."""
         scale = self.scale
         changed = [(key, values[key]) for key in keys if key[1] in GEOMETRIC_PARAMS]
         if not changed:

@@ -811,32 +811,39 @@ def _tolerance_files(tmp_path):
     return lambda name: str(tmp_path / name)
 
 
-@pytest.mark.parametrize("bind", [["--bind", "a=p", "--bind", "f=g"], []], ids=["bound", "search"])
-def test_check_reads_the_epsilon_flag(runner, tmp_path, bind):
+@pytest.mark.parametrize(
+    "ist, scn, bind, flag",
+    [
+        ("T.ist", "s.scn", ["--bind", "a=p", "--bind", "f=g"], ["--epsilon", "1/2"]),
+        ("T.ist", "s.scn", [], ["--epsilon", "1/2"]),
+        ("U.ist", "pair.scn", ["--bind", "a=p", "--bind", "b=q"], ["--tau", "1"]),
+        ("U.ist", "pair.scn", [], ["--tau", "1"]),
+    ],
+    ids=["epsilon-bound", "epsilon-search", "tau-bound", "tau-search"],
+)
+def test_check_reads_the_tolerance_flags(runner, tmp_path, ist, scn, bind, flag):
     path = _tolerance_files(tmp_path)
-    args = ["check", path("T.ist"), path("s.scn"), *bind]
+    args = ["check", path(ist), path(scn), *bind]
     assert _run(runner, args).exit_code == 1
-    assert _run(runner, args + ["--epsilon", "1/2"]).exit_code == 0
-
-
-@pytest.mark.parametrize("bind", [["--bind", "a=p", "--bind", "b=q"], []], ids=["bound", "search"])
-def test_check_reads_the_tau_flag(runner, tmp_path, bind):
-    path = _tolerance_files(tmp_path)
-    args = ["check", path("U.ist"), path("pair.scn"), *bind]
-    assert _run(runner, args).exit_code == 1
-    assert _run(runner, args + ["--tau", "1"]).exit_code == 0
+    assert _run(runner, args + flag).exit_code == 0
 
 
 @pytest.mark.parametrize("count_only", [["--count-only"], []], ids=["count", "list"])
-def test_enumerate_reads_the_tolerance_flags(runner, tmp_path, count_only):
+@pytest.mark.parametrize(
+    "args, flag, before, after",
+    [
+        (["T.ist", "s.scn", "--grid", "0:1,0:1,1/4", "--bind", "f=g"], ["--epsilon", "1/2"], 5, 15),
+        (["U.ist", "pair.scn", "--free", "p", "--grid", "0:2,0:0", "--bind", "a=p", "--bind", "b=q"],
+         ["--tau", "1"], 1, 3),
+    ],
+    ids=["epsilon", "tau"],
+)
+def test_enumerate_reads_the_tolerance_flags(runner, tmp_path, count_only, args, flag, before, after):
     path = _tolerance_files(tmp_path)
-    contact = ["enumerate", path("T.ist"), path("s.scn"), "--grid", "0:1,0:1,1/4", "--bind", "f=g", *count_only]
-    close = ["enumerate", path("U.ist"), path("pair.scn"), "--free", "p", "--grid", "0:2,0:0",
-             "--bind", "a=p", "--bind", "b=q", *count_only]
-    for args, flag, before, after in ((contact, "--epsilon", 5, 15), (close, "--tau", 1, 3)):
-        for extra, count in (([], before), ([flag, "1/2" if flag == "--epsilon" else "1"], after)):
-            result = _run(runner, args + extra)
-            assert result.exit_code == 0 and result.output.startswith(f"models: {count}\n"), result.output
+    args = ["enumerate", path(args[0]), path(args[1]), *args[2:], *count_only]
+    for extra, count in (([], before), (flag, after)):
+        result = _run(runner, args + extra)
+        assert result.exit_code == 0 and result.output.startswith(f"models: {count}\n"), result.output
 
 
 def test_classify_and_analogy_read_the_epsilon_flag(runner, tmp_path):
