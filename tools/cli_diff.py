@@ -7,17 +7,18 @@ out into temporary `git worktree`s, so only committed files are compared.
 For every perfbench workload and seed it writes the inputs with
 `perfbench/workloads.build` once per side, from that side's shipped data,
 and runs the commands of one pass in order in a new process per side, in
-process through the CLI as the benchmark does. A last set, `simulate_rules`,
+process through the CLI as the benchmark does. A further set, `simulate_rules`,
 runs `simulate --json` and `--trace-out` on the shipped `drop.scn` and on
 generated scenes whose rules the benchmark does not cover: generic rules
 with geometric conditions, forces, `umph ... until` without gravity, and
 values over mixed denominators. The set after it, `tolerances`, runs
 `check` (bound and searched), `classify`, `analogy` and `enumerate`
 (listing and counting) on the shipped data at a seeded non-default
-`--epsilon` and `--tau`, which no benchmark command passes. A command's output is the
-sha256 of its exit code, stdout, stderr and the file it writes. Commands are
-compared by their place in the pass, since a pass may repeat a command. It
-prints the commands whose outputs differ and exits 1 if there are any, else 0.
+`--epsilon` and `--tau`, which no benchmark command passes. A command's
+output is the sha256 of its exit code, stdout, stderr and the file it
+writes. Commands are compared by their place in the pass, since a pass may
+repeat a command. It prints the commands whose outputs differ and exits 1
+if there are any, else 0.
 """
 
 from __future__ import annotations
