@@ -33,8 +33,6 @@ from .logic import (
     eval_formula,
 )
 from .model import (
-    POSITION_X,
-    POSITION_Y,
     ForceFluent,
     Scenario,
     ShapeKind,
@@ -121,8 +119,8 @@ def gravity_rule(delta: Fraction | int = 1) -> Rule:
     Applies to bottom-bearing shapes (points, circles, rectangles); floors and
     segments are scenery. The drop clamps at the highest surface directly
     beneath, so a body lands exactly in contact instead of overshooting.
-    `step` decides the condition from one horizontal sweep per step, and by
-    the generic evaluator only under a theory's `on` template.
+    `step` decides the condition from a horizontal sweep carried across
+    steps, and by the generic evaluator only under a theory's `on` template.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -295,25 +293,60 @@ def _fall_drop(state: State, ctx: EvalContext, target: str, delta: Fraction) -> 
 def _gravity_effects(
     rule: Rule, state: State, ctx: EvalContext, targets: Sequence[str]
 ) -> list[tuple]:
-    """The built-in gravity rule's effects on its scope `targets`, from one
-    horizontal sweep of `state`. `on(x, y)`
-    implies that x's and y's extents meet, so a target is supported iff it
-    rests on one of its sweep neighbours, and only those can stop its fall."""
+    """The built-in gravity rule's effects on its scope `targets`, from a
+    horizontal sweep of `state`. `on(x, y)` implies that x's and y's extents
+    meet, so a target is supported iff it rests on one of its sweep
+    neighbours, and only those can stop its fall.
+
+    The sweep is kept on the state's view: each entity's x-extent, its
+    neighbours, and the targets gravity left in place. A view derived by
+    `IntView.updated` carries it on with the entities moved since, so this
+    repairs the neighbours of the x-moved entities against the kept extents
+    and skips each target that is still left in place: no moved entity is
+    the target or one of its old or new neighbours, and a verdict reads only
+    those. With no sweep for this context and effect, `x_neighbours` sweeps
+    anew."""
     (fall,) = rule.effects
     entities = ctx.entities
-    neighbours = geometry.x_neighbours(state, entities.values())
-    tops = {eid: geometry.top(state, decl) for eid, decl in entities.items()}
     view = geometry.int_view(state)
+    carried = view.sweep
+    if carried is not None and carried[0][0] is ctx and carried[0][1] == fall:
+        (_, _, extents, neighbours, left), moved, x_moved = carried
+        extents, neighbours, left = dict(extents), dict(neighbours), set(left) - moved
+        x_moved = [m for m in x_moved if m in entities]
+        for m in x_moved:
+            extents[m] = geometry.horizontal_interval(state, entities[m])
+        meet = geometry.extents_meet
+        for m in x_moved:  # the lists are shared with the parent sweep, so replaced, never changed
+            mine = extents[m]
+            near = [e for e, extent in extents.items() if meet(mine, extent)]
+            old = neighbours[m]
+            for e in near:
+                if e not in old and e != m:
+                    neighbours[e] = neighbours[e] + [m]
+            for e in old:
+                if e not in near and e != m:
+                    neighbours[e] = [o for o in neighbours[e] if o != m]
+            left.difference_update(old)
+            neighbours[m] = near
+        for m in moved:
+            left.difference_update(neighbours.get(m, ()))
+    else:
+        extents = {e: geometry.horizontal_interval(state, decl) for e, decl in entities.items()}
+        neighbours = geometry.x_neighbours(state, entities.values())
+        left = set()
     eps = view.floor(ctx.epsilon)
     out: list[tuple] = []
     for target in targets:
+        if target in left:
+            continue
         decl = entities[target]
         base = geometry.bottom(state, decl)
         if base is None:
             continue
         below = []  # the tops of the other neighbours at or below `base`
         for y in neighbours[target]:
-            surface = tops[y]
+            surface = geometry.top(state, entities[y])
             if surface is None:
                 continue
             # rel_on(x, y) is contact, top(y) - bottom(x) <= epsilon, and the
@@ -329,6 +362,9 @@ def _gravity_effects(
             drop = _clamped_drop(view.scale, base, below, fall.delta)
             if drop != 0:
                 out.append(("delta", target, "y", -drop))
+                continue
+        left.add(target)
+    view.sweep = (ctx, fall, extents, neighbours, left), frozenset(), frozenset()
     return out
 
 
@@ -509,8 +545,7 @@ def step(
     for f in state.forces:
         decl = ctx.entities.get(f.target)
         if decl is not None:
-            displace(values, decl, f.dx, f.dy)
-            changed.update((decl.id, p) for p in POSITION_X[decl.shape] + POSITION_Y[decl.shape])
+            changed.update(displace(values, decl, f.dx, f.dy))
 
     after = State(time=state.time + 1, values=values, forces=frozenset(forces))
     if view is not None:

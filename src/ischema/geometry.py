@@ -224,6 +224,8 @@ def center(state: State, decl: EntityDecl) -> Optional[tuple[Fraction, Fraction]
 GEOMETRIC_PARAMS = frozenset(p for names in SHAPE_PARAMS.values() for p in names)
 # The sizes that `half_size` halves: a Rectangle's width and height.
 HALVED_PARAMS = frozenset(("w", "h"))
+# The parameters a horizontal extent reads.
+X_EXTENT_PARAMS = frozenset(("x", "w", "r", "x1", "x2"))
 
 
 class _Ints(dict):
@@ -248,7 +250,10 @@ class IntView:
     integer difference d is at most e*L when d <= floor(e*L), and a squared
     distance is compared by cross-multiplying with e's denominator. The
     view also keeps each entity's box (`box`) and extents (`extent`) once
-    built.
+    built, and in `sweep` gravity's horizontal sweep (see
+    `dynamics._gravity_effects`): None, or (sweep, moved, x_moved), a sweep
+    built on this view or an ancestor with the entities that a geometric key
+    moved since and those whose x-extent keys (`X_EXTENT_PARAMS`) moved.
 
     A view may also be derived from the view of other values by `updated`,
     from the keys whose values changed: its scale is then a common multiple
@@ -258,7 +263,7 @@ class IntView:
     view is never reused because a values object is the same.
     """
 
-    __slots__ = ("scale", "ints", "boxes", "extents")
+    __slots__ = ("scale", "ints", "boxes", "extents", "sweep")
 
     def __init__(self, values: Mapping[tuple[str, str], Fraction]):
         geometric = [(key, v) for key, v in values.items() if key[1] in GEOMETRIC_PARAMS]
@@ -268,15 +273,18 @@ class IntView:
         self.boxes: dict[str, tuple[ShapeKind, Box]] = {}
         # entity -> (the shape its record was built for, x-extent, bottom, top)
         self.extents: dict[str, tuple] = {}
+        self.sweep: Optional[tuple] = None
 
     def updated(self, values: Mapping[tuple[str, str], Fraction], keys: Iterable[tuple[str, str]]) -> "IntView":
         """The view of `values`, which differ from this view's values at most
         at `keys`. It keeps this view's scale when it is a multiple of every
         changed geometric value's denominator, doubled for a width or a
         height: the integers are copied, only the changed keys are converted
-        again, and every entity none of them belongs to keeps its box and
-        extents. Otherwise the view of `values` is built anew; with no changed
-        geometric value it is this view."""
+        again, every entity none of them belongs to keeps its box and
+        extents, and this view's sweep passes on with the entities the keys
+        moved added to its moved sets. Otherwise the view of `values` is
+        built anew, with no sweep; with no changed geometric value it is this
+        view."""
         scale = self.scale
         changed = [(key, values[key]) for key in keys if key[1] in GEOMETRIC_PARAMS]
         if not changed:
@@ -291,6 +299,11 @@ class IntView:
         moved = {key[0] for key, _ in changed}
         view.boxes = {e: kept for e, kept in self.boxes.items() if e not in moved}
         view.extents = {e: kept for e, kept in self.extents.items() if e not in moved}
+        view.sweep = None
+        if self.sweep is not None:
+            sweep, before, x_before = self.sweep
+            x_moved = {key[0] for key, _ in changed if key[1] in X_EXTENT_PARAMS}
+            view.sweep = sweep, before | moved, x_before | x_moved
         return view
 
     def floor(self, q: Fraction) -> int:
@@ -429,11 +442,12 @@ def horizontal_interval(state: State, decl: EntityDecl) -> Optional[tuple[int, i
 
 
 def horizontal_overlap(state: State, a: EntityDecl, b: EntityDecl) -> bool:
-    ia = horizontal_interval(state, a)
-    ib = horizontal_interval(state, b)
-    if ia is None or ib is None:
-        return True
-    return ia[0] <= ib[1] and ib[0] <= ia[1]
+    return extents_meet(horizontal_interval(state, a), horizontal_interval(state, b))
+
+
+def extents_meet(ia: Optional[tuple[int, int]], ib: Optional[tuple[int, int]]) -> bool:
+    """Whether two closed horizontal extents meet; None is unbounded."""
+    return ia is None or ib is None or (ia[0] <= ib[1] and ib[0] <= ia[1])
 
 
 def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[str]]:
@@ -444,7 +458,8 @@ def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[st
     One sort of the extents by left end and one sweep over them, the
     sweep-and-prune broad phase (Cohen et al., I-COLLIDE, I3D 1995): an
     extent meets the earlier-starting extents that have not ended before its
-    left end.
+    left end. Gravity sweeps a view anew only where it carries no sweep
+    (`IntView.sweep`); otherwise it repairs the carried one.
     """
     out: dict[str, list[str]] = {}
     unbounded: list[str] = []

@@ -393,12 +393,17 @@ def declare_scenario(
 
 def displace(
     values: dict[tuple[str, str], Fraction], decl: EntityDecl, dx: Fraction, dy: Fraction
-) -> None:
-    """Shift `decl`'s position parameters in an (entity, param)-keyed dict."""
-    for p in POSITION_X[decl.shape]:
-        values[(decl.id, p)] += dx
-    for p in POSITION_Y[decl.shape]:
-        values[(decl.id, p)] += dy
+) -> list[tuple[str, str]]:
+    """Shift `decl`'s position parameters in an (entity, param)-keyed dict;
+    an axis shifted by 0 keeps its values, the same objects. Returns the
+    keys written."""
+    written = []
+    for names, d in ((POSITION_X[decl.shape], dx), (POSITION_Y[decl.shape], dy)):
+        if d:
+            for p in names:
+                values[(decl.id, p)] += d
+                written.append((decl.id, p))
+    return written
 
 
 def translate_entity(e: EntityDecl, dx: Fraction, dy: Fraction) -> EntityDecl:

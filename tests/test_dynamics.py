@@ -662,6 +662,120 @@ def test_an_updated_view_agrees_with_a_fresh_view_up_to_scale(seed):
         assert _scaled(updated.extent(e)[1:], fresh.scale) == _scaled(fresh.extent(e)[1:], updated.scale)
 
 
+# --- gravity's sweep carried across steps ------------------------------------------
+
+
+def _sliding_scene(rng: random.Random):
+    """Bodies stacked in three columns on a floor, beside a table (a slab on
+    a leg) under gravity. Pushes slide bodies off what holds them and under
+    the slab; a rule raises the floor while it is low; a width shrinks past
+    0; a force of (0, 0) rests on a body; and a rule of a stratum before
+    gravity's moves a body sideways."""
+    half = lambda lo, hi: Fraction(rng.randint(2 * lo, 2 * hi), 2)  # noqa: E731
+    entities = [
+        make_entity("f", "Floor", ShapeKind.FLOOR, [0]),
+        make_entity("leg", "Container", ShapeKind.RECTANGLE, [9, 1, 1, 2]),
+        make_entity("slab", "Container", ShapeKind.RECTANGLE, [9 + half(-1, 1), Fraction(5, 2), 5, 1]),
+    ]
+    heights = {0: Fraction(0), 3: Fraction(0), 6: Fraction(0)}
+    for k in range(rng.randint(3, 8)):
+        x = rng.choice(sorted(heights))
+        base = heights[x] + rng.choice((0, 0, Fraction(1, 2), Fraction(1, 3)))
+        shape = rng.choice((ShapeKind.POINT, ShapeKind.CIRCLE, ShapeKind.RECTANGLE))
+        size = half(1, 3)
+        if shape is ShapeKind.POINT:
+            values, heights[x] = [x + half(-1, 1) / 2, base], base
+        elif shape is ShapeKind.CIRCLE:
+            values, heights[x] = [x, base + size / 2, size / 2], base + size
+        else:
+            values, heights[x] = [x + half(-1, 1) / 2, base + size / 2, half(1, 3), size], base + size
+        entities.append(make_entity(f"b{k}", "Object" if shape is ShapeKind.POINT else "Container", shape, values))
+    bodies = entities[3:]
+    rules = [gravity_rule(rng.choice((Fraction(1, 2), 1, Fraction(2, 3))))]
+    for k, body in enumerate(rng.sample(bodies, rng.randint(1, 3))):
+        dy = rng.choice((0, 0, 0, Fraction(1, 4)))
+        rules.append(umph_rule(f"p{k}", body.id, rng.choice((-1, 1)) * rng.choice((Fraction(1, 2), 1)), dy))
+    low = Compare(ParamRef("f", "y"), "<", Const(rng.choice((Fraction(1, 2), 1))))
+    rules.append(Rule("rise", low, (DeltaParam("f", "y", Const(Fraction(1, 4))),)))
+    rects = [e for e in bodies if e.shape is ShapeKind.RECTANGLE]
+    if rects:
+        rules.append(Rule("shrink", TrueF(), (DeltaParam(rng.choice(rects).id, "w", Const(Fraction(-1, 2))),)))
+    rest = ForceFluent("rest", rng.choice(bodies).id, Fraction(0), Fraction(0), "passive")
+    rules.append(Rule("rest", TrueF(), (AddForce(rest),)))
+    nudge = rng.choice(bodies).id
+    rules.append(Rule("nudge", low, (DeltaParam(nudge, "x", Const(rng.choice((-1, 1)) * Fraction(1, 3))),)))
+    return declare_scenario(entities, rules=rules, horizon=rng.randint(10, 30))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_carried_sweeps_simulate_as_fresh_views(seed):
+    """Each sweep gravity keeps holds the x-extents and the neighbours that a
+    sweep of the state anew gives, and the traces are those of views built
+    anew every time, which carry no sweep."""
+    sc = _sliding_scene(random.Random(seed))
+    real = dynamics._gravity_effects
+
+    def checked(rule, state, ctx, targets):
+        out = real(rule, state, ctx, targets)
+        _, _, extents, neighbours, _ = geometry.int_view(state).sweep[0]
+        assert extents == {e: geometry.horizontal_interval(state, d) for e, d in ctx.entities.items()}
+        expected = geometry.x_neighbours(state, ctx.entities.values())
+        assert {e: sorted(n) for e, n in neighbours.items()} == {e: sorted(n) for e, n in expected.items()}
+        return out
+
+    with mock.patch.object(dynamics, "_gravity_effects", checked):
+        carried = _simulated(sc)
+    with mock.patch.object(geometry.IntView, "updated", lambda self, values, keys: geometry.IntView(values)):
+        fresh = _simulated(sc)
+    assert carried == fresh
+
+
+@pytest.mark.parametrize("other", ["epsilon", "delta"])
+def test_a_sweep_serves_only_its_context_and_gravity_rule(other):
+    """A point 1 above the floor rests on it under epsilon 2, so the sweep
+    kept by that step leaves it in place; under the default epsilon it
+    falls, and under another gravity rule the sweep is built anew."""
+    o = make_entity("o", "Object", ShapeKind.POINT, [2, 1])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([o, f], rules=[gravity_rule(Fraction(1, 2))], horizon=3)
+    wide = EvalContext.for_scenario(sc, epsilon=Fraction(2))
+    carried = step(initial_state(sc.entities), list(sc.rules), wide)
+    assert carried.value("o", "y") == 1 and carried.view is not None
+    ctx, rules = (EvalContext.for_scenario(sc), list(sc.rules)) if other == "epsilon" else (wide, [gravity_rule(2)])
+    fresh = dataclasses.replace(carried)
+    assert fresh.view is None
+    after = step(carried, rules, ctx)
+    assert after == step(fresh, rules, ctx)
+    assert after.value("o", "y") == (Fraction(1, 2) if other == "epsilon" else 1)
+
+
+def test_simulate_sweeps_the_sixteen_prime_scene_once(monkeypatch):
+    """Every later step of the scene repairs the first step's sweep."""
+    from ischema.dsl import parse_scenario
+
+    calls = []
+    real = geometry.x_neighbours
+    monkeypatch.setattr(geometry, "x_neighbours", lambda state, decls: calls.append(state) or real(state, decls))
+    sc = parse_scenario(prime_denominator_scene())
+    for runs in (1, 2):
+        simulate(sc)
+        assert len(calls) == runs
+
+
+def test_a_force_along_x_keeps_the_y_value_object():
+    """A force's zero axis writes nothing: the y value is the same object,
+    which the trace writer reuses, and the sweep sees no move in y."""
+    o = make_entity("o", "Container", ShapeKind.RECTANGLE, [2, 1, 2, 2])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
+    sc = declare_scenario([o, f], rules=[gravity_rule(1)], horizon=3)
+    push = ForceFluent("push", "o", Fraction(1, 2), Fraction(0), "active")
+    state = dataclasses.replace(initial_state(sc.entities), forces=frozenset({push}))
+    after = step(state, list(sc.rules), EvalContext.for_scenario(sc))
+    assert after.value("o", "x") == Fraction(5, 2)
+    assert after.value("o", "y") is state.value("o", "y")
+
+
 # --- frame property and determinism ---------------------------------------------
 
 

@@ -11,7 +11,10 @@ process through the CLI as the benchmark does. A further set, `simulate_rules`,
 runs `simulate --json` and `--trace-out` on the shipped `drop.scn` and on
 generated scenes whose rules the benchmark does not cover: generic rules
 with geometric conditions, forces, `umph ... until` without gravity, and
-values over mixed denominators. The set after it, `tolerances`, runs
+values over mixed denominators. Beside it, `gravity_slides` runs the same
+two commands on generated stacks under gravity whose pushed bodies slide
+off what holds them and under a table, over a rising floor, for up to 60
+steps. The set after them, `tolerances`, runs
 `check` (bound and searched), `classify`, `analogy` and `enumerate`
 (listing and counting) on the shipped data at a seeded non-default
 `--epsilon` and `--tau`, which no benchmark command passes. A command's
@@ -43,6 +46,7 @@ import workloads  # noqa: E402
 
 
 SIMULATE_RULES = "simulate_rules"
+GRAVITY_SLIDES = "gravity_slides"
 TOLERANCES = "tolerances"
 
 
@@ -87,6 +91,54 @@ def _rule_scene(rng: random.Random, name: str, gravity: bool) -> str:
     return "\n".join(lines + [f"  horizon {rng.randint(4, 12)}", "end", ""])
 
 
+def _slide_scene(rng: random.Random, name: str) -> str:
+    """Bodies stacked in three columns above a floor beside a table, a slab
+    on a leg; gravity, pushes that slide some bodies off their columns and
+    under the slab, and a floor that rises in the first steps, which end
+    before a body that starts 2 or more up can fall below it."""
+    lines = [
+        f"scenario {name}",
+        "  entity f : Floor = Floor(0)",
+        "  entity leg : Container = Rectangle(12, 3, 1, 2)",
+        f"  entity slab : Container = Rectangle({_q(rng, 10, 14)}, 9/2, 6, 1)",
+    ]
+    heights = [Fraction(2)] * 3
+    pushed = []
+    for k in range(rng.randint(6, 12)):
+        column = rng.randrange(3)
+        x, base = Fraction(4 * column), heights[column] + rng.choice((0, 0, Fraction(1, 2)))
+        size = Fraction(rng.randint(2, 4), 2)
+        shape = ("Point", "Circle", "Rectangle")[k % 3]
+        if shape == "Point":
+            params, heights[column] = [x, base], base
+        elif shape == "Circle":
+            params, heights[column] = [x, base + size / 2, size / 2], base + size
+        else:
+            params, heights[column] = [x + Fraction(rng.randint(-1, 1), 2), base + size / 2, size, size], base + size
+        sort = "Object" if shape == "Point" else "Container"
+        lines.append(f"  entity b{k} : {sort} = {shape}({', '.join(str(v) for v in params)})")
+        if k and rng.random() < 0.3:
+            pushed.append(f"b{k}")
+    lines += ["  rules", f"    gravity({rng.choice(('1', '1/2', '2/3'))})"]
+    lines += [f"    umph slide{k} on {eid} ({rng.choice(('1/2', '-1/2', '1/3', '-1/3', '1'))}, 0)"
+              for k, eid in enumerate(pushed)]
+    lines.append(f"    rule rise when f.y < {rng.choice(('1/2', '1'))} do f.y += 1/2")
+    return "\n".join(lines + [f"  horizon {rng.randint(20, 60)}", "end", ""])
+
+
+def gravity_slides(seed: int, workdir: Path, toy: bool = False) -> list:
+    """Write the `gravity_slides` inputs into `workdir`; return their commands."""
+    commands = []
+    for i in range(2 if toy else 6):
+        name = f"slides{i}"
+        text = _slide_scene(random.Random(f"{GRAVITY_SLIDES}/{seed}/{i}"), name)
+        (workdir / f"{name}.scn").write_text(text, encoding="utf-8")
+        commands.append(workloads.Command(["simulate", f"{name}.scn", "--json"], "simulate"))
+        commands.append(workloads.Command(["simulate", f"{name}.scn", "--trace-out", f"{name}.trace.json"],
+                                          "simulate", out_file=f"{name}.trace.json"))
+    return commands
+
+
 def simulate_rules(seed: int, workdir: Path, data: Path, toy: bool = False) -> list:
     """Write the `simulate_rules` inputs into `workdir`; return their commands."""
     shutil.copyfile(data / "drop.scn", workdir / "drop.scn")
@@ -126,6 +178,8 @@ def tolerances(seed: int, workdir: Path, data: Path) -> list:
 def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> list:
     if workload == SIMULATE_RULES:
         return simulate_rules(seed, workdir, data, toy)
+    if workload == GRAVITY_SLIDES:
+        return gravity_slides(seed, workdir, toy)
     if workload == TOLERANCES:
         return tolerances(seed, workdir, data)
     return workloads.build(workload, seed, workdir, data, toy=toy)
@@ -175,7 +229,7 @@ def main(argv=None, toy: bool = False) -> int:
         try:
             for name, path in sides.items():
                 bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, TOLERANCES):
+            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES):
                 for seed in seeds:
                     digests = {}
                     for name, path in sides.items():
