@@ -671,7 +671,10 @@ def _sliding_scene(rng: random.Random):
     the slab; a rule raises the floor while it is low; a width shrinks past
     0; a force of (0, 0) rests on a body; and a rule of a stratum before
     gravity's moves a body sideways."""
-    half = lambda lo, hi: Fraction(rng.randint(2 * lo, 2 * hi), 2)  # noqa: E731
+
+    def half(lo, hi):
+        return Fraction(rng.randint(2 * lo, 2 * hi), 2)
+
     entities = [
         make_entity("f", "Floor", ShapeKind.FLOOR, [0]),
         make_entity("leg", "Container", ShapeKind.RECTANGLE, [9, 1, 1, 2]),
