@@ -476,19 +476,21 @@ def _tester(
     Filter: where `_filter` finds a margin, an instant counts only where the
     boxes of the two entities it names are not `geometry.boxes_apart` by
     that margin. Refine: the atom or comparison itself, where a gap error
-    counts as not holding.
+    counts as not holding. A `later` condition tries only `logic.instants`,
+    as at any other its box test and its value are those of the one before.
     """
     phi = cond.atom
     roles = [names[i] for i in cond.roles]
     margin, slots = _filter(phi, roles, trace, ctx)
     states = trace.states
+    reads = logic.local_reads(phi)
     memo: dict[tuple[str, ...], bool] = {}
 
     def holds(combo: tuple[str, ...]) -> bool:
         binding = dict(zip(roles, combo))
         if margin is not None:
             a, b = (ctx.entities[combo[x] if type(x) is int else x] for x in slots)
-        for t in range(trace.length) if cond.later else (0,):
+        for t in logic.instants(reads, trace, 0, binding, ctx) if cond.later else (0,):
             if margin is not None and geometry.boxes_apart(states[t], a, b, margin):
                 continue
             try:

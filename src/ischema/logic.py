@@ -12,6 +12,12 @@ Temporal operators over a trace of length T, evaluated at instant t:
     f until g     g at some t'' >= t, f at every t' in [t, t'')
     final         t = T-1
     before f      f at some t' in [0, t]   (reflexive past)
+
+`eval_formula` decides a local operand of `always` and `eventually` only at
+the `instants` where something it reads has changed: LTL without `next` is
+stutter-invariant (Lamport, IFIP 1983; Peled and Wilke, IPL 1997), so the
+verdict, the first instant that fails or raises, the error and the witness
+stay those of deciding every instant, as `reference_eval` still does.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
 )
 from .geometry import EvalContext, NumExpr, eval_constraint, eval_num_expr
 from .model import Scenario, State, Theory, Trace
-from .tree import Node
+from .tree import Node, all_symbols
 
 Binding = Mapping[str, str]
 
@@ -146,13 +152,21 @@ class Next(Formula):
 @dataclass(frozen=True)
 class Always(Formula):
     operand: Formula
+    reads: Optional[tuple] = field(init=False, compare=False, repr=False)  # the operand's `local_reads`
     CHILDREN = ("operand",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads", local_reads(self.operand))
 
 
 @dataclass(frozen=True)
 class Eventually(Formula):
     operand: Formula
+    reads: Optional[tuple] = field(init=False, compare=False, repr=False)  # the operand's `local_reads`
     CHILDREN = ("operand",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads", local_reads(self.operand))
 
 
 @dataclass(frozen=True)
@@ -208,6 +222,62 @@ def decide(phi: Formula, states: Sequence[State], t: int, binding: Binding, ctx:
 
 # The formula nodes `decide` decides.
 LEAVES = frozenset({Atom, Compare})
+
+
+# --- runs of equal instants ----------------------------------------------------
+
+
+# The nodes that read other instants or bind a variable.
+_NOT_LOCAL = frozenset({Forall, Exists, Next, Always, Eventually, Until, Before})
+
+
+def local_reads(phi: Formula) -> Optional[tuple[frozenset, frozenset, bool]]:
+    """When `phi` is local, holding no quantifier and no temporal operator
+    but `final`: the symbols it names, the relations it applies, and
+    whether it holds `final`. None otherwise. Iterative, since an operand
+    is classified before the parser measures its depth."""
+    symbols, relations, final = set(), set(), False
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) in _NOT_LOCAL or not isinstance(node, Node):
+            return None
+        if type(node) is Atom:
+            relations.add(node.relation)
+        final = final or type(node) is Final
+        symbols.update(node.symbols)
+        stack.extend(node.children)
+    return frozenset(symbols), frozenset(relations), final
+
+
+def instants(reads: tuple, trace: Trace, t: int, binding: Binding, ctx: EvalContext) -> Sequence[int]:
+    """The instants of [t, T), ascending, at which a local formula with
+    `reads` can change value: t; each change instant after t (see
+    `Trace.changes`) of an entity that a symbol of it names or is bound to,
+    or that an applied template's body names; the instant before each, when
+    it applies a step relation; and T - 1, when it applies one or holds
+    `final`. At any other instant it reads the values of the instant before,
+    so it has the same value there, or raises the same error."""
+    symbols, relations, final = reads
+    T = trace.length
+    if t + 1 >= T:
+        return (t,)
+    step = any(geometry.reads_next_state(r, ctx) for r in relations)
+    names = set(symbols)
+    for r in relations:
+        body = getattr(ctx.relations.get(r), "definition", None)
+        if body is not None:
+            names |= all_symbols(body)
+    record = trace.changes()
+    out = {t, T - 1} if step or final else {t}
+    for name in names:
+        for entity in (name, binding.get(name)):
+            for c in record.get(entity, ()):
+                if c > t:
+                    out.add(c)
+                    if step:
+                        out.add(c - 1)
+    return sorted(out)
 
 
 # --- production evaluator ------------------------------------------------------
@@ -284,10 +354,10 @@ def _eval_node(
         )
     if isinstance(phi, Next):
         return t + 1 < T and _eval(phi.operand, trace, t + 1, binding, bkey, ctx, memo)
-    if isinstance(phi, Always):
-        return all(_eval(phi.operand, trace, u, binding, bkey, ctx, memo) for u in range(t, T))
-    if isinstance(phi, Eventually):
-        return any(_eval(phi.operand, trace, u, binding, bkey, ctx, memo) for u in range(t, T))
+    if isinstance(phi, (Always, Eventually)):
+        span = range(t, T) if phi.reads is None else instants(phi.reads, trace, t, binding, ctx)
+        holds = (_eval(phi.operand, trace, u, binding, bkey, ctx, memo) for u in span)
+        return all(holds) if type(phi) is Always else any(holds)
     if isinstance(phi, Until):
         for u in range(t, T):
             if _eval(phi.right, trace, u, binding, bkey, ctx, memo):

@@ -250,6 +250,8 @@ class Trace:
     """Finite state sequence; state i carries time index i."""
 
     states: tuple[State, ...]
+    # `changes`' record: built on first use, never copied by `suffix`.
+    change_record: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -264,6 +266,21 @@ class Trace:
     @property
     def length(self) -> int:
         return len(self.states)
+
+    def changes(self) -> Mapping[str, list[int]]:
+        """Each entity that ever changes -> the instants c >= 1, ascending, at
+        which one of its values differs from instant c - 1. A value written
+        back equal to the one before is no change."""
+        record = self.change_record
+        if record is None:
+            record = {}
+            for c in range(1, len(self.states)):
+                before = self.states[c - 1].values
+                for entity in {key[0] for key, v in self.states[c].values.items()
+                               if v is not before[key] and v != before[key]}:
+                    record.setdefault(entity, []).append(c)
+            object.__setattr__(self, "change_record", record)
+        return record
 
     def suffix(self, start: int) -> "Trace":
         """The sub-trace from `start` on, re-indexed from time 0."""

@@ -17,7 +17,12 @@ off what holds them and under a table, over a rising floor, for up to 60
 steps. The set after them, `tolerances`, runs
 `check` (bound and searched), `classify`, `analogy` and `enumerate`
 (listing and counting) on the shipped data at a seeded non-default
-`--epsilon` and `--tau`, which no benchmark command passes. A command's
+`--epsilon` and `--tau`, which no benchmark command passes. The last,
+`still_runs`, runs `check` (bound, searched, and violated so that witnesses
+print), `classify` and `analogy` on generated traces whose points hold still
+for stretches, step or orbit, and whose state lines write some values back
+unchanged, with a generated theory of step relations, `final` and a
+template. A command's
 output is the sha256 of its exit code, stdout, stderr and the file it
 writes. Commands are compared by their place in the pass, since a pass may
 repeat a command. It prints the commands whose outputs differ and exits 1
@@ -48,6 +53,7 @@ import workloads  # noqa: E402
 SIMULATE_RULES = "simulate_rules"
 GRAVITY_SLIDES = "gravity_slides"
 TOLERANCES = "tolerances"
+STILL_RUNS = "still_runs"
 
 
 def _q(rng: random.Random, lo: int, hi: int) -> str:
@@ -153,6 +159,82 @@ def simulate_rules(seed: int, workdir: Path, data: Path, toy: bool = False) -> l
     return commands
 
 
+def _still_scene(rng: random.Random, name: str) -> str:
+    """Two circles, two regions and four points over 12 to 24 instants: p0
+    orbits the first circle counterclockwise, p1 walks into the second one,
+    and p2 and p3 wander; p1, p2 and p3 hold still for stretches. Each state
+    line also writes some values back unchanged."""
+    T = rng.randint(12, 24)
+    cx, cy = rng.randint(6, 9), rng.randint(-2, 2)
+    lines = [
+        f"scenario {name}",
+        "  entity hub : Container = Circle(0, 0, 1)",
+        f"  entity cup : Container = Circle({cx}, {cy}, 2)",
+        *(f"  entity reg{k} : Region = Point({_q(rng, -8, 8)}, {_q(rng, 6, 9)})" for k in range(2)),
+    ]
+    orbit = [(5, 0), (4, 3), (0, 5), (-4, 3), (-5, 0), (-4, -3), (0, -5), (4, -3)]
+    paths = [[orbit[t % 8] for t in range(T)]]
+    for k in range(3):
+        x, y = (Fraction(cx - 6), Fraction(cy)) if k == 0 else (Fraction(rng.randint(-8, 8)), Fraction(rng.randint(-4, 4)))
+        moving, path = False, []
+        for _ in range(T):
+            path.append((x, y))
+            moving = moving if rng.random() < 0.7 else not moving
+            if moving and k == 0:
+                x = min(x + Fraction(rng.randint(1, 2), 2), Fraction(cx))
+            elif moving:
+                x, y = x + Fraction(rng.randint(-2, 2), 2), y + Fraction(rng.randint(-1, 1), 2)
+        paths.append(path)
+    lines += [f"  entity p{k} : Object = Point({path[0][0]}, {path[0][1]})" for k, path in enumerate(paths)]
+    lines.append(f"  trace length {T}")
+    for t in range(1, T):
+        writes = [f"p{k}.{axis} = {v}" for k, path in enumerate(paths)
+                  for axis, v, old in zip("xy", path[t], path[t - 1]) if v != old or rng.random() < 0.2]
+        lines.append(f"    state {t} {{ {' '.join(writes)} }}")
+    return "\n".join(lines + ["end", ""])
+
+
+_STILL_AXIOMS = (
+    "always (not final -> (motion(o) or near(o, c)))",
+    "eventually (not motion(o) and inside(o, c))",
+    "always (not final -> ccwStep(o, c)) or eventually (final and near(o, c))",
+    "always (delta(o, c) >= 1 and (motion(o) -> o.x <= 12))",
+    "eventually (near(o, c) and eventually not motion(o))",
+    "not motion(o) -> always not motion(o)",
+)
+
+
+def still_runs(seed: int, workdir: Path, data: Path, toy: bool = False) -> list:
+    """Write the `still_runs` inputs into `workdir`; return their commands."""
+    for f in data.iterdir():
+        if f.suffix == ".ist":
+            shutil.copyfile(f, workdir / f.name)
+    rng = random.Random(f"{STILL_RUNS}/{seed}")
+    axioms = rng.sample(_STILL_AXIOMS, 3)
+    (workdir / "RUNS.ist").write_text("\n".join([
+        "theory RUNS", "  role o : Object", "  role c : Container",
+        "  relation near(Object, Container) := delta(arg1, arg2) <= k", f"  param k = {rng.randint(2, 4)}",
+        *(f"  axiom {a}" for a in axioms), "end", ""]), encoding="utf-8")
+    names = [f"still{i}" for i in range(1 if toy else 4)]
+    for i, name in enumerate(names):
+        text = _still_scene(random.Random(f"{STILL_RUNS}/{seed}/{i}"), name)
+        (workdir / f"{name}.scn").write_text(text, encoding="utf-8")
+    args = []
+    for name in names:
+        scn = f"{name}.scn"
+        args += [
+            ["check", "RUNS.ist", scn, "--bind", "o=p1", "--bind", "c=cup"],
+            ["check", "RUNS.ist", scn, "--bind", "o=p2", "--bind", "c=hub", "--json"],
+            ["check", "RUNS.ist", scn, "--json"],
+            ["check", "AT_REST.ist", scn, "--bind", "thing=p2"],
+            ["check", "REVOLUTION.ist", scn, "--bind", "center=hub", "--json"],
+            ["classify", scn, "--json"],
+        ]
+    args += [["analogy", f"{a}.scn", f"{b}.scn", "--schema", schema, "--json"]
+             for a, b in zip(names, names[1:] + names[:1]) for schema in ("MOTION", "OBJECT_INTO_CONTAINER")]
+    return [workloads.Command(a, a[0]) for a in args]
+
+
 def tolerances(seed: int, workdir: Path, data: Path) -> list:
     """Copy the shipped theories and scenarios into `workdir`; return the
     `tolerances` commands."""
@@ -182,6 +264,8 @@ def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> lis
         return gravity_slides(seed, workdir, toy)
     if workload == TOLERANCES:
         return tolerances(seed, workdir, data)
+    if workload == STILL_RUNS:
+        return still_runs(seed, workdir, data, toy)
     return workloads.build(workload, seed, workdir, data, toy=toy)
 
 
@@ -229,7 +313,7 @@ def main(argv=None, toy: bool = False) -> int:
         try:
             for name, path in sides.items():
                 bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES):
+            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS):
                 for seed in seeds:
                     digests = {}
                     for name, path in sides.items():
