@@ -483,7 +483,7 @@ def _tester(
     roles = [names[i] for i in cond.roles]
     margin, slots = _filter(phi, roles, trace, ctx)
     states = trace.states
-    reads = logic.local_reads(phi)
+    reads = logic.local_reads(phi) if cond.later else None
     memo: dict[tuple[str, ...], bool] = {}
 
     def holds(combo: tuple[str, ...]) -> bool:
