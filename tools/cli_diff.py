@@ -175,8 +175,8 @@ def _still_scene(rng: random.Random, name: str) -> str:
     orbit = [(5, 0), (4, 3), (0, 5), (-4, 3), (-5, 0), (-4, -3), (0, -5), (4, -3)]
     paths = [[orbit[t % 8] for t in range(T)]]
     for k in range(3):
-        x, y = (Fraction(cx - 6), Fraction(cy)) if k == 0 else (Fraction(rng.randint(-8, 8)), Fraction(rng.randint(-4, 4)))
-        moving, path = False, []
+        x, y = (cx - 6, cy) if k == 0 else (rng.randint(-8, 8), rng.randint(-4, 4))
+        x, y, moving, path = Fraction(x), Fraction(y), False, []
         for _ in range(T):
             path.append((x, y))
             moving = moving if rng.random() < 0.7 else not moving
