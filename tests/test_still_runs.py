@@ -71,8 +71,8 @@ _LEAVES = (
     "motion({x})", "ccwStep({x}, {y})", "closeTo({x}, {y}, e0)", "closeTo({x}, {y})",
     "inside({x}, {y})", "near({x})", "{e}.x <= 1", "delta({e}, {y}) < 3", "final",
 )
-# Operators that make the formula holding them not local.
-_NOT_LOCAL = (
+# Leaves that make the formula holding them not local.
+_NON_LOCAL_LEAVES = (
     "next ({e}.x <= 1)", "before motion({x})", "({e}.x <= 1) until motion({x})",
     "exists v : Object . delta(v, {y}) > 2", "always closeTo({x}, {y}, e0)",
 )
@@ -84,15 +84,15 @@ def _local(rng: random.Random, names: list[str], depth: int) -> str:
     segment's x) under not, and, or, ->; local but for a few leaves."""
     if depth == 0 or rng.random() < 0.3:
         x, y, e = rng.choice(names), rng.choice(names), rng.choice(names + ["e0"])
-        return rng.choice(_LEAVES if rng.random() < 0.85 else _NOT_LOCAL).format(x=x, y=y, e=e)
+        return rng.choice(_LEAVES if rng.random() < 0.85 else _NON_LOCAL_LEAVES).format(x=x, y=y, e=e)
     left, right = _local(rng, names, depth - 1), _local(rng, names, depth - 1)
     return rng.choice((f"not ({left})", f"({left}) and ({right})", f"({left}) or ({right})",
                        f"({left}) -> ({right})", f"not final -> ({left})"))
 
 
 def _axiom(rng: random.Random, names: list[str]) -> str:
-    """`always` or `eventually` of a local formula, at instant 0 or nested
-    under another operator, so that it starts at a later instant."""
+    """`always` or `eventually` of a `_local` formula, at instant 0 or
+    nested under another operator, so that it starts at a later instant."""
     span = f"{rng.choice(('always', 'eventually'))} ({_local(rng, names, 2)})"
     outer = rng.choice(("{}", "always ({})", "eventually ({})", "next ({})", "({0}) until ({0})",
                         "({}) and eventually ({})", "always (({}) -> ({}))"))
