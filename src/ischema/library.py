@@ -2,7 +2,10 @@
 trace classification, and analogy matching.
 
 Schema theories live as editable .ist data files next to this module; the
-primitive catalog is data too (primitives.json). Classification searches all
+primitive catalog is data too (primitives.json), where a formula realization
+is DSL text over arg1, arg2, ... with their sorts, which `realize` parses
+and instantiates; `make_source_path_goal` writes its theory as .ist text and
+parses it. Classification searches all
 sort-compatible role bindings (distinct entities per binding) and reports the
 satisfied ones in canonical order.
 
@@ -33,21 +36,16 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import dsl, geometry, logic
 from .errors import EVALUATION_GAP_ERRORS, UnknownSchema
-from .geometry import Const, DeltaExpr, EvalContext, MeasureExpr, ParamRef, ThetaExpr, eval_num_expr
+from .geometry import Const, DeltaExpr, EvalContext, MeasureExpr, ThetaExpr, eval_num_expr
 from .logic import (
     Always,
     And,
     Atom,
-    Before,
     CheckReport,
     Compare,
     Eventually,
-    Exists,
-    Forall,
     Formula,
-    Implies,
     Next,
-    Not,
     Until,
     check_theory,
 )
@@ -128,107 +126,42 @@ def primitive(name: str) -> PrimitiveDef:
     raise UnknownSchema(f"unknown primitive {name!r}")
 
 
-# --- formula macros -----------------------------------------------------------
-
-
-def empty_formula(container: str) -> Formula:
-    """No declared object is inside the container."""
-    return Forall("o", "Object", Not(Atom("inside", ("o", container))))
-
-
-def occupied_formula(container: str) -> Formula:
-    return Exists("o", "Object", Atom("inside", ("o", container)))
-
-
-def full_formula(container: str) -> Formula:
-    """Occupied, and every declared object is already inside: nothing is left
-    that could still go in (objects are points, so any remaining one would fit)."""
-    return And(
-        occupied_formula(container),
-        Forall("o", "Object", Atom("inside", ("o", container))),
-    )
-
-
-def open_formula(container: str) -> Formula:
-    return Compare(ParamRef(container, "open"), "=", Const(Fraction(1)))
-
-
-def closed_formula(container: str) -> Formula:
-    return Compare(ParamRef(container, "open"), "=", Const(Fraction(0)))
-
-
-def motion_formula(entity: str) -> Formula:
-    return Atom("motion", (entity,))
-
-
-def at_rest_formula(entity: str) -> Formula:
-    return Not(Atom("motion", (entity,)))
-
-
-def link_formula(a: str, b: str, threshold: Fraction | int) -> Formula:
-    return Atom("closeTo", (a, b, Const(Fraction(threshold))))
-
-
-def ccw_step_formula(orbiter: str, center: str) -> Formula:
-    return Atom("ccwStep", (orbiter, center))
-
-
-def theta_increase_formula(orbiter: str, center: str) -> Formula:
-    """The literal angular reading: theta grows across the step. Agrees with
-    ccwStep whenever a step turns less than a half-circle and does not wrap."""
-    return Atom("thetaStep", (orbiter, center))
-
-
-def path_start(path: str) -> tuple[ParamRef, ParamRef]:
-    return ParamRef(path, "x1"), ParamRef(path, "y1")
-
-
-def path_end(path: str) -> tuple[ParamRef, ParamRef]:
-    return ParamRef(path, "x2"), ParamRef(path, "y2")
-
-
-MACROS = {
-    "empty_formula": empty_formula,
-    "occupied_formula": occupied_formula,
-    "full_formula": full_formula,
-    "open_formula": open_formula,
-    "closed_formula": closed_formula,
-    "motion_formula": motion_formula,
-    "at_rest_formula": at_rest_formula,
-    "link_formula": link_formula,
-    "ccw_step_formula": ccw_step_formula,
-    "theta_increase_formula": theta_increase_formula,
-    "path_start": path_start,
-    "path_end": path_end,
-}
+def realize(name: str, *entities: str) -> Formula:
+    """The formula realization of primitive `name`, its DSL text with arg1,
+    arg2, ... renamed to `entities`."""
+    realization = primitive(name).realization_map()
+    if realization["type"] != "formula":
+        raise UnknownSchema(f"primitive {name} has no formula realization")
+    arity = len(json.loads(realization["args"]))
+    if len(entities) != arity:
+        raise UnknownSchema(f"primitive {name} takes {arity} entities, not {len(entities)}")
+    phi = dsl.parse_formula(realization["formula"], name)
+    return logic.substitute_symbols(phi, {f"arg{i}": e for i, e in enumerate(entities, 1)})
 
 
 def make_source_path_goal(n: int = 3) -> Theory:
-    """The journey schema with a configurable number of waypoints."""
+    """The journey schema with n waypoints, 2 <= n <= 33, written as .ist
+    text with the shipped theory's relation and parameter lines. From n = 34
+    the visit axiom nests deeper than the parser allows, and it raises
+    DslError."""
     if n < 2:
         raise UnknownSchema("a path needs at least two waypoints")
-    shipped = schema_theory("SOURCE_PATH_GOAL")
     if n == 3:
-        return shipped
-    roles = [("traveler", "Object")] + [(f"w{i}", "Region") for i in range(1, n + 1)]
-
-    def at(i: int) -> Formula:
-        return Atom("at", ("traveler", f"w{i}"))
-
-    visit: Formula = at(n)
-    for i in range(n - 1, 0, -1):
-        visit = And(at(i), Eventually(visit))
-    forward: Optional[Formula] = None
-    for i in range(2, n + 1):
-        clause = Implies(at(i), Before(at(i - 1)))
-        forward = clause if forward is None else And(forward, clause)
-    return Theory(
-        name=f"SOURCE_PATH_GOAL_{n}",
-        roles=tuple(roles),
-        relations=shipped.relations,
-        axioms=(visit, Always(forward)),
-        numeric_params=shipped.numeric_params,
-    )
+        return schema_theory("SOURCE_PATH_GOAL")
+    shipped = _data_text("SOURCE_PATH_GOAL.ist").splitlines()
+    at = [f"at(traveler, w{i})" for i in range(1, n + 1)]
+    visit = " and eventually (".join(at[:-1]) + f" and eventually {at[-1]}" + ")" * (n - 2)
+    forward = " and ".join(f"({at[i]} -> before {at[i - 1]})" for i in range(1, n))
+    lines = [
+        f"theory SOURCE_PATH_GOAL_{n}",
+        "  role traveler : Object",
+        *(f"  role w{i} : Region" for i in range(1, n + 1)),
+        *(line for line in shipped if line.startswith(("  relation ", "  param "))),
+        f"  axiom {visit}",
+        f"  axiom always ({forward})",
+        "end",
+    ]
+    return dsl.parse_theory("\n".join(lines), f"SOURCE_PATH_GOAL_{n}.ist")
 
 
 # --- classification -------------------------------------------------------------

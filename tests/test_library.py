@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_shape_trace, random_trace_scenario
 
-from ischema import dsl, geometry, library, logic
+from ischema import dsl, dynamics, geometry, library, logic
 from ischema.dsl import parse_formula
 from ischema.errors import (
     EVALUATION_GAP_ERRORS,
@@ -68,22 +69,36 @@ def test_catalog_covers_every_primitive():
     assert kinds == {"entity", "relational", "attributive", "force-dynamic"}
 
 
-def test_catalog_realizations_resolve():
+def test_every_realization_parses_prints_back_and_sort_checks():
     for p in primitive_catalog():
         realization = p.realization_map()
-        if "macro" in realization:
-            assert realization["macro"] in library.MACROS
+        if realization["type"] == "formula":
+            text = realization["formula"]
+            phi = parse_formula(text)
+            assert dsl.formula_to_text(phi) == text
+            sorts = json.loads(realization["args"])
+            roles = tuple((f"arg{i}", sort) for i, sort in enumerate(sorts, 1))
+            assert dsl.sort_check(Theory(p.name, roles=roles, axioms=(phi,))) == [], p.name
         if "theory" in realization:
             schema_theory(realization["theory"])
         if "constructor" in realization:
-            assert realization["constructor"] in ("umph_rule", "gravity_rule")
+            assert callable(getattr(dynamics, realization["constructor"]))
 
 
 def test_empty_lookup_shape():
-    phi = library.empty_formula("cup")
+    phi = library.realize("EMPTY", "cup")
     assert phi == Forall("o", "Object", Not(Atom("inside", ("o", "cup"))))
-    assert library.primitive("EMPTY").realization_map()["macro"] == "empty_formula"
+    assert library.primitive("EMPTY").realization_map()["formula"] == "forall o : Object . not inside(o, arg1)"
     assert library.primitive("CONTACT").realization_map()["type"] == "builtin-relation"
+
+
+def test_realize_rejects_a_wrong_arity_and_a_primitive_without_a_formula():
+    with pytest.raises(UnknownSchema):
+        library.realize("EMPTY")
+    with pytest.raises(UnknownSchema):
+        library.realize("LINK", "a")
+    with pytest.raises(UnknownSchema):
+        library.realize("CONTACT", "a", "b")
 
 
 def test_attribute_macros():
@@ -94,12 +109,12 @@ def test_attribute_macros():
     ctx = EvalContext.for_scenario(sc)
     t = sc.trace
 
-    assert logic.eval_formula(library.open_formula("cup"), t, 0, {}, ctx) is True
-    assert logic.eval_formula(library.closed_formula("cup"), t, 0, {}, ctx) is False
-    assert logic.eval_formula(library.occupied_formula("cup"), t, 0, {}, ctx) is True
-    assert logic.eval_formula(library.empty_formula("cup"), t, 0, {}, ctx) is False
+    assert logic.eval_formula(library.realize("OPEN", "cup"), t, 0, {}, ctx) is True
+    assert logic.eval_formula(library.realize("CLOSED", "cup"), t, 0, {}, ctx) is False
+    assert logic.eval_formula(library.realize("OCCUPIED", "cup"), t, 0, {}, ctx) is True
+    assert logic.eval_formula(library.realize("EMPTY", "cup"), t, 0, {}, ctx) is False
     # far is still outside, so the cup is not yet full
-    assert logic.eval_formula(library.full_formula("cup"), t, 0, {}, ctx) is False
+    assert logic.eval_formula(library.realize("FULL", "cup"), t, 0, {}, ctx) is False
 
 
 def test_empty_and_full_on_extremes():
@@ -107,12 +122,12 @@ def test_empty_and_full_on_extremes():
     ball = make_entity("ball", "Object", ShapeKind.POINT, [1, 0])
     sc = declare_scenario([cup, ball], trace=Trace((initial_state([cup, ball]),)))
     ctx = EvalContext.for_scenario(sc)
-    assert logic.eval_formula(library.full_formula("cup"), sc.trace, 0, {}, ctx) is True
+    assert logic.eval_formula(library.realize("FULL", "cup"), sc.trace, 0, {}, ctx) is True
     empty_sc = declare_scenario([cup], trace=Trace((initial_state([cup]),)))
     ctx2 = EvalContext.for_scenario(empty_sc)
-    assert logic.eval_formula(library.empty_formula("cup"), empty_sc.trace, 0, {}, ctx2) is True
+    assert logic.eval_formula(library.realize("EMPTY", "cup"), empty_sc.trace, 0, {}, ctx2) is True
     # vacuously universal but unoccupied: not full
-    assert logic.eval_formula(library.full_formula("cup"), empty_sc.trace, 0, {}, ctx2) is False
+    assert logic.eval_formula(library.realize("FULL", "cup"), empty_sc.trace, 0, {}, ctx2) is False
 
 
 def test_schema_theory_loading():
@@ -128,7 +143,16 @@ def test_make_source_path_goal_scales():
     t5 = make_source_path_goal(5)
     assert len(t5.roles) == 6
     assert len(t5.axioms) == 2
+    assert dsl.sort_check(t5) == []
     assert make_source_path_goal(3).name == "SOURCE_PATH_GOAL"
+
+
+def test_make_source_path_goal_bounds():
+    assert len(make_source_path_goal(33).roles) == 34
+    with pytest.raises(dsl.DslError, match="nesting deeper than"):
+        make_source_path_goal(34)
+    with pytest.raises(UnknownSchema):
+        make_source_path_goal(1)
 
 
 def test_support_satisfied_on_stack():
@@ -393,8 +417,8 @@ def test_analogy_is_symmetric():
 def test_ccw_step_agrees_with_literal_theta_away_from_wrap():
     sc = shipped_scenario("solar")
     ctx = EvalContext.for_scenario(sc)
-    ccw = library.ccw_step_formula("planet", "sun")
-    lit = library.theta_increase_formula("planet", "sun")
+    ccw = parse_formula("ccwStep(planet, sun)")
+    lit = parse_formula("thetaStep(planet, sun)")
     # the orbit wraps past the negative x axis between t=4 and t=5
     for t in range(sc.trace.length - 1):
         ccw_v = logic.eval_formula(ccw, sc.trace, t, {}, ctx)
