@@ -64,76 +64,53 @@ class NumExpr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(NumExpr):
-    value: Fraction
+    __slots__ = FIELDS = ("value",)
 
 
-@dataclass(frozen=True)
 class ParamRef(NumExpr):
-    entity: str  # entity id, role, or bound variable
-    param: str
+    __slots__ = FIELDS = ("entity", "param")  # the entity is an entity id, role, or bound variable
     SYMBOLS = ("entity",)
 
 
-@dataclass(frozen=True)
 class NameRef(NumExpr):
     """Reference to a theory-level numeric parameter."""
 
-    name: str
+    __slots__ = FIELDS = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(NumExpr):
-    left: NumExpr
-    right: NumExpr
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(NumExpr):
-    left: NumExpr
-    right: NumExpr
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(NumExpr):
-    left: NumExpr
-    right: NumExpr
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Neg(NumExpr):
-    operand: NumExpr
-    CHILDREN = ("operand",)
+    __slots__ = FIELDS = CHILDREN = ("operand",)
 
 
-@dataclass(frozen=True)
 class DeltaExpr(NumExpr):
     """Euclidean distance between two entities: exact in a comparison of
     the "delta" `comparison_form` (see `delta_squared`), else a float (see
     `distance`)."""
 
-    a: str
-    b: str
-    SYMBOLS = ("a", "b")
+    __slots__ = FIELDS = SYMBOLS = ("a", "b")
 
 
-@dataclass(frozen=True)
 class ThetaExpr(NumExpr):
     """Angular position of a relative to b (see `angular_position`)."""
 
-    a: str
-    b: str
-    SYMBOLS = ("a", "b")
+    __slots__ = FIELDS = SYMBOLS = ("a", "b")
 
 
-@dataclass(frozen=True)
 class MeasureExpr(NumExpr):
-    entity: str
-    SYMBOLS = ("entity",)
+    __slots__ = FIELDS = SYMBOLS = ("entity",)
 
 
 # The comparators of a `logic.Compare`.

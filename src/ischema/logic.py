@@ -22,7 +22,8 @@ stay those of deciding every instant, as `reference_eval` still does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import geometry
@@ -46,15 +47,12 @@ class Formula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     """A relation applied to its arguments, each a name (a role or bound
     variable of the binding, else a numeric parameter of the theory, else an
     entity id) or a numeric expression, e.g. the threshold of closeTo."""
 
-    relation: str
-    args: tuple
-    span: Optional[object] = field(default=None, compare=False, repr=False)
+    __slots__ = FIELDS = ("relation", "args")
 
     @property
     def children(self) -> tuple:
@@ -70,121 +68,87 @@ class Atom(Formula):
         return Atom(self.relation, tuple(args), span=self.span)
 
 
-@dataclass(frozen=True)
 class Compare(Formula):
     """lhs CMP rhs with CMP in geometry.COMPARATORS; also the body of a
     relation template. Equality and disequality over expressions containing
     distance, angle or measure terms hold within the configured tolerance.
     `form` is the node's `geometry.comparison_form`, classified once."""
 
-    lhs: NumExpr
-    cmp: str
-    rhs: NumExpr
-    span: Optional[object] = field(default=None, compare=False, repr=False)
-    form: str = field(init=False, compare=False, repr=False)
+    FIELDS = ("lhs", "cmp", "rhs")
+    __slots__ = (*FIELDS, "form")
     CHILDREN = ("lhs", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "form", geometry.comparison_form(self.lhs, self.rhs))
+    def __init__(self, lhs: NumExpr, cmp: str, rhs: NumExpr, span=None):
+        super().__init__(lhs, cmp, rhs, span=span)
+        object.__setattr__(self, "form", geometry.comparison_form(lhs, rhs))
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
-    CHILDREN = ("operand",)
+    __slots__ = FIELDS = CHILDREN = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    sort: str
-    body: Formula
-    span: Optional[object] = field(default=None, compare=False, repr=False)  # of the sort name
+    __slots__ = FIELDS = ("var", "sort", "body")  # the span is the sort name's
     CHILDREN = ("body",)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    sort: str
-    body: Formula
-    span: Optional[object] = field(default=None, compare=False, repr=False)  # of the sort name
+    __slots__ = FIELDS = ("var", "sort", "body")  # the span is the sort name's
     CHILDREN = ("body",)
 
 
-@dataclass(frozen=True)
 class Next(Formula):
-    operand: Formula
-    CHILDREN = ("operand",)
+    __slots__ = FIELDS = CHILDREN = ("operand",)
 
 
-@dataclass(frozen=True)
 class Always(Formula):
-    operand: Formula
-    reads: Optional[tuple] = field(init=False, compare=False, repr=False)  # the operand's `local_reads`
-    CHILDREN = ("operand",)
+    FIELDS = CHILDREN = ("operand",)
+    __slots__ = (*FIELDS, "reads")  # the operand's `local_reads`
 
-    def __post_init__(self):
-        object.__setattr__(self, "reads", local_reads(self.operand))
+    def __init__(self, operand: Formula, span=None):
+        super().__init__(operand, span=span)
+        object.__setattr__(self, "reads", local_reads(operand))
 
 
-@dataclass(frozen=True)
 class Eventually(Formula):
-    operand: Formula
-    reads: Optional[tuple] = field(init=False, compare=False, repr=False)  # the operand's `local_reads`
-    CHILDREN = ("operand",)
+    FIELDS = CHILDREN = ("operand",)
+    __slots__ = (*FIELDS, "reads")  # the operand's `local_reads`
 
-    def __post_init__(self):
-        object.__setattr__(self, "reads", local_reads(self.operand))
+    def __init__(self, operand: Formula, span=None):
+        super().__init__(operand, span=span)
+        object.__setattr__(self, "reads", local_reads(operand))
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    left: Formula
-    right: Formula
-    CHILDREN = ("left", "right")
+    __slots__ = FIELDS = CHILDREN = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Final(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Before(Formula):
-    operand: Formula
-    CHILDREN = ("operand",)
+    __slots__ = FIELDS = CHILDREN = ("operand",)
 
 
 # --- shared atom semantics ------------------------------------------------------
@@ -445,7 +409,10 @@ def _ref(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalContext) ->
 
 
 def substitute_symbols(phi: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename free symbols (roles to entity ids, say); bound variables shadow."""
+    """Rename free symbols (roles to entity ids, say); bound variables shadow.
+    A quantifier whose variable a renamed symbol would be captured by binds
+    the first of `<var>_1`, `<var>_2`, ... free in neither its body nor the
+    mapping's values instead."""
     return _substitute(phi, mapping)
 
 
@@ -454,8 +421,22 @@ def _substitute(node: Node, live: Mapping[str, str]) -> Node:
     # that only the cyclic collector frees.
     if isinstance(node, (Forall, Exists)):
         live = {k: v for k, v in live.items() if k != node.var}
+        if node.var in live.values():
+            free = _free_symbols(node.body)
+            if any(live.get(s) == node.var for s in free):
+                taken = free | set(live.values())
+                var = next(name for i in count(1) if (name := f"{node.var}_{i}") not in taken)
+                body = _substitute(node.body, {**live, node.var: var})
+                return type(node)(var, node.sort, body, span=node.span)
     children = [_substitute(child, live) for child in node.children]
     return node.rebuild(children, [live.get(s, s) for s in node.symbols])
+
+
+def _free_symbols(node: Node) -> set[str]:
+    names = set(node.symbols).union(*map(_free_symbols, node.children))
+    if isinstance(node, (Forall, Exists)):
+        names.discard(node.var)
+    return names
 
 
 # --- theory checking ---------------------------------------------------------------

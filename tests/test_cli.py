@@ -255,6 +255,21 @@ def test_a_theory_parameter_comes_before_a_same_named_entity(runner, tmp_path):
     assert result.output == "LINK: a=a, b=tau\nLINK: a=tau, b=a\n"
 
 
+def test_check_prints_a_bound_entity_apart_from_a_same_named_variable(runner, tmp_path):
+    ist = tmp_path / "CAPTURE.ist"
+    ist.write_text(
+        "theory CAPTURE\n  role r : Container\n  axiom forall cup : Object . not inside(cup, r)\nend\n",
+        encoding="utf-8",
+    )
+    result = _run(runner, ["check", str(ist), _path("ball_cup.scn"), "--bind", "r=cup"])
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        "theory CAPTURE with r=cup\n"
+        "  forall cup_1 : Object . not inside(cup_1, cup): satisfied\n"
+        "result: satisfied\n"
+    )
+
+
 def test_analogy_solar_atom(runner):
     result = _run(
         runner, ["analogy", _path("solar.scn"), _path("atom.scn"), "--schema", "REVOLUTION", "--json"]

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_formula, random_trace_scenario
 
-from ischema.dsl import formula_to_text, parse_formula
+from ischema import library
+from ischema.dsl import formula_to_text, parse_formula, parse_scenario
 from ischema.errors import (
     MissingRole,
     SortMismatchInBinding,
@@ -341,6 +342,27 @@ def test_substitute_symbols_respects_shadowing():
     out = substitute_symbols(phi, {"object": "o", "container": "cup"})
     assert out.left == Atom("inside", ("o", "cup"))
     assert out.right == Exists("object", "Object", Atom("inside", ("object", "cup")))
+
+
+def test_substitute_symbols_renames_a_binder_that_would_capture():
+    phi = substitute_symbols(parse_formula("forall cup : Object . not inside(cup, r)"), {"r": "cup"})
+    assert formula_to_text(phi) == "forall cup_1 : Object . not inside(cup_1, cup)"
+    assert parse_formula(formula_to_text(phi)) == phi
+    # the fresh name is free in neither the body nor the mapping's values
+    phi = parse_formula("forall o : Object . inside(o, r) and (exists o_1 : Object . on(o_1, o) and on(s, o_1))")
+    assert formula_to_text(substitute_symbols(phi, {"r": "o", "s": "o_1"})) == (
+        "forall o_2 : Object . inside(o_2, o) and (exists o_1_1 : Object . on(o_1_1, o_2) and on(o_1, o_1_1))"
+    )
+    # a binder that no renamed symbol would hit keeps its name
+    assert substitute_symbols(phi, {"r": "cup", "o": "o_1"}) == substitute_symbols(phi, {"r": "cup"})
+    sc = parse_scenario(
+        "scenario s\n  entity o : Container = Circle(0, 0, 2)\n  entity p : Object = Point(0, 5)\n"
+        "  trace length 2\n    state 1 { p.y = 1 }\nend"
+    )
+    empty = library.realize("EMPTY", "o")
+    assert empty == Forall("o_1", "Object", Not(Atom("inside", ("o_1", "o"))))
+    ctx = EvalContext.for_scenario(sc)
+    assert [eval_formula(empty, sc.trace, t, {}, ctx) for t in (0, 1)] == [True, False]
 
 
 def test_substitute_symbols_leaves_nothing_for_the_cyclic_collector():

@@ -17,16 +17,18 @@ off what holds them and under a table, over a rising floor, for up to 60
 steps. The set after them, `tolerances`, runs
 `check` (bound and searched), `classify`, `analogy` and `enumerate`
 (listing and counting) on the shipped data at a seeded non-default
-`--epsilon` and `--tau`, which no benchmark command passes. The last,
-`still_runs`, runs `check` (bound, searched, and violated so that witnesses
+`--epsilon` and `--tau`, which no benchmark command passes. Then
+`still_runs` runs `check` (bound, searched, and violated so that witnesses
 print), `classify` and `analogy` on generated traces whose points hold still
 for stretches, step or orbit, and whose state lines write some values back
 unchanged, with a generated theory of step relations, `final` and a
-template. A command's
-output is the sha256 of its exit code, stdout, stderr and the file it
-writes. Commands are compared by their place in the pass, since a pass may
-repeat a command. It prints the commands whose outputs differ and exits 1
-if there are any, else 0.
+template. The last, `capture`, runs `check` with `--bind` on shipped
+scenarios against generated theories whose quantified variables are named
+after the entities the roles are bound to, so the text report has to rename
+them. A command's output is the sha256 of its exit code, stdout, stderr and
+the file it writes. Commands are compared by their place in the pass, since
+a pass may repeat a command. It prints the commands whose outputs differ
+and exits 1 if there are any, else 0.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ SIMULATE_RULES = "simulate_rules"
 GRAVITY_SLIDES = "gravity_slides"
 TOLERANCES = "tolerances"
 STILL_RUNS = "still_runs"
+CAPTURE = "capture"
 
 
 def _q(rng: random.Random, lo: int, hi: int) -> str:
@@ -257,6 +260,33 @@ def tolerances(seed: int, workdir: Path, data: Path) -> list:
     return [workloads.Command(a + flags, a[0]) for a in args]
 
 
+_CAPTURE_AXIOMS = (
+    "forall {c} : Object . not inside({c}, r)",
+    "eventually exists {o} : Object . inside({o}, r) and not closeTo({o}, s, 1)",
+    "always forall {c} : Container . inside(s, {c}) -> inside(s, r)",
+    "forall {o} : Object . exists {c} : Container . inside({o}, {c}) or delta({o}, r) > 0",
+    "always forall {o} : Object . delta({o}, s) >= 0 and (exists {c} : Container . delta({c}, s) < delta({c}, r))",
+)
+
+
+def capture(seed: int, workdir: Path, data: Path) -> list:
+    """Copy three shipped scenarios into `workdir` and write a theory for
+    each whose quantified variables are named after the entities its roles
+    are bound to; return the `capture` commands."""
+    rng = random.Random(f"{CAPTURE}/{seed}")
+    axioms = rng.sample(_CAPTURE_AXIOMS, 3)
+    args = []
+    for scene, container, thing in (("ball_cup", "cup", "ball"), ("fig1", "c", "a"), ("stack", "box", "marble")):
+        shutil.copyfile(data / f"{scene}.scn", workdir / f"{scene}.scn")
+        ist = f"CAPTURE_{scene}.ist"
+        (workdir / ist).write_text("\n".join([
+            "theory CAPTURE", "  role r : Container", "  role s : Object",
+            *(f"  axiom {a.format(c=container, o=thing)}" for a in axioms), "end", ""]), encoding="utf-8")
+        bound = ["check", ist, f"{scene}.scn", "--bind", f"r={container}", "--bind", f"s={thing}"]
+        args += [bound, [*bound, "--json"], ["check", ist, f"{scene}.scn", "--bind", f"r={container}"]]
+    return [workloads.Command(a, a[0]) for a in args]
+
+
 def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> list:
     if workload == SIMULATE_RULES:
         return simulate_rules(seed, workdir, data, toy)
@@ -266,6 +296,8 @@ def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> lis
         return tolerances(seed, workdir, data)
     if workload == STILL_RUNS:
         return still_runs(seed, workdir, data, toy)
+    if workload == CAPTURE:
+        return capture(seed, workdir, data)
     return workloads.build(workload, seed, workdir, data, toy=toy)
 
 
@@ -313,7 +345,7 @@ def main(argv=None, toy: bool = False) -> int:
         try:
             for name, path in sides.items():
                 bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS):
+            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS, CAPTURE):
                 for seed in seeds:
                     digests = {}
                     for name, path in sides.items():
