@@ -197,7 +197,7 @@ def _report_lines(report: logic.CheckReport) -> list[tuple[str, Optional[str]]]:
         verdict = "satisfied" if a.satisfied else "violated"
         lines.append((f"  {dsl.formula_to_text(shown)}: {verdict}", "green" if a.satisfied else "red"))
         if a.witness is not None:
-            wf = logic.substitute_symbols(a.witness.formula, binding)
+            wf = logic.substitute_symbols(a.witness.formula, dict(a.witness.binding))
             lines.append((f"    fails at t={a.witness.time}: {dsl.formula_to_text(wf)}", None))
     lines.append((f"result: {'satisfied' if report.satisfied else 'violated'}", None))
     return lines

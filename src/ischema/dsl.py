@@ -843,8 +843,8 @@ class _SortChecker:
 
     def check_atom(self, atom: Atom, scope: dict[str, str]) -> None:
         sig = self.relations.get(atom.relation)
-        builtin = geometry.BUILTIN_RELATIONS.get(atom.relation)
-        if builtin is None and (sig is None or sig.definition is None):
+        row = geometry.BUILTIN_RELATIONS.get(atom.relation)
+        if row is None and (sig is None or sig.definition is None):
             self.error("unknown-relation", f"unknown relation {atom.relation!r}", atom.span)
             return
         entity_terms: list[tuple[str, Optional[str]]] = []
@@ -885,8 +885,7 @@ class _SortChecker:
                         atom.span,
                     )
         if sig is None or sig.definition is None:
-            n_entities, n_numeric, _ = builtin
-            if len(entity_terms) != n_entities or numeric_count > n_numeric:
+            if len(entity_terms) != row.entities or numeric_count > row.numeric:
                 self.error("arity", geometry.arity_message(atom.relation), atom.span)
 
 

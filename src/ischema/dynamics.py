@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from . import geometry
 from .errors import (
     ConflictingEffects,
+    InvalidScenario,
     NonPositiveDelta,
     UnknownParameter,
     UnstratifiableRuleSet,
@@ -475,7 +476,7 @@ def step(
         plan = StepPlan.build(stratify(rules, ctx), ctx)
 
     # gravity's fast path decides `not exists y. on(x, y)` for the built-in `on`
-    builtin_on = getattr(ctx.relations.get("on"), "definition", None) is None
+    builtin_on = "on" not in ctx.relations
     # Each stratum's effects update `values` in place once all of its rules
     # have read them, so each stratum reads a state of its own, whose
     # integer view sees its values.
@@ -561,10 +562,10 @@ def simulate(
     """Run a generative scenario for its horizon; state 0 comes from the
     declared initial values."""
     if not scenario.is_generative:
-        raise ConflictingEffects("simulate needs a generative scenario (rules + horizon)")
+        raise InvalidScenario("simulate needs a generative scenario (rules + horizon)")
     T = horizon if horizon is not None else scenario.horizon
     if T is None or T < 1:
-        raise ConflictingEffects("simulation horizon must be at least 1")
+        raise InvalidScenario("simulation horizon must be at least 1")
     ctx = EvalContext.for_scenario(scenario, epsilon=epsilon)
     rules = list(scenario.rules or ())
     plan = StepPlan.build(stratify(rules, ctx), ctx)

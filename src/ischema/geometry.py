@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     CoincidentCenters,
@@ -126,6 +126,7 @@ class EvalContext:
 
     entities: Mapping[str, EntityDecl]
     hierarchy: SortHierarchy = field(default_factory=lambda: BUILTIN_HIERARCHY)
+    # the theory's templates, its signatures with a body, which override built-ins
     relations: Mapping[str, RelationSig] = field(default_factory=dict)
     numeric_params: Mapping[str, Fraction] = field(default_factory=dict)
     epsilon: Fraction = DEFAULT_EPSILON
@@ -147,17 +148,10 @@ class EvalContext:
         epsilon: Fraction = DEFAULT_EPSILON,
         tau: Fraction = DEFAULT_TAU,
     ) -> "EvalContext":
-        hierarchy = theory.hierarchy() if theory is not None else BUILTIN_HIERARCHY
-        relations = {sig.name: sig for sig in theory.relations} if theory else {}
-        params = theory.params_map() if theory else {}
-        return cls(
-            entities=scenario.entity_map(),
-            hierarchy=hierarchy,
-            relations=relations,
-            numeric_params=params,
-            epsilon=epsilon,
-            tau=tau,
-        )
+        if theory is None:
+            return cls(scenario.entity_map(), epsilon=epsilon, tau=tau)
+        templates = {sig.name: sig for sig in theory.relations if sig.definition is not None}
+        return cls(scenario.entity_map(), theory.hierarchy(), templates, theory.params_map(), epsilon, tau)
 
     def decl(self, entity: str) -> EntityDecl:
         try:
@@ -481,24 +475,6 @@ def boxes_apart(state: State, a: EntityDecl, b: EntityDecl, margin: Fraction) ->
     if ax is not None and bx is not None and (ax[0] > bx[1] + m or bx[0] > ax[1] + m):
         return True
     return ay[0] > by[1] + m or by[0] > ay[1] + m
-
-
-def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None) -> Optional[Fraction]:
-    """How far apart, in each axis, the boxes of two entities may lie when
-    built-in `name` holds of them, with `threshold` the numeric argument of
-    closeTo; None when `name` sets no such bound. Containment and overlap
-    keep the boxes meeting, contact and `on` keep them within epsilon, and
-    closeTo keeps the anchors, which lie in the boxes, within its threshold.
-    Absolute values keep the bound sound under a negative tolerance, where a
-    negative size can still make the relation hold, and under a negative
-    threshold."""
-    if name in ("inside", "partOf", "overlaps"):
-        return Fraction(0)
-    if name in ("contact", "on"):
-        return abs(ctx.epsilon)
-    if name == "closeTo":
-        return abs(ctx.tau if threshold is None else threshold)
-    return None
 
 
 def delta_squared(state: State, a: EntityDecl, b: EntityDecl) -> tuple[int, int]:
@@ -866,14 +842,6 @@ def _same_geometry(state: State, a: EntityDecl, b: EntityDecl) -> bool:
     return all(n[a.id, p] == n[b.id, p] for p in SHAPE_PARAMS[a.shape])
 
 
-def _defined(name: str, decls: Sequence[EntityDecl], result: Optional[bool]) -> bool:
-    """`result` of a test that gives None for a shape pair outside `name`'s domain."""
-    if result is None:
-        a, b = decls
-        raise UnsupportedShapePair(f"{name}({a.shape.value}, {b.shape.value}) is not defined")
-    return result
-
-
 def rel_on(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -> bool:
     """a rests on b: contact, a's bottom at or above b's top less epsilon,
     horizontal overlap. Decided on `int_view(state)`.
@@ -945,44 +913,76 @@ def _theta_step(state: State, ctx: EvalContext, decls, nums, after: Optional[Sta
     return after is not None and _angle(after, *decls) > _angle(state, *decls)
 
 
-# The built-in relations: name -> (entity arity, most numeric arguments,
-# test). A test gets the state, the context, the entities' declarations, the
-# numeric arguments and the next state. The next state is None at the last
-# instant of a trace; the step relations (motion, ccwStep, thetaStep) read it
-# and are false there.
-RelationTest = Callable[[State, EvalContext, Sequence[EntityDecl], Sequence, Optional[State]], bool]
-BUILTIN_RELATIONS: dict[str, tuple[int, int, RelationTest]] = {
-    "inside": (2, 0, lambda st, ctx, d, n, after: _defined("inside", d, _contains(st, *d, True))),
-    "partOf": (2, 0, lambda st, ctx, d, n, after: _defined("partOf", d, _contains(st, *d, False))),
-    "contact": (2, 0, lambda st, ctx, d, n, after: _defined("contact", d, touches(st, ctx, *d))),
-    "on": (2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d)),
-    "overlaps": (2, 0, lambda st, ctx, d, n, after: _defined("overlaps", d, _interiors_overlap(st, *d))),
-    "disjoint": (2, 0, lambda st, ctx, d, n, after: rel_disjoint(st, ctx, *d)),
-    "closeTo": (2, 1, lambda st, ctx, d, n, after: rel_close_to(st, ctx, *d, n[0] if n else None)),
-    "smaller": (2, 0, lambda st, ctx, d, n, after: _measure_less(st, *d)),
-    "larger": (2, 0, lambda st, ctx, d, n, after: _measure_less(st, d[1], d[0])),
-    "motion": (1, 0, _motion),
-    "ccwStep": (2, 0, _ccw_step),
-    "thetaStep": (2, 0, _theta_step),
+# The box margins of the rows (see `box_margin`), from the context and
+# closeTo's threshold: containment and overlap keep the boxes meeting,
+# contact and `on` keep them within epsilon, and closeTo keeps the anchors,
+# which lie in the boxes, within its threshold. Absolute values keep the
+# bound sound under a negative tolerance, where a negative size can still
+# make the relation hold, and under a negative threshold.
+_MEET, _EPSILON, _THRESHOLD = (
+    lambda ctx, threshold: Fraction(0),
+    lambda ctx, threshold: abs(ctx.epsilon),
+    lambda ctx, threshold: abs(ctx.tau if threshold is None else threshold),
+)
+
+
+class Builtin(NamedTuple):
+    """Everything the engine knows of one built-in relation. `test` gets the
+    state, the context, the entities' declarations, the numeric arguments
+    and the next state, and gives None for a shape pair outside the
+    relation's domain. `exact`: on rational arguments it holds, fails or
+    raises one of `errors.EVALUATION_GAP_ERRORS`, so the join may prune
+    with it. `margin` bounds how far apart the boxes of two entities it
+    holds of lie in each axis (None: no bound). `step`: it reads the next
+    state, which is None at the last instant of a trace, and is false there."""
+
+    entities: int  # the entity arity
+    numeric: int  # the most numeric arguments
+    test: Callable[[State, EvalContext, Sequence[EntityDecl], Sequence, Optional[State]], Optional[bool]]
+    exact: bool
+    margin: Optional[Callable[[EvalContext, Optional[Fraction]], Fraction]]
+    step: bool
+
+
+# name -> Builtin(entities, numeric, test, exact, margin, step)
+BUILTIN_RELATIONS: dict[str, Builtin] = {
+    "inside": Builtin(2, 0, lambda st, ctx, d, n, after: _contains(st, *d, True), True, _MEET, False),
+    "partOf": Builtin(2, 0, lambda st, ctx, d, n, after: _contains(st, *d, False), True, _MEET, False),
+    "contact": Builtin(2, 0, lambda st, ctx, d, n, after: touches(st, ctx, *d), True, _EPSILON, False),
+    "on": Builtin(2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d), True, _EPSILON, False),
+    "overlaps": Builtin(2, 0, lambda st, ctx, d, n, after: _interiors_overlap(st, *d), True, _MEET, False),
+    "disjoint": Builtin(2, 0, lambda st, ctx, d, n, after: rel_disjoint(st, ctx, *d), True, None, False),
+    "closeTo": Builtin(2, 1, lambda st, ctx, d, n, after: rel_close_to(st, ctx, *d, *n), True, _THRESHOLD, False),
+    "smaller": Builtin(2, 0, lambda st, ctx, d, n, after: _measure_less(st, *d), False, None, False),
+    "larger": Builtin(2, 0, lambda st, ctx, d, n, after: _measure_less(st, d[1], d[0]), False, None, False),
+    "motion": Builtin(1, 0, _motion, True, None, True),
+    "ccwStep": Builtin(2, 0, _ccw_step, True, None, True),
+    "thetaStep": Builtin(2, 0, _theta_step, False, None, True),
 }
-
-
-# The built-in relations that read the next state.
-STEP_RELATIONS = frozenset({"motion", "ccwStep", "thetaStep"})
 
 
 def reads_next_state(name: str, ctx: EvalContext) -> bool:
     """Whether relation `name` reads the next state: a built-in step relation
     that no template of the theory overrides."""
-    sig = ctx.relations.get(name)
-    return name in STEP_RELATIONS and (sig is None or sig.definition is None)
+    row = BUILTIN_RELATIONS.get(name)
+    return row is not None and row.step and name not in ctx.relations
+
+
+def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None) -> Optional[Fraction]:
+    """How far apart, in each axis, the boxes of two entities may lie when
+    relation `name` holds of them: its row's margin at closeTo's
+    `threshold`; None for a template or a relation that sets no bound."""
+    row = BUILTIN_RELATIONS.get(name)
+    if row is None or row.margin is None or name in ctx.relations:
+        return None
+    return row.margin(ctx, threshold)
 
 
 def arity_message(name: str) -> str:
     """Why an application of built-in `name` has the wrong number of arguments."""
-    n_entities, n_numeric, _ = BUILTIN_RELATIONS[name]
-    return f"{name} takes {n_entities} entity argument(s)" + (
-        f" and up to {n_numeric} numeric" if n_numeric else ""
+    row = BUILTIN_RELATIONS[name]
+    return f"{name} takes {row.entities} entity argument(s)" + (
+        f" and up to {row.numeric} numeric" if row.numeric else ""
     )
 
 
@@ -997,18 +997,21 @@ def eval_relation(
     """Evaluate a relation atom: a theory-defined constraint template, which
     overrides a built-in of the same name, or a built-in from the catalog.
     `after` is the next state, None at the last instant."""
-    sig = ctx.relations.get(name)
-    if sig is not None and sig.definition is not None:
-        if len(entity_args) != len(sig.arg_sorts):
-            raise UnknownRelation(f"{name} expects {len(sig.arg_sorts)} arguments")
+    template = ctx.relations.get(name)
+    if template is not None:
+        if len(entity_args) != len(template.arg_sorts):
+            raise UnknownRelation(f"{name} expects {len(template.arg_sorts)} arguments")
         if num_args:
             raise UnknownRelation(f"{name} expects no numeric arguments, got {len(num_args)}")
         template_binding = {f"arg{i + 1}": e for i, e in enumerate(entity_args)}
-        return eval_constraint(sig.definition, state, ctx, template_binding)
-    builtin = BUILTIN_RELATIONS.get(name)
-    if builtin is None:
+        return eval_constraint(template.definition, state, ctx, template_binding)
+    row = BUILTIN_RELATIONS.get(name)
+    if row is None:
         raise UnknownRelation(f"unknown relation {name!r}")
-    n_entities, n_numeric, test = builtin
-    if len(entity_args) != n_entities or len(num_args) > n_numeric:
+    if len(entity_args) != row.entities or len(num_args) > row.numeric:
         raise UnknownRelation(arity_message(name))
-    return test(state, ctx, tuple(map(ctx.decl, entity_args)), num_args, after)
+    decls = tuple(map(ctx.decl, entity_args))
+    result = row.test(state, ctx, decls, num_args, after)
+    if result is None:
+        raise UnsupportedShapePair(f"{name}({', '.join(d.shape.value for d in decls)}) is not defined")
+    return result

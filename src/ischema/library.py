@@ -14,7 +14,7 @@ The search (`search_bindings`) checks each candidate that
 tolerances; `classify` and `analogy` build it once per theory and
 scenario. A theory is gap-only (`gap_only`) when it sort-checks against the
 scenario's entities and is exact.
-Exact means that every atom applies a built-in of GAP_ONLY_RELATIONS or a
+Exact means that every atom applies a built-in whose row is `exact` or a
 template whose body is an exact comparison, that each side of a comparison
 is a lone delta or a rational expression, and that delta, theta and measure
 appear nowhere else. Then evaluating it can raise nothing but
@@ -261,13 +261,6 @@ def search_bindings(
 
 # --- the join -------------------------------------------------------------------
 
-# The built-in relations of a gap-only theory. Evaluated on rational
-# arguments, each either holds, fails, or raises one of EVALUATION_GAP_ERRORS.
-GAP_ONLY_RELATIONS = frozenset(
-    {"inside", "partOf", "contact", "on", "overlaps", "disjoint", "motion", "ccwStep", "closeTo"}
-)
-
-
 def gap_only(theory: Theory, ctx: EvalContext) -> bool:
     """Whether evaluating the theory's axioms under any candidate binding can
     raise nothing but EVALUATION_GAP_ERRORS, decided from the text alone:
@@ -283,17 +276,19 @@ def gap_only(theory: Theory, ctx: EvalContext) -> bool:
 
 
 def _exact(node: Node, ctx: EvalContext) -> bool:
-    """Whether every atom below `node` applies a built-in of
-    GAP_ONLY_RELATIONS that no template overrides, or a template whose body
-    is an exact comparison; every comparison, of a form other than "real",
+    """Whether every atom below `node` applies a built-in whose row is
+    `exact` and that no template overrides, or a template whose body is an
+    exact comparison; every comparison, of a form other than "real",
     decides each side in rationals or as a lone delta; and every other
     number is a rational constant, a parameter or arithmetic on them."""
     kind = type(node)
     if kind is Atom:
-        body = getattr(ctx.relations.get(node.relation), "definition", None)
-        if body is None and node.relation not in GAP_ONLY_RELATIONS:
-            return False
-        if body is not None and not (type(body) is Compare and _exact(body, ctx)):
+        template = ctx.relations.get(node.relation)
+        if template is None:
+            row = geometry.BUILTIN_RELATIONS.get(node.relation)
+            if row is None or not row.exact:
+                return False
+        elif not (type(template.definition) is Compare and _exact(template.definition, ctx)):
             return False
     elif kind is Compare:
         if node.form == "real" or node.cmp not in geometry.COMPARATORS:
@@ -461,10 +456,10 @@ def _filter(phi: Formula, roles: Sequence[str], trace: Trace, ctx: EvalContext) 
     if any(type(t) is not str and all_symbols(t) for t in phi.args):
         return None, []  # the threshold reads an entity's parameters
     entity_args, num_args = logic.resolve_args(phi, trace.states[0], {role: role for role in roles}, ctx)
-    template = getattr(ctx.relations.get(phi.relation), "definition", None)
+    template = ctx.relations.get(phi.relation)
     if template is None:  # a built-in takes at most one numeric argument, closeTo's threshold
         return geometry.box_margin(phi.relation, ctx, *num_args), [slot(s) for s in entity_args]
-    margin, pair = _distance_margin(template, trace, ctx)
+    margin, pair = _distance_margin(template.definition, trace, ctx)
     args = {f"arg{i + 1}": slot(e) for i, e in enumerate(entity_args)}
     return margin, [args.get(s, s) for s in pair]
 

@@ -229,9 +229,9 @@ def instants(reads: tuple, trace: Trace, t: int, binding: Binding, ctx: EvalCont
     step = any(geometry.reads_next_state(r, ctx) for r in relations)
     names = set(symbols)
     for r in relations:
-        body = getattr(ctx.relations.get(r), "definition", None)
-        if body is not None:
-            names |= all_symbols(body)
+        template = ctx.relations.get(r)
+        if template is not None:
+            names |= all_symbols(template.definition)
     record = trace.changes()
     out = {t, T - 1} if step or final else {t}
     for name in names:
@@ -444,10 +444,12 @@ def _free_symbols(node: Node) -> set[str]:
 
 @dataclass(frozen=True)
 class Witness:
-    """Earliest failing instant plus the innermost failing subformula there."""
+    """Earliest failing instant plus the innermost failing subformula there
+    and the (symbol, entity) pairs it fails under: roles and quantified variables."""
 
     time: int
     formula: Formula
+    binding: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -512,7 +514,7 @@ def _find_witness(phi: Formula, trace: Trace, t: int, binding: dict, ctx: EvalCo
                 return _find_witness(phi.left, trace, u, binding, ctx, memo)
     if isinstance(phi, Before):
         return _find_witness(phi.operand, trace, 0, binding, ctx, memo)
-    return Witness(time=t, formula=phi)
+    return Witness(time=t, formula=phi, binding=tuple(binding.items()))
 
 
 def validate_binding(theory: Theory, binding: Binding, ctx: EvalContext) -> None:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ischema.errors import UnsupportedShapePair
-from ischema.geometry import EvalContext, _defined, center
+from ischema.geometry import EvalContext, center
 from ischema.model import SHAPE_PARAMS, EntityDecl, ShapeKind, State
 
 
@@ -274,6 +274,15 @@ def rel_disjoint(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl) -
         if test:
             return False
     return True
+
+
+def _defined(name: str, decls, result: Optional[bool]) -> bool:
+    """`result` of a test that gives None for a shape pair outside `name`'s
+    domain, raising as `eval_relation` does there."""
+    if result is None:
+        a, b = decls
+        raise UnsupportedShapePair(f"{name}({a.shape.value}, {b.shape.value}) is not defined")
+    return result
 
 
 # `eval_relation` of the four region relations besides contact and on.

@@ -270,6 +270,26 @@ def test_check_prints_a_bound_entity_apart_from_a_same_named_variable(runner, tm
     )
 
 
+def test_a_witness_under_a_quantifier_prints_with_its_variable_bound(runner, tmp_path):
+    ist = tmp_path / "EMPTY.ist"
+    ist.write_text(
+        "theory EMPTY\n  role r : Container\n  axiom always (forall o : Object . not inside(o, r))\nend\n",
+        encoding="utf-8",
+    )
+    args = ["check", str(ist), _path("ball_cup.scn"), "--bind", "r=cup"]
+    result = _run(runner, args)
+    assert result.exit_code == 1, result.output
+    assert result.output == (
+        "theory EMPTY with r=cup\n"
+        "  always (forall o : Object . not inside(o, cup)): violated\n"
+        "    fails at t=2: not inside(ball, cup)\n"
+        "result: violated\n"
+    )
+    # the JSON report keeps the subformula as the theory writes it
+    doc = json.loads(_run(runner, [*args, "--json"]).output)
+    assert doc["axioms"][0]["witness"] == {"time": 2, "formula": "not inside(o, r)"}
+
+
 def test_analogy_solar_atom(runner):
     result = _run(
         runner, ["analogy", _path("solar.scn"), _path("atom.scn"), "--schema", "REVOLUTION", "--json"]
@@ -440,6 +460,17 @@ def test_relation_without_template_is_sort_checked(runner, tmp_path, relation, a
     )
     result = _run(runner, ["check", str(theory), str(scenario), "--bind", "o=a", "--bind", "p=b"])
     _assert_usage_error(result, message)
+
+
+def test_simulate_sort_checks_an_umph_goal(runner, tmp_path):
+    scenario = tmp_path / "u.scn"
+    scenario.write_text(
+        "scenario u\n  entity o : Object = Point(0, 0)\n  rules\n"
+        "    umph push on o (1, 0) until bogus(o)\n  horizon 3\nend\n"
+    )
+    result = _run(runner, ["simulate", str(scenario)])
+    _assert_usage_error(result, f"{scenario}:4:33: error[unknown-relation]: unknown relation 'bogus'")
+    assert result.stdout == ""
 
 
 def test_template_given_a_numeric_argument_is_an_arity_error(runner, tmp_path):

@@ -32,6 +32,7 @@ from ischema.errors import UnknownRelation
 from ischema.geometry import BUILTIN_RELATIONS, EvalContext
 from ischema.library import SHIPPED_SCHEMAS, schema_theory, _data_text
 from ischema.logic import Always, And, Eventually, Implies, Not, Until, eval_formula
+from ischema.model import ForceFluent
 
 SHIPPED_SCENARIOS = (
     "fig1", "drop", "ball_cup", "path3", "stack", "solar", "atom", "containment_grid",
@@ -623,6 +624,16 @@ def test_shipped_theories_round_trip(name):
     assert parse_theory(serialize_theory(theory)) == theory
 
 
+def test_a_theory_with_sort_declarations_round_trips():
+    theory = parse_theory(
+        "theory T\n  sort Cup < Container\n  sort Mug < Cup\n  role m : Mug\n  role o : Object\n"
+        "  axiom always inside(o, m)\nend\n"
+    )
+    text = serialize_theory(theory)
+    assert "  sort Cup < Container\n  sort Mug < Cup\n" in text
+    assert parse_theory(text) == theory
+
+
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_shipped_scenarios_round_trip(name):
     text = _data_text(name + ".scn")
@@ -726,6 +737,20 @@ def test_serialize_trace_is_json_dumps_of_a_simulated_trace(text):
         assert b0x[0] == b0x[1] and b0x[0] is not b0x[1]
     if sc.entities and trace.length > 5:
         assert [bool(s.forces) for s in trace.states[2:6]] == [True, True, False, False]
+
+
+def test_a_trace_with_forces_round_trips_through_json():
+    sc = parse_scenario(
+        "scenario pushed\n  entity o : Object = Point(0, 0)\n  rules\n"
+        "    rule gust when o.x < 2 do addforce wind on o (1/2, -1/3) passive\n"
+        "    umph shove on o (1, 0)\n  horizon 3\nend\n"
+    )
+    trace = simulate(sc)
+    assert ForceFluent("wind", "o", Fraction(1, 2), Fraction(-1, 3), "passive") in trace.states[1].forces
+    payload = serialize_trace(trace, sc.entities)
+    entities, parsed = parse_trace_json(payload)
+    assert (entities, parsed) == (sc.entities, trace)
+    assert serialize_trace(parsed, entities) == payload
 
 
 _JSON_VALUES = st.recursive(

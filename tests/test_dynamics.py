@@ -26,6 +26,7 @@ from ischema.dynamics import (
 )
 from ischema.errors import (
     ConflictingEffects,
+    InvalidScenario,
     IschemaError,
     NonPositiveDelta,
     UnknownParameter,
@@ -55,6 +56,7 @@ from ischema.model import (
     ForceFluent,
     RelationSig,
     ShapeKind,
+    Trace,
     declare_scenario,
     initial_state,
     make_entity,
@@ -84,6 +86,16 @@ def test_empty_rule_set_is_pure_inertia():
     sc = declare_scenario([o], rules=[], horizon=4)
     trace = simulate(sc)
     assert all(s.values == trace.states[0].values for s in trace.states)
+
+
+def test_simulate_rejects_a_concrete_scenario_and_a_horizon_below_one():
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, 0])
+    concrete = declare_scenario([o], trace=Trace((initial_state([o]),)))
+    with pytest.raises(InvalidScenario, match="simulate needs a generative scenario"):
+        simulate(concrete)
+    for horizon in (0, -3):
+        with pytest.raises(InvalidScenario, match="simulation horizon must be at least 1"):
+            simulate(_drop_scenario(), horizon=horizon)
 
 
 def test_horizon_one_is_just_the_initial_state():

@@ -22,7 +22,6 @@ from ischema.errors import (
 )
 from ischema.geometry import DEFAULT_EPSILON, Const, EvalContext
 from ischema.library import (
-    GAP_ONLY_RELATIONS,
     SHIPPED_SCHEMAS,
     SchemaBinding,
     analogy,
@@ -614,7 +613,8 @@ def test_gap_only_classifier():
 def test_readme_names_every_gap_only_relation():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("**Pre-filtered theories.**"):readme.index("The necessary conditions are")]
-    assert {name for name in geometry.BUILTIN_RELATIONS if f"`{name}`" in section} == GAP_ONLY_RELATIONS
+    exact = {name for name, row in geometry.BUILTIN_RELATIONS.items() if row.exact}
+    assert {name for name in geometry.BUILTIN_RELATIONS if f"`{name}`" in section} == exact
 
 
 def test_necessary_conditions_follow_the_positive_skeleton():
