@@ -14,6 +14,7 @@ and equality comparisons over the distance, angle and measure functions.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -475,6 +476,58 @@ def boxes_apart(state: State, a: EntityDecl, b: EntityDecl, margin: Fraction) ->
     if ax is not None and bx is not None and (ax[0] > bx[1] + m or bx[0] > ax[1] + m):
         return True
     return ay[0] > by[1] + m or by[0] > ay[1] + m
+
+
+def near_boxes(state: State, decls: Sequence[EntityDecl], margin: Fraction) -> Callable[[EntityDecl], list[int]]:
+    """A function that gives, for an entity, the ascending positions in
+    `decls` of the entities of which `boxes_apart(state, ..., margin)` does
+    not hold with it.
+
+    The bounded boxes are sorted once by left end. A box within the margin
+    of box a in x has its left end between a's left end less the margin and
+    the widest box's width, and a's right end plus the margin, so each query
+    bisects that window and tests only the boxes in it (a plane-sweep order,
+    Arge et al., VLDB 1998). A Floor's box, unbounded in x, is tested in y
+    alone; an entity that lacks a parameter is near everything, as
+    `boxes_apart` is False for it.
+    """
+    view = int_view(state)
+    m = view.floor(margin)
+    everywhere: list[int] = []
+    unbounded: list[tuple[tuple[int, int], int]] = []
+    bounded: list[tuple[int, int, tuple[int, int], int]] = []
+    for i, decl in enumerate(decls):
+        try:
+            x, y = view.box(decl)
+        except UnknownParameter:
+            everywhere.append(i)
+            continue
+        if x is None:
+            unbounded.append((y, i))
+        else:
+            bounded.append((x[0], x[1], y, i))
+    bounded.sort(key=operator.itemgetter(0))
+    lefts = [b[0] for b in bounded]
+    reach = m + max((hi - lo for lo, hi, _, _ in bounded), default=0)
+
+    def near(decl: EntityDecl) -> list[int]:
+        try:
+            ax, (ay0, ay1) = view.box(decl)
+        except UnknownParameter:
+            return list(range(len(decls)))
+        out = list(everywhere)
+        if ax is None:
+            window = bounded
+        else:
+            window = bounded[bisect.bisect_left(lefts, ax[0] - reach):bisect.bisect_right(lefts, ax[1] + m)]
+        for lo, hi, (y0, y1), i in window:
+            if (ax is None or ax[0] <= hi + m and lo <= ax[1] + m) and y0 <= ay1 + m and ay0 <= y1 + m:
+                out.append(i)
+        out.extend(i for (y0, y1), i in unbounded if y0 <= ay1 + m and ay0 <= y1 + m)
+        out.sort()
+        return out
+
+    return near
 
 
 def delta_squared(state: State, a: EntityDecl, b: EntityDecl) -> tuple[int, int]:

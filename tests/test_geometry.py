@@ -40,6 +40,7 @@ from ischema.geometry import (
     boxes_apart,
     int_view,
     measure,
+    near_boxes,
     rel_on,
     top,
     touches,
@@ -47,6 +48,7 @@ from ischema.geometry import (
 )
 from ischema.logic import Compare
 from ischema.model import (
+    EXTENT_PARAMS,
     SHAPE_PARAMS,
     ShapeKind,
     State,
@@ -525,6 +527,22 @@ def test_box_filter_keeps_every_pair_a_relation_holds_for(seed, epsilon):
                         continue
                     if holds:
                         assert _within(entities, state, ctx, name, a.id, b.id, threshold), (name, a, b)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([0, Fraction(1, 10**9), Fraction(1, 2), 2, Fraction(7, 3)]))
+@settings(max_examples=300, deadline=None)
+def test_near_boxes_are_the_pairs_the_box_filter_keeps(seed, margin):
+    rng = random.Random(seed)
+    entities, state = random_shape_scene(rng, max_entities=9)
+    spread = rng.choice((1, 3, 10))  # positions spread out, so that more boxes lie apart
+    values = {key: v if key[1] in EXTENT_PARAMS else v * spread for key, v in state.values.items()}
+    if rng.random() < 0.2:  # an entity that lacks a parameter is near everything
+        del values[rng.choice(sorted(values))]
+    state = State(0, values)
+    near = near_boxes(state, entities, Fraction(margin))
+    for a in entities:
+        expected = [i for i, b in enumerate(entities) if not boxes_apart(state, a, b, Fraction(margin))]
+        assert near(a) == expected
 
 
 def test_a_view_builds_each_box_once_per_shape():

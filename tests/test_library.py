@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from ischema.library import (
 )
 from ischema.logic import Atom, Forall, Not, check_theory, reference_eval
 from ischema.model import (
+    EXTENT_PARAMS,
     RelationSig,
     Scenario,
     ShapeKind,
@@ -442,6 +444,26 @@ def _unfiltered(theory, sc, epsilon, tau, fixed):
             yield tuple((r, binding[r]) for r, _ in theory.roles)
 
 
+def _meeting(theory, sc, ctx, fixed, conditions):
+    """The candidate bindings that meet every one of `conditions`, each
+    decided at instant 0, or at every instant when `later`, with no box
+    filter: the reference for the join's candidates."""
+    states = sc.trace.states
+
+    def meets(cond, binding):
+        for t in range(len(states)) if cond.later else (0,):
+            try:
+                if logic.decide(cond.atom, states, t, binding, ctx):
+                    return True
+            except EVALUATION_GAP_ERRORS:
+                pass
+        return False
+
+    for binding in _product_bindings(theory, sc, fixed):
+        if all(meets(cond, binding) for cond in conditions):
+            yield binding
+
+
 def _outcome(results):
     """What a search yields, in order, then the type and message of the
     error that ended it, if one did."""
@@ -455,10 +477,12 @@ def _outcome(results):
 
 # closeTo twice: with a threshold of 3/2 or 5 it often holds, so bindings survive
 _JOIN_RELATIONS = ("inside", "partOf", "contact", "on", "overlaps", "disjoint", "closeTo", "closeTo", "ccwStep")
-# Gap-only templates: a distance bound the join filters on, one it only
-# refines, one of delta against delta, and one overriding a built-in.
+# Gap-only templates: distance bounds the join filters on, written both
+# ways round (`reach` as SOURCE_PATH_GOAL's `at` is, over a parameter), one
+# it only refines, one of delta against delta, and one overriding a built-in.
 _JOIN_TEMPLATES = {
     "near": "delta(arg1, arg2) <= 3/2",
+    "reach": "k >= delta(arg2, arg1)",
     "apart": "k < delta(arg2, arg1)",
     "closer": "delta(arg1, arg2) < delta(arg2, arg1)",
     "contact": "arg1.y <= arg2.y",
@@ -536,9 +560,13 @@ def _random_theory(rng, sc, gappy):
     )
 
 
-@given(st.integers(0, 10**6))
+# The join's partner indexes run from pools of this many entities: the
+# module's cut-off, which the random scenes seldom reach, and the least, so
+# that every condition with a box margin is indexed.
+@pytest.mark.parametrize("min_pool", [library.INDEX_MIN_POOL, 0])
+@given(seed=st.integers(0, 10**6))
 @settings(max_examples=400, deadline=None)
-def test_joined_search_equals_the_unfiltered_loop(seed):
+def test_joined_search_equals_the_unfiltered_loop(min_pool, seed):
     rng = random.Random(seed)
     sc = random_shape_trace(rng, max_entities=7, max_len=5)
     gappy = rng.random() < 0.8
@@ -548,6 +576,11 @@ def test_joined_search_equals_the_unfiltered_loop(seed):
         extra = initial_state([k]).values
         states = tuple(State(time=s.time, values={**s.values, **extra}) for s in sc.trace.states)
         sc = declare_scenario((*sc.entities, k), trace=Trace(states))
+    if rng.random() < 0.15:  # an entity that lacks a parameter; a trace's states share their keys
+        key = rng.choice(sorted(sc.trace.states[0].values))
+        states = tuple(State(time=s.time, values={k: v for k, v in s.values.items() if k != key})
+                       for s in sc.trace.states)
+        sc = Scenario(sc.entities, trace=Trace(states))  # `declare_scenario` rejects a missing value
     epsilon = rng.choice((DEFAULT_EPSILON, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 2)))
     tau = rng.choice((Fraction(1, 2), Fraction(2)))
     fixed = {}
@@ -557,8 +590,48 @@ def test_joined_search_equals_the_unfiltered_loop(seed):
         fixed["zz"] = sc.entities[0].id
     ctx = EvalContext.for_scenario(sc, theory, epsilon=epsilon, tau=tau)
     assert gap_only(theory, ctx) is gappy
-    got = _outcome(r.binding.roles for r in search_bindings(theory, sc, ctx, fixed=fixed))
+    with mock.patch.object(library, "INDEX_MIN_POOL", min_pool):
+        got = _outcome(r.binding.roles for r in search_bindings(theory, sc, ctx, fixed=fixed))
     assert got == _outcome(_unfiltered(theory, sc, epsilon, tau, fixed))
+
+
+# Two-role atoms whose box filter has a margin; `at` is SOURCE_PATH_GOAL's.
+_MARGIN_ATOMS = (
+    "inside({x}, {y})", "partOf({x}, {y})", "overlaps({x}, {y})", "contact({x}, {y})", "on({x}, {y})",
+    "closeTo({x}, {y})", "closeTo({x}, {y}, 3)", "closeTo({x}, {y}, -1)", "delta({x}, {y}) <= 2",
+    "k >= delta({y}, {x})", "delta({x}, {y}) < k", "at({x}, {y})",
+)
+_AT = RelationSig("at", ("Entity", "Entity"), parse_formula("delta(arg1, arg2) <= k"))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_partner_indexes_keep_the_candidates_of_the_pair_tests(seed):
+    rng = random.Random(seed)
+    sc = random_shape_trace(rng, max_entities=10, max_len=5)
+    spread = rng.choice((1, 4, 10))  # positions spread out, so that more boxes lie apart
+    drop = rng.choice(sorted(sc.trace.states[0].values)) if rng.random() < 0.2 else None
+    states = tuple(State(time=s.time, values={key: v if key[1] in EXTENT_PARAMS else v * spread
+                                              for key, v in s.values.items() if key != drop})
+                   for s in sc.trace.states)
+    sc = Scenario(sc.entities, trace=Trace(states))  # `declare_scenario` rejects a missing value
+    sorts = ("Entity", "Entity", "Object", "Container", "Floor")
+    roles = (("a", rng.choice(sorts)), ("b", rng.choice(sorts)))
+
+    def atom():
+        x, y = rng.sample("ab", 2)
+        return rng.choice(_MARGIN_ATOMS).format(x=x, y=y)
+
+    axioms = [rng.choice(("{}", "always {}", "eventually {}", "next {}", "{} and eventually {}")).format(atom(), atom())
+              for _ in range(rng.randint(1, 2))]
+    theory = Theory("P", roles=roles, relations=(_AT,), axioms=tuple(parse_formula(a) for a in axioms),
+                    numeric_params=(("k", Fraction(rng.randint(0, 6), 2)),))
+    fixed = {rng.choice("ab"): rng.choice(sc.entities).id} if rng.random() < 0.2 else {}
+    ctx = EvalContext.for_scenario(sc, theory, epsilon=rng.choice((DEFAULT_EPSILON, Fraction(1, 2), Fraction(-1))))
+    conditions = necessary_conditions(theory)
+    with mock.patch.object(library, "INDEX_MIN_POOL", 0):
+        joined = list(candidate_bindings(theory, sc, ctx, fixed, conditions))
+    assert joined == list(_meeting(theory, sc, ctx, fixed, conditions))
 
 
 def test_gap_only_classifier():
@@ -741,6 +814,28 @@ def test_an_entity_lacking_a_parameter_unfilters_only_its_own_pairs(monkeypatch)
     got = [r.binding.roles for r in classify(sc, [theory])]
     assert got == list(_unfiltered(theory, sc, DEFAULT_EPSILON, Fraction(1, 2), None))
     assert got == [(("a", "c0"), ("b", "c1")), (("a", "c1"), ("b", "c0"))]
+
+
+def test_the_join_tests_only_pairs_whose_boxes_lie_within_the_margin(monkeypatch):
+    # points 10 apart, farther than LINK's tau of 2 and SUPPORT's epsilon,
+    # but for q, 1 from p0; more of them than the index's least pool
+    points = [make_entity(f"p{i}", "Object", ShapeKind.POINT, [10 * i, 0])
+              for i in range(library.INDEX_MIN_POOL + 4)]
+    points.append(make_entity("q", "Object", ShapeKind.POINT, [1, 0]))
+    values = initial_state(points).values
+    sc = declare_scenario(points, trace=Trace(tuple(State(time=t, values=values) for t in range(3))))
+    tested = []
+    real = geometry.boxes_apart
+
+    def counting(state, a, b, margin):
+        tested.append((a.id, b.id))
+        return real(state, a, b, margin)
+
+    monkeypatch.setattr(geometry, "boxes_apart", counting)
+    got = [(r.binding.schema, r.binding.roles) for r in classify(sc, ["SUPPORT", "LINK"])]
+    # the parent tested every ordered pair, 110 for each schema
+    assert sorted(tested) == [("p0", "q"), ("q", "p0")]
+    assert got == [("LINK", (("a", "p0"), ("b", "q"))), ("LINK", (("a", "q"), ("b", "p0")))]
 
 
 def _random_roles(rng):

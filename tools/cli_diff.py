@@ -22,10 +22,13 @@ steps. The set after them, `tolerances`, runs
 print), `classify` and `analogy` on generated traces whose points hold still
 for stretches, step or orbit, and whose state lines write some values back
 unchanged, with a generated theory of step relations, `final` and a
-template. The last, `capture`, runs `check` with `--bind` on shipped
+template. Then `capture` runs `check` with `--bind` on shipped
 scenarios against generated theories whose quantified variables are named
 after the entities the roles are bound to, so the text report has to rename
-them. A command's output is the sha256 of its exit code, stdout, stderr and
+them. The last, `classify_large`, runs `classify --json`, and `check`
+and `analogy` with unbound roles, on the benchmark's classify scenes at 66
+and 126 entities, where the join indexes its two-role conditions. A
+command's output is the sha256 of its exit code, stdout, stderr and
 the file it writes. Commands are compared by their place in the pass, since
 a pass may repeat a command. It prints the commands whose outputs differ
 and exits 1 if there are any, else 0.
@@ -57,6 +60,7 @@ GRAVITY_SLIDES = "gravity_slides"
 TOLERANCES = "tolerances"
 STILL_RUNS = "still_runs"
 CAPTURE = "capture"
+CLASSIFY_LARGE = "classify_large"
 
 
 def _q(rng: random.Random, lo: int, hi: int) -> str:
@@ -287,6 +291,32 @@ def capture(seed: int, workdir: Path, data: Path) -> list:
     return [workloads.Command(a, a[0]) for a in args]
 
 
+_LARGE_SCHEMAS = ("SUPPORT", "LINK", "OBJECT_INTO_CONTAINER", "REVOLUTION", "SOURCE_PATH_GOAL")
+
+
+def classify_large(seed: int, workdir: Path, data: Path, toy: bool = False) -> list:
+    """Write two `classify_large` scenes of 20 states into `workdir`, with
+    40 and 80 points (66 and 126 entities; 5 and 10 points when `toy`), and
+    copy the shipped theories; return the commands: `classify --json` and
+    `check` of five schemas with unbound roles on each scene, and `analogy`
+    between the scenes under the same schemas."""
+    names = []
+    for points in (5, 10) if toy else (40, 80):
+        name = f"large{points}"
+        text = workloads._classify_scenario(random.Random(f"{CLASSIFY_LARGE}/{seed}/{points}"), name, points, 20)
+        (workdir / f"{name}.scn").write_text(text, encoding="utf-8")
+        names.append(name)
+    for schema in _LARGE_SCHEMAS:
+        shutil.copyfile(data / f"{schema}.ist", workdir / f"{schema}.ist")
+    args = []
+    for name in names:
+        args.append(["classify", f"{name}.scn", "--json"])
+        args += [["check", f"{schema}.ist", f"{name}.scn", *(["--json"] if schema == "LINK" else [])]
+                 for schema in _LARGE_SCHEMAS]
+    args += [["analogy", f"{names[0]}.scn", f"{names[1]}.scn", "--schema", schema] for schema in _LARGE_SCHEMAS]
+    return [workloads.Command(a, a[0]) for a in args]
+
+
 def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> list:
     if workload == SIMULATE_RULES:
         return simulate_rules(seed, workdir, data, toy)
@@ -298,6 +328,8 @@ def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> lis
         return still_runs(seed, workdir, data, toy)
     if workload == CAPTURE:
         return capture(seed, workdir, data)
+    if workload == CLASSIFY_LARGE:
+        return classify_large(seed, workdir, data, toy)
     return workloads.build(workload, seed, workdir, data, toy=toy)
 
 
@@ -345,7 +377,8 @@ def main(argv=None, toy: bool = False) -> int:
         try:
             for name, path in sides.items():
                 bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS, CAPTURE):
+            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS, CAPTURE,
+                             CLASSIFY_LARGE):
                 for seed in seeds:
                     digests = {}
                     for name, path in sides.items():
