@@ -31,6 +31,7 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
@@ -81,16 +82,16 @@ def side() -> None:
     from ischema import geometry
     from child import _run_one
 
-    counts = dict.fromkeys(("boxes_apart", "eval_relation"), 0)
+    counts: dict[str, int] = {}
 
-    def counting(name):
+    def counted(name: str):
         real = getattr(geometry, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
 
-        return real, wrapper
+        return mock.patch.object(geometry, name, wrapper)
 
     rows = []
     for scn in json.load(sys.stdin):
@@ -101,15 +102,9 @@ def side() -> None:
             start = time.perf_counter()
             _run_one(cli.main, command, None)
             best = min(best, time.perf_counter() - start)
-        counts.update(dict.fromkeys(counts, 0))
-        wrapped = {name: counting(name) for name in counts}
-        for name, (_, wrapper) in wrapped.items():
-            setattr(geometry, name, wrapper)
-        try:
+        counts.update(boxes_apart=0, eval_relation=0)
+        with counted("boxes_apart"), counted("eval_relation"):
             output = _run_one(cli.main, command, None)
-        finally:
-            for name, (real, _) in wrapped.items():
-                setattr(geometry, name, real)
         rows.append({"seconds": best, **counts,
                      "sha256": hashlib.sha256(json.dumps(output).encode("utf-8")).hexdigest()})
     print(json.dumps(rows))
