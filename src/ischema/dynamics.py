@@ -300,16 +300,18 @@ def _gravity_effects(
     neighbours, and only those can stop its fall.
 
     The sweep is kept on the state's view: each entity's x-extent, its
-    neighbours, and the targets gravity left in place. A view derived by
-    `IntView.updated` carries it on with the entities moved since, so this
-    repairs the neighbours of the x-moved entities against the kept extents
-    and skips each target that is still left in place: no moved entity is
-    the target or one of its old or new neighbours, and a verdict reads only
-    those. With no sweep for this context and effect, `x_neighbours` sweeps
-    anew."""
+    neighbours (the entities whose x-extents meet its own, by
+    `geometry.extents_meet`) and the targets gravity left in place. With
+    no sweep for this context and effect, every pair of extents is tested.
+    A view derived by `IntView.updated` carries it on with the entities
+    moved since, so this tests again only the x-moved entities against the
+    kept extents and skips each target that is still left in place: no
+    moved entity is the target or one of its old or new neighbours, and a
+    verdict reads only those."""
     (fall,) = rule.effects
     entities = ctx.entities
     view = geometry.int_view(state)
+    meet = geometry.extents_meet
     carried = view.sweep
     if carried is not None and carried[0][0] is ctx and carried[0][1] == fall:
         (_, _, extents, neighbours, left), moved, x_moved = carried
@@ -317,7 +319,6 @@ def _gravity_effects(
         x_moved = [m for m in x_moved if m in entities]
         for m in x_moved:
             extents[m] = geometry.horizontal_interval(state, entities[m])
-        meet = geometry.extents_meet
         for m in x_moved:  # the lists are shared with the parent sweep, so replaced, never changed
             mine = extents[m]
             near = [e for e, extent in extents.items() if meet(mine, extent)]
@@ -334,7 +335,7 @@ def _gravity_effects(
             left.difference_update(neighbours.get(m, ()))
     else:
         extents = {e: geometry.horizontal_interval(state, decl) for e, decl in entities.items()}
-        neighbours = geometry.x_neighbours(state, entities.values())
+        neighbours = {e: [o for o, other in extents.items() if meet(mine, other)] for e, mine in extents.items()}
         left = set()
     eps = view.floor(ctx.epsilon)
     out: list[tuple] = []

@@ -222,7 +222,8 @@ class IntView:
     integer difference d is at most e*L when d <= floor(e*L), and a squared
     distance is compared by cross-multiplying with e's denominator. The
     view also keeps each entity's box (`box`) and extents (`extent`) once
-    built, and in `sweep` gravity's horizontal sweep (see
+    built, and in `sweep` gravity's horizontal sweep, each entity's
+    x-extent and the entities whose extents meet it (`extents_meet`; see
     `dynamics._gravity_effects`): None, or (sweep, moved, x_moved), a sweep
     built on this view or an ancestor with the entities that a geometric key
     moved since and those whose x-extent keys (`X_EXTENT_PARAMS`) moved.
@@ -420,46 +421,6 @@ def horizontal_overlap(state: State, a: EntityDecl, b: EntityDecl) -> bool:
 def extents_meet(ia: Optional[tuple[int, int]], ib: Optional[tuple[int, int]]) -> bool:
     """Whether two closed horizontal extents meet; None is unbounded."""
     return ia is None or ib is None or (ia[0] <= ib[1] and ib[0] <= ia[1])
-
-
-def x_neighbours(state: State, decls: Iterable[EntityDecl]) -> dict[str, list[str]]:
-    """Each entity's id -> the ids of the entities among `decls` for which
-    `horizontal_overlap` holds with it: itself, every Floor, and every other
-    entity whose closed horizontal extent meets its own.
-
-    One sort of the extents by left end and one sweep over them, the
-    sweep-and-prune broad phase (Cohen et al., I-COLLIDE, I3D 1995): an
-    extent meets the earlier-starting extents that have not ended before its
-    left end. Gravity sweeps a view anew only where it carries no sweep
-    (`IntView.sweep`); otherwise it repairs the carried one.
-    """
-    out: dict[str, list[str]] = {}
-    unbounded: list[str] = []
-    extents: list[tuple[int, int, str]] = []
-    for decl in decls:
-        out[decl.id] = []
-        extent = horizontal_interval(state, decl)
-        if extent is None:
-            unbounded.append(decl.id)
-        else:
-            extents.append((extent[0], extent[1], decl.id))
-    extents.sort(key=lambda e: e[0])
-    active: list[tuple[int, int, str]] = []  # (right, left, id) of open extents
-    for lo, hi, eid in extents:
-        active = [a for a in active if a[0] >= lo]
-        for _, other_lo, other in active:
-            # other_lo <= lo, so this fails only for an extent that a negative
-            # size turned inside out (hi < lo)
-            if other_lo <= hi:
-                out[eid].append(other)
-                out[other].append(eid)
-        if lo <= hi:
-            out[eid].append(eid)
-        active.append((hi, lo, eid))
-    everyone = list(out)
-    for eid in everyone:
-        out[eid] = list(everyone) if eid in unbounded else out[eid] + unbounded
-    return out
 
 
 def boxes_apart(state: State, a: EntityDecl, b: EntityDecl, margin: Fraction) -> bool:

@@ -378,9 +378,11 @@ def candidate_bindings(
     partner index (`_partners`) when its pool holds at least INDEX_MIN_POOL
     entities: the role then runs only over the partners of the entity bound
     to the earlier role, an index nested-loop join (Jacox and Samet, TODS
-    2007), and every test still refines each of them. The partners are a
-    subset of the pool in id order that holds every entity the filter keeps,
-    so the candidates and their order are those of the pair tests. A tuple
+    2007), and every test still refines each of them; unless `later`, the
+    indexing condition's own test skips the box test the index made. The
+    partners are a subset of the pool in id order that holds every entity
+    the filter keeps, so the candidates and their order are those of the
+    pair tests. A tuple
     is decided when first reached, so a search that stops at its first
     binding decides only what it reaches. A gap-only theory raises nothing
     but EVALUATION_GAP_ERRORS, which the search skips, so dropping a binding
@@ -396,16 +398,17 @@ def candidate_bindings(
     for cond in conditions:
         roles = [names[i] for i in cond.roles]
         margin, slots = _filter(cond.atom, roles, trace, ctx)
-        test = _tester(cond, roles, margin, slots, trace, ctx)
         if not cond.roles:
-            if not test(()):
+            if not _tester(cond, roles, margin, slots, trace, ctx)(()):
                 return
             continue
         last = cond.roles[-1]
-        tests[last].append((cond.roles, test))
         own_boxes = margin is not None and set(slots) == {0, 1}
         if own_boxes and indexes[last] is None and len(pools[last]) >= INDEX_MIN_POOL:
             indexes[last] = cond.roles[0], _partners(pools[last], margin, cond.later, trace, ctx)
+            if not cond.later:  # the partners are the pairs whose boxes pass at instant 0
+                margin = None
+        tests[last].append((cond.roles, _tester(cond, roles, margin, slots, trace, ctx)))
     yield from _extend(names, pools, tests, indexes, [])
 
 

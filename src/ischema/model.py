@@ -1,7 +1,11 @@
 """Core data model: order-sorted entities, parametric shapes, states, traces.
 
-Everything here is immutable after construction and safe to share between
-threads. All parameter values are exact rationals (`fractions.Fraction`).
+The declared fields of every value here are immutable after construction.
+Three caches are filled in lazily, outside equality and the repr:
+`State.view` (`geometry.int_view`, whose `IntView.sweep` gravity fills in
+too) and `Trace.change_record`. So share a state or a trace between threads
+only behind a lock. All parameter values are exact rationals
+(`fractions.Fraction`).
 """
 
 from __future__ import annotations

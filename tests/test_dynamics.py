@@ -735,7 +735,7 @@ def test_carried_sweeps_simulate_as_fresh_views(seed):
         out = real(rule, state, ctx, targets)
         _, _, extents, neighbours, _ = geometry.int_view(state).sweep[0]
         assert extents == {e: geometry.horizontal_interval(state, d) for e, d in ctx.entities.items()}
-        expected = geometry.x_neighbours(state, ctx.entities.values())
+        expected = fraction_geometry.x_neighbours(state, ctx.entities.values())
         assert {e: sorted(n) for e, n in neighbours.items()} == {e: sorted(n) for e, n in expected.items()}
         return out
 
@@ -769,13 +769,20 @@ def test_simulate_sweeps_the_sixteen_prime_scene_once(monkeypatch):
     """Every later step of the scene repairs the first step's sweep."""
     from ischema.dsl import parse_scenario
 
-    calls = []
-    real = geometry.x_neighbours
-    monkeypatch.setattr(geometry, "x_neighbours", lambda state, decls: calls.append(state) or real(state, decls))
+    cold = []
+    real = dynamics._gravity_effects
+
+    def counting(rule, state, ctx, targets):
+        carried = geometry.int_view(state).sweep
+        if carried is None or carried[0][0] is not ctx or carried[0][1] != rule.effects[0]:
+            cold.append(state)
+        return real(rule, state, ctx, targets)
+
+    monkeypatch.setattr(dynamics, "_gravity_effects", counting)
     sc = parse_scenario(prime_denominator_scene())
     for runs in (1, 2):
         simulate(sc)
-        assert len(calls) == runs
+        assert len(cold) == runs
 
 
 def test_a_force_along_x_keeps_the_y_value_object():

@@ -44,8 +44,8 @@ from ischema.geometry import (
     rel_on,
     top,
     touches,
-    x_neighbours,
 )
+from ischema.dynamics import gravity_rule, step
 from ischema.logic import Compare
 from ischema.model import (
     EXTENT_PARAMS,
@@ -374,13 +374,21 @@ def test_uniform_scaling_preserves_topology(x1, y1, r1, x2, y2, r2, k, px, py):
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=300, deadline=None)
-def test_x_neighbours_match_all_pairs_horizontal_overlap(seed):
+def test_sweep_neighbours_match_all_pairs_horizontal_overlap(seed):
     entities, state = random_shape_scene(random.Random(seed), max_entities=9)
-    neighbours = x_neighbours(state, entities)
+    neighbours = _swept(state, entities)
     assert set(neighbours) == {e.id for e in entities}
     for a in entities:
         expected = [b.id for b in entities if horizontal_overlap(state, a, b)]
         assert sorted(neighbours[a.id]) == sorted(expected)
+
+
+def _swept(state, entities):
+    """The neighbour lists that one gravity step leaves in the sweep on the
+    state's view."""
+    view = int_view(state)
+    step(state, [gravity_rule(1)], EvalContext(entities={e.id: e for e in entities}))
+    return view.sweep[0][3]
 
 
 # --- the integer view against the Fraction oracle ----------------------------------
@@ -435,8 +443,6 @@ def test_integer_view_matches_the_fraction_oracle(scene, epsilon):
                 ours = _outcome(eval_relation, name, [a.id, b.id], state, ctx)
                 assert ours == _outcome(theirs, state, ctx, a, b), (name, a, b)
             _assert_distances_match_the_oracle(state, ctx, a, b)
-    got = {k: sorted(v) for k, v in x_neighbours(state, entities).items()}
-    assert got == {k: sorted(v) for k, v in oracle.x_neighbours(state, entities).items()}
 
 
 def _outcome(fn, *args):
@@ -480,7 +486,7 @@ def test_integer_view_reports_a_missing_parameter_as_the_oracle_does(scene, data
             _assert_distances_match_the_oracle(state, ctx, a, b)
 
 
-def test_x_neighbours_corner_cases():
+def test_sweep_neighbours_corner_cases():
     floor = make_entity("f", "Floor", ShapeKind.FLOOR, [0])
     left = make_entity("l", "Rectangle", ShapeKind.RECTANGLE, [1, 1, 2, 2])  # x in [0, 2]
     right = make_entity("r", "Rectangle", ShapeKind.RECTANGLE, [3, 1, 2, 2])  # x in [2, 4]
@@ -489,14 +495,14 @@ def test_x_neighbours_corner_cases():
     rail = make_entity("s", "Path", ShapeKind.SEGMENT, [4, 0, -1, 3])  # x in [-1, 4]
     entities = [floor, left, right, pin, far, rail]
     state = initial_state(entities)
-    got = {k: set(v) for k, v in x_neighbours(state, entities).items()}
+    got = {k: set(v) for k, v in _swept(state, entities).items()}
     assert got["f"] == set("flrpcs")
     assert got["l"] == set("flrps")  # a shared edge coordinate meets
     assert got["p"] == set("flrps")
     assert got["c"] == set("fc")
     # a zero-width rectangle is its own neighbour; an inverted extent is not
     squashed = {**state.values, ("l", "w"): Fraction(0), ("r", "w"): Fraction(-1)}
-    got = {k: set(v) for k, v in x_neighbours(State(0, squashed), entities).items()}
+    got = {k: set(v) for k, v in _swept(State(0, squashed), entities).items()}
     assert got["l"] == {"f", "l", "s"}
     assert got["r"] == {"f", "s"}
 

@@ -824,17 +824,23 @@ def test_the_join_tests_only_pairs_whose_boxes_lie_within_the_margin(monkeypatch
     points.append(make_entity("q", "Object", ShapeKind.POINT, [1, 0]))
     values = initial_state(points).values
     sc = declare_scenario(points, trace=Trace(tuple(State(time=t, values=values) for t in range(3))))
-    tested = []
-    real = geometry.boxes_apart
+    tested, decided = [], set()
+    boxes_apart, decide = geometry.boxes_apart, logic.decide
 
     def counting(state, a, b, margin):
         tested.append((a.id, b.id))
-        return real(state, a, b, margin)
+        return boxes_apart(state, a, b, margin)
+
+    def deciding(phi, states, t, binding, ctx):
+        decided.add(tuple(binding.values()))
+        return decide(phi, states, t, binding, ctx)
 
     monkeypatch.setattr(geometry, "boxes_apart", counting)
+    monkeypatch.setattr(logic, "decide", deciding)
     got = [(r.binding.schema, r.binding.roles) for r in classify(sc, ["SUPPORT", "LINK"])]
-    # the parent tested every ordered pair, 110 for each schema
-    assert sorted(tested) == [("p0", "q"), ("q", "p0")]
+    # the partner index keeps only the pairs whose boxes pass, so none is box-tested again
+    assert tested == []
+    assert sorted(decided) == [("p0", "q"), ("q", "p0")]
     assert got == [("LINK", (("a", "p0"), ("b", "q"))), ("LINK", (("a", "q"), ("b", "p0")))]
 
 

@@ -44,3 +44,22 @@ def test_head_against_itself(tmp_path, monkeypatch, capsys):
         assert h["seconds"] > 0
     assert set(head["exponent"]) == {"seconds", "boxes_apart", "eval_relation"}
     assert head["exponent"]["boxes_apart"] == base["exponent"]["boxes_apart"] > 0
+
+
+def test_the_simulate_series_at_toy_sizes(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    for args in (("init", "-q"), ("add", "-A"), ("commit", "-q", "-m", "base")):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+    monkeypatch.setattr(scaling.bench_compare, "ROOT", repo)
+
+    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4,8", "--runs", "1"]) == 0
+    simulate = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))["simulate"]
+    assert simulate["same_output"] == [True, True]
+    base, head = simulate["sides"]["base"], simulate["sides"]["head"]
+    assert [row["bodies"] for row in head["rows"]] == [4, 8]
+    for b, h in zip(base["rows"], head["rows"]):
+        assert h["touches"] == b["touches"] > 0 and h["seconds"] > 0
+    assert set(head["exponent"]) == {"seconds", "touches"}
+    assert head["exponent"]["touches"] == base["exponent"]["touches"] > 0

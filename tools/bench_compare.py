@@ -28,6 +28,7 @@ head run is better than every base run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import statistics
@@ -35,12 +36,30 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def checkouts(shas: dict[str, str], where: Path) -> Iterator[dict[str, Path]]:
+    """Each revision of `shas` (name -> sha) checked out into a detached
+    `git worktree` at `where / name`, so only committed files are seen;
+    yields name -> path, and removes the worktrees on exit."""
+    paths = {name: where / name for name in shas}
+    try:
+        for name, path in paths.items():
+            git("worktree", "add", "--detach", str(path), shas[name])
+        yield paths
+    finally:
+        for path in paths.values():
+            if path.exists():
+                git("worktree", "remove", "--force", str(path))
+        git("worktree", "prune")
 
 
 def run_bench(runner: Path, side: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
@@ -135,31 +154,23 @@ def main(argv=None) -> int:
     workloads = args.workloads.split(",")
     results: dict[str, list[dict]] = {w: [] for w in workloads}
     traced: dict[str, dict] = {}
-    with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.workdir) as tmp:
-        sides = {side: Path(tmp) / side for side in shas}
-        try:
-            for side, path in sides.items():
-                git("worktree", "add", "--detach", str(path), shas[side])
-            runner = sides["head"] / "perfbench" / "run.py"
-            for k in range(args.pairs):
-                order = ("base", "head") if k % 2 == 0 else ("head", "base")
-                for workload in workloads:
-                    pair = {"first": order[0]}
-                    for side in order:
-                        pair[side] = run_bench(runner, sides[side], workload, args.seed, args.seconds)
-                    results[workload].append(pair)
-                    print(f"pair {k + 1}/{args.pairs} {workload}: "
-                          + ", ".join(f"{s} {pair[s]['metrics']['throughput_cmd_s']:.1f} cmd/s" for s in order),
-                          file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.workdir) as tmp, \
+            checkouts(shas, Path(tmp)) as sides:
+        runner = sides["head"] / "perfbench" / "run.py"
+        for k in range(args.pairs):
+            order = ("base", "head") if k % 2 == 0 else ("head", "base")
             for workload in workloads:
-                traced[workload] = {side: run_bench(runner, path, workload, args.seed, args.seconds, trace=True)
-                                    for side, path in sides.items()}
-                print(f"traced {workload}", file=sys.stderr)
-        finally:
-            for path in sides.values():
-                if path.exists():
-                    git("worktree", "remove", "--force", str(path))
-            git("worktree", "prune")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(runner, sides[side], workload, args.seed, args.seconds)
+                results[workload].append(pair)
+                print(f"pair {k + 1}/{args.pairs} {workload}: "
+                      + ", ".join(f"{s} {pair[s]['metrics']['throughput_cmd_s']:.1f} cmd/s" for s in order),
+                      file=sys.stderr)
+        for workload in workloads:
+            traced[workload] = {side: run_bench(runner, path, workload, args.seed, args.seconds, trace=True)
+                                for side, path in sides.items()}
+            print(f"traced {workload}", file=sys.stderr)
 
     doc = {
         "label": args.label,

@@ -372,32 +372,23 @@ def main(argv=None, toy: bool = False) -> int:
 
     shas = {"base": bench_compare.git("rev-parse", args.base), "head": bench_compare.git("rev-parse", "HEAD")}
     total = differing = 0
-    with tempfile.TemporaryDirectory(prefix="cli-diff-") as tmp:
-        sides = {name: Path(tmp) / name for name in shas}
-        try:
-            for name, path in sides.items():
-                bench_compare.git("worktree", "add", "--detach", str(path), shas[name])
-            for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS, CAPTURE,
-                             CLASSIFY_LARGE):
-                for seed in seeds:
-                    digests = {}
-                    for name, path in sides.items():
-                        workdir = Path(tmp) / f"{name}-{workload}-{seed}"
-                        workdir.mkdir()
-                        src = path / "src"
-                        commands = build(workload, seed, workdir, src / "ischema" / "data", toy)
-                        digests[name] = run_side(src, workdir, commands)
-                    differ = [i for i, (b, h) in enumerate(zip(digests["base"], digests["head"])) if b != h]
-                    print(f"{workload} seed {seed}: {len(commands)} commands, {len(differ)} differ")
-                    for i in differ:
-                        print(f"  #{i}: {commands[i].key}")
-                    total += len(commands)
-                    differing += len(differ)
-        finally:
-            for path in sides.values():
-                if path.exists():
-                    bench_compare.git("worktree", "remove", "--force", str(path))
-            bench_compare.git("worktree", "prune")
+    with tempfile.TemporaryDirectory(prefix="cli-diff-") as tmp, bench_compare.checkouts(shas, Path(tmp)) as sides:
+        for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS, CAPTURE,
+                         CLASSIFY_LARGE):
+            for seed in seeds:
+                digests = {}
+                for name, path in sides.items():
+                    workdir = Path(tmp) / f"{name}-{workload}-{seed}"
+                    workdir.mkdir()
+                    src = path / "src"
+                    commands = build(workload, seed, workdir, src / "ischema" / "data", toy)
+                    digests[name] = run_side(src, workdir, commands)
+                differ = [i for i, (b, h) in enumerate(zip(digests["base"], digests["head"])) if b != h]
+                print(f"{workload} seed {seed}: {len(commands)} commands, {len(differ)} differ")
+                for i in differ:
+                    print(f"  #{i}: {commands[i].key}")
+                total += len(commands)
+                differing += len(differ)
     print(f"{shas['base'][:12]} against {shas['head'][:12]}: {total} commands, {differing} differ")
     return 1 if differing else 0
 
