@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_geometry as oracle
 from conftest import _SCENE_SHAPES, random_shape_scene
 
+from ischema.dynamics import gravity_rule, step
 from ischema.errors import (
     CoincidentCenters,
     NotMeasurable,
@@ -45,7 +46,6 @@ from ischema.geometry import (
     top,
     touches,
 )
-from ischema.dynamics import gravity_rule, step
 from ischema.logic import Compare
 from ischema.model import (
     EXTENT_PARAMS,
