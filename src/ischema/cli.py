@@ -150,8 +150,9 @@ def _runs(body):
             click.echo(f"error: {exc}", file=_stream(err=True))
             sys.exit(_ERROR_EXITS.get(type(exc), EXIT_USAGE))
         out = _stream()
-        if isinstance(output, str):
-            click.echo(output, nl=False, file=out)
+        if isinstance(output, str):  # no escape character to strip: ids are identifiers, JSON is ASCII
+            out.write(output)
+            out.flush()
         else:
             color = _color_enabled()
             for line, fg in output:

@@ -1161,6 +1161,13 @@ class _KeySet:
         return self.force_list
 
 
+class _TraceDoc(dict):
+    """A trace's document, `entities`, `length` and `states`, which
+    `json_text` writes in one step."""
+
+    __slots__ = ()
+
+
 def trace_to_json(trace: Trace, entities: Sequence[EntityDecl], shared: Optional[dict] = None) -> dict:
     """The JSON document of a trace, with exact rational strings. The
     documents of several traces built with one `shared` dict share one entity
@@ -1171,21 +1178,24 @@ def trace_to_json(trace: Trace, entities: Sequence[EntityDecl], shared: Optional
     each value that is the same object (`is`) as there, so only a value a
     step rewrote is converted again, and it is that same object when every
     value is; its `forces` list is that same list while the forces are equal.
-    `json_text` writes an object that recurs at one level once."""
+    The key set is looked up only for a state not written yet; the states of
+    a trace share it. `json_text` writes an object that recurs at one level
+    once."""
     if shared is None:
         shared = {}
     if "entities" not in shared:
         shared["entities"] = [_entity_to_json(e) for e in entities]
-    key_set = frozenset(trace.states[0].values)
-    kept = shared.get(key_set)
-    if kept is None:
-        kept = shared[key_set] = _KeySet(key_set)
+    kept = None
     states = []
     for s in trace.states:
-        if id(s) not in shared:  # the state is kept with its document, so its id stays its own
-            shared[id(s)] = s, {"t": s.time, "values": kept.values(s.values), "forces": kept.forces_of(s.forces)}
-        states.append(shared[id(s)][1])
-    return {"length": trace.length, "entities": shared["entities"], "states": states}
+        found = shared.get(id(s))
+        if found is None:  # the state is kept with its document, so its id stays its own
+            if kept is None:
+                key_set = frozenset(s.values)
+                kept = shared.get(key_set) or shared.setdefault(key_set, _KeySet(key_set))
+            found = shared[id(s)] = s, {"t": s.time, "values": kept.values(s.values), "forces": kept.forces_of(s.forces)}
+        states.append(found[1])
+    return _TraceDoc(length=trace.length, entities=shared["entities"], states=states)
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -1195,8 +1205,10 @@ def json_text(doc) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)` for a document of dicts
     with string keys, lists and JSON scalars, writing a dict or list that
     occurs in it more than once at one level, as one object, once. A state's
-    `values` object (`_Values`) is written from its ready `lines`, and an
-    entity's `params` list (`_Params`) from its ready `pairs`."""
+    `values` object (`_Values`) is written from its ready `lines`, an
+    entity's `params` list (`_Params`) from its ready `pairs`, and a trace's
+    document (`_TraceDoc`) from the text of its entity list and its states,
+    without sorting its keys or writing its `states` list as an object."""
     written: dict[tuple[int, int], str] = {}
 
     def write(obj, level: int) -> str:
@@ -1212,6 +1224,11 @@ def json_text(doc) -> str:
             if isinstance(obj, dict):
                 if type(obj) is _Values:
                     items = obj.lines
+                elif type(obj) is _TraceDoc:  # from the text of its entities and of its states
+                    inner = pad + "  "
+                    states = ("," + inner).join([write(state, level + 2) for state in obj["states"]])
+                    items = [f'"entities": {write(obj["entities"], level + 1)}', f'"length": {obj["length"]}',
+                             f'"states": [{inner}{states}{pad}]']
                 else:
                     items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
                 written[key] = "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"

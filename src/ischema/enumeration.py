@@ -8,21 +8,25 @@ assignments, entity by entity.
 The free entities' points at one instant form a *frame*: k free entities on a
 grid of |G| points have |G|^k frames. The search grounds the bound axioms
 once, expanding quantifiers over their domains. It decides each ground atom
-and comparison once per frame by `logic.decide`, as the evaluators do, and
-each built-in step relation (`motion`, `ccwStep`, `thetaStep`) once per pair
-of frames, on the arguments `logic.resolve_args` reads in the first. It then
-counts by one backward pass over the instants. The state of that pass at
-instant t is the frame at t plus the truth values at t that instant t-1
-reads: the operand of each `next`, and each `always`, `eventually` and
-`until` itself. This is finite-trace temporal logic (De Giacomo and Vardi,
-IJCAI 2013) decided by table. Listing walks the same tables forward and
+and comparison once per frame by `logic.decide`, as the evaluators do. A
+built-in step relation (`motion`, `ccwStep`, `thetaStep`) is the comparison
+of two reads, one per state (`geometry.Step`): each ground step atom is
+read once per frame, and its value for a pair of frames is the comparison
+of their reads, so |G|^k reads and |G|^2k comparisons replace |G|^2k
+evaluations. It is false at the last instant, where nothing is read. The
+search then counts by one backward pass over the instants. The state of
+that pass at instant t is the frame at t plus the truth values at t that
+instant t-1 reads: the operand of each `next`, and each `always`,
+`eventually` and `until` itself. This is finite-trace temporal logic (De
+Giacomo and Vardi, IJCAI 2013) decided by table. Listing walks the same tables forward and
 builds a `Trace` only for a model.
 
 The brute force checks the trace of every assignment through the naive
 `logic.reference_eval`, and stays as the independent oracle
 (`brute_force_models`). It also decides a theory containing `before`, which
-reads the past, and any run whose tabulation raises an `IschemaError`, so the
-errors of a search are the brute force's own.
+reads the past, and any run whose tabulation raises an `IschemaError`, a
+step read at any frame included, so the errors of a search are the brute
+force's own.
 """
 
 from __future__ import annotations
@@ -150,9 +154,9 @@ class _Ground:
 
     Quantifiers are expanded over their domains. A node is (kind, child ids...)
     or a leaf: ("frame", i) for the i-th atom or comparison of `local`,
-    decided per frame; ("pair", i) for the i-th atom of `steps`, decided per
-    pair of frames; ("final",). Equal nodes share one id, so an atom that
-    recurs with its symbols bound alike is decided once.
+    decided per frame; ("pair", i) for the i-th atom of `steps`, read per
+    frame and compared per pair of frames; ("final",). Equal nodes share one
+    id, so an atom that recurs with its symbols bound alike is decided once.
     """
 
     def __init__(self, theory: Theory, binding: Mapping[str, str], ctx: EvalContext):
@@ -239,11 +243,12 @@ class _Tables:
     Frame f places free entity i on the point of its i-th base-|G| digit,
     most significant first, so frames run in the order of
     `itertools.product(points, repeat=k)`. Tuples of truth values are
-    interned as small ids: a frame's atoms (`local`), the step atoms of a
-    frame at the last instant (`end`) and of a pair of frames (`pair`), and
-    the read values of an instant. `_counts(t, f)` counts, for each id of the
-    read values at t, the suffixes from instant t that start at frame f; at
-    instant 0 it counts by whether every axiom holds instead. `layers` holds
+    interned as small ids: a frame's atoms (`local`), the step atoms at the
+    last instant (`end`, all false) and of a pair of frames (`pair`, the
+    comparisons of the two frames' reads), and the read values of an
+    instant. `_counts(t, f)` counts, for each id of the read values at t,
+    the suffixes from instant t that start at frame f; at instant 0 it
+    counts by whether every axiom holds instead. `layers` holds
     them for every instant but the last, whose counts follow from the frame.
     """
 
@@ -258,34 +263,32 @@ class _Tables:
         self._tuples: list[tuple] = []
         self._memo: dict[tuple[int, int, int], tuple[int, bool]] = {}
         self.local: list[int] = []
-        self.end: list[int] = []
         ctx = ground.ctx
-        pairs = bool(ground.steps) and self.horizon > 1
-        states, steps = [], []
+        # Each step atom's row and entities, its arity checked once. Its
+        # entity arguments do not depend on the frame, and numeric ones fail
+        # the check wherever they are read.
+        base = State(time=0, values=self.base)
+        steps = [geometry.builtin(atom.relation, *logic.resolve_args(atom, base, env, ctx), ctx)
+                 for atom, env in ground.steps]
+        pairs = bool(steps) and self.horizon > 1
+        reads = []
         for f in range(self.n_frames):
             state = State(time=0, values=self._values(f))
             local = [logic.decide(phi, (state,), 0, env, ctx) for phi, env in ground.local]
             self.local.append(self._intern(tuple(local)))
-            args = [logic.resolve_args(atom, state, env, ctx) for atom, env in ground.steps]
-            self.end.append(self._intern(self._step_atoms(state, args, None)))
             if pairs:
-                states.append(state)
-                steps.append(args)
+                reads.append([row.step.read(state, decls) for row, decls in steps])
+        advances = [row.step.advances for row, _ in steps]
         self.pair = [
-            [self._intern(self._step_atoms(state, args, after)) for after in states]
-            for state, args in zip(states, steps)
+            [self._intern(tuple([adv(a, b) for adv, a, b in zip(advances, now, later)])) for later in reads]
+            for now in reads
         ] if pairs else None
-        self._no_steps = self._intern(())
+        # A step relation is false at the last instant. Without a pair table
+        # there is no step atom, or no instant but the last.
+        self.end = self._intern((False,) * len(steps))
         self.layers: list[list[Counter]] = [[] for _ in range(self.horizon - 1)]
         for t in range(self.horizon - 2, -1, -1):
             self.layers[t] = self._backward(t)
-
-    def _step_atoms(self, state: State, args: list, after: Optional[State]) -> tuple:
-        ctx = self.ground.ctx
-        return tuple(
-            geometry.eval_relation(atom.relation, entity_args, state, ctx, num_args, after)
-            for (atom, _), (entity_args, num_args) in zip(self.ground.steps, args)
-        )
 
     def _intern(self, values: tuple) -> int:
         if values not in self._ids:
@@ -323,7 +326,7 @@ class _Tables:
 
     def _counts(self, t: int, f: int) -> Mapping:
         if t == self.horizon - 1:
-            return {self._value(t, self.local[f], self.end[f], _LAST): 1}
+            return {self._value(t, self.local[f], self.end, _LAST): 1}
         return self.layers[t][f]
 
     def _backward(self, t: int) -> list[Counter]:
@@ -336,7 +339,7 @@ class _Tables:
         layer = []
         for f in range(self.n_frames):
             local, out = self.local[f], Counter()
-            rows = zip(self.pair[f], later) if self.pair is not None else ((self._no_steps, merged),)
+            rows = zip(self.pair[f], later) if self.pair is not None else ((self.end, merged),)
             for pair, counts in rows:
                 for w, c in counts.items():
                     out[self._value(t, local, pair, w)] += c
@@ -361,7 +364,7 @@ class _Tables:
                 continue
             children = []
             for g in range(self.n_frames):
-                pair = self.pair[f][g] if self.pair is not None else self._no_steps
+                pair = self.pair[f][g] if self.pair is not None else self.end
                 fits = {w for w in self._counts(t + 1, g) if self._value(t, self.local[f], pair, w) in wanted}
                 if fits:
                     children.append((t + 1, g, fits))

@@ -901,30 +901,48 @@ def rel_close_to(state: State, ctx: EvalContext, a: EntityDecl, b: EntityDecl, t
     return math.sqrt(_real(Fraction(*sq), f"the squared distance between {a.id} and {b.id}")) <= tau
 
 
-def _position(state: State, e: EntityDecl) -> tuple:
+def _position(state: State, decls: Sequence[EntityDecl]) -> tuple:
+    """motion's read: the position parameters of its entity."""
+    e = decls[0]
     return tuple(state.value(e.id, p) for p in POSITION_X[e.shape] + POSITION_Y[e.shape])
 
 
-def _motion(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
-    """motion(e): e's position changes between this state and the next."""
-    return after is not None and _position(state, decls[0]) != _position(after, decls[0])
+def _relative_position(state: State, decls: Sequence[EntityDecl]) -> tuple[Fraction, Fraction]:
+    """ccwStep's read: the vector from c's center to o's."""
+    return _offset(state, *decls, "relative position")
 
 
-def _ccw_step(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
-    """ccwStep(o, c): o's position around c advances counterclockwise between
-    this state and the next: cross(p, p') > 0 for the center-relative vectors.
+def _turns_ccw(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> bool:
+    """ccwStep's comparison, cross(p, q) > 0: q lies counterclockwise of p.
     Wrap-safe replacement for "the angle increases"."""
-    if after is None:
-        return False
-    x0, y0 = _offset(state, *decls, "relative position")
-    x1, y1 = _offset(after, *decls, "relative position")
-    return x0 * y1 - y0 * x1 > 0
+    return p[0] * q[1] - p[1] * q[0] > 0
 
 
-def _theta_step(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
-    """thetaStep(o, c): the literal reading, theta in the next state greater
-    than in this one."""
-    return after is not None and _angle(after, *decls) > _angle(state, *decls)
+def _theta(state: State, decls: Sequence[EntityDecl]) -> float:
+    """thetaStep's read, the literal one: theta(o, c)."""
+    return _angle(state, *decls)
+
+
+class Step(NamedTuple):
+    """A step relation as a read of one state and a comparison of two reads:
+    it holds between a state and the next when `advances(read(state),
+    read(next))`. `read` gets the state and the entities' declarations."""
+
+    read: Callable[[State, Sequence[EntityDecl]], object]
+    advances: Callable[[object, object], bool]
+
+
+def _step_test(step: Step):
+    """A step row's test: false at the last instant, else the comparison of
+    the reads, the next state read first."""
+
+    def test(state: State, ctx: EvalContext, decls, nums, after: Optional[State]) -> bool:
+        if after is None:
+            return False
+        later = step.read(after, decls)
+        return step.advances(step.read(state, decls), later)
+
+    return test
 
 
 # The box margins of the rows (see `box_margin`), from the context and
@@ -947,31 +965,37 @@ class Builtin(NamedTuple):
     relation's domain. `exact`: on rational arguments it holds, fails or
     raises one of `errors.EVALUATION_GAP_ERRORS`, so the join may prune
     with it. `margin` bounds how far apart the boxes of two entities it
-    holds of lie in each axis (None: no bound). `step`: it reads the next
-    state, which is None at the last instant of a trace, and is false there."""
+    holds of lie in each axis (None: no bound). `step`, for a relation that
+    reads the next state: its read of one state and the comparison of two
+    reads, from which its test is derived; the next state is None at the last
+    instant of a trace, and the relation is false there. None otherwise."""
 
     entities: int  # the entity arity
     numeric: int  # the most numeric arguments
     test: Callable[[State, EvalContext, Sequence[EntityDecl], Sequence, Optional[State]], Optional[bool]]
     exact: bool
     margin: Optional[Callable[[EvalContext, Optional[Fraction]], Fraction]]
-    step: bool
+    step: Optional[Step]
+
+
+def _step_row(entities: int, exact: bool, step: Step) -> Builtin:
+    return Builtin(entities, 0, _step_test(step), exact, None, step)
 
 
 # name -> Builtin(entities, numeric, test, exact, margin, step)
 BUILTIN_RELATIONS: dict[str, Builtin] = {
-    "inside": Builtin(2, 0, lambda st, ctx, d, n, after: _contains(st, *d, True), True, _MEET, False),
-    "partOf": Builtin(2, 0, lambda st, ctx, d, n, after: _contains(st, *d, False), True, _MEET, False),
-    "contact": Builtin(2, 0, lambda st, ctx, d, n, after: touches(st, ctx, *d), True, _EPSILON, False),
-    "on": Builtin(2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d), True, _EPSILON, False),
-    "overlaps": Builtin(2, 0, lambda st, ctx, d, n, after: _interiors_overlap(st, *d), True, _MEET, False),
-    "disjoint": Builtin(2, 0, lambda st, ctx, d, n, after: rel_disjoint(st, ctx, *d), True, None, False),
-    "closeTo": Builtin(2, 1, lambda st, ctx, d, n, after: rel_close_to(st, ctx, *d, *n), True, _THRESHOLD, False),
-    "smaller": Builtin(2, 0, lambda st, ctx, d, n, after: _measure_less(st, *d), False, None, False),
-    "larger": Builtin(2, 0, lambda st, ctx, d, n, after: _measure_less(st, d[1], d[0]), False, None, False),
-    "motion": Builtin(1, 0, _motion, True, None, True),
-    "ccwStep": Builtin(2, 0, _ccw_step, True, None, True),
-    "thetaStep": Builtin(2, 0, _theta_step, False, None, True),
+    "inside": Builtin(2, 0, lambda st, ctx, d, n, after: _contains(st, *d, True), True, _MEET, None),
+    "partOf": Builtin(2, 0, lambda st, ctx, d, n, after: _contains(st, *d, False), True, _MEET, None),
+    "contact": Builtin(2, 0, lambda st, ctx, d, n, after: touches(st, ctx, *d), True, _EPSILON, None),
+    "on": Builtin(2, 0, lambda st, ctx, d, n, after: rel_on(st, ctx, *d), True, _EPSILON, None),
+    "overlaps": Builtin(2, 0, lambda st, ctx, d, n, after: _interiors_overlap(st, *d), True, _MEET, None),
+    "disjoint": Builtin(2, 0, lambda st, ctx, d, n, after: rel_disjoint(st, ctx, *d), True, None, None),
+    "closeTo": Builtin(2, 1, lambda st, ctx, d, n, after: rel_close_to(st, ctx, *d, *n), True, _THRESHOLD, None),
+    "smaller": Builtin(2, 0, lambda st, ctx, d, n, after: _measure_less(st, *d), False, None, None),
+    "larger": Builtin(2, 0, lambda st, ctx, d, n, after: _measure_less(st, d[1], d[0]), False, None, None),
+    "motion": _step_row(1, True, Step(_position, operator.ne)),
+    "ccwStep": _step_row(2, True, Step(_relative_position, _turns_ccw)),
+    "thetaStep": _step_row(2, False, Step(_theta, operator.lt)),
 }
 
 
@@ -979,7 +1003,7 @@ def reads_next_state(name: str, ctx: EvalContext) -> bool:
     """Whether relation `name` reads the next state: a built-in step relation
     that no template of the theory overrides."""
     row = BUILTIN_RELATIONS.get(name)
-    return row is not None and row.step and name not in ctx.relations
+    return row is not None and row.step is not None and name not in ctx.relations
 
 
 def box_margin(name: str, ctx: EvalContext, threshold: Optional[Fraction] = None) -> Optional[Fraction]:
@@ -998,6 +1022,19 @@ def arity_message(name: str) -> str:
     return f"{name} takes {row.entities} entity argument(s)" + (
         f" and up to {row.numeric} numeric" if row.numeric else ""
     )
+
+
+def builtin(
+    name: str, entity_args: Sequence[str], num_args: Sequence, ctx: EvalContext
+) -> tuple[Builtin, tuple[EntityDecl, ...]]:
+    """The row of built-in relation `name` and the declarations of its
+    entity arguments, once the application's arity is checked."""
+    row = BUILTIN_RELATIONS.get(name)
+    if row is None:
+        raise UnknownRelation(f"unknown relation {name!r}")
+    if len(entity_args) != row.entities or len(num_args) > row.numeric:
+        raise UnknownRelation(arity_message(name))
+    return row, tuple(map(ctx.decl, entity_args))
 
 
 def eval_relation(
@@ -1019,12 +1056,7 @@ def eval_relation(
             raise UnknownRelation(f"{name} expects no numeric arguments, got {len(num_args)}")
         template_binding = {f"arg{i + 1}": e for i, e in enumerate(entity_args)}
         return eval_constraint(template.definition, state, ctx, template_binding)
-    row = BUILTIN_RELATIONS.get(name)
-    if row is None:
-        raise UnknownRelation(f"unknown relation {name!r}")
-    if len(entity_args) != row.entities or len(num_args) > row.numeric:
-        raise UnknownRelation(arity_message(name))
-    decls = tuple(map(ctx.decl, entity_args))
+    row, decls = builtin(name, entity_args, num_args, ctx)
     result = row.test(state, ctx, decls, num_args, after)
     if result is None:
         raise UnsupportedShapePair(f"{name}({', '.join(d.shape.value for d in decls)}) is not defined")

@@ -360,6 +360,28 @@ def test_enumerate_json_is_json_dumps_of_its_document(runner):
     assert result.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def test_document_output_is_written_without_stripping_escapes(runner, monkeypatch):
+    # click strips ANSI codes from what it echoes to a stream that is not a
+    # terminal; a document holds none, so it is written as it is
+    import click.utils
+
+    stripped = []
+    real = click.utils.strip_ansi
+    monkeypatch.setattr(click.utils, "strip_ansi", lambda text: stripped.append(text) or real(text))
+    theory = dsl.parse_theory(_data_text("OBJECT_INTO_CONTAINER.ist"))
+    scenario = shipped_scenario("containment_grid")
+    spec = enumeration.GridSpec(x_range=(0, 2), y_range=(0, 2), free_entities=("o",), horizon=2)
+    models = enumeration.brute_force_models(theory, scenario, spec, {"object": "o", "container": "c"})
+    expected = {"command": "enumerate", "count": len(models),
+                "models": [dsl.trace_to_json(m, scenario.entities) for m in models]}
+    result = _run(runner, ["enumerate", _path("OBJECT_INTO_CONTAINER.ist"), _path("containment_grid.scn"),
+                           "--grid", "0:2,0:2", "--steps", "2", "--json"])
+    assert result.exit_code == 0 and stripped == []
+    assert result.stdout_bytes == (json.dumps(expected, sort_keys=True, indent=2) + "\n").encode("ascii")
+    result = _run(runner, ["check", _path("CONTAINMENT.ist"), _path("fig1.scn"), "--bind", "object=a"])
+    assert result.exit_code == 0 and stripped  # the coloured line reports still go through click
+
+
 def test_enumerate_cap_exits_four(runner):
     result = _run(
         runner,

@@ -28,13 +28,14 @@ def test_head_against_itself_and_against_a_changed_scenario(tmp_path, monkeypatc
 
     assert cli_diff.main(["--base", "HEAD", "--seeds", "1"], toy=True) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and all(line.endswith(" commands, 0 differ") for line in lines)
+    assert len(lines) == 12 and all(line.endswith(" commands, 0 differ") for line in lines)
     assert lines[4] == "simulate_rules seed 1: 5 commands, 0 differ"
     assert lines[5] == "gravity_slides seed 1: 4 commands, 0 differ"
     assert lines[6] == "tolerances seed 1: 9 commands, 0 differ"
     assert lines[7] == "still_runs seed 1: 8 commands, 0 differ"
     assert lines[8] == "capture seed 1: 9 commands, 0 differ"
     assert lines[9] == "classify_large seed 1: 17 commands, 0 differ"
+    assert lines[10] == "grid_steps seed 1: 6 commands, 0 differ"
 
     drop = repo / "src" / "ischema" / "data" / "drop.scn"
     drop.write_text(drop.read_text(encoding="utf-8").replace("Point(2, 5)", "Point(2, 6)"), encoding="utf-8")
@@ -44,8 +45,8 @@ def test_head_against_itself_and_against_a_changed_scenario(tmp_path, monkeypatc
     assert lines[0].endswith(" commands, 1 differ")
     assert lines[1] == "  #2: simulate drop.scn --steps 7 --delta 1 --trace-out drop.trace.json"
     assert all(line.endswith(" commands, 0 differ") for line in lines[2:5])
-    assert lines[5:12] == ["simulate_rules seed 1: 5 commands, 1 differ", "  #0: simulate drop.scn --json",
+    assert lines[5:13] == ["simulate_rules seed 1: 5 commands, 1 differ", "  #0: simulate drop.scn --json",
                            "gravity_slides seed 1: 4 commands, 0 differ", "tolerances seed 1: 9 commands, 0 differ",
                            "still_runs seed 1: 8 commands, 0 differ", "capture seed 1: 9 commands, 0 differ",
-                           "classify_large seed 1: 17 commands, 0 differ"]
+                           "classify_large seed 1: 17 commands, 0 differ", "grid_steps seed 1: 6 commands, 0 differ"]
     assert lines[-1].endswith(" commands, 2 differ")

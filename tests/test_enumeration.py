@@ -349,14 +349,59 @@ def test_tables_decide_each_atom_once_per_frame(monkeypatch):
     theory = schema_theory("OBJECT_INTO_CONTAINER")
     spec = GridSpec(x_range=(0, 4), y_range=(0, 4), free_entities=("o",), horizon=3)
     calls = _spy(monkeypatch, geometry, "eval_relation")
+    checked = _spy(monkeypatch, geometry, "builtin")
+    row = geometry.BUILTIN_RELATIONS["motion"]
+    reads, compared = [], []
+
+    def read(state, decls):
+        reads.append(state)
+        return row.step.read(state, decls)
+
+    def advances(now, later):
+        compared.append((now, later))
+        return row.step.advances(now, later)
+
+    monkeypatch.setitem(geometry.BUILTIN_RELATIONS, "motion", row._replace(step=geometry.Step(read, advances)))
     assert count_models(theory, _skeleton("1.2"), spec, BINDING) == 4500
-    after = [call[5] if len(call) > 5 else None for call in calls]
-    keys = [(name, tuple(args), id(state), id(a)) for (name, args, state, *_), a in zip(calls, after)]
+    keys = [(name, tuple(args), id(state)) for name, args, state, *_ in calls]
     assert len(set(keys)) == len(keys)
-    by_relation = Counter(name for name, *_ in calls)
-    # 25 frames: inside once per frame, motion once per frame pair and once
-    # per frame at the last instant
-    assert by_relation == {"inside": 25, "motion": 25 * 25 + 25}
+    # 25 frames: inside decided once per frame; motion's arity checked once,
+    # its position read once per frame (the states are kept alive by the
+    # list, so their ids differ) and the reads compared once per pair of
+    # frames, with no evaluation at the last instant, where it is false
+    assert Counter(name for name, *_ in calls) == {"inside": 25}
+    assert Counter(name for name, *_ in checked) == {"motion": 1, "inside": 25}
+    assert len(reads) == len({id(state) for state in reads}) == 25
+    assert len(compared) == 25 * 25
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize(
+    "axioms",
+    [
+        ("eventually thetaStep(object, container)",),
+        ("always (inside(object, container) -> not thetaStep(object, container))",),
+        # the first axiom fails, or keeps o off c's centre, wherever the
+        # brute force would read thetaStep there
+        ("always (o.x != 1 or o.y != 1)", "always (final or thetaStep(object, container) or motion(object))"),
+        ("ccwStep(object, f)",),
+        ("next (final or ccwStep(object, f))",),
+        ("false", "eventually (motion(object) and ccwStep(object, f))"),
+    ],
+)
+def test_a_step_read_that_raises_at_some_frame_leaves_the_outcome_to_the_brute_force(axioms, horizon):
+    # The grid's centre point is c's centre, where theta(o, c) raises; a
+    # Floor has no centre, so ccwStep(o, f) raises at every frame.
+    o = make_entity("o", "Object", ShapeKind.POINT, [0, 0])
+    c = make_entity("c", "Container", ShapeKind.CIRCLE, [1, 1, Fraction(6, 5)])
+    f = make_entity("f", "Floor", ShapeKind.FLOOR, [-1])
+    sc = declare_scenario([o, c, f], trace=Trace((initial_state([o, c, f]),)))
+    theory = Theory(name="S", roles=schema_theory("CONTAINMENT").roles, axioms=tuple(map(parse_formula, axioms)))
+    spec = GridSpec(x_range=(0, 2), y_range=(0, 2), free_entities=("o",), horizon=horizon)
+    expected = _outcome(lambda: brute_force_models(theory, sc, spec, BINDING))
+    assert _outcome(lambda: enumerate_models(theory, sc, spec, BINDING)) == expected
+    counted = _outcome(lambda: count_models(theory, sc, spec, BINDING))
+    assert counted == (len(expected) if isinstance(expected, list) else expected)
 
 
 def test_before_reaches_the_brute_force(monkeypatch):

@@ -17,6 +17,7 @@ from ischema.errors import (
     UnknownParameter,
     UnknownRelation,
     UnsupportedShapePair,
+    ValueOutOfRange,
 )
 from ischema.geometry import (
     BUILTIN_RELATIONS,
@@ -161,6 +162,17 @@ def test_angular_position_coincident_centers():
     state, ctx = _ctx(_point("p", 1, 1), _point("q", 1, 1, sort="Region"))
     with pytest.raises(CoincidentCenters):
         angular_position(state, "p", "q", ctx)
+
+
+def test_theta_step_reads_the_next_state_first():
+    # Both reads raise: theta is not defined at the coincident centers now,
+    # and beyond the range of a float next. The next state's error surfaces.
+    now, ctx = _ctx(_point("p", 1, 1), _point("q", 1, 1, sort="Region"))
+    later = State(time=1, values={**now.values, ("p", "x"): Fraction(10) ** 400})
+    with pytest.raises(ValueOutOfRange, match="^the offset of p from q is beyond the floating-point range$"):
+        eval_relation("thetaStep", ["p", "q"], now, ctx, (), later)
+    with pytest.raises(CoincidentCenters, match="^p and q share a center$"):
+        eval_relation("thetaStep", ["p", "q"], later, ctx, (), now)
 
 
 def test_angular_position_antisymmetric():

@@ -33,7 +33,7 @@ def test_head_against_itself(tmp_path, monkeypatch, capsys):
     git("commit", "-q", "-m", "base")
     monkeypatch.setattr(scaling.bench_compare, "ROOT", repo)
 
-    assert scaling.main(["--base", "HEAD", "--points", "3,6", "--runs", "1"]) == 0
+    assert scaling.main(["--base", "HEAD", "--points", "3,6", "--grids", "2", "--runs", "1", "--rounds", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_scaling.json"
     doc = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))
     assert doc["base_sha"] == doc["head_sha"] and doc["same_output"] == [True, True]
@@ -54,7 +54,8 @@ def test_the_simulate_series_at_toy_sizes(tmp_path, monkeypatch):
                        cwd=repo, check=True, capture_output=True)
     monkeypatch.setattr(scaling.bench_compare, "ROOT", repo)
 
-    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4,8", "--runs", "1"]) == 0
+    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4,8", "--grids", "2", "--runs", "1",
+                         "--rounds", "1"]) == 0
     simulate = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))["simulate"]
     assert simulate["same_output"] == [True, True]
     base, head = simulate["sides"]["base"], simulate["sides"]["head"]
@@ -63,3 +64,38 @@ def test_the_simulate_series_at_toy_sizes(tmp_path, monkeypatch):
         assert h["touches"] == b["touches"] > 0 and h["seconds"] > 0
     assert set(head["exponent"]) == {"seconds", "touches"}
     assert head["exponent"]["touches"] == base["exponent"]["touches"] > 0
+
+
+def test_the_enumerate_series_in_alternating_rounds(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    for args in (("init", "-q"), ("add", "-A"), ("commit", "-q", "-m", "base")):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+    monkeypatch.setattr(scaling.bench_compare, "ROOT", repo)
+    order = []
+    run_side = scaling.run_side
+
+    def spy(src, *args, **kwargs):
+        order.append(src.parent.name)
+        return run_side(src, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "run_side", spy)
+    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4", "--grids", "3,4,9",
+                         "--runs", "1", "--rounds", "3"]) == 0
+    assert order == ["base", "head", "head", "base", "base", "head"]
+    doc = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))
+    assert doc["rounds"] == 3
+    enumerate_ = doc["enumerate"]
+    assert enumerate_["horizon"] == 2
+    assert enumerate_["same_output"] == [True] * 3 and enumerate_["json"]["same_output"] == [True] * 2
+    for series, grids in ((enumerate_, [3, 4, 9]), (enumerate_["json"], [3, 4])):
+        base, head = series["sides"]["base"], series["sides"]["head"]
+        assert [row["grid"] for row in head["rows"]] == grids
+        assert [row["frames"] for row in head["rows"]] == [g * g for g in grids]
+        for b, h in zip(base["rows"], head["rows"]):
+            assert h["eval_relation"] == b["eval_relation"] > 0
+            assert len(h["rounds"]) == 3 and h["seconds"] == sorted(h["rounds"])[1]
+        assert set(head["exponent"]) == {"seconds", "eval_relation"}
+    # counting: `inside` once per frame, and no step relation decided by eval_relation
+    assert [row["eval_relation"] for row in enumerate_["sides"]["head"]["rows"]] == [9, 16, 81]

@@ -25,9 +25,14 @@ unchanged, with a generated theory of step relations, `final` and a
 template. Then `capture` runs `check` with `--bind` on shipped
 scenarios against generated theories whose quantified variables are named
 after the entities the roles are bound to, so the text report has to rename
-them. The last, `classify_large`, runs `classify --json`, and `check`
+them. Then `classify_large` runs `classify --json`, and `check`
 and `analogy` with unbound roles, on the benchmark's classify scenes at 66
-and 126 entities, where the join indexes its two-role conditions. A
+and 126 entities, where the join indexes its two-role conditions. The
+last, `grid_steps`, runs `enumerate` (counting, listing and `--json`) on
+generated theories of `motion`, `ccwStep` and `thetaStep`, one of them under a
+template named `motion`, over one and two free points, two and three
+instants and fractional grid steps, on grids that can place a free point on
+another entity's center, where `thetaStep` raises. A
 command's output is the sha256 of its exit code, stdout, stderr and
 the file it writes. Commands are compared by their place in the pass, since
 a pass may repeat a command. It prints the commands whose outputs differ
@@ -61,6 +66,7 @@ TOLERANCES = "tolerances"
 STILL_RUNS = "still_runs"
 CAPTURE = "capture"
 CLASSIFY_LARGE = "classify_large"
+GRID_STEPS = "grid_steps"
 
 
 def _q(rng: random.Random, lo: int, hi: int) -> str:
@@ -317,6 +323,76 @@ def classify_large(seed: int, workdir: Path, data: Path, toy: bool = False) -> l
     return [workloads.Command(a, a[0]) for a in args]
 
 
+# Axioms over the roles o and p, bound to free points, c, bound to a circle,
+# and f, bound to a floor: every
+# step relation, theta at c's center (which a grid may hold) or at the other
+# free point, and ccwStep about the floor, which has no center.
+_ONE_FREE_AXIOMS = (
+    "eventually motion(o)",
+    "always (not final -> (motion(o) or inside(o, c)))",
+    "eventually ccwStep(o, c)",
+    "always (not final -> not ccwStep(o, c)) or eventually inside(o, c)",
+    "eventually thetaStep(o, c)",
+    "not thetaStep(o, c) or inside(o, c)",
+)
+_TWO_FREE_AXIOMS = (
+    "not (motion(o) and motion(p))",
+    "eventually (ccwStep(p, o) or inside(p, c))",
+    "always (not final -> (motion(o) -> not motion(p)))",
+    "eventually thetaStep(p, c) or always inside(p, c)",
+)
+# Each raises wherever the brute force decides it: on a Floor, or at a frame
+# that places o and p on one point.
+_RAISING_AXIOMS = ("eventually (final or ccwStep(o, f))", "eventually thetaStep(o, p)")
+
+
+def grid_steps(seed: int, workdir: Path, toy: bool = False) -> list:
+    """Write the `grid_steps` inputs into `workdir`; return their commands:
+    `enumerate` counting, listing and `--json` on four generated theories of
+    step relations (two when `toy`). They place one free point on an integer
+    grid over three instants, one on a grid of step 1/2 or 2/3, two free
+    points over two or three instants, and one or two under a theory whose
+    template is named `motion`."""
+    commands = []
+    for i in (0, 2) if toy else range(4):
+        rng = random.Random(f"{GRID_STEPS}/{seed}/{i}")
+        two = i == 2 or (i == 3 and rng.random() < 0.5)
+        cx, cy = rng.randint(0, 2), rng.randint(0, 2)
+        half = rng.random() < 0.5  # c's center off the grid points, or on one
+        center = (f"{2 * cx + 1}/2", f"{2 * cy + 1}/2") if half else (str(cx), str(cy))
+        name = f"steps{i}"
+        (workdir / f"{name}.scn").write_text("\n".join([
+            f"scenario {name}",
+            "  entity ball : Object = Point(0, 0)",
+            "  entity peg : Object = Point(1, 0)",
+            f"  entity cup : Container = Circle({center[0]}, {center[1]}, {rng.choice(('6/5', '3/2', '2'))})",
+            "  entity floor : Floor = Floor(-1)",
+            "  trace length 1",
+            "end",
+            "",
+        ]), encoding="utf-8")
+        axioms = rng.sample(_ONE_FREE_AXIOMS, 2) + (rng.sample(_TWO_FREE_AXIOMS, 2) if two else [])
+        if rng.random() < 0.25:
+            axioms.append(rng.choice(_RAISING_AXIOMS))
+        template = ["  relation motion(Object) := arg1.x >= 1"] if i == 3 else []
+        (workdir / f"STEPS{i}.ist").write_text("\n".join([
+            f"theory STEPS{i}", "  role o : Object", "  role p : Object", "  role c : Container", "  role f : Floor",
+            *template, *(f"  axiom {a}" for a in axioms), "end", ""]), encoding="utf-8")
+        if i == 1:
+            grid, horizon = f"0:1,0:1,{rng.choice(('1/2', '2/3'))}", rng.choice((2, 3))
+        elif two:
+            grid, horizon = rng.choice((("0:1,0:1", 2), ("0:1,0:0,1/2", 3)))
+        else:
+            grid, horizon = "0:2,0:2", 3
+        base = ["enumerate", f"STEPS{i}.ist", f"{name}.scn", "--grid", grid, "--steps", str(horizon),
+                "--free", "ball,peg" if two else "ball",
+                "--bind", "o=ball", "--bind", "p=peg", "--bind", "c=cup", "--bind", "f=floor"]
+        commands += [workloads.Command([*base, "--count-only"], "enumerate_count"),
+                     workloads.Command(base, "enumerate_text"),
+                     workloads.Command([*base, "--json"], "enumerate_json")]
+    return commands
+
+
 def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> list:
     if workload == SIMULATE_RULES:
         return simulate_rules(seed, workdir, data, toy)
@@ -330,6 +406,8 @@ def build(workload: str, seed: int, workdir: Path, data: Path, toy: bool) -> lis
         return capture(seed, workdir, data)
     if workload == CLASSIFY_LARGE:
         return classify_large(seed, workdir, data, toy)
+    if workload == GRID_STEPS:
+        return grid_steps(seed, workdir, toy)
     return workloads.build(workload, seed, workdir, data, toy=toy)
 
 
@@ -374,7 +452,7 @@ def main(argv=None, toy: bool = False) -> int:
     total = differing = 0
     with tempfile.TemporaryDirectory(prefix="cli-diff-") as tmp, bench_compare.checkouts(shas, Path(tmp)) as sides:
         for workload in (*workloads.WORKLOADS, SIMULATE_RULES, GRAVITY_SLIDES, TOLERANCES, STILL_RUNS, CAPTURE,
-                         CLASSIFY_LARGE):
+                         CLASSIFY_LARGE, GRID_STEPS):
             for seed in seeds:
                 digests = {}
                 for name, path in sides.items():

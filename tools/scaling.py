@@ -1,11 +1,11 @@
-"""How `classify` and `simulate` grow with the scene: base against HEAD.
+"""How `classify`, `simulate` and `enumerate` grow with the input: base against HEAD.
 
     python3 tools/scaling.py --base REV [--points 5,40,80,160] \
-        [--bodies 16,32,64,128,256] [--runs 3]
+        [--bodies 16,32,64,128,256] [--grids 4,8,16] [--runs 3] [--rounds 5]
 
 Run it from the root of the repository. It checks the base revision and HEAD
 out into temporary `git worktree`s (`bench_compare.checkouts`), so only
-committed files are measured, and writes two series of scenes, one scene per
+committed files are measured, and writes three series of inputs, one per
 size. The `classify` series takes `perfbench.workloads._classify_scenario`
 (20 states, seeded with `random.Random(f"scale/7/{points}")`): 5, 40, 80 and
 160 points are 13, 66, 126 and 246 entities, and each scene runs
@@ -13,18 +13,28 @@ size. The `classify` series takes `perfbench.workloads._classify_scenario`
 `perfbench.workloads._gravity_scene` (seeded with
 `random.Random(f"scale/7/{bodies}")`) with 16, 32, 64, 128 and 256 bodies,
 a quarter of them pushed, and each scene runs `simulate --steps 20 --json`.
+The `enumerate` series runs the shipped OBJECT_INTO_CONTAINER with
+`--steps 2 --count-only` on square grids of side 4, 8 and 16, a point free
+on them and a circle over about a quarter of the grid, as in the benchmark's
+`enumerate_grid`; its `json` part runs `--json` on the grids of side up to
+`LISTED_MAX_SIDE`, whose listings stay near 1 MB (17 MB at side 16).
 
-For each side a new process runs every command in process through the CLI,
-`--runs` times after a warm-up run, and keeps the fastest wall time; one more
-run counts the calls of the series' `geometry` functions and hashes the
-command's exit code and output. `classify` counts `boxes_apart` (the join's
-box tests) and `eval_relation` (relations decided); `simulate` counts
-`touches` (gravity's contact tests). Per side, series and measure it fits
-the exponent k of measure ~ size^k by least squares on the logarithms, the
-size being the entities or the bodies. It writes `BENCH_scaling.json` with
-both shas, the Python version, every row and the exponents, and whether the
-outputs agree: the `classify` series at the top level, the `simulate` series
-under `simulate`.
+The sides are timed in `--rounds` alternating rounds, the side that runs
+first alternating from round to round. In each round a new process per side
+runs every command in process through the CLI, `--runs` times after a
+warm-up run, and keeps the fastest wall time; a row's `seconds` is the
+median of its rounds' fastest times, which it keeps under `rounds`. In the
+first round one more run counts the calls of the series' `geometry`
+functions and hashes the command's exit code and output. `classify` counts
+`boxes_apart` (the join's box tests) and `eval_relation` (relations
+decided); `simulate` counts `touches` (gravity's contact tests); `enumerate`
+counts `eval_relation`. Per side, series and measure it fits the exponent k
+of measure ~ size^k by least squares on the logarithms, the size being the
+entities, the bodies or the grid's frames (its points). It writes
+`BENCH_scaling.json` with both shas, the Python version, every row and the
+exponents, and whether the outputs agree: the `classify` series at the top
+level, the others under `simulate` and `enumerate` (its listing under
+`enumerate.json`).
 """
 
 from __future__ import annotations
@@ -36,10 +46,13 @@ import json
 import math
 import platform
 import random
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -51,8 +64,11 @@ import bench_compare  # noqa: E402
 import workloads  # noqa: E402
 
 STATES = 20
+HORIZON = 2  # the instants of the enumerate series
+LISTED_MAX_SIDE = 8  # the largest grid whose models the enumerate series lists
 # series -> the size its exponents are fitted on, and the `geometry` functions whose calls it counts
-SERIES = {"classify": ("entities", ("boxes_apart", "eval_relation")), "simulate": ("bodies", ("touches",))}
+SERIES = {"classify": ("entities", ("boxes_apart", "eval_relation")), "simulate": ("bodies", ("touches",)),
+          "enumerate": ("frames", ("eval_relation",)), "enumerate_json": ("frames", ("eval_relation",))}
 
 
 def exponent(sizes: list[int], values: list[float]) -> float | None:
@@ -65,12 +81,13 @@ def exponent(sizes: list[int], values: list[float]) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def run_side(src: Path, workdir: Path, commands: list[dict], runs: int) -> list[dict]:
+def run_side(src: Path, workdir: Path, commands: list[dict], runs: int, count: bool) -> list[dict]:
     """One row per command ({"args", "counted"}), measured by one new process
-    on the sources under `src`."""
+    on the sources under `src`; with the counts and the output's hash when
+    `count`."""
     program = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import scaling; scaling.side()"
-    proc = subprocess.run([sys.executable, "-c", program, str(src), str(runs)], input=json.dumps(commands),
-                          cwd=workdir, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", program, str(src), str(runs), str(int(count))],
+                          input=json.dumps(commands), cwd=workdir, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"the process on {src} failed:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
@@ -78,9 +95,10 @@ def run_side(src: Path, workdir: Path, commands: list[dict], runs: int) -> list[
 
 def side() -> None:
     """One side's process: argv[1] is the sources, argv[2] the timed runs,
-    stdin the commands as JSON; prints the rows as JSON."""
+    argv[3] 1 to count and hash, stdin the commands as JSON; prints the rows
+    as JSON."""
     sys.path.insert(0, sys.argv[1])
-    runs = int(sys.argv[2])
+    runs, count = int(sys.argv[2]), sys.argv[3] == "1"
     import ischema.cli as cli
     from ischema import geometry
     from child import _run_one
@@ -104,21 +122,24 @@ def side() -> None:
             start = time.perf_counter()
             _run_one(cli.main, command, None)
             best = min(best, time.perf_counter() - start)
+        rows.append({"seconds": best})
+        if not count:
+            continue
         counts.clear()
         counts.update((name, 0) for name in command["counted"])
         with contextlib.ExitStack() as stack:
             for name in command["counted"]:
                 stack.enter_context(counted(name))
             output = _run_one(cli.main, command, None)
-        rows.append({"seconds": best, **counts,
-                     "sha256": hashlib.sha256(json.dumps(output).encode("utf-8")).hexdigest()})
+        rows[-1].update(counts, sha256=hashlib.sha256(json.dumps(output).encode("utf-8")).hexdigest())
     print(json.dumps(rows))
 
 
-def scenes(workdir: Path, points: list[int], bodies: list[int]) -> dict[str, list[dict]]:
-    """Per series, one entry per size: the scene's command, its size and the
-    size's name; the scene files are written to `workdir`."""
-    out: dict[str, list[dict]] = {"classify": [], "simulate": []}
+def scenes(workdir: Path, data: Path, points: list[int], bodies: list[int], grids: list[int]) -> dict[str, list[dict]]:
+    """Per series, one entry per size: the command, its size and the size's
+    name; the input files are written to `workdir`, the theory copied from
+    the shipped ones under `data`."""
+    out: dict[str, list[dict]] = {name: [] for name in SERIES}
     for n in points:
         text = workloads._classify_scenario(random.Random(f"scale/7/{n}"), f"scale{n}", n, STATES)
         (workdir / f"scale{n}.scn").write_text(text, encoding="utf-8")
@@ -129,6 +150,18 @@ def scenes(workdir: Path, points: list[int], bodies: list[int]) -> dict[str, lis
         (workdir / f"gravity{n}.scn").write_text(text, encoding="utf-8")
         out["simulate"].append({"args": ["simulate", f"gravity{n}.scn", "--steps", str(STATES), "--json"],
                                 "bodies": n})
+    shutil.copyfile(data / "OBJECT_INTO_CONTAINER.ist", workdir / "OBJECT_INTO_CONTAINER.ist")
+    for side in grids:
+        # the circle of `workloads._enumerate_grid`, centered off the grid points
+        center, r = Fraction(side - 1, 2) + Fraction(1, 8), Fraction(side, 3) + Fraction(1, 16)
+        (workdir / f"grid{side}.scn").write_text(
+            f"scenario grid{side}\n  entity o : Object = Point(0, 0)\n"
+            f"  entity c : Container = Circle({center}, {center}, {r})\n  trace length 1\nend\n", encoding="utf-8")
+        args = ["enumerate", "OBJECT_INTO_CONTAINER.ist", f"grid{side}.scn", "--grid", f"0:{side - 1},0:{side - 1}",
+                "--steps", str(HORIZON)]
+        out["enumerate"].append({"args": [*args, "--count-only"], "grid": side, "frames": side * side})
+        if side <= LISTED_MAX_SIDE:
+            out["enumerate_json"].append({"args": [*args, "--json"], "grid": side, "frames": side * side})
     return out
 
 
@@ -137,32 +170,45 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the revision to compare HEAD against")
     parser.add_argument("--points", default="5,40,80,160", help="comma-separated points per classify scene")
     parser.add_argument("--bodies", default="16,32,64,128,256", help="comma-separated bodies per simulate scene")
-    parser.add_argument("--runs", type=int, default=3, help="timed runs per scene and side")
+    parser.add_argument("--grids", default="4,8,16", help="comma-separated sides of the enumerate grids")
+    parser.add_argument("--runs", type=int, default=3, help="timed runs per command, side and round")
+    parser.add_argument("--rounds", type=int, default=5, help="alternating rounds of both sides")
     args = parser.parse_args(argv)
     points = [int(p) for p in args.points.split(",")]
     bodies = [int(b) for b in args.bodies.split(",")]
+    grids = [int(g) for g in args.grids.split(",")]
 
     shas = {"base": bench_compare.git("rev-parse", args.base), "head": bench_compare.git("rev-parse", "HEAD")}
-    series = {name: {"sides": {}} for name in SERIES}
     with tempfile.TemporaryDirectory(prefix="scaling-") as tmp, \
             bench_compare.checkouts(shas, Path(tmp)) as checkouts:
         workdir = Path(tmp) / "scenes"
         workdir.mkdir()
-        plan = scenes(workdir, points, bodies)
+        plan = scenes(workdir, checkouts["head"] / "src" / "ischema" / "data", points, bodies, grids)
         commands = [{"args": s["args"], "counted": SERIES[name][1]} for name, sizes in plan.items() for s in sizes]
-        for side_name, path in checkouts.items():
-            rows = iter(run_side(path / "src", workdir, commands, args.runs))
-            for name, sizes in plan.items():
-                size, counted = SERIES[name]
-                mine = [{**next(rows), **{k: v for k, v in s.items() if k != "args"}} for s in sizes]
-                series[name]["sides"][side_name] = {
-                    "rows": mine,
-                    "exponent": {m: exponent([row[size] for row in mine], [row[m] for row in mine])
-                                 for m in ("seconds", *counted)},
-                }
-                for row in mine:
-                    print(f"{side_name} {name} {row[size]} {size}: {row['seconds'] * 1000:.1f} ms, "
-                          + ", ".join(f"{row[m]} {m}" for m in counted), file=sys.stderr)
+        measured: dict[str, list[dict]] = {}  # side -> the first round's rows, each with every round's time
+        for r in range(args.rounds):
+            for side_name in ("base", "head") if r % 2 == 0 else ("head", "base"):
+                rows = run_side(checkouts[side_name] / "src", workdir, commands, args.runs, count=r == 0)
+                if r == 0:
+                    measured[side_name] = [{**row, "rounds": []} for row in rows]
+                for row, timed in zip(measured[side_name], rows):
+                    row["rounds"].append(timed["seconds"])
+    series = {}
+    for side_name, rows in measured.items():
+        rows = iter(rows)
+        for name, sizes in plan.items():
+            size, counted = SERIES[name]
+            mine = [{**next(rows), **{k: v for k, v in s.items() if k != "args"}} for s in sizes]
+            for row in mine:
+                row["seconds"] = statistics.median(row["rounds"])
+            series.setdefault(name, {"sides": {}})["sides"][side_name] = {
+                "rows": mine,
+                "exponent": {m: exponent([row[size] for row in mine], [row[m] for row in mine])
+                             for m in ("seconds", *counted)},
+            }
+            for row in mine:
+                print(f"{side_name} {name} {row[size]} {size}: {row['seconds'] * 1000:.1f} ms, "
+                      + ", ".join(f"{row[m]} {m}" for m in counted), file=sys.stderr)
     for entry in series.values():
         base, head = entry["sides"]["base"]["rows"], entry["sides"]["head"]["rows"]
         entry["same_output"] = [b["sha256"] == h["sha256"] for b, h in zip(base, head)]
@@ -173,8 +219,10 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "states": STATES,
         "runs": args.runs,
+        "rounds": args.rounds,
         **series["classify"],
         "simulate": series["simulate"],
+        "enumerate": {**series["enumerate"], "horizon": HORIZON, "json": series["enumerate_json"]},
     }
     out = bench_compare.ROOT / "BENCH_scaling.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
