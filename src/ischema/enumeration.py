@@ -267,8 +267,8 @@ class _Tables:
         # Each step atom's row and entities, its arity checked once. Its
         # entity arguments do not depend on the frame, and numeric ones fail
         # the check wherever they are read.
-        base = State(time=0, values=self.base)
-        steps = [geometry.builtin(atom.relation, *logic.resolve_args(atom, base, env, ctx), ctx)
+        declared = State(time=0, values=self.base)
+        steps = [geometry.builtin(atom.relation, *logic.resolve_args(atom, declared, env, ctx), ctx)
                  for atom, env in ground.steps]
         pairs = bool(steps) and self.horizon > 1
         reads = []
