@@ -1224,7 +1224,7 @@ def json_text(doc) -> str:
             if isinstance(obj, dict):
                 if type(obj) is _Values:
                     items = obj.lines
-                elif type(obj) is _TraceDoc:  # from the text of its entities and of its states
+                elif type(obj) is _TraceDoc:
                     inner = pad + "  "
                     states = ("," + inner).join([write(state, level + 2) for state in obj["states"]])
                     items = [f'"entities": {write(obj["entities"], level + 1)}', f'"length": {obj["length"]}',

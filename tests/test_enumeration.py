@@ -381,7 +381,7 @@ def test_tables_decide_each_atom_once_per_frame(monkeypatch):
     [
         ("eventually thetaStep(object, container)",),
         ("always (inside(object, container) -> not thetaStep(object, container))",),
-        # the first axiom fails, or keeps o off c's centre, wherever the
+        # the first axiom fails, or keeps o off c's center, wherever the
         # brute force would read thetaStep there
         ("always (o.x != 1 or o.y != 1)", "always (final or thetaStep(object, container) or motion(object))"),
         ("ccwStep(object, f)",),
@@ -390,8 +390,8 @@ def test_tables_decide_each_atom_once_per_frame(monkeypatch):
     ],
 )
 def test_a_step_read_that_raises_at_some_frame_leaves_the_outcome_to_the_brute_force(axioms, horizon):
-    # The grid's centre point is c's centre, where theta(o, c) raises; a
-    # Floor has no centre, so ccwStep(o, f) raises at every frame.
+    # The grid's center point is c's center, where theta(o, c) raises; a
+    # Floor has no center, so ccwStep(o, f) raises at every frame.
     o = make_entity("o", "Object", ShapeKind.POINT, [0, 0])
     c = make_entity("c", "Container", ShapeKind.CIRCLE, [1, 1, Fraction(6, 5)])
     f = make_entity("f", "Floor", ShapeKind.FLOOR, [-1])

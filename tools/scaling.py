@@ -1,7 +1,7 @@
 """How `classify`, `simulate` and `enumerate` grow with the input: base against HEAD.
 
     python3 tools/scaling.py --base REV [--points 5,40,80,160] \
-        [--bodies 16,32,64,128,256] [--grids 4,8,16] [--runs 3] [--rounds 5]
+        [--bodies 16,32,64,128,256] [--grids 4,8,16] [--runs 3] [--rounds 11]
 
 Run it from the root of the repository. It checks the base revision and HEAD
 out into temporary `git worktree`s (`bench_compare.checkouts`), so only
@@ -23,8 +23,10 @@ The sides are timed in `--rounds` alternating rounds, the side that runs
 first alternating from round to round. In each round a new process per side
 runs every command in process through the CLI, `--runs` times after a
 warm-up run, and keeps the fastest wall time; a row's `seconds` is the
-median of its rounds' fastest times, which it keeps under `rounds`. In the
-first round one more run counts the calls of the series' `geometry`
+median of its rounds' fastest times, which it keeps under `rounds`. On a
+shared 2-core machine one process can run about 1.7 times slower than the
+next throughout, so 5 rounds can still leave unchanged code 1.7 times apart
+in the median; 11 do not. In the first round one more run counts the calls of the series' `geometry`
 functions and hashes the command's exit code and output. `classify` counts
 `boxes_apart` (the join's box tests) and `eval_relation` (relations
 decided); `simulate` counts `touches` (gravity's contact tests); `enumerate`
@@ -172,7 +174,7 @@ def main(argv=None) -> int:
     parser.add_argument("--bodies", default="16,32,64,128,256", help="comma-separated bodies per simulate scene")
     parser.add_argument("--grids", default="4,8,16", help="comma-separated sides of the enumerate grids")
     parser.add_argument("--runs", type=int, default=3, help="timed runs per command, side and round")
-    parser.add_argument("--rounds", type=int, default=5, help="alternating rounds of both sides")
+    parser.add_argument("--rounds", type=int, default=11, help="alternating rounds of both sides")
     args = parser.parse_args(argv)
     points = [int(p) for p in args.points.split(",")]
     bodies = [int(b) for b in args.bodies.split(",")]
