@@ -1163,9 +1163,13 @@ class _KeySet:
 
 class _TraceDoc(dict):
     """A trace's document, `entities`, `length` and `states`, which
-    `json_text` writes in one step."""
+    `json_text` writes in one step while it holds just those keys and a
+    state."""
 
     __slots__ = ()
+
+
+_TRACE_DOC_KEYS = frozenset(("entities", "length", "states"))
 
 
 def trace_to_json(trace: Trace, entities: Sequence[EntityDecl], shared: Optional[dict] = None) -> dict:
@@ -1207,8 +1211,9 @@ def json_text(doc) -> str:
     occurs in it more than once at one level, as one object, once. A state's
     `values` object (`_Values`) is written from its ready `lines`, an
     entity's `params` list (`_Params`) from its ready `pairs`, and a trace's
-    document (`_TraceDoc`) from the text of its entity list and its states,
-    without sorting its keys or writing its `states` list as an object."""
+    document (`_TraceDoc`) holding just its own three keys and a state from
+    the text of its entity list, length and states, without sorting its keys
+    or writing its `states` list as an object."""
     written: dict[tuple[int, int], str] = {}
 
     def write(obj, level: int) -> str:
@@ -1224,11 +1229,11 @@ def json_text(doc) -> str:
             if isinstance(obj, dict):
                 if type(obj) is _Values:
                     items = obj.lines
-                elif type(obj) is _TraceDoc:
+                elif type(obj) is _TraceDoc and obj.keys() == _TRACE_DOC_KEYS and obj["states"]:
                     inner = pad + "  "
                     states = ("," + inner).join([write(state, level + 2) for state in obj["states"]])
-                    items = [f'"entities": {write(obj["entities"], level + 1)}', f'"length": {obj["length"]}',
-                             f'"states": [{inner}{states}{pad}]']
+                    items = [f'"entities": {write(obj["entities"], level + 1)}',
+                             f'"length": {write(obj["length"], level + 1)}', f'"states": [{inner}{states}{pad}]']
                 else:
                     items = [f"{_json_string(k)}: {write(v, level + 1)}" for k, v in sorted(obj.items())]
                 written[key] = "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"

@@ -768,6 +768,20 @@ def test_json_text_is_json_dumps(value, repeats):
     assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
+def test_json_text_writes_a_changed_trace_document_as_json_dumps(fig1_scenario):
+    doc = trace_to_json(fig1_scenario.trace, fig1_scenario.entities)
+    assert json_text(doc) + "\n" == serialize_trace(fig1_scenario.trace, fig1_scenario.entities)
+    doc["length"] = True
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    doc["model"] = 3
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    del doc["model"]
+    doc["states"] = []
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    del doc["states"]
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
 def test_trace_json_figure_values(fig1_scenario):
     doc = json.loads(serialize_trace(fig1_scenario.trace, fig1_scenario.entities))
     assert doc["length"] == 1

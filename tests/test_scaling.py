@@ -33,7 +33,9 @@ def test_head_against_itself(tmp_path, monkeypatch, capsys):
     git("commit", "-q", "-m", "base")
     monkeypatch.setattr(scaling.bench_compare, "ROOT", repo)
 
-    assert scaling.main(["--base", "HEAD", "--points", "3,6", "--grids", "2", "--runs", "1", "--rounds", "2"]) == 0
+    monkeypatch.setattr(scaling, "GRIDS", (2,))
+    monkeypatch.setattr(scaling, "ROUNDS", 2)
+    assert scaling.main(["--base", "HEAD", "--points", "3,6", "--runs", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "wrote BENCH_scaling.json"
     doc = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))
     assert doc["base_sha"] == doc["head_sha"] and doc["same_output"] == [True, True]
@@ -54,8 +56,9 @@ def test_the_simulate_series_at_toy_sizes(tmp_path, monkeypatch):
                        cwd=repo, check=True, capture_output=True)
     monkeypatch.setattr(scaling.bench_compare, "ROOT", repo)
 
-    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4,8", "--grids", "2", "--runs", "1",
-                         "--rounds", "1"]) == 0
+    monkeypatch.setattr(scaling, "GRIDS", (2,))
+    monkeypatch.setattr(scaling, "ROUNDS", 1)
+    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4,8", "--runs", "1"]) == 0
     simulate = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))["simulate"]
     assert simulate["same_output"] == [True, True]
     base, head = simulate["sides"]["base"], simulate["sides"]["head"]
@@ -81,8 +84,9 @@ def test_the_enumerate_series_in_alternating_rounds(tmp_path, monkeypatch):
         return run_side(src, *args, **kwargs)
 
     monkeypatch.setattr(scaling, "run_side", spy)
-    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4", "--grids", "3,4,9",
-                         "--runs", "1", "--rounds", "3"]) == 0
+    monkeypatch.setattr(scaling, "GRIDS", (3, 4, 9))
+    monkeypatch.setattr(scaling, "ROUNDS", 3)
+    assert scaling.main(["--base", "HEAD", "--points", "3", "--bodies", "4", "--runs", "1"]) == 0
     assert order == ["base", "head", "head", "base", "base", "head"]
     doc = json.loads((repo / "BENCH_scaling.json").read_text(encoding="utf-8"))
     assert doc["rounds"] == 3

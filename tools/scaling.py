@@ -1,7 +1,7 @@
 """How `classify`, `simulate` and `enumerate` grow with the input: base against HEAD.
 
     python3 tools/scaling.py --base REV [--points 5,40,80,160] \
-        [--bodies 16,32,64,128,256] [--grids 4,8,16] [--runs 3] [--rounds 11]
+        [--bodies 16,32,64,128,256] [--runs 3]
 
 Run it from the root of the repository. It checks the base revision and HEAD
 out into temporary `git worktree`s (`bench_compare.checkouts`), so only
@@ -14,20 +14,22 @@ size. The `classify` series takes `perfbench.workloads._classify_scenario`
 `random.Random(f"scale/7/{bodies}")`) with 16, 32, 64, 128 and 256 bodies,
 a quarter of them pushed, and each scene runs `simulate --steps 20 --json`.
 The `enumerate` series runs the shipped OBJECT_INTO_CONTAINER with
-`--steps 2 --count-only` on square grids of side 4, 8 and 16, a point free
-on them and a circle over about a quarter of the grid, as in the benchmark's
-`enumerate_grid`; its `json` part runs `--json` on the grids of side up to
-`LISTED_MAX_SIDE`, whose listings stay near 1 MB (17 MB at side 16).
+`--steps 2 --count-only` on square grids of side `GRIDS` (4, 8 and 16), a
+point free on them and a circle over about a quarter of the grid, as in the
+benchmark's `enumerate_grid`; its `json` part runs `--json` on the grids of
+side up to `LISTED_MAX_SIDE`, whose listings stay near 1 MB (17 MB at side
+16).
 
-The sides are timed in `--rounds` alternating rounds, the side that runs
+The sides are timed in `ROUNDS` (11) alternating rounds, the side that runs
 first alternating from round to round. In each round a new process per side
 runs every command in process through the CLI, `--runs` times after a
 warm-up run, and keeps the fastest wall time; a row's `seconds` is the
 median of its rounds' fastest times, which it keeps under `rounds`. On a
 shared 2-core machine one process can run about 1.7 times slower than the
 next throughout, so 5 rounds can still leave unchanged code 1.7 times apart
-in the median; 11 do not. In the first round one more run counts the calls of the series' `geometry`
-functions and hashes the command's exit code and output. `classify` counts
+in the median; 11 do not. In the first round one more run counts the calls
+of the series' `geometry` functions and hashes the command's exit code and
+output. `classify` counts
 `boxes_apart` (the join's box tests) and `eval_relation` (relations
 decided); `simulate` counts `touches` (gravity's contact tests); `enumerate`
 counts `eval_relation`. Per side, series and measure it fits the exponent k
@@ -67,7 +69,9 @@ import workloads  # noqa: E402
 
 STATES = 20
 HORIZON = 2  # the instants of the enumerate series
+GRIDS = (4, 8, 16)  # the sides of the enumerate series' grids
 LISTED_MAX_SIDE = 8  # the largest grid whose models the enumerate series lists
+ROUNDS = 11  # alternating rounds of both sides
 # series -> the size its exponents are fitted on, and the `geometry` functions whose calls it counts
 SERIES = {"classify": ("entities", ("boxes_apart", "eval_relation")), "simulate": ("bodies", ("touches",)),
           "enumerate": ("frames", ("eval_relation",)), "enumerate_json": ("frames", ("eval_relation",))}
@@ -137,7 +141,7 @@ def side() -> None:
     print(json.dumps(rows))
 
 
-def scenes(workdir: Path, data: Path, points: list[int], bodies: list[int], grids: list[int]) -> dict[str, list[dict]]:
+def scenes(workdir: Path, data: Path, points: list[int], bodies: list[int]) -> dict[str, list[dict]]:
     """Per series, one entry per size: the command, its size and the size's
     name; the input files are written to `workdir`, the theory copied from
     the shipped ones under `data`."""
@@ -153,7 +157,7 @@ def scenes(workdir: Path, data: Path, points: list[int], bodies: list[int], grid
         out["simulate"].append({"args": ["simulate", f"gravity{n}.scn", "--steps", str(STATES), "--json"],
                                 "bodies": n})
     shutil.copyfile(data / "OBJECT_INTO_CONTAINER.ist", workdir / "OBJECT_INTO_CONTAINER.ist")
-    for side in grids:
+    for side in GRIDS:
         # the circle of `workloads._enumerate_grid`, centered off the grid points
         center, r = Fraction(side - 1, 2) + Fraction(1, 8), Fraction(side, 3) + Fraction(1, 16)
         (workdir / f"grid{side}.scn").write_text(
@@ -172,23 +176,20 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the revision to compare HEAD against")
     parser.add_argument("--points", default="5,40,80,160", help="comma-separated points per classify scene")
     parser.add_argument("--bodies", default="16,32,64,128,256", help="comma-separated bodies per simulate scene")
-    parser.add_argument("--grids", default="4,8,16", help="comma-separated sides of the enumerate grids")
     parser.add_argument("--runs", type=int, default=3, help="timed runs per command, side and round")
-    parser.add_argument("--rounds", type=int, default=11, help="alternating rounds of both sides")
     args = parser.parse_args(argv)
     points = [int(p) for p in args.points.split(",")]
     bodies = [int(b) for b in args.bodies.split(",")]
-    grids = [int(g) for g in args.grids.split(",")]
 
     shas = {"base": bench_compare.git("rev-parse", args.base), "head": bench_compare.git("rev-parse", "HEAD")}
     with tempfile.TemporaryDirectory(prefix="scaling-") as tmp, \
             bench_compare.checkouts(shas, Path(tmp)) as checkouts:
         workdir = Path(tmp) / "scenes"
         workdir.mkdir()
-        plan = scenes(workdir, checkouts["head"] / "src" / "ischema" / "data", points, bodies, grids)
+        plan = scenes(workdir, checkouts["head"] / "src" / "ischema" / "data", points, bodies)
         commands = [{"args": s["args"], "counted": SERIES[name][1]} for name, sizes in plan.items() for s in sizes]
         measured: dict[str, list[dict]] = {}  # side -> the first round's rows, each with every round's time
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side_name in ("base", "head") if r % 2 == 0 else ("head", "base"):
                 rows = run_side(checkouts[side_name] / "src", workdir, commands, args.runs, count=r == 0)
                 if r == 0:
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "states": STATES,
         "runs": args.runs,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         **series["classify"],
         "simulate": series["simulate"],
         "enumerate": {**series["enumerate"], "horizon": HORIZON, "json": series["enumerate_json"]},
